@@ -16,7 +16,7 @@ from typing import Optional, Union
 from .cglp import Custom, Directional, MisOnes, ObjectiveSpec
 from .errors import NoIncumbent, PreconditionViolated, StrategyUnbounded, EmptyEpigraph
 from .linalg import Vector, as_fraction, as_vector, dot
-from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, subproblem_value
+from .model import EpiPoint, Instance, PolyhedralDomain, feasibility_rows, subproblem_value
 from .separation import (Certificate, Cut, SEPARATED, SeparationResult, separate)
 from .simplex import LE, LinearProgram, LpStatus, solve as solve_lp
 from .verify import FaceReport, face_report
@@ -126,15 +126,13 @@ def subproblem_check(instance: Instance, point: EpiPoint) -> SubproblemCheck:
     Infeasible carries the Farkas multipliers scaled to the -1 level, i.e. a
     member of the point's alternative polyhedron.
     """
-    rhs = instance.linking_rhs(point.x)
-    rows = [(a, LE, r) for a, r in zip(instance.A, rhs)]
-    rows.append((instance.d, LE, point.eta))
-    out = solve_lp(LinearProgram("min", instance.d, tuple(rows)))
+    rows = feasibility_rows(instance, point)
+    out = solve_lp(LinearProgram("min", instance.d, rows))
     if out.status == LpStatus.OPTIMAL:
         return SubproblemCheck(kind=FEASIBLE, y=out.primal)
     if out.status == LpStatus.UNBOUNDED:
         return SubproblemCheck(kind=FEASIBLE, y=None)
-    level = dot(out.farkas, rhs + (point.eta,))
+    level = dot(out.farkas, tuple(rhs for _, _, rhs in rows))
     scale = -1 / level
     cert = Certificate(
         row_multipliers=tuple(scale * v for v in out.farkas[:instance.m]),

@@ -88,14 +88,16 @@ def _column(rows, j: int) -> Vector:
     return tuple(r[j] for r in rows)
 
 
+def certificate_rows(instance: Instance) -> tuple:
+    """The k rows u'A + u_eta d' = 0 over (u, u_eta): multipliers that cancel y."""
+    return tuple((_column(instance.A, j) + (instance.d[j],), EQ, _ZERO)
+                 for j in range(instance.k))
+
+
 def build_alt_polyhedron(instance: Instance, point: EpiPoint, relaxed: bool = False) -> AltPolyhedron:
-    m = instance.m
-    rows = []
-    for j in range(instance.k):
-        rows.append((_column(instance.A, j) + (instance.d[j],), EQ, _ZERO))
     level = instance.linking_rhs(point.x) + (point.eta,)
-    rows.append((level, LE if relaxed else EQ, Fraction(-1)))
-    return AltPolyhedron(point=point, relaxed=relaxed, rows=tuple(rows))
+    rows = certificate_rows(instance) + ((level, LE if relaxed else EQ, Fraction(-1)),)
+    return AltPolyhedron(point=point, relaxed=relaxed, rows=rows)
 
 
 def lift_objective(instance: Instance, direction: Sequence, direction_eta) -> tuple[Vector, Fraction]:
@@ -174,14 +176,12 @@ def build_cglp_normalized(instance: Instance, point: EpiPoint, weights: Sequence
     weights = as_vector(weights)
     if len(weights) != instance.m:
         raise DimensionError(f"weights have {len(weights)} entries, expected {instance.m}")
-    rows = []
-    for j in range(instance.k):
-        rows.append((_column(instance.A, j) + (instance.d[j],), EQ, _ZERO))
-    rows.append((weights + (as_fraction(weight_eta),), EQ, Fraction(-1)))
+    normalization = (weights + (as_fraction(weight_eta),), EQ, Fraction(-1))
+    rows = certificate_rows(instance) + (normalization,)
     level = instance.linking_rhs(point.x) + (point.eta,)
     objective = tuple(-v for v in level)
     nvars = instance.m + 1
-    return LinearProgram("max", objective, tuple(rows), lower=(_ZERO,) * nvars)
+    return LinearProgram("max", objective, rows, lower=(_ZERO,) * nvars)
 
 
 def build_cglp_relaxed_subproblem(instance: Instance, point: EpiPoint, weights: Sequence,

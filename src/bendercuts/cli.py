@@ -15,8 +15,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .benders import (FixedCore, SolveResult, SolveStatus, SolverConfig, TrackIncumbent,
-                      solve)
-from .cglp import Custom, Directional, MisOnes, ObjectiveSpec, build_alt_polyhedron
+                      _solve_master, solve)
+from .cglp import (Custom, Directional, MisOnes, ObjectiveSpec, build_alt_polyhedron,
+                   certificate_rows)
 from .errors import (DimensionError, EmptyEpigraph, NoIncumbent, ParseError,
                      PreconditionViolated, StrategyUnbounded, TooLarge,
                      UnboundedDirection, ZeroCertificate)
@@ -168,10 +169,8 @@ def _cmd_separate(args) -> int:
 
 def _certificate_for_cut(instance: Instance, cut: Cut) -> Optional[Certificate]:
     """Smallest-multiplier-sum certificate realizing the cut exactly, if any."""
-    m, k, n = instance.m, instance.k, instance.n
-    rows = []
-    for j in range(k):
-        rows.append((tuple(instance.A[i][j] for i in range(m)) + (instance.d[j],), EQ, _ZERO))
+    m, n = instance.m, instance.n
+    rows = list(certificate_rows(instance))
     for i in range(n):
         rows.append((tuple(instance.H[r][i] for r in range(m)) + (_ZERO,), EQ, cut.coef_x[i]))
     rows.append((instance.b + (_ZERO,), EQ, cut.rhs))
@@ -185,7 +184,6 @@ def _certificate_for_cut(instance: Instance, cut: Cut) -> Optional[Certificate]:
 
 
 def _root_master_point(instance: Instance) -> Optional[EpiPoint]:
-    from .benders import _solve_master
     master = _solve_master(instance, ())
     return None if isinstance(master, str) else master[0]
 

@@ -18,7 +18,7 @@ from typing import Any, Optional, Union
 from .benders import (CONVERGED, CoreMode, FixedCore, FixedDirection, IterationRecord,
                       SolveResult, SolverConfig, TrackIncumbent, _solve_master)
 from .cglp import Custom, Directional, MisOnes, ObjectiveSpec
-from .errors import DimensionError, ParseError
+from .errors import DimensionError, ParseError, PreconditionViolated, ZeroCertificate
 from .linalg import Vector
 from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain
 from .separation import Certificate, Cut, canonical_cut
@@ -235,40 +235,63 @@ def trace_to_json(instance: Instance, config: SolverConfig, result: SolveResult)
     return json.dumps(trace_document(instance, config, result), indent=2) + "\n"
 
 
-def _cut_from_document(doc: dict) -> Cut:
-    return Cut(coef_x=_vec(doc["coef_x"], "cut.coef_x"),
-               coef_eta=_num(doc["coef_eta"], "cut.coef_eta"),
-               rhs=_num(doc["rhs"], "cut.rhs"))
+def _field(doc: Any, key: str, where: str) -> Any:
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"{where}: expected an object with {key!r}")
+    return doc[key]
+
+
+def _cut_from_document(doc: Any, n: int) -> Cut:
+    return Cut(coef_x=_vec(_field(doc, "coef_x", "cut"), "cut.coef_x", n),
+               coef_eta=_num(_field(doc, "coef_eta", "cut"), "cut.coef_eta"),
+               rhs=_num(_field(doc, "rhs", "cut"), "cut.rhs"))
 
 
 def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     """Check a trace against fresh computation; the mismatch list is empty iff it replays.
 
     Master values are recomputed with the recorded cut prefixes, and recorded
-    face reports are recomputed from the recorded cuts.
+    face reports are recomputed from the recorded cuts.  A malformed document
+    comes back as messages too, never as an exception.
     """
-    doc = json.loads(trace) if isinstance(trace, str) else trace
+    try:
+        doc = json.loads(trace) if isinstance(trace, str) else trace
+    except json.JSONDecodeError as exc:
+        return [f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"]
+    if not isinstance(doc, dict):
+        return [f"a trace is a JSON object, not {type(doc).__name__}"]
     problems: list[str] = []
     if doc.get("format") != _TRACE_FORMAT:
         return [f"unknown trace format {doc.get('format')!r}"]
     digest = instance_digest(instance)
     if doc.get("instance_digest") != digest:
         problems.append("instance digest does not match")
+    iterations = doc.get("iterations", [])
+    if not isinstance(iterations, list):
+        return problems + ["iterations: expected a list"]
     cuts: list[Cut] = []
-    for rec in doc.get("iterations", ()):
-        where = f"iteration {rec.get('index')}"
+    for position, rec in enumerate(iterations, start=1):
+        where = f"iteration {rec.get('index') if isinstance(rec, dict) else position}"
+        try:
+            point = _field(rec, "master_point", "record")
+            recorded = EpiPoint(x=_vec(_field(point, "x", "master_point"), "master_point.x",
+                                       instance.n),
+                                eta=_num(_field(point, "eta", "master_point"), "master_point.eta"))
+            recorded_value = _num(_field(rec, "master_value", "record"), "master_value")
+            converged = _field(rec, "outcome", "record") == CONVERGED
+            cut = None if converged else _cut_from_document(rec.get("cut"), instance.n)
+        except (ParseError, DimensionError, ZeroCertificate, PreconditionViolated) as exc:
+            problems.append(f"{where}: {exc}")
+            break
         master = _solve_master(instance, cuts)
         if isinstance(master, str):
             problems.append(f"{where}: master became {master} on replay")
             break
         _, value = master
-        if _enc(value) != rec["master_value"]:
-            problems.append(f"{where}: master value {_enc(value)} != recorded {rec['master_value']}")
-        recorded = EpiPoint(x=_vec(rec["master_point"]["x"], "master_point.x"),
-                            eta=_num(rec["master_point"]["eta"], "master_point.eta"))
-        if rec["outcome"] == CONVERGED:
+        if value != recorded_value:
+            problems.append(f"{where}: master value {value} != recorded {recorded_value}")
+        if cut is None:
             continue
-        cut = _cut_from_document(rec["cut"])
         if cut.holds_at(recorded):
             problems.append(f"{where}: recorded cut does not cut off its master point")
         if rec.get("face") is not None:

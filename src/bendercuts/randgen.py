@@ -12,10 +12,9 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import Vector, dot
+from .linalg import dot
 from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain,
                     subproblem_value)
-from .verify import core_point
 
 
 def _coeff(rng: random.Random, lo: int, hi: int) -> Fraction:
@@ -71,20 +70,6 @@ def interior_epi_point(rng: random.Random, instance: Instance, *,
         if isinstance(z, Fraction):
             return EpiPoint(x=x, eta=z + rng.randint(1, 3))
     return None
-
-
-def pareto_direction(instance: Instance,
-                     point: EpiPoint) -> Optional[tuple[Vector, Fraction]]:
-    """Direction from the point into the relative interior of the master epigraph.
-
-    Shifting relint(conv(epi_S(z))) by -point gives exactly the directions the
-    Pareto guarantee asks for.
-    """
-    core = core_point(instance)
-    if core is None:
-        return None
-    return (tuple(cv - pv for cv, pv in zip(core.x, point.x)),
-            core.eta - point.eta)
 
 
 def scale_rows(instance: Instance, factors) -> Instance:

@@ -15,7 +15,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cglp import ObjectiveSpec, build_cglp_relaxed_subproblem, lift_objective, strategy_weights
+from .cglp import (ObjectiveSpec, build_alt_polyhedron, build_cglp_relaxed_subproblem,
+                   lift_objective, strategy_weights)
 from .errors import (EmptyEpigraph, PreconditionViolated, StrategyUnbounded, UnboundedDirection,
                      ZeroCertificate)
 from .linalg import Vector, as_fraction, as_vector, dot, matrix_rank
@@ -131,21 +132,6 @@ def _certificate_from_duals(dual: Vector, m: int, t_star: Fraction) -> Certifica
     )
 
 
-def _alt_rows(instance: Instance, point: EpiPoint, relaxed: bool):
-    """Certificate-space rows plus nonnegativity, over m+1 variables."""
-    nvars = instance.m + 1
-    rows = []
-    for j in range(instance.k):
-        col = tuple(instance.A[i][j] for i in range(instance.m)) + (instance.d[j],)
-        rows.append((col, EQ, _ZERO))
-    level = instance.linking_rhs(point.x) + (point.eta,)
-    rows.append((level, LE if relaxed else EQ, Fraction(-1)))
-    for j in range(nvars):
-        unit = tuple(-_ONE if i == j else _ZERO for i in range(nvars))
-        rows.append((unit, LE, _ZERO))
-    return rows
-
-
 def _is_extreme(rows, candidate: Vector) -> bool:
     tight = []
     for coeffs, rel, rhs in rows:
@@ -155,15 +141,16 @@ def _is_extreme(rows, candidate: Vector) -> bool:
     return matrix_rank(tight) == len(candidate)
 
 
-def _push_to_vertex(instance: Instance, point: EpiPoint, cert: Certificate,
-                    weights: Vector, weight_eta: Fraction, value: Fraction) -> Certificate:
+def _push_to_vertex(rows, weights: Vector, weight_eta: Fraction, value: Fraction) -> Certificate:
     """Lexicographically minimize inside the optimal face of the relaxed system.
 
-    Coordinate-by-coordinate minimization pins the face down to a single
-    point, which is then a vertex; Bland's rule keeps every step deterministic.
+    rows are the relaxed certificate polyhedron in <=-form; the face is where
+    weights . (u, u_eta) reaches value.  Coordinate-by-coordinate minimization
+    pins the face down to a single point, which is then a vertex; Bland's rule
+    keeps every step deterministic.
     """
-    nvars = instance.m + 1
-    rows = _alt_rows(instance, point, relaxed=True)
+    nvars = len(weights) + 1
+    rows = list(rows)
     rows.append((weights + (weight_eta,), EQ, value))
     for j in range(nvars):
         unit = tuple(_ONE if i == j else _ZERO for i in range(nvars))
@@ -191,8 +178,9 @@ def separate(instance: Instance, point: EpiPoint, strategy: ObjectiveSpec) -> Se
         return SeparationResult(kind=IN_EPIGRAPH)
     cert = _certificate_from_duals(out.dual, instance.m, t_star)
     value = -1 / t_star
-    if not _is_extreme(_alt_rows(instance, point, relaxed=True), cert.as_tuple()):
-        cert = _push_to_vertex(instance, point, cert, weights, weight_eta, value)
+    rows = build_alt_polyhedron(instance, point, relaxed=True).as_lp().normalized_rows
+    if not _is_extreme(rows, cert.as_tuple()):
+        cert = _push_to_vertex(rows, weights, weight_eta, value)
     cut = certificate_to_cut(instance, cert)
     supporting = support_function(instance, cut.coef_x, cut.coef_eta) == cut.rhs
     return SeparationResult(

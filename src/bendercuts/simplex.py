@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import DimensionError
 from .linalg import Vector, as_fraction, as_vector, dot
@@ -121,7 +121,6 @@ class LpOutcome:
     dual: Optional[Vector] = None
     farkas: Optional[Vector] = None
     ray: Optional[Vector] = None
-    basis: Optional[tuple] = None  # opaque warm-start token
 
 
 def dual_objective_value(lp: LinearProgram, outcome: LpOutcome) -> Fraction:
@@ -281,22 +280,16 @@ class _Tableau:
         return tuple(d[2 * j] - d[2 * j + 1] for j in range(n))
 
 
-def solve(lp: LinearProgram, warm_basis: Optional[tuple] = None) -> LpOutcome:
+def solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly. Outcomes carry primal/dual, Farkas vector or ray."""
-    t = None
-    if warm_basis is not None:
-        t = _Tableau(lp)
-        if not _apply_warm_basis(t, warm_basis):
-            t = None  # a failed warm start leaves the tableau half-pivoted
-    if t is None:
-        t = _Tableau(lp)
-        t._set_phase1_objective()
-        t._run([True] * t.ncols)
-        infeas = -t.obj[-1]
-        if infeas > 0:
-            farkas = tuple(-v for v in t._row_duals(_ONE))
-            return LpOutcome(status=LpStatus.INFEASIBLE, farkas=farkas)
-        t._drive_out_artificials()
+    t = _Tableau(lp)
+    t._set_phase1_objective()
+    t._run([True] * t.ncols)
+    infeas = -t.obj[-1]
+    if infeas > 0:
+        farkas = tuple(-v for v in t._row_duals(_ONE))
+        return LpOutcome(status=LpStatus.INFEASIBLE, farkas=farkas)
+    t._drive_out_artificials()
     t._set_phase2_objective()
     allowed = [j < t.art0 for j in range(t.ncols)]
     enter = t._run(allowed)
@@ -305,46 +298,4 @@ def solve(lp: LinearProgram, warm_basis: Optional[tuple] = None) -> LpOutcome:
     x = t._primal()
     value = dot(lp.objective, x)
     dual = t._row_duals(_ZERO)
-    return LpOutcome(
-        status=LpStatus.OPTIMAL,
-        primal=x,
-        objective_value=value,
-        dual=dual,
-        basis=(tuple(t.row_ids), tuple(t.basis)),
-    )
-
-
-def _apply_warm_basis(t: _Tableau, token: tuple) -> bool:
-    try:
-        row_ids, basis = token
-    except (TypeError, ValueError):
-        return False
-    if len(row_ids) != len(basis):
-        return False
-    if any(i not in t.row_ids for i in row_ids):
-        return False
-    # artificial columns never belong to a usable basis
-    if any(not isinstance(b, int) or not (0 <= b < t.art0) for b in basis):
-        return False
-    keep = [t.row_ids.index(i) for i in row_ids]
-    t.tab = [t.tab[i] for i in keep]
-    t.row_ids = list(row_ids)
-    t.basis = [t.art0 + i for i in row_ids]
-    for r, col in enumerate(basis):
-        if t.tab[r][col] == 0:
-            return False
-        t._pivot(r, col)
-    return all(row[-1] >= 0 for row in t.tab)
-
-
-def feasible_point(lp: LinearProgram) -> Optional[Vector]:
-    """A feasible point of the constraint set, ignoring the objective."""
-    probe = LinearProgram(
-        sense="min",
-        objective=(_ZERO,) * lp.num_vars,
-        rows=lp.rows,
-        lower=lp.lower,
-        upper=lp.upper,
-    )
-    out = solve(probe)
-    return out.primal if out.status == LpStatus.OPTIMAL else None
+    return LpOutcome(status=LpStatus.OPTIMAL, primal=x, objective_value=value, dual=dual)

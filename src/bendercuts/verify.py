@@ -19,11 +19,12 @@ from typing import Optional, Union
 
 from .cglp import AltPolyhedron
 from .errors import DimensionError, DominanceUndefined, InfeasibleCandidate, TooLarge
-from .linalg import Vector, as_fraction, as_vector, dot, matrix_rank, solve_square
+from .linalg import Vector, as_vector, dot, matrix_rank, solve_square
 from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, epi_dimension,
-                    epi_face_dimension, epigraph_rows, feasibility_rows, support_function)
+                    epi_face_dimension, epigraph_rows, feasibility_rows, subproblem_value,
+                    support_function)
 from .separation import Certificate, Cut
-from .simplex import EQ, GE, LE, LinearProgram, LpStatus, solve
+from .simplex import EQ, LE, LinearProgram, LpStatus, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -148,18 +149,6 @@ def is_vertex(system: Union[AltPolyhedron, LinearProgram], candidate) -> bool:
     return matrix_rank(tight) == dim
 
 
-def _normalize_le(rows):
-    out = []
-    for coeffs, rel, rhs in rows:
-        coeffs = as_vector(coeffs)
-        rhs = as_fraction(rhs)
-        if rel == GE:
-            out.append((tuple(-c for c in coeffs), LE, -rhs))
-        else:
-            out.append((coeffs, rel, rhs))
-    return out
-
-
 def _implicit_mask(rows) -> Optional[list[bool]]:
     """Which <=-rows hold with equality everywhere on the solution set.
 
@@ -178,6 +167,28 @@ def _implicit_mask(rows) -> Optional[list[bool]]:
     return mask
 
 
+def _max_shared_slack(rows, slacked, lower) -> Optional[Vector]:
+    """Maximize one slack s in [0, 1] that every slacked row must leave.
+
+    Slacked rows read coeffs . v + s <= rhs, the others stay as given; the
+    slack is the last column, after the len(lower) columns of v.  Returns v,
+    or None when no positive slack fits.
+    """
+    dim = len(lower)
+    lp = LinearProgram(
+        "max",
+        (_ZERO,) * dim + (_ONE,),
+        tuple((coeffs + (_ONE if slack else _ZERO,), rel, rhs)
+              for (coeffs, rel, rhs), slack in zip(rows, slacked)),
+        lower=lower + (_ZERO,),
+        upper=(None,) * dim + (_ONE,),
+    )
+    out = solve(lp)
+    if out.status != LpStatus.OPTIMAL or out.objective_value == 0:
+        return None
+    return out.primal[:dim]
+
+
 def relative_interior_point(rows, dim: int) -> Optional[Vector]:
     """A point in the relative interior of the rows' solution set.
 
@@ -185,27 +196,13 @@ def relative_interior_point(rows, dim: int) -> Optional[Vector]:
     positive slack, and the slack is maximized (capped at 1).  None when the
     set is empty.
     """
-    rows = _normalize_le(rows)
+    rows = LinearProgram("min", (_ZERO,) * dim, tuple(rows)).normalized_rows
     mask = _implicit_mask(rows)
     if mask is None:
         return None
-    slack_rows = []
-    for (coeffs, rel, rhs), implicit in zip(rows, mask):
-        if rel == EQ or implicit:
-            slack_rows.append((tuple(coeffs) + (_ZERO,), EQ, rhs))
-        else:
-            slack_rows.append((tuple(coeffs) + (_ONE,), LE, rhs))
-    lp = LinearProgram(
-        "max",
-        (_ZERO,) * dim + (_ONE,),
-        tuple(slack_rows),
-        lower=(None,) * dim + (_ZERO,),
-        upper=(None,) * dim + (_ONE,),
-    )
-    out = solve(lp)
-    if out.status != LpStatus.OPTIMAL or out.objective_value == 0:
-        return None
-    return out.primal[:dim]
+    pinned = [(coeffs, EQ if implicit else LE, rhs)
+              for (coeffs, _, rhs), implicit in zip(rows, mask)]
+    return _max_shared_slack(pinned, [not implicit for implicit in mask], (None,) * dim)
 
 
 def core_point(instance: Instance) -> Optional[EpiPoint]:
@@ -226,13 +223,10 @@ def core_point(instance: Instance) -> Optional[EpiPoint]:
         return EpiPoint(x=sol[:n], eta=sol[n + k])
     reachable = []
     for p in dom.points:
-        lp = LinearProgram("min", instance.d,
-                           tuple((a, LE, r) for a, r in zip(instance.A, instance.linking_rhs(p))))
-        out = solve(lp)
-        if out.status == LpStatus.INFEASIBLE:
+        z = subproblem_value(instance, p)
+        if z == math.inf:
             continue
-        z = out.objective_value if out.status == LpStatus.OPTIMAL else instance.eta_lower_bound
-        reachable.append((p, z))
+        reachable.append((p, instance.eta_lower_bound if z == -math.inf else z))
     if not reachable:
         return None
     s = Fraction(1, len(reachable))
@@ -258,60 +252,41 @@ def pareto_verdict(instance: Instance, cut: Cut) -> ParetoVerdict:
     dom = instance.master_domain
     lift = epigraph_rows(instance)
     if isinstance(dom, PolyhedralDomain):
-        mask = _implicit_mask(_normalize_le([(g, LE, gi) for g, gi in zip(dom.G, dom.g)]))
+        mask = _implicit_mask(tuple((g, LE, gi) for g, gi in zip(dom.G, dom.g)))
         if mask is None:
             return ParetoVerdict(ParetoKind.NOT_PARETO)
-        rows = [(tuple(c) + (_ZERO,), rel, rhs) for c, rel, rhs in lift]
-        rows.append(_tight_cut_row(instance, cut, extra=1))
-        for (grow, gi), implicit in zip(zip(dom.G, dom.g), mask):
-            pad = tuple(grow) + (_ZERO,) * (k + 1)
-            if implicit:
-                rows.append((pad + (_ZERO,), EQ, gi))
-            else:
-                rows.append((pad + (_ONE,), LE, gi))
-        nvars = n + k + 1 + 1
-        lp = LinearProgram(
-            "max",
-            (_ZERO,) * (nvars - 1) + (_ONE,),
-            tuple(rows),
-            lower=(None,) * (nvars - 1) + (_ZERO,),
-            upper=(None,) * (nvars - 1) + (_ONE,),
-        )
-        out = solve(lp)
-        if out.status != LpStatus.OPTIMAL or out.objective_value == 0:
-            return ParetoVerdict(ParetoKind.NOT_PARETO)
-        return ParetoVerdict(ParetoKind.PARETO,
-                             witness=EpiPoint(x=out.primal[:n], eta=out.primal[n + k]))
-    points = dom.points
-    s = len(points)
-    # variables: (x, y, eta, mix weights, shared slack)
-    nvars = n + k + 1 + s + 1
-    rows = [(tuple(c) + (_ZERO,) * (s + 1), rel, rhs) for c, rel, rhs in lift]
-    rows.append(_tight_cut_row(instance, cut, extra=s + 1))
-    for j in range(n):
-        coeffs = [_ZERO] * nvars
-        coeffs[j] = _ONE
-        for i, p in enumerate(points):
-            coeffs[n + k + 1 + i] = -p[j]
-        rows.append((tuple(coeffs), EQ, _ZERO))
-    rows.append(((_ZERO,) * (n + k + 1) + (_ONE,) * s + (_ZERO,), EQ, _ONE))
-    for i in range(s):
-        coeffs = [_ZERO] * nvars
-        coeffs[n + k + 1 + i] = -_ONE
-        coeffs[-1] = _ONE
-        rows.append((tuple(coeffs), LE, _ZERO))
-    lp = LinearProgram(
-        "max",
-        (_ZERO,) * (nvars - 1) + (_ONE,),
-        tuple(rows),
-        lower=(None,) * (n + k + 1) + (_ZERO,) * (s + 1),
-        upper=(None,) * (nvars - 1) + (_ONE,),
-    )
-    out = solve(lp)
-    if out.status != LpStatus.OPTIMAL or out.objective_value == 0:
+        rows = list(lift)
+        rows.append(_tight_cut_row(instance, cut, extra=0))
+        slacked = [False] * len(rows)
+        for grow, gi, implicit in zip(dom.G, dom.g, mask):
+            rows.append((grow + (_ZERO,) * (k + 1), EQ if implicit else LE, gi))
+            slacked.append(not implicit)
+        lower = (None,) * (n + k + 1)
+    else:
+        points = dom.points
+        s = len(points)
+        # variables: (x, y, eta, mix weights), then the shared slack
+        nvars = n + k + 1 + s
+        rows = [(tuple(c) + (_ZERO,) * s, rel, rhs) for c, rel, rhs in lift]
+        rows.append(_tight_cut_row(instance, cut, extra=s))
+        for j in range(n):
+            coeffs = [_ZERO] * nvars
+            coeffs[j] = _ONE
+            for i, p in enumerate(points):
+                coeffs[n + k + 1 + i] = -p[j]
+            rows.append((tuple(coeffs), EQ, _ZERO))
+        rows.append(((_ZERO,) * (n + k + 1) + (_ONE,) * s, EQ, _ONE))
+        slacked = [False] * len(rows)
+        for i in range(s):
+            coeffs = [_ZERO] * nvars
+            coeffs[n + k + 1 + i] = -_ONE
+            rows.append((tuple(coeffs), LE, _ZERO))
+            slacked.append(True)
+        lower = (None,) * (n + k + 1) + (_ZERO,) * s
+    sol = _max_shared_slack(rows, slacked, lower)
+    if sol is None:
         return ParetoVerdict(ParetoKind.NOT_PARETO)
-    return ParetoVerdict(ParetoKind.PARETO,
-                         witness=EpiPoint(x=out.primal[:n], eta=out.primal[n + k]))
+    return ParetoVerdict(ParetoKind.PARETO, witness=EpiPoint(x=sol[:n], eta=sol[n + k]))
 
 
 def _eta_bound_gap(a: Cut, b: Cut) -> tuple[Vector, Fraction]:

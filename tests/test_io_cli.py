@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,12 +12,13 @@ from bendercuts.errors import DimensionError, ParseError
 from bendercuts.instance_io import (instance_digest, instance_document, load_instance,
                                     parse_instance, replay_trace, serialize_instance,
                                     trace_document, trace_to_json)
-from bendercuts.model import Instance, PolyhedralDomain
+from bendercuts.model import FiniteDomain, Instance, PolyhedralDomain
 from bendercuts.separation import Cut
 
 from conftest import P2_CUT, P3_CUT
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+README = Path(__file__).resolve().parent.parent / "README.md"
 EX1_PATH = INSTANCES / "ex1.json"
 
 
@@ -76,6 +78,17 @@ def test_parse_rejections(ex1, exc, make):
         parse_instance(make(ex1))
 
 
+def test_readme_instance_example_parses():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    assert isinstance(parse_instance(blocks[0]).master_domain, PolyhedralDomain)
+    finite = re.search(r"A finite master set uses `([^`]*)`", text).group(1)
+    doc = json.loads(blocks[0])
+    doc["master"] = json.loads(finite)
+    assert isinstance(parse_instance(json.dumps(doc)).master_domain, FiniteDomain)
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError, match="line 1"):
         parse_instance("{,}")
@@ -106,6 +119,10 @@ def test_trace_document_shape(ex1):
 def test_trace_replays_clean(ex1):
     config, result = _directional_result(ex1)
     assert replay_trace(ex1, trace_to_json(ex1, config, result)) == []
+    # "p/q" strings and integers are the same number, as in instance files
+    doc = trace_document(ex1, config, result)
+    doc["iterations"][0]["master_value"] = str(doc["iterations"][0]["master_value"])
+    assert replay_trace(ex1, doc) == []
 
 
 def test_trace_detects_wrong_instance(ex1, ex1_finite):
@@ -127,6 +144,28 @@ def test_trace_detects_tampering(ex1):
     doc = trace_document(ex1, config, result)
     doc["format"] = "nope"
     assert replay_trace(ex1, doc) == ["unknown trace format 'nope'"]
+
+
+def _edit_first_record(doc, edit):
+    edit(doc["iterations"][0])
+    return json.dumps(doc)
+
+
+_MALFORMED_TRACES = {
+    "top_level_list": lambda doc: json.dumps([doc]),
+    "no_master_value": lambda doc: _edit_first_record(doc, lambda rec: rec.pop("master_value")),
+    "null_cut": lambda doc: _edit_first_record(doc, lambda rec: rec.update(cut=None)),
+    "null_iterations": lambda doc: json.dumps(dict(doc, iterations=None)),
+    "record_is_a_number": lambda doc: json.dumps(dict(doc, iterations=[3])),
+    "not_json": lambda doc: "{not json",
+}
+
+
+@pytest.mark.parametrize("mutate", list(_MALFORMED_TRACES.values()), ids=list(_MALFORMED_TRACES))
+def test_replay_reports_malformed_traces(ex1, mutate):
+    config, result = _directional_result(ex1)
+    problems = replay_trace(ex1, mutate(trace_document(ex1, config, result)))
+    assert problems and all(isinstance(p, str) for p in problems)
 
 
 def test_format_cut():

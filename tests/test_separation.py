@@ -12,9 +12,9 @@ from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain
                               epi_contains, subproblem_value)
 from bendercuts.randgen import interior_epi_point, random_instance, separable_point
 from bendercuts.separation import (Certificate, Cut, DirectionClass, IN_EPIGRAPH,
-                                   SEPARATED, boundedness_check, canonical_cut,
-                                   certificate_to_cut, exposed_point, separate,
-                                   tighten_rhs)
+                                   SEPARATED, _is_extreme, _push_to_vertex,
+                                   boundedness_check, canonical_cut, certificate_to_cut,
+                                   exposed_point, separate, tighten_rhs)
 from bendercuts.verify import is_vertex
 
 from conftest import P1, P2, P3, P1_CUT, P2_CUT, P3_CUT, same_cut
@@ -63,6 +63,18 @@ def test_directional_selection(ex1, origin):
     assert result.supporting is True
     assert result.cglp_value == F(-4, 3)
     assert result.certificate.as_tuple() == P2
+
+
+def test_push_to_vertex(ex1, origin):
+    """Weights tying P1 and P2 at -1 leave an optimal edge; the push picks P2."""
+    relaxed = build_alt_polyhedron(ex1, origin, relaxed=True)
+    rows = relaxed.as_lp().normalized_rows
+    midpoint = tuple((a + b) / 2 for a, b in zip(P1, P2))
+    assert not _is_extreme(rows, midpoint)
+    cert = _push_to_vertex(rows, (F(-5), F(-3), F(-100)), F(0), F(-1))
+    assert cert.as_tuple() == P2
+    assert _is_extreme(rows, P2)
+    assert is_vertex(relaxed, cert.as_tuple())
 
 
 def test_point_inside_epigraph(ex1):

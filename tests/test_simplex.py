@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from bendercuts.linalg import dot
 from bendercuts.simplex import (EQ, GE, LE, LinearProgram, LpStatus,
-                                dual_objective_value, feasible_point, solve)
+                                dual_objective_value, solve)
 
 ints = st.integers(-5, 5)
 
@@ -68,30 +68,6 @@ def test_bounds_both_sides():
     lp = LinearProgram("max", (F(1), F(-1)), (), lower=(F(-1), F(2)), upper=(F(5), F(9)))
     out = solve(lp)
     assert out.primal == (F(5), F(2))
-
-
-def test_warm_basis_reuse():
-    lp = LinearProgram("max", (F(1), F(1)),
-                       (((F(1), F(2)), LE, F(4)), ((F(3), F(1)), LE, F(6))),
-                       lower=(F(0), F(0)))
-    first = solve(lp)
-    again = solve(lp, warm_basis=first.basis)
-    assert again.status == LpStatus.OPTIMAL
-    assert again.objective_value == first.objective_value
-    # a warm basis from one LP must not corrupt a modified LP's solve
-    tighter = LinearProgram("max", (F(1), F(1)),
-                            (((F(1), F(2)), LE, F(4)), ((F(3), F(1)), LE, F(3))),
-                            lower=(F(0), F(0)))
-    out = solve(tighter, warm_basis=first.basis)
-    assert out.status == LpStatus.OPTIMAL
-    assert out.objective_value < first.objective_value
-
-
-def test_feasible_point_shortcut():
-    lp = LinearProgram("min", (F(0), F(0)),
-                       (((F(1), F(1)), GE, F(2)),), lower=(F(0), F(0)))
-    p = feasible_point(lp)
-    assert p is not None and p[0] + p[1] >= 2
 
 
 def random_lp(draw_rows, draw_obj):
