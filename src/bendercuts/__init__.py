@@ -4,10 +4,10 @@ Everything runs over rational arithmetic: LP solves, certificates, cuts,
 and the verification oracles are all tolerance-free.
 """
 
-from .benders import (FixedCore, FixedDirection, IterationRecord, SolveResult,
-                      SolveStatus, SolverConfig, SubproblemCheck, TrackIncumbent,
+from .benders import (FixedCore, IterationRecord, SolveResult, SolveStatus,
+                      SolverConfig, SubproblemCheck, TrackIncumbent,
                       next_core_objective, solve, subproblem_check)
-from .cglp import (AltPolyhedron, Custom, Directional, MisOnes, ObjectiveSpec,
+from .cglp import (Custom, Directional, MisOnes, ObjectiveSpec,
                    build_alt_polyhedron, build_cglp_normalized,
                    build_cglp_relaxed_subproblem, build_reverse_polar_lp,
                    lift_objective, mis_objective)

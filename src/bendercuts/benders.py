@@ -13,11 +13,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .cglp import Custom, Directional, MisOnes, ObjectiveSpec
+from .cglp import Directional, MisOnes, ObjectiveSpec
 from .errors import NoIncumbent, PreconditionViolated, StrategyUnbounded, EmptyEpigraph
-from .linalg import Vector, as_fraction, as_vector, dot
+from .linalg import Vector, as_fraction, dot
 from .model import EpiPoint, Instance, PolyhedralDomain, feasibility_rows, subproblem_value
-from .separation import (Certificate, Cut, SEPARATED, SeparationResult, separate)
+from .separation import Certificate, Cut, SEPARATED, separate
 from .simplex import LE, LinearProgram, LpStatus, solve as solve_lp
 from .verify import FaceReport, face_report
 
@@ -33,18 +33,6 @@ class FixedCore:
 
 
 @dataclass(frozen=True)
-class FixedDirection:
-    """Use one constant direction, independent of the master point."""
-
-    direction: Vector
-    direction_eta: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "direction", as_vector(self.direction))
-        object.__setattr__(self, "direction_eta", as_fraction(self.direction_eta))
-
-
-@dataclass(frozen=True)
 class TrackIncumbent:
     """Blend the core point toward each new incumbent feasible point."""
 
@@ -57,7 +45,7 @@ class TrackIncumbent:
         object.__setattr__(self, "blend", blend)
 
 
-CoreMode = Union[FixedCore, FixedDirection, TrackIncumbent]
+CoreMode = Union[FixedCore, TrackIncumbent]
 
 
 @dataclass(frozen=True)
@@ -159,8 +147,6 @@ def next_core_objective(config: SolverConfig, incumbent: Optional[EpiPoint],
         if not isinstance(strategy, Directional):
             raise PreconditionViolated("no core mode set and the strategy carries no direction")
         return strategy.direction, strategy.direction_eta
-    if isinstance(mode, FixedDirection):
-        return mode.direction, mode.direction_eta
     if isinstance(mode, FixedCore):
         target = mode.point
     else:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DimensionError
 from .linalg import Vector, as_fraction, as_vector, dot
-from .model import EpiPoint, Instance
+from .model import EpiPoint, Instance, feasibility_rows
 from .simplex import EQ, GE, LE, LinearProgram
 
 _ZERO = Fraction(0)
@@ -60,30 +60,6 @@ class Custom:
 ObjectiveSpec = Union[MisOnes, Directional, Custom]
 
 
-@dataclass(frozen=True)
-class AltPolyhedron:
-    """Normalized infeasibility certificates for one master-epigraph point.
-
-    Variables are (u_1 .. u_m, u_eta), all >= 0.  The system is nonempty
-    exactly when the point lies outside epi(z); relaxed=True turns the
-    normalization level into an upper bound, which keeps the vertex set.
-    """
-
-    point: EpiPoint
-    relaxed: bool
-    rows: tuple
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.rows[0][0])
-
-    def as_lp(self, objective: Optional[Sequence] = None, sense: str = "max") -> LinearProgram:
-        if objective is None:
-            objective = (_ZERO,) * self.num_vars
-            sense = "min"
-        return LinearProgram(sense, objective, self.rows, lower=(_ZERO,) * self.num_vars)
-
-
 def _column(rows, j: int) -> Vector:
     return tuple(r[j] for r in rows)
 
@@ -94,10 +70,15 @@ def certificate_rows(instance: Instance) -> tuple:
                  for j in range(instance.k))
 
 
-def build_alt_polyhedron(instance: Instance, point: EpiPoint, relaxed: bool = False) -> AltPolyhedron:
+def build_alt_polyhedron(instance: Instance, point: EpiPoint, relaxed: bool = False) -> LinearProgram:
+    """Normalized certificates (u_1 .. u_m, u_eta) >= 0 for one point, zero objective.
+
+    Nonempty exactly when the point lies outside epi(z); relaxed=True turns the
+    -1 level into an upper bound, which keeps the vertex set."""
     level = instance.linking_rhs(point.x) + (point.eta,)
     rows = certificate_rows(instance) + ((level, LE if relaxed else EQ, Fraction(-1)),)
-    return AltPolyhedron(point=point, relaxed=relaxed, rows=rows)
+    nvars = instance.m + 1
+    return LinearProgram("min", (_ZERO,) * nvars, rows, lower=(_ZERO,) * nvars)
 
 
 def lift_objective(instance: Instance, direction: Sequence, direction_eta) -> tuple[Vector, Fraction]:
@@ -196,12 +177,10 @@ def build_cglp_relaxed_subproblem(instance: Instance, point: EpiPoint, weights: 
     weights = as_vector(weights)
     if len(weights) != instance.m:
         raise DimensionError(f"weights have {len(weights)} entries, expected {instance.m}")
-    rhs = instance.linking_rhs(point.x)
-    rows = []
-    for arow, wi, ri in zip(instance.A, weights, rhs):
-        rows.append((arow + (wi,), LE, ri))
-    rows.append((instance.d + (as_fraction(weight_eta),), LE, point.eta))
+    column = weights + (as_fraction(weight_eta),)
+    rows = tuple((coeffs + (w,), rel, rhs)
+                 for (coeffs, rel, rhs), w in zip(feasibility_rows(instance, point), column))
     k = instance.k
     objective = (_ZERO,) * k + (_ONE,)
     lower = (None,) * k + (_ZERO,)
-    return LinearProgram("min", objective, tuple(rows), lower=lower)
+    return LinearProgram("min", objective, rows, lower=lower)

@@ -14,15 +14,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .benders import (FixedCore, SolveResult, SolveStatus, SolverConfig, TrackIncumbent,
-                      _solve_master, solve)
+from .benders import (FixedCore, SolveStatus, SolverConfig, TrackIncumbent, _solve_master,
+                      solve)
 from .cglp import (Custom, Directional, MisOnes, ObjectiveSpec, build_alt_polyhedron,
                    certificate_rows)
 from .errors import (DimensionError, EmptyEpigraph, NoIncumbent, ParseError,
                      PreconditionViolated, StrategyUnbounded, TooLarge,
                      UnboundedDirection, ZeroCertificate)
 from .instance_io import load_instance, trace_to_json
-from .linalg import Vector, dot
 from .model import EpiPoint, Instance
 from .separation import Certificate, Cut, SEPARATED, separate
 from .simplex import EQ, LinearProgram, LpStatus, solve as solve_lp
@@ -99,12 +98,17 @@ def _vec_str(vec) -> str:
 
 def _build_strategy(args, instance: Instance, has_core_mode: bool) -> ObjectiveSpec:
     name = args.strategy
+    aimed = args.omega is not None or args.omega0 is not None
+    if aimed and (name != "directional" or has_core_mode):
+        raise ParseError("--omega/--omega0 need --strategy directional without --core-point/--blend")
+    if (args.omega_tilde is not None or args.omega_tilde0 is not None) and name != "custom":
+        raise ParseError("--omega-tilde/--omega-tilde0 need --strategy custom")
     if name == "mis":
         return MisOnes()
     if name == "directional":
+        if has_core_mode:
+            return Directional(direction=(_ZERO,) * instance.n, direction_eta=Fraction(1))
         if args.omega is None or args.omega0 is None:
-            if has_core_mode:
-                return Directional(direction=(_ZERO,) * instance.n, direction_eta=Fraction(1))
             raise ParseError("--strategy directional needs --omega and --omega0")
         if len(args.omega) != instance.n:
             raise DimensionError(f"--omega expects {instance.n} values, got {len(args.omega)}")
@@ -242,6 +246,8 @@ def _cmd_bench(args) -> int:
     if not files:
         raise ParseError(f"no .json instances under {args.dir}")
     names = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not names:
+        raise ParseError("--strategies names no strategy")
     for path in files:
         instance = load_instance(path)
         for name in names:

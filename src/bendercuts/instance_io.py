@@ -15,14 +15,14 @@ import json
 from fractions import Fraction
 from typing import Any, Optional, Union
 
-from .benders import (CONVERGED, CoreMode, FixedCore, FixedDirection, IterationRecord,
-                      SolveResult, SolverConfig, TrackIncumbent, _solve_master)
-from .cglp import Custom, Directional, MisOnes, ObjectiveSpec
+from .benders import (CONVERGED, CoreMode, FixedCore, IterationRecord, SolveResult,
+                      SolverConfig, _solve_master)
+from .cglp import Directional, MisOnes, ObjectiveSpec
 from .errors import DimensionError, ParseError, PreconditionViolated, ZeroCertificate
 from .linalg import Vector
 from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain
-from .separation import Certificate, Cut, canonical_cut
-from .verify import FaceClass, FaceReport, face_report
+from .separation import Cut, canonical_cut
+from .verify import FaceReport, face_report
 
 _TRACE_FORMAT = "bendercuts-trace/1"
 
@@ -96,6 +96,8 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     missing = [key for key in _INSTANCE_KEYS if key not in doc]
@@ -121,7 +123,11 @@ def parse_instance(text: str) -> Instance:
 
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    return parse_instance(text)
 
 
 def _enc(value: Fraction) -> Union[int, str]:
@@ -176,9 +182,6 @@ def _core_mode_document(mode: Optional[CoreMode]) -> Optional[dict]:
         return None
     if isinstance(mode, FixedCore):
         return {"kind": "fixed_core", "x": _enc_vec(mode.point.x), "eta": _enc(mode.point.eta)}
-    if isinstance(mode, FixedDirection):
-        return {"kind": "fixed_direction", "direction": _enc_vec(mode.direction),
-                "direction_eta": _enc(mode.direction_eta)}
     return {"kind": "track_incumbent", "blend": _enc(mode.blend)}
 
 
@@ -258,6 +261,8 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
         doc = json.loads(trace) if isinstance(trace, str) else trace
     except json.JSONDecodeError as exc:
         return [f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"]
+    except RecursionError:
+        return ["JSON nested too deeply"]
     if not isinstance(doc, dict):
         return [f"a trace is a JSON object, not {type(doc).__name__}"]
     problems: list[str] = []

@@ -3,8 +3,8 @@
 The workhorse is the relaxed-subproblem CGLP: its optimal relaxation amount t*
 prices the strategy's weights, its row duals (divided by t*) are the selected
 certificate, and the certificate maps to the cut coef_x.x + coef_eta.eta <= rhs.
-Certificates are pushed to a vertex when the dual comes back from the middle
-of an optimal face, so emitted cuts always correspond to extreme certificates.
+A basic dual over t* > 0 spans an extreme ray of the certificate cone, so the
+certificate is already a vertex; the push to a vertex below guards that fact.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from .cglp import (ObjectiveSpec, build_alt_polyhedron, build_cglp_relaxed_subpr
 from .errors import (EmptyEpigraph, PreconditionViolated, StrategyUnbounded, UnboundedDirection,
                      ZeroCertificate)
 from .linalg import Vector, as_fraction, as_vector, dot, matrix_rank
-from .model import EpiPoint, Instance, epi_contains, epi_is_empty, support_function
-from .simplex import EQ, LE, LinearProgram, LpStatus, solve
+from .model import (EpiPoint, Instance, epi_contains, epi_is_empty, feasibility_rows,
+                    support_function)
+from .simplex import EQ, LinearProgram, LpStatus, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -178,7 +179,7 @@ def separate(instance: Instance, point: EpiPoint, strategy: ObjectiveSpec) -> Se
         return SeparationResult(kind=IN_EPIGRAPH)
     cert = _certificate_from_duals(out.dual, instance.m, t_star)
     value = -1 / t_star
-    rows = build_alt_polyhedron(instance, point, relaxed=True).as_lp().normalized_rows
+    rows = build_alt_polyhedron(instance, point, relaxed=True).normalized_rows
     if not _is_extreme(rows, cert.as_tuple()):
         cert = _push_to_vertex(rows, weights, weight_eta, value)
     cut = certificate_to_cut(instance, cert)
@@ -216,13 +217,12 @@ def boundedness_check(instance: Instance, point: EpiPoint, direction: Sequence,
     )
     if epi_contains(instance, shifted):
         return DirectionClass.IN_SET
-    rhs = instance.linking_rhs(point.x)
-    rows = []
-    for i in range(instance.m):
-        rows.append((instance.A[i] + (-rhs[i],), LE, -dot(instance.H[i], direction)))
-    rows.append((instance.d + (-point.eta,), LE, direction_eta))
+    weights, weight_eta = lift_objective(instance, direction, direction_eta)
+    rows = tuple((coeffs + (-rhs,), rel, -w)
+                 for (coeffs, rel, rhs), w in zip(feasibility_rows(instance, point),
+                                                  weights + (weight_eta,)))
     k = instance.k
-    lp = LinearProgram("min", (_ZERO,) * (k + 1), tuple(rows),
+    lp = LinearProgram("min", (_ZERO,) * (k + 1), rows,
                        lower=(None,) * k + (_ZERO,))
     if solve(lp).status == LpStatus.OPTIMAL:
         return DirectionClass.IN_CLOSED_CONE

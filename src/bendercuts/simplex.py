@@ -134,18 +134,12 @@ class _Tableau:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n = lp.num_vars
         norm = lp.normalized_rows
-        self.norm = norm
-        self.n_struct = 2 * n  # x_j split into columns 2j (+) and 2j+1 (-)
-        self.slack_col: dict[int, int] = {}
-        col = self.n_struct
-        for i, (_, rel, _) in enumerate(norm):
-            if rel == LE:
-                self.slack_col[i] = col
-                col += 1
-        self.art0 = col
-        self.ncols = col + len(norm)
+        # columns: x_j split into 2j (+) and 2j+1 (-), a slack per "<=" row,
+        # then one artificial per row
+        slack = 2 * lp.num_vars
+        self.art0 = slack + sum(rel == LE for _, rel, _ in norm)
+        self.ncols = self.art0 + len(norm)
         self.sigma: list[Fraction] = []
         self.tab: list[list[Fraction]] = []
         self.row_ids: list[int] = []
@@ -157,7 +151,8 @@ class _Tableau:
                     row[2 * j] = sigma * a
                     row[2 * j + 1] = -sigma * a
             if rel == LE:
-                row[self.slack_col[i]] = sigma
+                row[slack] = sigma
+                slack += 1
             row[self.art0 + i] = _ONE
             row[-1] = sigma * rhs
             self.sigma.append(sigma)
@@ -186,11 +181,11 @@ class _Tableau:
                     self.obj[j] -= f * prow[j]
         self.basis[r] = c
 
-    def _run(self, allowed) -> Optional[int]:
-        """Bland pivoting until optimal (None) or unbounded (entering col)."""
+    def _run(self, limit: int) -> Optional[int]:
+        """Bland pivoting on columns < limit: None when optimal, else the unbounded column."""
         obj = self.obj
         while True:
-            enter = next((j for j in range(self.ncols) if allowed[j] and obj[j] < 0), None)
+            enter = next((j for j in range(limit) if obj[j] < 0), None)
             if enter is None:
                 return None
             leave = None
@@ -206,37 +201,16 @@ class _Tableau:
                 return enter
             self._pivot(leave, enter)
 
-    def _set_phase1_objective(self):
-        obj = [_ZERO] * (self.ncols + 1)
-        for row in self.tab:
-            for j in range(self.ncols + 1):
-                if row[j]:
-                    obj[j] -= row[j]
-        for i in range(len(self.norm)):
-            obj[self.art0 + i] += _ONE
-        self.obj = obj
-
-    def _structural_costs(self) -> list[Fraction]:
-        c = self.lp.objective
-        flip = self.lp.sense == "max"
-        costs = [_ZERO] * self.ncols
-        for j, cj in enumerate(c):
-            cj = -cj if flip else cj
-            costs[2 * j] = cj
-            costs[2 * j + 1] = -cj
-        return costs
-
-    def _set_phase2_objective(self):
-        costs = self._structural_costs()
-        obj = [_ZERO] * (self.ncols + 1)
-        for j in range(self.ncols):
-            obj[j] = costs[j]
-        for i, b in enumerate(self.basis):
+    def _price(self, costs: list[Fraction]):
+        """Reduced costs (and minus the objective value, last) of one cost per column."""
+        obj = costs + [_ZERO]
+        for row, b in zip(self.tab, self.basis):
             cb = costs[b]
             if cb:
                 for j in range(self.ncols + 1):
-                    if self.tab[i][j]:
-                        obj[j] -= cb * self.tab[i][j]
+                    if row[j]:
+                        # a unit cost, as all of phase one's are, needs no product
+                        obj[j] -= row[j] if cb == 1 else cb * row[j]
         self.obj = obj
 
     def _drive_out_artificials(self):
@@ -262,37 +236,43 @@ class _Tableau:
         art_cost - y_i (artificials cost 1 in phase one, 0 in phase two).
         """
         y = {i: art_cost - self.obj[self.art0 + i] for i in self.row_ids}
-        return tuple(self.sigma[i] * y[i] if i in y else _ZERO for i in range(len(self.norm)))
+        return tuple(self.sigma[i] * y[i] if i in y else _ZERO for i in range(len(self.sigma)))
+
+    def _fold(self, vals: list[Fraction]) -> Vector:
+        """Column values back to variables: x_j = x_j+ - x_j-."""
+        return tuple(vals[2 * j] - vals[2 * j + 1] for j in range(self.lp.num_vars))
 
     def _primal(self) -> Vector:
         vals = [_ZERO] * self.ncols
         for i, b in enumerate(self.basis):
             vals[b] = self.tab[i][-1]
-        n = self.lp.num_vars
-        return tuple(vals[2 * j] - vals[2 * j + 1] for j in range(n))
+        return self._fold(vals)
 
     def _ray(self, enter: int) -> Vector:
         d = [_ZERO] * self.ncols
         d[enter] = _ONE
         for i, b in enumerate(self.basis):
             d[b] = -self.tab[i][enter]
-        n = self.lp.num_vars
-        return tuple(d[2 * j] - d[2 * j + 1] for j in range(n))
+        return self._fold(d)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly. Outcomes carry primal/dual, Farkas vector or ray."""
     t = _Tableau(lp)
-    t._set_phase1_objective()
-    t._run([True] * t.ncols)
+    t._price([_ZERO] * t.art0 + [_ONE] * (t.ncols - t.art0))
+    t._run(t.ncols)
     infeas = -t.obj[-1]
     if infeas > 0:
         farkas = tuple(-v for v in t._row_duals(_ONE))
         return LpOutcome(status=LpStatus.INFEASIBLE, farkas=farkas)
     t._drive_out_artificials()
-    t._set_phase2_objective()
-    allowed = [j < t.art0 for j in range(t.ncols)]
-    enter = t._run(allowed)
+    costs = [_ZERO] * t.ncols
+    for j, cj in enumerate(lp.objective):
+        cj = -cj if lp.sense == "max" else cj
+        costs[2 * j] = cj
+        costs[2 * j + 1] = -cj
+    t._price(costs)
+    enter = t._run(t.art0)
     if enter is not None:
         return LpOutcome(status=LpStatus.UNBOUNDED, ray=t._ray(enter))
     x = t._primal()

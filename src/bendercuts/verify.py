@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Union
+from typing import Optional
 
-from .cglp import AltPolyhedron
 from .errors import DimensionError, DominanceUndefined, InfeasibleCandidate, TooLarge
 from .linalg import Vector, as_vector, dot, matrix_rank, solve_square
 from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, epi_dimension,
@@ -105,14 +104,9 @@ def is_mis_certificate(instance: Instance, point: EpiPoint, cert: Certificate) -
     return True
 
 
-def _system_rows(system: Union[AltPolyhedron, LinearProgram]):
-    lp = system.as_lp() if isinstance(system, AltPolyhedron) else system
-    return lp.normalized_rows, lp.num_vars
-
-
-def enumerate_vertices(system: Union[AltPolyhedron, LinearProgram]) -> tuple[Vector, ...]:
+def enumerate_vertices(lp: LinearProgram) -> tuple[Vector, ...]:
     """All vertices of the feasible set, by exhaustive row-subset enumeration."""
-    rows, dim = _system_rows(system)
+    rows, dim = lp.normalized_rows, lp.num_vars
     if dim > _VERTEX_VAR_LIMIT:
         raise TooLarge(f"vertex enumeration is capped at {_VERTEX_VAR_LIMIT} variables")
     if math.comb(len(rows), dim) > _VERTEX_BASIS_LIMIT:
@@ -133,9 +127,9 @@ def enumerate_vertices(system: Union[AltPolyhedron, LinearProgram]) -> tuple[Vec
     return tuple(sorted(found))
 
 
-def is_vertex(system: Union[AltPolyhedron, LinearProgram], candidate) -> bool:
+def is_vertex(lp: LinearProgram, candidate) -> bool:
     """Feasible and with tight rows of full rank."""
-    rows, dim = _system_rows(system)
+    rows, dim = lp.normalized_rows, lp.num_vars
     candidate = as_vector(candidate)
     if len(candidate) != dim:
         raise DimensionError(f"candidate has {len(candidate)} entries, expected {dim}")

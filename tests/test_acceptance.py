@@ -6,6 +6,7 @@ use fixed seeds; counts are part of the contract, not tuning knobs.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -94,8 +95,8 @@ def _agreement_problems(inst, point, direction, direction_eta, label) -> list:
     out = []
     rp = lp_solve(build_reverse_polar_lp(inst, point, direction, direction_eta))
     weights, weight_eta = lift_objective(inst, direction, direction_eta)
-    ple = lp_solve(build_alt_polyhedron(inst, point, relaxed=True)
-                   .as_lp(objective=weights + (weight_eta,)))
+    ple = lp_solve(replace(build_alt_polyhedron(inst, point, relaxed=True),
+                           sense="max", objective=weights + (weight_eta,)))
     mint = lp_solve(build_cglp_relaxed_subproblem(inst, point, weights, weight_eta))
     norm = lp_solve(build_cglp_normalized(inst, point, weights, weight_eta))
     if rp.status != ple.status:
@@ -241,7 +242,7 @@ def test_criterion_07_unique_vertex_gives_facet():
             weights, weight_eta = lift_objective(inst, direction, direction_eta)
             objective = weights + (weight_eta,)
             poly = build_alt_polyhedron(inst, point)
-            best = lp_solve(poly.as_lp(objective=objective))
+            best = lp_solve(replace(poly, sense="max", objective=objective))
             if best.status != LpStatus.OPTIMAL:
                 problems.append(f"sample {done}: selection LP {best.status}")
                 continue

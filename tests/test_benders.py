@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bendercuts.benders import (CONVERGED, CUT_ADDED, FEASIBLE, INFEASIBLE,
-                                FixedCore, FixedDirection, SolveStatus, SolverConfig,
+                                FixedCore, SolveStatus, SolverConfig,
                                 TrackIncumbent, next_core_objective, solve,
                                 subproblem_check)
 from bendercuts.cglp import Directional, MisOnes
@@ -169,10 +169,6 @@ def test_next_core_objective_modes(ex1):
                          core_point_mode=FixedCore(EpiPoint((F(2),), F(3))))
     assert next_core_objective(fixed, None, master) == ((F(2),), F(2))
 
-    arrow = SolverConfig(strategy=Directional((F(9),), F(9)),
-                         core_point_mode=FixedDirection((F(1),), F(0)))
-    assert next_core_objective(arrow, None, master) == ((F(1),), F(0))
-
     tracking = SolverConfig(strategy=Directional((F(9),), F(9)),
                             core_point_mode=TrackIncumbent(F(1, 2)))
     incumbent = EpiPoint((F(4),), F(2))
@@ -194,7 +190,7 @@ def test_config_validation():
     with pytest.raises(PreconditionViolated):
         TrackIncumbent(F(1))
     with pytest.raises(PreconditionViolated):
-        SolverConfig(strategy=MisOnes(), core_point_mode=FixedDirection((F(1),), F(0)))
+        SolverConfig(strategy=MisOnes(), core_point_mode=FixedCore(EpiPoint((F(2),), F(3))))
     with pytest.raises(PreconditionViolated):
         SolverConfig(max_iterations=0)
 

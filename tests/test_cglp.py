@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
@@ -16,7 +17,7 @@ from conftest import P1, P2, P3
 
 
 def feasible_in(poly, candidate) -> bool:
-    for coeffs, rel, rhs in poly.as_lp().normalized_rows:
+    for coeffs, rel, rhs in poly.normalized_rows:
         v = dot(coeffs, candidate)
         if rel == "=" and v != rhs:
             return False
@@ -40,7 +41,7 @@ def test_alt_polyhedron_members(ex1, origin):
 
 def test_alt_polyhedron_empty_inside_epi(ex1):
     poly = build_alt_polyhedron(ex1, EpiPoint((F(2),), F(3)))
-    out = solve(poly.as_lp())
+    out = solve(poly)
     assert out.status == LpStatus.INFEASIBLE
 
 
@@ -129,7 +130,7 @@ def test_formulations_agree(seed):
     rp = solve(build_reverse_polar_lp(inst, point, direction, direction_eta))
     weights, weight_eta = lift_objective(inst, direction, direction_eta)
     relaxed = build_alt_polyhedron(inst, point, relaxed=True)
-    ple = solve(relaxed.as_lp(objective=weights + (weight_eta,)))
+    ple = solve(replace(relaxed, sense="max", objective=weights + (weight_eta,)))
     mint = solve(build_cglp_relaxed_subproblem(inst, point, weights, weight_eta))
     norm = solve(build_cglp_normalized(inst, point, weights, weight_eta))
 

@@ -158,6 +158,7 @@ _MALFORMED_TRACES = {
     "null_iterations": lambda doc: json.dumps(dict(doc, iterations=None)),
     "record_is_a_number": lambda doc: json.dumps(dict(doc, iterations=[3])),
     "not_json": lambda doc: "{not json",
+    "nested_too_deeply": lambda doc: "[" * 200_000 + "]" * 200_000,
 }
 
 
@@ -304,6 +305,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run(["solve", str(EX1_PATH), "--point", "0", "0"]) == 4
     assert run([]) == 4
     capsys.readouterr()
+
+    # malformed text and arguments that would be silently ignored
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    for argv in (["solve", str(not_utf8)],
+                 ["solve", str(deep)],
+                 ["solve", str(EX1_PATH), "--omega", "1"],
+                 ["solve", str(EX1_PATH), "--strategy", "directional", "--blend", "1/2",
+                  "--omega", "1", "--omega0", "1"],
+                 ["solve", str(EX1_PATH), "--strategy", "directional", "--core-point", "2", "3",
+                  "--omega0", "1"],
+                 ["separate", str(EX1_PATH), "--point", "0", "0", "--omega-tilde", "1", "1", "1"],
+                 ["solve", str(EX1_PATH), "--strategy", "directional", "--omega", "2",
+                  "--omega0", "3", "--omega-tilde0", "-1"],
+                 ["bench", str(EX1_PATH.parent), "--strategies", ""]):
+        assert run(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error=") and not captured.out, argv
 
     assert run(["--help"]) == 0
     assert "solve" in capsys.readouterr().out

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from bendercuts.cglp import Directional, MisOnes, build_alt_polyhedron
+from bendercuts.cglp import (Custom, Directional, MisOnes, build_alt_polyhedron,
+                             build_cglp_relaxed_subproblem, strategy_weights)
 from bendercuts.errors import (EmptyEpigraph, PreconditionViolated,
                                StrategyUnbounded, UnboundedDirection,
                                ZeroCertificate)
@@ -12,9 +13,10 @@ from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain
                               epi_contains, subproblem_value)
 from bendercuts.randgen import interior_epi_point, random_instance, separable_point
 from bendercuts.separation import (Certificate, Cut, DirectionClass, IN_EPIGRAPH,
-                                   SEPARATED, _is_extreme, _push_to_vertex,
-                                   boundedness_check, canonical_cut, certificate_to_cut,
-                                   exposed_point, separate, tighten_rhs)
+                                   SEPARATED, _certificate_from_duals, _is_extreme,
+                                   _push_to_vertex, boundedness_check, canonical_cut,
+                                   certificate_to_cut, exposed_point, separate, tighten_rhs)
+from bendercuts.simplex import solve
 from bendercuts.verify import is_vertex
 
 from conftest import P1, P2, P3, P1_CUT, P2_CUT, P3_CUT, same_cut
@@ -68,7 +70,7 @@ def test_directional_selection(ex1, origin):
 def test_push_to_vertex(ex1, origin):
     """Weights tying P1 and P2 at -1 leave an optimal edge; the push picks P2."""
     relaxed = build_alt_polyhedron(ex1, origin, relaxed=True)
-    rows = relaxed.as_lp().normalized_rows
+    rows = relaxed.normalized_rows
     midpoint = tuple((a + b) / 2 for a, b in zip(P1, P2))
     assert not _is_extreme(rows, midpoint)
     cert = _push_to_vertex(rows, (F(-5), F(-3), F(-100)), F(0), F(-1))
@@ -130,28 +132,42 @@ def test_exposed_point(ex1, origin):
 
 @given(st.integers(0, 100_000))
 def test_separation_soundness(seed):
-    """Any returned cut cuts the query point off, never cuts a sampled value
-    function point, and its certificate is a vertex of the relaxed polyhedron."""
+    """For MIS, directional and {-1, 0}-weighted custom strategies, any
+    returned cut cuts the query point off and never cuts a sampled value
+    function point, its certificate is the relaxed CGLP's dual over t* as the
+    simplex returns it and a vertex of the relaxed polyhedron without any
+    push, and a directional cut touches epi(z)."""
     rng = random.Random(seed)
     inst = random_instance(rng)
     point = separable_point(rng, inst)
     if point is None:
         return
-    try:
-        result = separate(inst, point, MisOnes())
-    except StrategyUnbounded:
-        return
-    assert result.kind == SEPARATED
-    cut = result.cut
-    assert cut.value_at(point) > cut.rhs
-    for _ in range(4):
-        x = tuple(F(rng.randint(0, 4)) for _ in range(inst.n))
-        z = subproblem_value(inst, x)
-        if isinstance(z, F):
-            assert cut.holds_at(EpiPoint(x=x, eta=z))
-            assert cut.holds_at(EpiPoint(x=x, eta=z + 5))
     relaxed = build_alt_polyhedron(inst, point, relaxed=True)
-    assert is_vertex(relaxed, result.certificate.as_tuple())
+    strategies = (
+        MisOnes(),
+        Directional(tuple(F(rng.randint(-3, 3)) for _ in range(inst.n)), F(rng.randint(0, 3))),
+        Custom(tuple(-F(rng.randint(0, 1)) for _ in range(inst.m)), -F(rng.randint(0, 1))),
+    )
+    for strategy in strategies:
+        try:
+            result = separate(inst, point, strategy)
+        except StrategyUnbounded:
+            continue
+        assert result.kind == SEPARATED
+        cut = result.cut
+        assert cut.value_at(point) > cut.rhs
+        for _ in range(4):
+            x = tuple(F(rng.randint(0, 4)) for _ in range(inst.n))
+            z = subproblem_value(inst, x)
+            if isinstance(z, F):
+                assert cut.holds_at(EpiPoint(x=x, eta=z))
+                assert cut.holds_at(EpiPoint(x=x, eta=z + 5))
+        weights, weight_eta = strategy_weights(inst, strategy)
+        out = solve(build_cglp_relaxed_subproblem(inst, point, weights, weight_eta))
+        assert result.certificate == _certificate_from_duals(out.dual, inst.m, out.objective_value)
+        assert is_vertex(relaxed, result.certificate.as_tuple())
+        if isinstance(strategy, Directional):
+            assert result.supporting is True
 
 
 @given(st.integers(0, 100_000))
