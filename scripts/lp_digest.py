@@ -16,8 +16,11 @@ that must hand the simplex the same LPs, are compared with
 
     python scripts/lp_digest.py before.json after.json
 
-which prints the totals of each and every test id whose sequence differs, and
-exits 1 when one does.
+which prints the totals of each and then names every test id present in both:
+`equal` when its sequences are identical, `subset` when the after multiset of
+(LP, outcome, pivots) is contained in the before one (LPs dropped or moved,
+none added or changed), and `differs` otherwise.  It exits 1 only when some id
+differs.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from collections import Counter
 
 import pytest
 
@@ -119,6 +123,14 @@ def _totals(recording: dict) -> str:
     return f"{len(recording)} test ids, {solves} solves, {pivots} pivots"
 
 
+def _verdict(before: list, after: list) -> str:
+    if before == after:
+        return "equal"
+    have = Counter(map(tuple, before))
+    have.subtract(map(tuple, after))
+    return "subset" if min(have.values()) >= 0 else "differs"
+
+
 def _load(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -133,10 +145,13 @@ def main(argv) -> int:
     print(f"after:  {_totals(after)}")
     for test_id in sorted(set(before) ^ set(after)):
         print(f"only in {'before' if test_id in before else 'after'}: {test_id}")
-    differing = [t for t in sorted(set(before) & set(after)) if before[t] != after[t]]
-    for test_id in differing:
-        print(f"differs: {test_id}")
-    return 1 if differing else 0
+    verdicts = Counter()
+    for test_id in sorted(set(before) & set(after)):
+        verdict = _verdict(before[test_id], after[test_id])
+        verdicts[verdict] += 1
+        print(f"{verdict}: {test_id}")
+    print(", ".join(f"{verdicts[v]} {v}" for v in ("equal", "subset", "differs")))
+    return 1 if verdicts["differs"] else 0
 
 
 if __name__ == "__main__":

@@ -259,11 +259,13 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
         fallback = False
         if isinstance(strategy, Directional):
             try:
-                pair = next_core_objective(config, incumbent, point, previous_core)
-                strategy = Directional(direction=pair[0], direction_eta=pair[1])
-                if track and incumbent is not None:
-                    previous_core = _blend_points(previous_core or incumbent, incumbent,
-                                                  config.core_point_mode.blend)
+                direction, direction_eta = next_core_objective(config, incumbent, point,
+                                                               previous_core)
+                strategy = Directional(direction=direction, direction_eta=direction_eta)
+                if track:
+                    # the blend the direction aims at, recovered exactly
+                    previous_core = EpiPoint(x=tuple(p + d for p, d in zip(point.x, direction)),
+                                             eta=point.eta + direction_eta)
             except NoIncumbent:
                 strategy = MisOnes()
                 fallback = True

@@ -230,12 +230,11 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _bench_strategy(name: str, instance: Instance) -> ObjectiveSpec:
-    if name == "mis":
-        return MisOnes()
-    if name == "directional":
-        return Directional(direction=(_ZERO,) * instance.n, direction_eta=Fraction(1))
-    raise ParseError(f"unknown strategy {name!r} (expected mis or directional)")
+_BENCH_STRATEGIES = {
+    "mis": lambda instance: MisOnes(),
+    "directional": lambda instance: Directional(direction=(_ZERO,) * instance.n,
+                                                direction_eta=Fraction(1)),
+}
 
 
 def _cmd_bench(args) -> int:
@@ -248,10 +247,13 @@ def _cmd_bench(args) -> int:
     names = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if not names:
         raise ParseError("--strategies names no strategy")
+    for name in names:
+        if name not in _BENCH_STRATEGIES:
+            raise ParseError(f"unknown strategy {name!r} (expected mis or directional)")
     for path in files:
         instance = load_instance(path)
         for name in names:
-            config = SolverConfig(strategy=_bench_strategy(name, instance),
+            config = SolverConfig(strategy=_BENCH_STRATEGIES[name](instance),
                                   max_iterations=args.max_iter)
             try:
                 result = solve(instance, config)

@@ -10,9 +10,10 @@ certificate is already a vertex; the push to a vertex below guards that fact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .cglp import (ObjectiveSpec, build_alt_polyhedron, build_cglp_relaxed_subproblem,
@@ -91,7 +92,19 @@ class SeparationResult:
     cut: Optional[Cut] = None
     certificate: Optional[Certificate] = None
     cglp_value: Optional[Fraction] = None
-    supporting: Optional[bool] = None
+    instance: Optional[Instance] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.cut is not None and self.instance is None:
+            raise PreconditionViolated("a result with a cut needs the instance it was cut from")
+
+    @cached_property
+    def supporting(self) -> Optional[bool]:
+        """Whether the cut touches epi(z): one support-function solve, on first read."""
+        cut = self.cut
+        if cut is None:
+            return None
+        return support_function(self.instance, cut.coef_x, cut.coef_eta) == cut.rhs
 
 
 class DirectionClass(str, Enum):
@@ -165,8 +178,9 @@ def separate(instance: Instance, point: EpiPoint, strategy: ObjectiveSpec) -> Se
     """Run a strategy's CGLP against a point and return the selected cut.
 
     InEpigraph when no certificate exists; otherwise the optimal-vertex
-    certificate, its cut, the CGLP value (always negative), and whether the
-    cut touches epi(z), checked by an independent support-function solve.
+    certificate, its cut and the CGLP value (always negative).  Whether the
+    cut touches epi(z) is left to the result's `supporting`, which runs its
+    independent support-function solve only when it is read.
     """
     weights, weight_eta = strategy_weights(instance, strategy)
     out = solve(build_cglp_relaxed_subproblem(instance, point, weights, weight_eta))
@@ -182,14 +196,12 @@ def separate(instance: Instance, point: EpiPoint, strategy: ObjectiveSpec) -> Se
     rows = build_alt_polyhedron(instance, point, relaxed=True).normalized_rows
     if not _is_extreme(rows, cert.as_tuple()):
         cert = _push_to_vertex(rows, weights, weight_eta, value)
-    cut = certificate_to_cut(instance, cert)
-    supporting = support_function(instance, cut.coef_x, cut.coef_eta) == cut.rhs
     return SeparationResult(
         kind=SEPARATED,
-        cut=cut,
+        cut=certificate_to_cut(instance, cert),
         certificate=cert,
         cglp_value=value,
-        supporting=supporting,
+        instance=instance,
     )
 
 

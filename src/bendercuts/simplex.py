@@ -164,21 +164,17 @@ class _Tableau:
     # -- internals --------------------------------------------------------
 
     def _pivot(self, r: int, c: int):
-        tab = self.tab
-        inv = 1 / tab[r][c]
-        tab[r] = [v * inv for v in tab[r]]
-        prow = tab[r]
-        for row in tab:
-            if row is not prow and row[c]:
-                f = row[c]
-                for j in range(self.ncols + 1):
-                    if prow[j]:
-                        row[j] -= f * prow[j]
-        if self.obj[c]:
-            f = self.obj[c]
-            for j in range(self.ncols + 1):
-                if prow[j]:
-                    self.obj[j] -= f * prow[j]
+        prow = self.tab[r]
+        inv = 1 / prow[c]
+        # the scaled pivot row's nonzeros, found once; only these columns change
+        nz = [(j, v * inv) for j, v in enumerate(prow) if v]
+        for j, v in nz:
+            prow[j] = v
+        for row in (*self.tab, self.obj):
+            f = row[c]
+            if f and row is not prow:
+                for j, v in nz:
+                    row[j] -= f * v
         self.basis[r] = c
 
     def _run(self, limit: int) -> Optional[int]:

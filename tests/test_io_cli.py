@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -87,6 +88,35 @@ def test_readme_instance_example_parses():
     doc = json.loads(blocks[0])
     doc["master"] = json.loads(finite)
     assert isinstance(parse_instance(json.dumps(doc)).master_domain, FiniteDomain)
+
+
+def _readme_transcripts():
+    """(argv, expected stdout lines) for every indented `$ bendercuts` block."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    out = []
+    for i, line in enumerate(lines):
+        if line.startswith("    $ bendercuts "):
+            expected = []
+            for follow in lines[i + 1:]:
+                if not follow.startswith("    ") or follow.startswith("    $ "):
+                    break
+                expected.append(follow[4:])
+            out.append((shlex.split(line[len("    $ bendercuts "):]), expected))
+    return out
+
+
+def test_readme_transcripts(monkeypatch, capsys):
+    """README's CLI transcripts print what they show; a last `...` stands for the rest."""
+    monkeypatch.chdir(README.parent)
+    transcripts = _readme_transcripts()
+    assert len(transcripts) == 5
+    for argv, expected in transcripts:
+        run(argv)
+        got = capsys.readouterr().out.splitlines()
+        if expected[-1] == "...":
+            expected = expected[:-1]
+            got = got[:len(expected)]
+        assert got == expected, argv
 
 
 def test_parse_error_reports_position():
@@ -321,7 +351,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["separate", str(EX1_PATH), "--point", "0", "0", "--omega-tilde", "1", "1", "1"],
                  ["solve", str(EX1_PATH), "--strategy", "directional", "--omega", "2",
                   "--omega0", "3", "--omega-tilde0", "-1"],
-                 ["bench", str(EX1_PATH.parent), "--strategies", ""]):
+                 ["bench", str(EX1_PATH.parent), "--strategies", ""],
+                 ["bench", str(EX1_PATH.parent), "--strategies", "mis,foo"]):
         assert run(argv) == 4, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error=") and not captured.out, argv

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bendercuts import separation
 from bendercuts.cglp import (Custom, Directional, MisOnes, build_alt_polyhedron,
                              build_cglp_relaxed_subproblem, strategy_weights)
 from bendercuts.errors import (EmptyEpigraph, PreconditionViolated,
@@ -17,7 +19,7 @@ from bendercuts.separation import (Certificate, Cut, DirectionClass, IN_EPIGRAPH
                                    _push_to_vertex, boundedness_check, canonical_cut,
                                    certificate_to_cut, exposed_point, separate, tighten_rhs)
 from bendercuts.simplex import solve
-from bendercuts.verify import is_vertex
+from bendercuts.verify import FaceClass, face_report, is_vertex
 
 from conftest import P1, P2, P3, P1_CUT, P2_CUT, P3_CUT, same_cut
 
@@ -65,6 +67,52 @@ def test_directional_selection(ex1, origin):
     assert result.supporting is True
     assert result.cglp_value == F(-4, 3)
     assert result.certificate.as_tuple() == P2
+
+
+def test_supporting_is_read_lazily(ex1, ex1_finite, origin, monkeypatch):
+    """separate solves no support LP; the first read of supporting solves one."""
+    calls = []
+    real = separation.support_function
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(separation, "support_function", counting)
+    result = separate(ex1, origin, MisOnes())
+    assert calls == []
+    assert result.supporting is False
+    assert len(calls) == 1
+    assert result.supporting is False
+    assert len(calls) == 1
+    assert separate(ex1, EpiPoint((F(2),), F(3)), MisOnes()).supporting is None
+    assert len(calls) == 1
+    twin = dataclasses.replace(result, instance=ex1_finite)
+    assert twin == result and hash(twin) == hash(result)
+    with pytest.raises(PreconditionViolated):
+        dataclasses.replace(result, instance=None)
+
+
+@given(st.integers(0, 100_000))
+def test_supporting_matches_face_report(seed):
+    """The lazy flag agrees with the face oracle for MIS and directional cuts,
+    and for each such cut moved off epi(z) by raising its right-hand side."""
+    rng = random.Random(seed)
+    inst = random_instance(rng)
+    point = separable_point(rng, inst)
+    if point is None:
+        return
+    direction = tuple(F(rng.randint(-3, 3)) for _ in range(inst.n))
+    for strategy in (MisOnes(), Directional(direction, F(rng.randint(0, 3)))):
+        try:
+            result = separate(inst, point, strategy)
+        except StrategyUnbounded:
+            continue
+        cut = result.cut
+        loose = dataclasses.replace(result, cut=Cut(cut.coef_x, cut.coef_eta, cut.rhs + 1))
+        for res in (result, loose):
+            face = face_report(inst, res.cut)
+            assert res.supporting == (face.classification != FaceClass.NON_SUPPORTING)
 
 
 def test_push_to_vertex(ex1, origin):
