@@ -5,8 +5,8 @@ and the verification oracles are all tolerance-free.
 """
 
 from .benders import (FixedCore, IterationRecord, SolveResult, SolveStatus,
-                      SolverConfig, SubproblemCheck, TrackIncumbent,
-                      next_core_objective, solve, subproblem_check)
+                      SolverConfig, TrackIncumbent, next_core_objective, solve,
+                      subproblem_check)
 from .cglp import (Custom, Directional, MisOnes, ObjectiveSpec,
                    build_alt_polyhedron, build_cglp_normalized,
                    build_cglp_relaxed_subproblem, build_reverse_polar_lp,

@@ -1,7 +1,11 @@
 """The cutting-plane decomposition loop.
 
-Each round solves the relaxed master over (x, eta), asks whether the master
-point already sits in epi(z), and if not adds the configured strategy's cut.
+Each round solves the relaxed master over (x, eta) and runs one LP that
+decides whether the master point already sits in epi(z): the strategy's
+relaxed-subproblem CGLP, whose optimum t* = 0 means membership and t* > 0
+yields the cut, or, under TrackIncumbent, the subproblem LP z(x) that also
+feeds the incumbent, with z(x) <= eta meaning membership. Only the converged
+point pays one more LP, for the d-minimizing y.
 Every iteration is recorded so a finished run can be replayed and re-verified
 from its trace alone.
 """
@@ -17,7 +21,7 @@ from .cglp import Directional, MisOnes, ObjectiveSpec
 from .errors import NoIncumbent, PreconditionViolated, StrategyUnbounded, EmptyEpigraph
 from .linalg import Vector, as_fraction, dot
 from .model import EpiPoint, Instance, PolyhedralDomain, feasibility_rows, subproblem_value
-from .separation import Certificate, Cut, SEPARATED, separate
+from .separation import IN_EPIGRAPH, Certificate, Cut, separate
 from .simplex import LE, LinearProgram, LpStatus, solve as solve_lp
 from .verify import FaceReport, face_report
 
@@ -96,37 +100,15 @@ class SolveResult:
     trace: tuple[IterationRecord, ...] = ()
 
 
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"
+def subproblem_check(instance: Instance, point: EpiPoint) -> Optional[Vector]:
+    """The d-minimizing y at a point of epi(z), or None when d.y is unbounded below.
 
-
-@dataclass(frozen=True)
-class SubproblemCheck:
-    kind: str
-    y: Optional[Vector] = None
-    farkas: Optional[Certificate] = None
-
-
-def subproblem_check(instance: Instance, point: EpiPoint) -> SubproblemCheck:
-    """Feasibility of the point against epi(z), with a useful payload.
-
-    Feasible carries the d-minimizing y (None when d.y is unbounded below);
-    Infeasible carries the Farkas multipliers scaled to the -1 level, i.e. a
-    member of the point's alternative polyhedron.
+    The loop calls it once, at the converged point; outside epi(z) it raises.
     """
-    rows = feasibility_rows(instance, point)
-    out = solve_lp(LinearProgram("min", instance.d, rows))
-    if out.status == LpStatus.OPTIMAL:
-        return SubproblemCheck(kind=FEASIBLE, y=out.primal)
-    if out.status == LpStatus.UNBOUNDED:
-        return SubproblemCheck(kind=FEASIBLE, y=None)
-    level = dot(out.farkas, tuple(rhs for _, _, rhs in rows))
-    scale = -1 / level
-    cert = Certificate(
-        row_multipliers=tuple(scale * v for v in out.farkas[:instance.m]),
-        eta_multiplier=scale * out.farkas[instance.m],
-    )
-    return SubproblemCheck(kind=INFEASIBLE, farkas=cert)
+    out = solve_lp(LinearProgram("min", instance.d, feasibility_rows(instance, point)))
+    if out.status == LpStatus.INFEASIBLE:
+        raise PreconditionViolated("the point lies outside epi(z)")
+    return out.primal if out.status == LpStatus.OPTIMAL else None
 
 
 def _blend_points(a: EpiPoint, b: EpiPoint, blend: Fraction) -> EpiPoint:
@@ -207,6 +189,26 @@ def _record(trace, **kw):
     trace.append(IterationRecord(**kw))
 
 
+def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
+               master_value: Fraction) -> SolveResult:
+    """The one exit for a master point inside epi(z); its LP gives y."""
+    _record(trace, index=index, master_point=point, master_value=master_value,
+            outcome=CONVERGED)
+    y = subproblem_check(instance, point)
+    if y is None:
+        return SolveResult(status=SolveStatus.ILL_POSED,
+                           reason="subproblem unbounded below at the converged point",
+                           trace=tuple(trace))
+    if point.eta == instance.eta_lower_bound:
+        return SolveResult(status=SolveStatus.ILL_POSED,
+                           reason="eta converged onto its lower bound; the bound may"
+                                  " be hiding the true optimum",
+                           trace=tuple(trace))
+    value = dot(instance.c, point.x) + dot(instance.d, y)
+    return SolveResult(status=SolveStatus.OPTIMAL, x=point.x, y=y, value=value,
+                       trace=tuple(trace))
+
+
 def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveResult:
     """Run the decomposition until the master point enters epi(z).
 
@@ -230,25 +232,10 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
                                reason="master relaxation unbounded", trace=tuple(trace))
         point, master_value = master
 
-        check = subproblem_check(instance, point)
-        if check.kind == FEASIBLE:
-            _record(trace, index=index, master_point=point, master_value=master_value,
-                    outcome=CONVERGED)
-            if check.y is None:
-                return SolveResult(status=SolveStatus.ILL_POSED,
-                                   reason="subproblem unbounded below at the converged point",
-                                   trace=tuple(trace))
-            if point.eta == instance.eta_lower_bound:
-                return SolveResult(status=SolveStatus.ILL_POSED,
-                                   reason="eta converged onto its lower bound; the bound may"
-                                          " be hiding the true optimum",
-                                   trace=tuple(trace))
-            value = dot(instance.c, point.x) + dot(instance.d, check.y)
-            return SolveResult(status=SolveStatus.OPTIMAL, x=point.x, y=check.y,
-                               value=value, trace=tuple(trace))
-
         if track:
             z = subproblem_value(instance, point.x)
+            if z <= point.eta:
+                return _converged(instance, trace, index, point, master_value)
             if isinstance(z, Fraction):
                 candidate_value = dot(instance.c, point.x) + z
                 if incumbent_value is None or candidate_value < incumbent_value:
@@ -289,8 +276,8 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
                                reason="no master point has a feasible subproblem",
                                trace=tuple(trace))
 
-        if result.kind != SEPARATED:
-            raise PreconditionViolated("separation disagreed with the feasibility check")
+        if result.kind == IN_EPIGRAPH:
+            return _converged(instance, trace, index, point, master_value)
         face = face_report(instance, result.cut) if config.verify_each_cut else None
         cuts.append(result.cut)
         _record(trace, index=index, master_point=point, master_value=master_value,

@@ -250,19 +250,15 @@ def _cmd_bench(args) -> int:
     for name in names:
         if name not in _BENCH_STRATEGIES:
             raise ParseError(f"unknown strategy {name!r} (expected mis or directional)")
-    for path in files:
-        instance = load_instance(path)
+    instances = [(path.name, load_instance(path)) for path in files]
+    for filename, instance in instances:
         for name in names:
             config = SolverConfig(strategy=_BENCH_STRATEGIES[name](instance),
                                   max_iterations=args.max_iter)
-            try:
-                result = solve(instance, config)
-                status, iters = result.status.value, len(result.trace)
-                value = str(result.value) if result.value is not None else "-"
-            except (StrategyUnbounded, EmptyEpigraph, UnboundedDirection) as exc:
-                status, iters, value = f"error:{type(exc).__name__}", 0, "-"
-            print(f"instance={path.name} strategy={name} status={status} "
-                  f"iterations={iters} value={value}")
+            result = solve(instance, config)
+            value = str(result.value) if result.value is not None else "-"
+            print(f"instance={filename} strategy={name} status={result.status.value} "
+                  f"iterations={len(result.trace)} value={value}")
     return EXIT_OK
 
 

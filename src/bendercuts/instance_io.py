@@ -18,7 +18,8 @@ from typing import Any, Optional, Union
 from .benders import (CONVERGED, CoreMode, FixedCore, IterationRecord, SolveResult,
                       SolverConfig, _solve_master)
 from .cglp import Directional, MisOnes, ObjectiveSpec
-from .errors import DimensionError, ParseError, PreconditionViolated, ZeroCertificate
+from .errors import (DimensionError, EmptyEpigraph, ParseError, PreconditionViolated,
+                     ZeroCertificate)
 from .linalg import Vector
 from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain
 from .separation import Cut, canonical_cut
@@ -300,7 +301,11 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
         if cut.holds_at(recorded):
             problems.append(f"{where}: recorded cut does not cut off its master point")
         if rec.get("face") is not None:
-            fresh = _face_document(face_report(instance, cut))
+            try:
+                fresh = _face_document(face_report(instance, cut))
+            except EmptyEpigraph as exc:
+                problems.append(f"{where}: no face report on replay: {exc}")
+                break
             if fresh != rec["face"]:
                 problems.append(f"{where}: face report changed on replay: {fresh} != {rec['face']}")
         cuts.append(cut)

@@ -4,10 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from bendercuts.benders import (CONVERGED, CUT_ADDED, FEASIBLE, INFEASIBLE,
-                                FixedCore, SolveStatus, SolverConfig,
-                                TrackIncumbent, next_core_objective, solve,
-                                subproblem_check)
+from bendercuts import benders
+from bendercuts.benders import (CONVERGED, CUT_ADDED, FixedCore, SolveStatus,
+                                SolverConfig, TrackIncumbent,
+                                next_core_objective, solve, subproblem_check)
 from bendercuts.cglp import Directional, MisOnes
 from bendercuts.errors import NoIncumbent, PreconditionViolated
 from bendercuts.linalg import dot
@@ -149,18 +149,43 @@ def test_track_incumbent_on_ex1(ex1):
 
 
 def test_subproblem_check_payloads(ex1, origin):
-    inside = subproblem_check(ex1, EpiPoint((F(2),), F(3)))
-    assert inside.kind == FEASIBLE
-    assert inside.y == (F(2),)
+    assert subproblem_check(ex1, EpiPoint((F(2),), F(3))) == (F(2),)
+    # only converged points are asked for y; outside epi(z) there is none
+    with pytest.raises(PreconditionViolated):
+        subproblem_check(ex1, origin)
 
-    outside = subproblem_check(ex1, origin)
-    assert outside.kind == INFEASIBLE
-    cert = outside.farkas
-    level = ex1.linking_rhs(origin.x) + (origin.eta,)
-    assert dot(cert.as_tuple(), level) == F(-1)
-    for j in range(ex1.k):
-        col = tuple(row[j] for row in ex1.A) + (ex1.d[j],)
-        assert dot(col, cert.as_tuple()) == F(0)
+
+@pytest.mark.parametrize("config", [
+    SolverConfig(strategy=MisOnes()),
+    SolverConfig(strategy=Directional((F(2),), F(3))),
+    SolverConfig(strategy=Directional((F(0),), F(1)),
+                 core_point_mode=TrackIncumbent(F(1, 2))),
+], ids=["mis", "directional", "track"])
+def test_one_membership_lp_per_iteration(ex1, monkeypatch, config):
+    """Membership comes from the iteration's CGLP (or z(x) under TrackIncumbent);
+    subproblem_check runs once, at the converged point, for y."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(benders, "subproblem_check",
+                        counted("check", benders.subproblem_check))
+    monkeypatch.setattr(benders, "separate", counted("separate", benders.separate))
+    monkeypatch.setattr(benders, "_solve_master",
+                        counted("master", benders._solve_master))
+    result = solve(ex1, config)
+    assert result.status == SolveStatus.OPTIMAL
+    assert calls.count("check") == 1
+    assert calls[-1] == "check"
+    final = calls[len(calls) - 1 - calls[::-1].index("master"):]
+    if config.core_point_mode is None:
+        assert final == ["master", "separate", "check"]
+    else:
+        assert final == ["master", "check"]
 
 
 def test_next_core_objective_modes(ex1):

@@ -16,7 +16,7 @@ from bendercuts.instance_io import (instance_digest, instance_document, load_ins
 from bendercuts.model import FiniteDomain, Instance, PolyhedralDomain
 from bendercuts.separation import Cut
 
-from conftest import P2_CUT, P3_CUT
+from conftest import EX1_KW, P2_CUT, P3_CUT
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -176,6 +176,12 @@ def test_trace_detects_tampering(ex1):
     assert replay_trace(ex1, doc) == ["unknown trace format 'nope'"]
 
 
+def _empty_epigraph() -> Instance:
+    """No x has a feasible subproblem (y >= 0 and y <= -1), so epi(z) is empty."""
+    kw = dict(EX1_KW, m=2, H=((F(0),), (F(0),)), A=((F(1),), (F(-1),)), b=(F(-1), F(0)))
+    return Instance(master_domain=PolyhedralDomain(G=((F(-1),),), g=(F(0),)), **kw)
+
+
 def _edit_first_record(doc, edit):
     edit(doc["iterations"][0])
     return json.dumps(doc)
@@ -189,13 +195,18 @@ _MALFORMED_TRACES = {
     "record_is_a_number": lambda doc: json.dumps(dict(doc, iterations=[3])),
     "not_json": lambda doc: "{not json",
     "nested_too_deeply": lambda doc: "[" * 200_000 + "]" * 200_000,
+    # ex1's first cut record, recorded face included, replayed on an instance
+    # whose epi(z) is empty: there is no face to report
+    "face_on_empty_epigraph": lambda doc: dict(
+        doc, instance_digest=instance_digest(_empty_epigraph()), iterations=doc["iterations"][:1]),
 }
 
 
-@pytest.mark.parametrize("mutate", list(_MALFORMED_TRACES.values()), ids=list(_MALFORMED_TRACES))
-def test_replay_reports_malformed_traces(ex1, mutate):
+@pytest.mark.parametrize("name", list(_MALFORMED_TRACES))
+def test_replay_reports_malformed_traces(ex1, name):
     config, result = _directional_result(ex1)
-    problems = replay_trace(ex1, mutate(trace_document(ex1, config, result)))
+    instance = _empty_epigraph() if name == "face_on_empty_epigraph" else ex1
+    problems = replay_trace(instance, _MALFORMED_TRACES[name](trace_document(ex1, config, result)))
     assert problems and all(isinstance(p, str) for p in problems)
 
 
@@ -341,6 +352,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     not_utf8.write_bytes(b"\xff\xfe{}")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    # a malformed instance sorted after a good one stops bench before any solve
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    (bench_dir / "ex1.json").write_text(EX1_PATH.read_text(encoding="utf-8"), encoding="utf-8")
+    (bench_dir / "z.json").write_text("{", encoding="utf-8")
     for argv in (["solve", str(not_utf8)],
                  ["solve", str(deep)],
                  ["solve", str(EX1_PATH), "--omega", "1"],
@@ -352,7 +368,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["solve", str(EX1_PATH), "--strategy", "directional", "--omega", "2",
                   "--omega0", "3", "--omega-tilde0", "-1"],
                  ["bench", str(EX1_PATH.parent), "--strategies", ""],
-                 ["bench", str(EX1_PATH.parent), "--strategies", "mis,foo"]):
+                 ["bench", str(EX1_PATH.parent), "--strategies", "mis,foo"],
+                 ["bench", str(bench_dir)]):
         assert run(argv) == 4, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error=") and not captured.out, argv
