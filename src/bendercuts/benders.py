@@ -260,17 +260,9 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
         try:
             result = separate(instance, point, strategy)
         except StrategyUnbounded:
-            if isinstance(strategy, MisOnes):
-                return SolveResult(status=SolveStatus.ILL_POSED,
-                                   reason="cut search unbounded for every strategy",
-                                   trace=tuple(trace))
+            # MIS leaves only H_i = 0 rows unrelaxed and epi(z) meets those: no StrategyUnbounded
             fallback = True
-            try:
-                result = separate(instance, point, MisOnes())
-            except StrategyUnbounded:
-                return SolveResult(status=SolveStatus.ILL_POSED,
-                                   reason="cut search unbounded for every strategy",
-                                   trace=tuple(trace))
+            result = separate(instance, point, MisOnes())
         except EmptyEpigraph:
             return SolveResult(status=SolveStatus.INFEASIBLE,
                                reason="no master point has a feasible subproblem",

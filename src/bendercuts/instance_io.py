@@ -20,8 +20,8 @@ from .benders import (CONVERGED, CoreMode, FixedCore, IterationRecord, SolveResu
 from .cglp import Directional, MisOnes, ObjectiveSpec
 from .errors import (DimensionError, EmptyEpigraph, ParseError, PreconditionViolated,
                      ZeroCertificate)
-from .linalg import Vector
-from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain
+from .linalg import Vector, dot
+from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, feasibility_rows
 from .separation import Cut, canonical_cut
 from .verify import FaceReport, face_report
 
@@ -255,8 +255,10 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     """Check a trace against fresh computation; the mismatch list is empty iff it replays.
 
     Master values are recomputed with the recorded cut prefixes, and recorded
-    face reports are recomputed from the recorded cuts.  A malformed document
-    comes back as messages too, never as an exception.
+    face reports are recomputed from the recorded cuts.  A reported optimum is
+    checked by arithmetic against its converged record, which must be the last
+    and only one.  A malformed document comes back as messages too, never as
+    an exception.
     """
     try:
         doc = json.loads(trace) if isinstance(trace, str) else trace
@@ -276,6 +278,7 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     if not isinstance(iterations, list):
         return problems + ["iterations: expected a list"]
     cuts: list[Cut] = []
+    converged_at: list[int] = []
     for position, rec in enumerate(iterations, start=1):
         where = f"iteration {rec.get('index') if isinstance(rec, dict) else position}"
         try:
@@ -287,16 +290,15 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
             converged = _field(rec, "outcome", "record") == CONVERGED
             cut = None if converged else _cut_from_document(rec.get("cut"), instance.n)
         except (ParseError, DimensionError, ZeroCertificate, PreconditionViolated) as exc:
-            problems.append(f"{where}: {exc}")
-            break
+            return problems + [f"{where}: {exc}"]
         master = _solve_master(instance, cuts)
         if isinstance(master, str):
-            problems.append(f"{where}: master became {master} on replay")
-            break
+            return problems + [f"{where}: master became {master} on replay"]
         _, value = master
         if value != recorded_value:
             problems.append(f"{where}: master value {value} != recorded {recorded_value}")
         if cut is None:
+            converged_at.append(position)
             continue
         if cut.holds_at(recorded):
             problems.append(f"{where}: recorded cut does not cut off its master point")
@@ -304,9 +306,25 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
             try:
                 fresh = _face_document(face_report(instance, cut))
             except EmptyEpigraph as exc:
-                problems.append(f"{where}: no face report on replay: {exc}")
-                break
+                return problems + [f"{where}: no face report on replay: {exc}"]
             if fresh != rec["face"]:
                 problems.append(f"{where}: face report changed on replay: {fresh} != {rec['face']}")
         cuts.append(cut)
+    if doc.get("status") != "optimal":
+        return problems
+    if converged_at != [len(iterations)]:
+        return problems + ["status optimal: the last record is not the only converged one"]
+    try:
+        x, y = _vec(doc.get("x"), "x", instance.n), _vec(doc.get("y"), "y", instance.k)
+        reported = _num(doc.get("value"), "value")
+    except (ParseError, DimensionError) as exc:
+        return problems + [f"status optimal: {exc}"]
+    # the last record converged: recorded and value are its point and replayed master value
+    rows = feasibility_rows(instance, recorded)
+    if x != recorded.x or any(dot(coeffs, y) > rhs for coeffs, _, rhs in rows):
+        problems.append("status optimal: (x, y) does not solve the converged subproblem")
+    objective = dot(instance.c, x) + dot(instance.d, y)
+    if not reported == objective == value:
+        problems.append(f"status optimal: value {reported}, c.x + d.y {objective} and"
+                        f" master value {value} differ")
     return problems

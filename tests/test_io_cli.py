@@ -210,6 +210,27 @@ def test_replay_reports_malformed_traces(ex1, name):
     assert problems and all(isinstance(p, str) for p in problems)
 
 
+def _forge_first_record_converged(doc):
+    """ex1's first master point, outside epi(z), passed off as the optimum."""
+    first = doc["iterations"][0]
+    doc["iterations"] = [{"index": 1, "master_point": first["master_point"],
+                          "master_value": first["master_value"], "outcome": "converged"}]
+    return dict(doc, value="0", x=["0"], y=["99"])
+
+
+_FORGED_OPTIMA = {
+    "first_record_converged": _forge_first_record_converged,
+    "y_and_value_edited": lambda doc: dict(doc, y=["99"], value="100"),
+}
+
+
+@pytest.mark.parametrize("name", list(_FORGED_OPTIMA))
+def test_replay_rejects_forged_optimum(ex1, name):
+    config, result = _directional_result(ex1)
+    problems = replay_trace(ex1, _FORGED_OPTIMA[name](trace_document(ex1, config, result)))
+    assert problems and all(p.startswith("status optimal: ") for p in problems)
+
+
 def test_format_cut():
     assert format_cut(P2_CUT) == "1/2 x + eta >= 3"
     assert format_cut(P3_CUT) == "x + eta >= 7/2"

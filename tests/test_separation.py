@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from bendercuts import separation
+from bendercuts import linalg, separation
 from bendercuts.cglp import (Custom, Directional, MisOnes, build_alt_polyhedron,
                              build_cglp_relaxed_subproblem, strategy_weights)
 from bendercuts.errors import (EmptyEpigraph, PreconditionViolated,
@@ -15,7 +15,7 @@ from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain
                               epi_contains, subproblem_value)
 from bendercuts.randgen import interior_epi_point, random_instance, separable_point
 from bendercuts.separation import (Certificate, Cut, DirectionClass, IN_EPIGRAPH,
-                                   SEPARATED, _certificate_from_duals, _is_extreme,
+                                   SEPARATED, _certificate_from_duals,
                                    _push_to_vertex, boundedness_check, canonical_cut,
                                    certificate_to_cut, exposed_point, separate, tighten_rhs)
 from bendercuts.simplex import solve
@@ -118,13 +118,83 @@ def test_supporting_matches_face_report(seed):
 def test_push_to_vertex(ex1, origin):
     """Weights tying P1 and P2 at -1 leave an optimal edge; the push picks P2."""
     relaxed = build_alt_polyhedron(ex1, origin, relaxed=True)
-    rows = relaxed.normalized_rows
     midpoint = tuple((a + b) / 2 for a, b in zip(P1, P2))
-    assert not _is_extreme(rows, midpoint)
-    cert = _push_to_vertex(rows, (F(-5), F(-3), F(-100)), F(0), F(-1))
+    assert not is_vertex(relaxed, midpoint)
+    cert = _push_to_vertex(relaxed.normalized_rows, (F(-5), F(-3), F(-100)), F(0), F(-1))
     assert cert.as_tuple() == P2
-    assert _is_extreme(rows, P2)
     assert is_vertex(relaxed, cert.as_tuple())
+
+
+def _no_linear_algebra(*args):
+    raise AssertionError("separate ran linear algebra or the vertex push")
+
+
+def test_separate_is_one_lp(ex1, origin, monkeypatch):
+    """MIS, directional and custom separations solve the CGLP once and run no
+    rank test, push or other linear algebra: the basic dual is the answer."""
+    calls = []
+    real = separation.solve
+
+    def counting(lp):
+        calls.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(separation, "solve", counting)
+    monkeypatch.setattr(linalg, "rref", _no_linear_algebra)
+    monkeypatch.setattr(separation, "_push_to_vertex", _no_linear_algebra)
+    cases = [(ex1, origin, (MisOnes(), Directional((F(2),), F(3)),
+                            Custom((F(-5), F(-3), F(-100)), F(0))))]
+    for seed in range(40):
+        rng = random.Random(seed)
+        inst = random_instance(rng)
+        point = separable_point(rng, inst)
+        if point is not None:
+            cases.append((inst, point, (
+                MisOnes(),
+                Directional(tuple(F(rng.randint(-3, 3)) for _ in range(inst.n)),
+                            F(rng.randint(0, 3))),
+                Custom(tuple(-F(rng.randint(0, 1)) for _ in range(inst.m)),
+                       -F(rng.randint(0, 1))))))
+    separated = 0
+    for inst, point, strategies in cases:
+        for strategy in strategies:
+            calls.clear()
+            try:
+                result = separate(inst, point, strategy)
+            except StrategyUnbounded:
+                continue
+            assert result.kind == SEPARATED
+            assert len(calls) == 1
+            separated += 1
+    assert separated >= 40
+
+
+@given(st.integers(0, 100_000))
+def test_mis_never_unbounded(seed):
+    """MIS relaxes every row that meets x, and a point of epi(z) satisfies the
+    rest, so MIS separation raises EmptyEpigraph or nothing, at any point."""
+    rng = random.Random(seed)
+    inst = random_instance(rng)
+    point = EpiPoint(x=tuple(F(rng.randint(-4, 4)) for _ in range(inst.n)),
+                     eta=F(rng.randint(-10, 10)))
+    for query in (point, separable_point(rng, inst)):
+        if query is None:
+            continue
+        try:
+            separate(inst, query, MisOnes())
+        except EmptyEpigraph:
+            pass
+
+
+def test_mis_keeps_zero_rows(ex1, origin):
+    """ex1 plus y <= 4, a row without x: MIS leaves it unrelaxed and still
+    separates, since epi(z) satisfies it."""
+    inst = dataclasses.replace(ex1, m=4, H=ex1.H + ((F(0),),), A=ex1.A + ((F(1),),),
+                               b=ex1.b + (F(4),))
+    assert strategy_weights(inst, MisOnes()) == ((F(-1),) * 3 + (F(0),), F(-1))
+    result = separate(inst, origin, MisOnes())
+    assert result.kind == SEPARATED
+    assert result.cut.value_at(origin) > result.cut.rhs
 
 
 def test_point_inside_epigraph(ex1):
