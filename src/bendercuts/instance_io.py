@@ -17,12 +17,12 @@ from typing import Any, Optional, Union
 
 from .benders import (CONVERGED, CoreMode, FixedCore, IterationRecord, SolveResult,
                       SolverConfig, _solve_master)
-from .cglp import Directional, MisOnes, ObjectiveSpec
+from .cglp import Directional, MisOnes, ObjectiveSpec, certificate_rows
 from .errors import (DimensionError, EmptyEpigraph, ParseError, PreconditionViolated,
                      ZeroCertificate)
 from .linalg import Vector, dot
 from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, feasibility_rows
-from .separation import Cut, canonical_cut
+from .separation import Certificate, Cut, canonical_cut, certificate_to_cut
 from .verify import FaceReport, face_report
 
 _TRACE_FORMAT = "bendercuts-trace/1"
@@ -251,14 +251,39 @@ def _cut_from_document(doc: Any, n: int) -> Cut:
                rhs=_num(_field(doc, "rhs", "cut"), "cut.rhs"))
 
 
+def _certificate_from_document(doc: Any, m: int) -> Certificate:
+    """Raises PreconditionViolated when a multiplier is negative."""
+    return Certificate(
+        row_multipliers=_vec(_field(doc, "row_multipliers", "certificate"),
+                             "certificate.row_multipliers", m),
+        eta_multiplier=_num(_field(doc, "eta_multiplier", "certificate"),
+                            "certificate.eta_multiplier"))
+
+
+def _certificate_problem(instance: Instance, cert: Certificate, cut: Cut) -> Optional[str]:
+    """Does a nonnegative certificate cancel y and map to the recorded cut?"""
+    u = cert.as_tuple()
+    if any(dot(coeffs, u) != rhs for coeffs, _, rhs in certificate_rows(instance)):
+        return "recorded certificate does not cancel y: u'A + u_eta d' != 0"
+    try:
+        derived = certificate_to_cut(instance, cert)
+    except ZeroCertificate:
+        return "recorded certificate maps to no cut"
+    if canonical_cut(derived) != canonical_cut(cut):
+        return "recorded cut is not the cut of its recorded certificate"
+    return None
+
+
 def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     """Check a trace against fresh computation; the mismatch list is empty iff it replays.
 
     Master values are recomputed with the recorded cut prefixes, and recorded
-    face reports are recomputed from the recorded cuts.  A reported optimum is
-    checked by arithmetic against its converged record, which must be the last
-    and only one.  A malformed document comes back as messages too, never as
-    an exception.
+    face reports are recomputed from the recorded cuts.  A recorded
+    certificate must be nonnegative, cancel y (u'A + u_eta d' = 0) and map to
+    the recorded cut up to scale, checked by arithmetic.  A reported optimum
+    is checked by arithmetic against its converged record, which must be the
+    last and only one.  A malformed document comes back as messages too, never
+    as an exception.
     """
     try:
         doc = json.loads(trace) if isinstance(trace, str) else trace
@@ -289,6 +314,8 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
             recorded_value = _num(_field(rec, "master_value", "record"), "master_value")
             converged = _field(rec, "outcome", "record") == CONVERGED
             cut = None if converged else _cut_from_document(rec.get("cut"), instance.n)
+            cert = (None if converged or rec.get("certificate") is None
+                    else _certificate_from_document(rec["certificate"], instance.m))
         except (ParseError, DimensionError, ZeroCertificate, PreconditionViolated) as exc:
             return problems + [f"{where}: {exc}"]
         master = _solve_master(instance, cuts)
@@ -302,6 +329,9 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
             continue
         if cut.holds_at(recorded):
             problems.append(f"{where}: recorded cut does not cut off its master point")
+        wrong = None if cert is None else _certificate_problem(instance, cert, cut)
+        if wrong is not None:
+            problems.append(f"{where}: {wrong}")
         if rec.get("face") is not None:
             try:
                 fresh = _face_document(face_report(instance, cut))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionError, EmptyEpigraph
@@ -51,6 +52,14 @@ class PolyhedralDomain:
             raise DimensionError("G and g disagree on the row count")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "g", g)
+
+    @cached_property
+    def implicit_mask(self) -> Optional[tuple[bool, ...]]:
+        """Which rows of G x <= g hold with equality on all of S; None when S is empty.
+
+        One LP per row, on first read only: the domain is immutable.
+        """
+        return _implicit_mask(tuple((grow, LE, gi) for grow, gi in zip(self.G, self.g)))
 
 
 @dataclass(frozen=True)
@@ -124,6 +133,14 @@ class Instance:
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "eta_lower_bound", as_fraction(self.eta_lower_bound))
+
+    @cached_property
+    def epi_affine_dimension(self) -> int:
+        """Affine dimension of epi(z), -1 when it is empty.
+
+        Computed by rank growth on first read only: the instance is immutable.
+        """
+        return _affine_dimension(self)
 
     def linking_rhs(self, x: Vector) -> Vector:
         """b - H x, the subproblem right-hand side at x."""
@@ -229,19 +246,39 @@ def support_function(instance: Instance, pi: Sequence, pi0) -> Union[Fraction, f
     return math.inf
 
 
-def _affine_dimension(instance: Instance, tight=None) -> int:
+def _implicit_mask(rows) -> Optional[tuple[bool, ...]]:
+    """Which <=-rows hold with equality everywhere on the solution set.
+
+    None when the set is empty.  Equality rows are marked implicit as well.
+    """
+    mask = []
+    for coeffs, rel, rhs in rows:
+        if rel == EQ:
+            mask.append(True)
+            continue
+        probe = LinearProgram("min", coeffs, tuple(rows))
+        out = solve(probe)
+        if out.status == LpStatus.INFEASIBLE:
+            return None
+        mask.append(out.status == LpStatus.OPTIMAL and out.objective_value == rhs)
+    return tuple(mask)
+
+
+def _affine_dimension(instance: Instance, tight=None, bound: Optional[int] = None) -> int:
     """Affine dimension of epi(z), optionally sliced by a pinned hyperplane.
 
     Grows an affinely independent point set: directions orthogonal to the
     points found so far are optimized in both senses until no direction moves.
-    Standard basis directions come first via the nullspace ordering.
+    Standard basis directions come first via the nullspace ordering.  Growth
+    also stops once the points span `bound` dimensions, a dimension the caller
+    knows the set cannot exceed.
     """
     base_out = solve(_epi_lift_lp(instance, tight=tight))
     if base_out.status != LpStatus.OPTIMAL:
         return -1
     dim = instance.n + 1
     points = [_project(instance, base_out.primal)]
-    while True:
+    while bound is None or len(points) <= bound:
         diffs = [tuple(p[j] - points[0][j] for j in range(dim)) for p in points[1:]]
         grew = False
         for u in nullspace_basis(diffs, dim):
@@ -260,20 +297,37 @@ def _affine_dimension(instance: Instance, tight=None) -> int:
             if grew:
                 break
         if not grew:
-            return affine_rank(points)
+            break
+    return affine_rank(points)
 
 
 def epi_dimension(instance: Instance) -> int:
     """Affine dimension of epi(z); raises EmptyEpigraph when it is empty."""
-    d = _affine_dimension(instance)
+    d = instance.epi_affine_dimension
     if d < 0:
         raise EmptyEpigraph("the epigraph is empty")
     return d
 
 
 def epi_face_dimension(instance: Instance, pi: Sequence, pi0, alpha) -> int:
-    """Dimension of epi(z) cut with {pi.x + pi0*eta = alpha}; -1 when empty."""
-    return _affine_dimension(instance, tight=(as_vector(pi), as_fraction(pi0), as_fraction(alpha)))
+    """Dimension of epi(z) cut with {pi.x + pi0*eta = alpha}; -1 when empty.
+
+    The point growth stops at the largest dimension the slice can have.  The
+    slice lies in epi(z), so its dimension is at most dim epi(z).  When
+    (pi, pi0) is nonzero, as every `Cut` has it, the slice also lies in a
+    hyperplane of the (x, eta)-space R^(n+1), so its dimension is at most n.
+    Each point the growth adds moves along a direction orthogonal to the
+    differences of the earlier ones, so the points stay affinely independent;
+    once there are bound + 1 of them the slice has dimension exactly bound, and
+    the closing LPs, which could only find that no direction moves, are not
+    solved.  The bound comes from the instance's cached epigraph dimension.
+    """
+    pi, pi0, alpha = as_vector(pi), as_fraction(pi0), as_fraction(alpha)
+    epi_dim = instance.epi_affine_dimension
+    if epi_dim < 0:
+        return -1
+    bound = min(instance.n, epi_dim) if any(pi) or pi0 else epi_dim
+    return _affine_dimension(instance, tight=(pi, pi0, alpha), bound=bound)
 
 
 def undecomposed_value(instance: Instance) -> Union[Fraction, float]:

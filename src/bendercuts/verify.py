@@ -6,6 +6,15 @@ rows one at a time, vertices are enumerated by brute force over row subsets,
 and Pareto verdicts follow the tight-point characterization over the relative
 interior of the master set.  These run the acceptance suite and double as
 regression oracles, so they favor being obviously correct over being fast.
+
+Two facts depend on the instance alone and are computed once per instance:
+the affine dimension of epi(z) (`Instance.epi_affine_dimension`, which also
+bounds the face search) and the implicit equalities of a polyhedral master
+set (`PolyhedralDomain.implicit_mask`).  Each is cached on the frozen object
+that determines it, so repeated reports on one instance skip those LPs.  They
+stay independent of the separation code: both come from rank growth and LP
+probes over the instance's own rows, never from a cut, a certificate or a
+separation result, and the cache changes when they are computed, not what.
 """
 
 from __future__ import annotations
@@ -19,9 +28,9 @@ from typing import Optional
 
 from .errors import DimensionError, DominanceUndefined, InfeasibleCandidate, TooLarge
 from .linalg import Vector, as_vector, dot, matrix_rank, solve_square
-from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, epi_dimension,
-                    epi_face_dimension, epigraph_rows, feasibility_rows, subproblem_value,
-                    support_function)
+from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _implicit_mask,
+                    epi_dimension, epi_face_dimension, epigraph_rows, feasibility_rows,
+                    subproblem_value, support_function)
 from .separation import Certificate, Cut
 from .simplex import EQ, LE, LinearProgram, LpStatus, solve
 
@@ -143,24 +152,6 @@ def is_vertex(lp: LinearProgram, candidate) -> bool:
     return matrix_rank(tight) == dim
 
 
-def _implicit_mask(rows) -> Optional[list[bool]]:
-    """Which <=-rows hold with equality everywhere on the solution set.
-
-    None when the set is empty.  Equality rows are marked implicit as well.
-    """
-    mask = []
-    for coeffs, rel, rhs in rows:
-        if rel == EQ:
-            mask.append(True)
-            continue
-        probe = LinearProgram("min", coeffs, tuple(rows))
-        out = solve(probe)
-        if out.status == LpStatus.INFEASIBLE:
-            return None
-        mask.append(out.status == LpStatus.OPTIMAL and out.objective_value == rhs)
-    return mask
-
-
 def _max_shared_slack(rows, slacked, lower) -> Optional[Vector]:
     """Maximize one slack s in [0, 1] that every slacked row must leave.
 
@@ -246,7 +237,7 @@ def pareto_verdict(instance: Instance, cut: Cut) -> ParetoVerdict:
     dom = instance.master_domain
     lift = epigraph_rows(instance)
     if isinstance(dom, PolyhedralDomain):
-        mask = _implicit_mask(tuple((g, LE, gi) for g, gi in zip(dom.G, dom.g)))
+        mask = dom.implicit_mask
         if mask is None:
             return ParetoVerdict(ParetoKind.NOT_PARETO)
         rows = list(lift)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from bendercuts.benders import SolverConfig, solve
-from bendercuts.cglp import Directional
+from bendercuts.cglp import Directional, MisOnes
 from bendercuts.cli import format_cut, run
 from bendercuts.errors import DimensionError, ParseError
 from bendercuts.instance_io import (instance_digest, instance_document, load_instance,
@@ -229,6 +229,49 @@ def test_replay_rejects_forged_optimum(ex1, name):
     config, result = _directional_result(ex1)
     problems = replay_trace(ex1, _FORGED_OPTIMA[name](trace_document(ex1, config, result)))
     assert problems and all(p.startswith("status optimal: ") for p in problems)
+
+
+def _forge_cut_x_ge_3(doc):
+    """ex1's MIS trace whose first record adds x >= 3 under its real MIS certificate.
+
+    The later records are the real MIS cuts of a solve over x >= 3, so every
+    master value replays and the reported optimum 9/2 (the true one is 11/3)
+    checks out against its converged record.
+    """
+    x_ge_3 = Instance(master_domain=PolyhedralDomain(G=((F(-1),),), g=(F(-3),)), **EX1_KW)
+    config = SolverConfig(strategy=MisOnes())
+    rest = trace_document(x_ge_3, config, solve(x_ge_3, config))
+    assert rest["value"] == "9/2"
+    first = dict(doc["iterations"][0], cut={"coef_x": [-1], "coef_eta": 0, "rhs": -3})
+    later = [dict(rec, index=i) for i, rec in enumerate(rest["iterations"], start=2)]
+    return dict(rest, instance_digest=doc["instance_digest"], iterations=[first] + later)
+
+
+def _edit_first_certificate(doc, key, value):
+    doc["iterations"][0]["certificate"][key] = value
+    return doc
+
+
+# forged trace -> the message its first record gets
+_FORGED_CUTS = {
+    "x_ge_3_real_certificate": (
+        _forge_cut_x_ge_3, "recorded cut is not the cut of its recorded certificate"),
+    "negative_multiplier": (
+        lambda doc: _edit_first_certificate(doc, "row_multipliers", ["-1", "0", "0"]),
+        "certificate multipliers must be nonnegative"),
+    "multipliers_keep_y": (
+        lambda doc: _edit_first_certificate(doc, "eta_multiplier", "1"),
+        "recorded certificate does not cancel y: u'A + u_eta d' != 0"),
+}
+
+
+@pytest.mark.parametrize("name", list(_FORGED_CUTS))
+def test_replay_checks_cuts_against_certificates(ex1, name):
+    config = SolverConfig(strategy=MisOnes())
+    doc = trace_document(ex1, config, solve(ex1, config))
+    assert replay_trace(ex1, doc) == []
+    forge, message = _FORGED_CUTS[name]
+    assert replay_trace(ex1, forge(doc)) == [f"iteration 1: {message}"]
 
 
 def test_format_cut():

@@ -75,16 +75,27 @@ def test_instance_validation():
                  eta_lower_bound=F(0))
 
 
-def test_empty_epigraph_instance():
+def _empty_epigraph() -> Instance:
     # rows y <= -1 and -y <= 0 can never hold together, for any x
-    inst = Instance(n=1, k=1, m=2, c=(F(1),), d=(F(1),),
+    return Instance(n=1, k=1, m=2, c=(F(1),), d=(F(1),),
                     H=((F(0),), (F(0),)), A=((F(1),), (F(-1),)),
                     b=(F(-1), F(0)),
                     master_domain=PolyhedralDomain(G=((F(-1),),), g=(F(0),)),
                     eta_lower_bound=F(0))
+
+
+def test_empty_epigraph_instance():
+    inst = _empty_epigraph()
     assert epi_is_empty(inst)
     with pytest.raises(EmptyEpigraph):
         epi_dimension(inst)
+
+
+def test_epi_face_dimension_of_empty_sets(ex1):
+    """-1, never EmptyEpigraph, when the slice or the whole epigraph is empty,
+    also as the first query on a fresh instance."""
+    assert epi_face_dimension(ex1, (F(-2, 7),), F(-2, 7), F(-1)) == -1
+    assert epi_face_dimension(_empty_epigraph(), (F(-1),), F(-1), F(0)) == -1
 
 
 @given(st.integers(0, 10_000))

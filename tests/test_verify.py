@@ -1,13 +1,17 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bendercuts import model, verify
 from bendercuts.cglp import MisOnes, build_alt_polyhedron
 from bendercuts.errors import DominanceUndefined, InfeasibleCandidate, TooLarge
-from bendercuts.model import (EpiPoint, Instance, PolyhedralDomain, epi_contains,
-                              subproblem_value)
+from bendercuts.instance_io import parse_instance, serialize_instance
+from bendercuts.model import (EpiPoint, Instance, PolyhedralDomain, _affine_dimension,
+                              epi_contains, epi_face_dimension, epigraph_rows,
+                              subproblem_value, support_function)
 from bendercuts.randgen import random_instance, separable_point
 from bendercuts.separation import Certificate, Cut, SEPARATED, separate
 from bendercuts.simplex import LE, LinearProgram
@@ -187,3 +191,71 @@ def test_relaxation_keeps_vertices(seed):
     assert set(exact_vertices) == set(enumerate_vertices(relaxed))
     for v in exact_vertices:
         assert is_vertex(exact, v)
+
+
+def _oracle_cases():
+    """Seeded draws on both domain kinds, each with its MIS cut at a separable
+    point, that cut moved into epi(z), and a random normal tightened onto
+    epi(z); plus the flat epigraph's cuts."""
+    cases = [(_pinned_instance(), [Cut(coef_x=(F(1),), coef_eta=F(0), rhs=F(0)),
+                                   Cut(coef_x=(F(0),), coef_eta=F(-1), rhs=F(0))])]
+    for finite in (False, True):
+        rng = random.Random(2024 + finite)
+        for _ in range(16):
+            inst = random_instance(rng, finite=finite)
+            point = separable_point(rng, inst)
+            if point is None:
+                continue
+            cut = separate(inst, point, MisOnes()).cut
+            cuts = [cut, Cut(coef_x=cut.coef_x, coef_eta=cut.coef_eta, rhs=cut.rhs - 1)]
+            normal = tuple(F(rng.randint(-3, 3)) for _ in range(inst.n))
+            h = support_function(inst, normal, F(-1))
+            if h != math.inf:
+                cuts.append(Cut(coef_x=normal, coef_eta=F(-1), rhs=h))
+            cases.append((inst, cuts))
+    return cases
+
+
+def test_cached_oracles_match_fresh_copies():
+    """Reports on an instance queried before equal those on a fresh copy, and
+    the bounded face search finds the dimension the unbounded growth finds."""
+    cases = _oracle_cases()
+    assert {isinstance(inst.master_domain, PolyhedralDomain) for inst, _ in cases} == {True, False}
+    for inst, cuts in cases:
+        for cut in cuts:
+            face_report(inst, cut)
+            pareto_verdict(inst, cut)
+        for cut in cuts:
+            fresh = parse_instance(serialize_instance(inst))
+            assert face_report(inst, cut) == face_report(fresh, cut)
+            fresh = parse_instance(serialize_instance(inst))
+            assert pareto_verdict(inst, cut) == pareto_verdict(fresh, cut)
+            tight = (cut.coef_x, cut.coef_eta, cut.rhs)
+            assert epi_face_dimension(inst, *tight) == _affine_dimension(inst, tight=tight)
+
+
+def test_second_report_skips_instance_lps(ex1, monkeypatch):
+    """The epigraph's dimension and the box's implicit equalities are solved once."""
+    solved = []
+
+    def counting(lp):
+        solved.append(lp)
+        return real_solve(lp)
+
+    real_solve = model.solve
+    monkeypatch.setattr(model, "solve", counting)
+    monkeypatch.setattr(verify, "solve", counting)
+
+    def epi_dimension_lps():
+        return sum(lp.rows == epigraph_rows(ex1) for lp in solved)
+
+    first = face_report(ex1, P1_CUT)
+    assert epi_dimension_lps() > 0
+    solved.clear()
+    assert face_report(ex1, P1_CUT) == first
+    assert solved and epi_dimension_lps() == 0
+
+    first = pareto_verdict(ex1, P1_CUT)
+    solved.clear()
+    assert pareto_verdict(ex1, P1_CUT) == first
+    assert len(solved) == 1
