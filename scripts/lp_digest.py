@@ -5,8 +5,10 @@ loaded module imported it as, through a recorder while each test runs, and
 counts `_Tableau._pivot` calls.  For each test id it keeps the ordered list of
 (LP digest, outcome digest, pivots) and writes them to a JSON file:
 
-    PYTHONPATH=src:scripts python -m pytest -q -p lp_digest --hypothesis-seed=0 \
-        --lp-digest-out=before.json
+    python -m pytest -q -p lp_digest --hypothesis-seed=0 --lp-digest-out=before.json
+
+`pyproject.toml` puts `src` and `scripts` on pytest's path, so `-p lp_digest`
+finds this file without PYTHONPATH.
 
 Give the path with "=": pytest takes a separate argument that names an
 existing file as a test path, which moves its root directory and so changes

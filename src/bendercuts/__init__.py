@@ -23,8 +23,8 @@ from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain,
                     epi_is_empty, subproblem_value, support_function,
                     undecomposed_value)
 from .separation import (Certificate, Cut, DirectionClass, SeparationResult,
-                         boundedness_check, canonical_cut, certificate_to_cut,
-                         exposed_point, separate, tighten_rhs)
+                         boundedness_check, canonical_cut, certificate_for_cut,
+                         certificate_to_cut, exposed_point, separate, tighten_rhs)
 from .verify import (FaceClass, FaceReport, ParetoKind, ParetoVerdict,
                      core_point, dominates, enumerate_vertices, face_report,
                      is_mis_certificate, is_vertex, pareto_verdict,

@@ -16,15 +16,13 @@ from typing import Optional, Sequence
 
 from .benders import (FixedCore, SolveStatus, SolverConfig, TrackIncumbent, _solve_master,
                       solve)
-from .cglp import (Custom, Directional, MisOnes, ObjectiveSpec, build_alt_polyhedron,
-                   certificate_rows)
+from .cglp import Custom, Directional, MisOnes, ObjectiveSpec, build_alt_polyhedron
 from .errors import (DimensionError, EmptyEpigraph, NoIncumbent, ParseError,
                      PreconditionViolated, StrategyUnbounded, TooLarge,
                      UnboundedDirection, ZeroCertificate)
 from .instance_io import load_instance, trace_to_json
 from .model import EpiPoint, Instance
-from .separation import Certificate, Cut, SEPARATED, separate
-from .simplex import EQ, LinearProgram, LpStatus, solve as solve_lp
+from .separation import Cut, SEPARATED, certificate_for_cut, separate
 from .verify import enumerate_vertices, face_report, is_mis_certificate, pareto_verdict
 
 _ZERO = Fraction(0)
@@ -171,22 +169,6 @@ def _cmd_separate(args) -> int:
     return EXIT_OK
 
 
-def _certificate_for_cut(instance: Instance, cut: Cut) -> Optional[Certificate]:
-    """Smallest-multiplier-sum certificate realizing the cut exactly, if any."""
-    m, n = instance.m, instance.n
-    rows = list(certificate_rows(instance))
-    for i in range(n):
-        rows.append((tuple(instance.H[r][i] for r in range(m)) + (_ZERO,), EQ, cut.coef_x[i]))
-    rows.append((instance.b + (_ZERO,), EQ, cut.rhs))
-    rows.append(((_ZERO,) * m + (Fraction(1),), EQ, -cut.coef_eta))
-    lp = LinearProgram("min", (Fraction(1),) * m + (_ZERO,), tuple(rows),
-                       lower=(_ZERO,) * (m + 1))
-    out = solve_lp(lp)
-    if out.status != LpStatus.OPTIMAL:
-        return None
-    return Certificate(row_multipliers=out.primal[:m], eta_multiplier=out.primal[m])
-
-
 def _root_master_point(instance: Instance) -> Optional[EpiPoint]:
     master = _solve_master(instance, ())
     return None if isinstance(master, str) else master[0]
@@ -205,7 +187,7 @@ def _cmd_verify(args) -> int:
     print(f"classification={report.classification.value}")
     point = _parse_point(args.point, instance) if args.point is not None \
         else _root_master_point(instance)
-    cert = _certificate_for_cut(instance, cut)
+    cert = certificate_for_cut(instance, cut)
     if point is None or cert is None:
         print("mis=unknown")
     else:

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionError, EmptyEpigraph
-from .linalg import Vector, affine_rank, as_fraction, as_vector, nullspace_basis
+from .linalg import Vector, as_fraction, as_vector, nullspace_basis
 from .simplex import EQ, LE, LinearProgram, LpStatus, solve
 
 _ZERO = Fraction(0)
@@ -203,9 +203,14 @@ def subproblem_value(instance: Instance, x: Sequence) -> Union[Fraction, float]:
     return math.inf if out.status == LpStatus.INFEASIBLE else -math.inf
 
 
-def epi_contains(instance: Instance, point: EpiPoint) -> bool:
-    lp = LinearProgram("min", (_ZERO,) * instance.k, feasibility_rows(instance, point))
+def _rows_feasible(rows, num_vars: int) -> bool:
+    """Do the rows have a solution?  One zero-objective LP."""
+    lp = LinearProgram("min", (_ZERO,) * num_vars, tuple(rows))
     return solve(lp).status == LpStatus.OPTIMAL
+
+
+def epi_contains(instance: Instance, point: EpiPoint) -> bool:
+    return _rows_feasible(feasibility_rows(instance, point), instance.k)
 
 
 def epi_is_empty(instance: Instance) -> bool:
@@ -213,37 +218,21 @@ def epi_is_empty(instance: Instance) -> bool:
 
 
 def support_function(instance: Instance, pi: Sequence, pi0) -> Union[Fraction, float]:
-    """sup {pi . x + pi0 * eta : (x, eta) in epi(z)}, solved through its dual.
+    """sup {pi . x + pi0 * eta : (x, eta) in epi(z)}, one LP over the lifted epigraph.
 
-    The dual searches nonnegative row multipliers gamma with gamma' A = pi0 d
-    and gamma' H = pi, minimizing gamma . b.  +inf when no such multipliers
-    exist; EmptyEpigraph when there is nothing to support.
+    Maximizes pi . x + pi0 * eta over the rows of `epigraph_rows`.  OPTIMAL
+    gives the value; UNBOUNDED gives +inf, as it always does for pi0 > 0, where
+    eta runs to +inf; INFEASIBLE raises EmptyEpigraph: there is nothing to
+    support.
     """
     pi = as_vector(pi)
     pi0 = as_fraction(pi0)
     if len(pi) != instance.n:
         raise DimensionError(f"pi has {len(pi)} entries, expected {instance.n}")
-    if pi0 > 0:
-        if epi_is_empty(instance):
-            raise EmptyEpigraph("the epigraph is empty")
-        return math.inf
-    m = instance.m
-    rows = []
-    for j in range(instance.k):
-        col = tuple(instance.A[i][j] for i in range(m))
-        rows.append((col, EQ, pi0 * instance.d[j]))
-    for j in range(instance.n):
-        col = tuple(instance.H[i][j] for i in range(m))
-        rows.append((col, EQ, pi[j]))
-    lp = LinearProgram("min", instance.b, tuple(rows), lower=(_ZERO,) * m)
-    out = solve(lp)
-    if out.status == LpStatus.OPTIMAL:
-        return out.objective_value
-    if out.status == LpStatus.UNBOUNDED:
+    out = solve(_epi_lift_lp(instance, direction=(pi + (pi0,), "max")))
+    if out.status == LpStatus.INFEASIBLE:
         raise EmptyEpigraph("the epigraph is empty")
-    if epi_is_empty(instance):
-        raise EmptyEpigraph("the epigraph is empty")
-    return math.inf
+    return out.objective_value if out.status == LpStatus.OPTIMAL else math.inf
 
 
 def _implicit_mask(rows) -> Optional[tuple[bool, ...]]:
@@ -271,7 +260,12 @@ def _affine_dimension(instance: Instance, tight=None, bound: Optional[int] = Non
     points found so far are optimized in both senses until no direction moves.
     Standard basis directions come first via the nullspace ordering.  Growth
     also stops once the points span `bound` dimensions, a dimension the caller
-    knows the set cannot exceed.
+    knows the set cannot exceed.  The dimension is len(points) - 1: a point is
+    added only along a direction u orthogonal to every earlier difference
+    p_i - p_0, with u . (p - p_0) != 0 for the new point p, so p - p_0 is not in
+    the span of the earlier differences and the points stay affinely
+    independent.  When no direction moves, the set lies in p_0 plus the span of
+    the differences, so they span it.
     """
     base_out = solve(_epi_lift_lp(instance, tight=tight))
     if base_out.status != LpStatus.OPTIMAL:
@@ -298,7 +292,7 @@ def _affine_dimension(instance: Instance, tight=None, bound: Optional[int] = Non
                 break
         if not grew:
             break
-    return affine_rank(points)
+    return len(points) - 1
 
 
 def epi_dimension(instance: Instance) -> int:
@@ -316,11 +310,10 @@ def epi_face_dimension(instance: Instance, pi: Sequence, pi0, alpha) -> int:
     slice lies in epi(z), so its dimension is at most dim epi(z).  When
     (pi, pi0) is nonzero, as every `Cut` has it, the slice also lies in a
     hyperplane of the (x, eta)-space R^(n+1), so its dimension is at most n.
-    Each point the growth adds moves along a direction orthogonal to the
-    differences of the earlier ones, so the points stay affinely independent;
-    once there are bound + 1 of them the slice has dimension exactly bound, and
-    the closing LPs, which could only find that no direction moves, are not
-    solved.  The bound comes from the instance's cached epigraph dimension.
+    The growth keeps its points affinely independent (see `_affine_dimension`),
+    so once there are bound + 1 of them the slice has dimension exactly bound,
+    and the closing LPs, which could only find that no direction moves, are
+    not solved.  The bound comes from the instance's cached epigraph dimension.
     """
     pi, pi0, alpha = as_vector(pi), as_fraction(pi0), as_fraction(alpha)
     epi_dim = instance.epi_affine_dimension

@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .cglp import ObjectiveSpec, build_cglp_relaxed_subproblem, lift_objective, strategy_weights
+from .cglp import (ObjectiveSpec, _column, build_cglp_relaxed_subproblem, certificate_rows,
+                   lift_objective, strategy_weights)
 from .errors import (EmptyEpigraph, PreconditionViolated, StrategyUnbounded, UnboundedDirection,
                      ZeroCertificate)
 from .linalg import Vector, as_fraction, as_vector, dot
@@ -128,6 +129,21 @@ def certificate_to_cut(instance: Instance, cert: Certificate) -> Cut:
         coef_eta=-cert.eta_multiplier,
         rhs=dot(cert.row_multipliers, instance.b),
     )
+
+
+def certificate_for_cut(instance: Instance, cut: Cut) -> Optional[Certificate]:
+    """Inverse of `certificate_to_cut`: the smallest-multiplier-sum certificate
+    that maps to the cut exactly; None when no certificate does."""
+    m = instance.m
+    rows = list(certificate_rows(instance))
+    rows.extend((_column(instance.H, j) + (_ZERO,), EQ, v) for j, v in enumerate(cut.coef_x))
+    rows.append((instance.b + (_ZERO,), EQ, cut.rhs))
+    rows.append(((_ZERO,) * m + (_ONE,), EQ, -cut.coef_eta))
+    out = solve(LinearProgram("min", (_ONE,) * m + (_ZERO,), tuple(rows),
+                              lower=(_ZERO,) * (m + 1)))
+    if out.status != LpStatus.OPTIMAL:
+        return None
+    return Certificate(row_multipliers=out.primal[:m], eta_multiplier=out.primal[m])
 
 
 def canonical_cut(cut: Cut) -> Cut:

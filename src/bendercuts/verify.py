@@ -29,8 +29,8 @@ from typing import Optional
 from .errors import DimensionError, DominanceUndefined, InfeasibleCandidate, TooLarge
 from .linalg import Vector, as_vector, dot, matrix_rank, solve_square
 from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _implicit_mask,
-                    epi_dimension, epi_face_dimension, epigraph_rows, feasibility_rows,
-                    subproblem_value, support_function)
+                    _rows_feasible, epi_dimension, epi_face_dimension, epigraph_rows,
+                    feasibility_rows, subproblem_value, support_function)
 from .separation import Certificate, Cut
 from .simplex import EQ, LE, LinearProgram, LpStatus, solve
 
@@ -85,11 +85,6 @@ def face_report(instance: Instance, cut: Cut) -> FaceReport:
     else:
         cls = FaceClass.SUPPORTING
     return FaceReport(face_dim, epi_dim, cls)
-
-
-def _rows_feasible(rows, num_vars: int) -> bool:
-    lp = LinearProgram("min", (_ZERO,) * num_vars, tuple(rows))
-    return solve(lp).status == LpStatus.OPTIMAL
 
 
 def is_mis_certificate(instance: Instance, point: EpiPoint, cert: Certificate) -> bool:

@@ -1,11 +1,14 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from bendercuts.model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain
+from bendercuts.linalg import dot
+from bendercuts.model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, epigraph_rows
 from bendercuts.separation import Cut, canonical_cut
+from bendercuts.verify import relative_interior_point
 
 settings.register_profile(
     "suite",
@@ -71,6 +74,26 @@ def origin() -> EpiPoint:
 
 def rng_for(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def pin_to_hyperplane(rng: random.Random, inst: Instance) -> tuple[Instance, Cut]:
+    """The instance with epi(z) cut by a hyperplane h.x = h.x* through relint.
+
+    x* is the x-part of a relative-interior point of the lifted epigraph and h
+    a nonzero integer vector.  The two opposite linking rows h.x <= h.x* and
+    -h.x <= -h.x* (zero A-part) do the pinning, so the lifted epigraph gains an
+    implicit equality.  Returns the pinned instance and the cut h.x <= h.x*,
+    which holds with equality on all of its epi(z).
+    """
+    n, k = inst.n, inst.k
+    relint = relative_interior_point(epigraph_rows(inst), n + k + 1)
+    h = (F(0),) * n
+    while not any(h):
+        h = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+    level = dot(h, relint[:n])
+    flat = replace(inst, m=inst.m + 2, H=inst.H + (h, tuple(-v for v in h)),
+                   A=inst.A + ((F(0),) * k,) * 2, b=inst.b + (level, -level))
+    return flat, Cut(coef_x=h, coef_eta=F(0), rhs=level)
 
 
 _acceptance_lines: list[str] = []

@@ -10,7 +10,7 @@ from bendercuts.cglp import MisOnes, build_alt_polyhedron
 from bendercuts.errors import DominanceUndefined, InfeasibleCandidate, TooLarge
 from bendercuts.instance_io import parse_instance, serialize_instance
 from bendercuts.model import (EpiPoint, Instance, PolyhedralDomain, _affine_dimension,
-                              epi_contains, epi_face_dimension, epigraph_rows,
+                              epi_contains, epi_dimension, epi_face_dimension,
                               subproblem_value, support_function)
 from bendercuts.randgen import random_instance, separable_point
 from bendercuts.separation import Certificate, Cut, SEPARATED, separate
@@ -19,7 +19,7 @@ from bendercuts.verify import (FaceClass, ParetoKind, core_point, dominates,
                                enumerate_vertices, face_report, is_mis_certificate,
                                is_vertex, pareto_verdict, relative_interior_point)
 
-from conftest import P1, P2, P3, P1_CUT, P2_CUT, P3_CUT, ge_cut
+from conftest import P1, P2, P3, P1_CUT, P2_CUT, P3_CUT, ge_cut, pin_to_hyperplane
 
 
 def _cert(v):
@@ -196,9 +196,13 @@ def test_relaxation_keeps_vertices(seed):
 def _oracle_cases():
     """Seeded draws on both domain kinds, each with its MIS cut at a separable
     point, that cut moved into epi(z), and a random normal tightened onto
-    epi(z); plus the flat epigraph's cuts."""
+    epi(z); the same draws pinned to a hyperplane, with the cut that contains
+    their epi(z) and a normal tightened onto it; plus the flat epigraph's cuts.
+    Also returns each (draw, pinned draw, containing cut)."""
     cases = [(_pinned_instance(), [Cut(coef_x=(F(1),), coef_eta=F(0), rhs=F(0)),
                                    Cut(coef_x=(F(0),), coef_eta=F(-1), rhs=F(0))])]
+    pinned = []
+    pins = random.Random(7)
     for finite in (False, True):
         rng = random.Random(2024 + finite)
         for _ in range(16):
@@ -213,13 +217,23 @@ def _oracle_cases():
             if h != math.inf:
                 cuts.append(Cut(coef_x=normal, coef_eta=F(-1), rhs=h))
             cases.append((inst, cuts))
-    return cases
+            flat, wall = pin_to_hyperplane(pins, inst)
+            pinned.append((inst, flat, wall))
+            flat_cuts = [wall]
+            normal = tuple(F(pins.randint(-3, 3)) for _ in range(inst.n))
+            h = support_function(flat, normal, F(-1))
+            if h != math.inf:
+                flat_cuts.append(Cut(coef_x=normal, coef_eta=F(-1), rhs=h))
+            cases.append((flat, flat_cuts))
+    return cases, pinned
 
 
 def test_cached_oracles_match_fresh_copies():
     """Reports on an instance queried before equal those on a fresh copy, and
-    the bounded face search finds the dimension the unbounded growth finds."""
-    cases = _oracle_cases()
+    the bounded face search finds the dimension the unbounded growth finds.
+    Pinning a draw to a hyperplane through relint drops a full epi(z) by one
+    dimension, and the cut along that hyperplane contains the pinned epi(z)."""
+    cases, pinned = _oracle_cases()
     assert {isinstance(inst.master_domain, PolyhedralDomain) for inst, _ in cases} == {True, False}
     for inst, cuts in cases:
         for cut in cuts:
@@ -232,28 +246,39 @@ def test_cached_oracles_match_fresh_copies():
             assert pareto_verdict(inst, cut) == pareto_verdict(fresh, cut)
             tight = (cut.coef_x, cut.coef_eta, cut.rhs)
             assert epi_face_dimension(inst, *tight) == _affine_dimension(inst, tight=tight)
+    full = 0
+    for inst, flat, wall in pinned:
+        if epi_dimension(inst) == inst.n + 1:
+            full += 1
+            assert epi_dimension(flat) == epi_dimension(inst) - 1
+        assert face_report(flat, wall).classification == FaceClass.CONTAINS_EPI
+    assert full > 0
 
 
 def test_second_report_skips_instance_lps(ex1, monkeypatch):
     """The epigraph's dimension and the box's implicit equalities are solved once."""
-    solved = []
+    solved, epi_dimensions = [], []
 
     def counting(lp):
         solved.append(lp)
         return real_solve(lp)
 
-    real_solve = model.solve
+    def spy(instance, tight=None, bound=None):
+        if tight is None:
+            epi_dimensions.append(instance)
+        return real_affine_dimension(instance, tight=tight, bound=bound)
+
+    real_solve, real_affine_dimension = model.solve, model._affine_dimension
     monkeypatch.setattr(model, "solve", counting)
     monkeypatch.setattr(verify, "solve", counting)
-
-    def epi_dimension_lps():
-        return sum(lp.rows == epigraph_rows(ex1) for lp in solved)
+    monkeypatch.setattr(model, "_affine_dimension", spy)
 
     first = face_report(ex1, P1_CUT)
-    assert epi_dimension_lps() > 0
+    assert epi_dimensions == [ex1]
     solved.clear()
+    epi_dimensions.clear()
     assert face_report(ex1, P1_CUT) == first
-    assert solved and epi_dimension_lps() == 0
+    assert solved and not epi_dimensions
 
     first = pareto_verdict(ex1, P1_CUT)
     solved.clear()
