@@ -1,0 +1,96 @@
+"""One digest over the observable results of a seeded sweep of solves.
+
+Draws `--count` seeded `random_instance`s per master-domain kind (odd seeds
+get nonnegative c and d, so their masters stay bounded; even seeds keep the
+raw data and so reach the ill-posed exits more often), runs six solver
+configs on each, and hashes, per run:
+
+* `repr` of the `SolveResult`, trace included;
+* `repr` of `face_report` and `pareto_verdict` for its first two cuts;
+* `replay_trace` of its `trace_document`.
+
+It prints the sha256 prefix of all of that, then a tally of statuses, cuts,
+fallback records and replay problems. Two commits that print the same first
+line returned the same results:
+
+    python scripts/result_digest.py --count 100
+"""
+
+import argparse
+import hashlib
+import random
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction as F
+
+from bendercuts.benders import FixedCore, SolverConfig, TrackIncumbent, solve
+from bendercuts.cglp import Custom, Directional, MisOnes
+from bendercuts.errors import ToolkitError
+from bendercuts.instance_io import replay_trace, trace_document
+from bendercuts.randgen import interior_epi_point, random_instance
+from bendercuts.verify import face_report, pareto_verdict
+
+
+def configs_for(rng, inst):
+    """(name, config) pairs; FixedCore only when a point above z(x) turns up."""
+    up = Directional((F(0),) * inst.n, F(1))
+    configs = [
+        ("mis", SolverConfig(strategy=MisOnes())),
+        ("directional", SolverConfig(strategy=up)),
+        ("track-1/2", SolverConfig(strategy=up, core_point_mode=TrackIncumbent(F(1, 2)))),
+        ("track-1/3", SolverConfig(strategy=up, core_point_mode=TrackIncumbent(F(1, 3)))),
+        ("custom", SolverConfig(strategy=Custom(
+            tuple(F(-rng.randint(0, 1)) for _ in range(inst.m)), F(-1)))),
+    ]
+    core = interior_epi_point(rng, inst)
+    if core is not None:
+        configs.append(("fixed-core", SolverConfig(strategy=up, core_point_mode=FixedCore(core))))
+    return configs
+
+
+def guarded(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ToolkitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--count", type=int, default=100,
+                        help="draws per domain kind, seeds 0 to count - 1")
+    args = parser.parse_args()
+
+    lines = []
+    tally = Counter()
+    for finite in (False, True):
+        for seed in range(args.count):
+            rng = random.Random(seed)
+            inst = random_instance(rng, finite=finite)
+            if seed % 2:
+                inst = replace(inst, c=tuple(abs(v) for v in inst.c),
+                               d=tuple(abs(v) for v in inst.d))
+            for name, config in configs_for(rng, inst):
+                lines.append(f"{'finite' if finite else 'box'} {seed} {name}")
+                result = solve(inst, config)
+                lines.append(repr(result))
+                cuts = [r.cut for r in result.trace if r.cut is not None]
+                for cut in cuts[:2]:
+                    lines.append(guarded(face_report, inst, cut))
+                    lines.append(guarded(pareto_verdict, inst, cut))
+                problems = replay_trace(inst, trace_document(inst, config, result))
+                lines.append(repr(problems))
+                tally[f"status.{result.status.value}"] += 1
+                tally["runs"] += 1
+                tally["cuts"] += len(cuts)
+                tally["fallback_records"] += sum(r.fallback for r in result.trace)
+                tally["replay_problems"] += len(problems)
+
+    text = "\n".join(lines) + "\n"
+    print(f"digest {hashlib.sha256(text.encode()).hexdigest()[:16]}")
+    for key in sorted(tally):
+        print(f"{key} {tally[key]}")
+
+
+if __name__ == "__main__":
+    main()

@@ -5,16 +5,15 @@ and the verification oracles are all tolerance-free.
 """
 
 from .benders import (FixedCore, IterationRecord, SolveResult, SolveStatus,
-                      SolverConfig, TrackIncumbent, next_core_objective, solve,
-                      subproblem_check)
+                      SolverConfig, TrackIncumbent, solve, subproblem_check)
 from .cglp import (Custom, Directional, MisOnes, ObjectiveSpec,
                    build_alt_polyhedron, build_cglp_normalized,
                    build_cglp_relaxed_subproblem, build_reverse_polar_lp,
                    lift_objective, mis_objective)
 from .errors import (DimensionError, DominanceUndefined, EmptyEpigraph,
-                     InfeasibleCandidate, NoIncumbent, ParseError,
-                     PreconditionViolated, StrategyUnbounded, TooLarge,
-                     ToolkitError, UnboundedDirection, ZeroCertificate)
+                     InfeasibleCandidate, ParseError, PreconditionViolated,
+                     StrategyUnbounded, TooLarge, ToolkitError,
+                     UnboundedDirection, ZeroCertificate)
 from .instance_io import (instance_digest, load_instance, parse_instance,
                           replay_trace, serialize_instance, trace_document,
                           trace_to_json)

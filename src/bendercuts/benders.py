@@ -6,6 +6,15 @@ relaxed-subproblem CGLP, whose optimum t* = 0 means membership and t* > 0
 yields the cut, or, under TrackIncumbent, the subproblem LP z(x) that also
 feeds the incumbent, with z(x) <= eta meaning membership. Only the converged
 point pays one more LP, for the d-minimizing y.
+
+A core-point mode steers a directional strategy (Magnanti-Wong; Papadakos
+moves the core toward the incumbent). The loop keeps the core point itself:
+FixedCore's point from the start, or under TrackIncumbent the blend of the
+previous core (the incumbent, the first time) toward the best feasible point
+seen so far, renewed every round once an incumbent exists. Each round aims
+Directional(core - master point); a round with a mode but no core yet
+separates with MisOnes and is marked as a fallback.
+
 Every iteration is recorded so a finished run can be replayed and re-verified
 from its trace alone.
 """
@@ -18,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .cglp import Directional, MisOnes, ObjectiveSpec
-from .errors import NoIncumbent, PreconditionViolated, StrategyUnbounded, EmptyEpigraph
+from .errors import PreconditionViolated, StrategyUnbounded, EmptyEpigraph
 from .linalg import Vector, as_fraction, dot
 from .model import EpiPoint, Instance, PolyhedralDomain, feasibility_rows, subproblem_value
 from .separation import IN_EPIGRAPH, Certificate, Cut, separate
@@ -119,28 +128,6 @@ def _blend_points(a: EpiPoint, b: EpiPoint, blend: Fraction) -> EpiPoint:
     )
 
 
-def next_core_objective(config: SolverConfig, incumbent: Optional[EpiPoint],
-                        current_master: EpiPoint,
-                        previous_core: Optional[EpiPoint] = None) -> tuple[Vector, Fraction]:
-    """The direction a directional strategy should use this iteration."""
-    mode = config.core_point_mode
-    if mode is None:
-        strategy = config.strategy
-        if not isinstance(strategy, Directional):
-            raise PreconditionViolated("no core mode set and the strategy carries no direction")
-        return strategy.direction, strategy.direction_eta
-    if isinstance(mode, FixedCore):
-        target = mode.point
-    else:
-        if incumbent is None:
-            raise NoIncumbent("no feasible point seen yet")
-        target = _blend_points(previous_core or incumbent, incumbent, mode.blend)
-    return (
-        tuple(t - m for t, m in zip(target.x, current_master.x)),
-        target.eta - current_master.eta,
-    )
-
-
 def _master_lp(instance: Instance, dom: PolyhedralDomain, cuts) -> LinearProgram:
     n = instance.n
     rows = [(tuple(grow) + (_ZERO,), LE, gi) for grow, gi in zip(dom.G, dom.g)]
@@ -212,15 +199,15 @@ def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
 def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveResult:
     """Run the decomposition until the master point enters epi(z).
 
-    Directional strategies whose CGLP comes back unbounded fall back to the
-    minimum-1-norm selection for that iteration, marked in the trace.
+    A round whose directional CGLP comes back unbounded, or that has a core
+    mode but no core point yet, uses the minimum-1-norm selection instead,
+    marked in the trace.
     """
     cuts: list[Cut] = []
     trace: list[IterationRecord] = []
-    incumbent: Optional[EpiPoint] = None
-    incumbent_value: Optional[Fraction] = None
-    previous_core: Optional[EpiPoint] = None
-    track = isinstance(config.core_point_mode, TrackIncumbent)
+    mode = config.core_point_mode
+    core: Optional[EpiPoint] = mode.point if isinstance(mode, FixedCore) else None
+    best: Optional[tuple[EpiPoint, Fraction]] = None  # the incumbent and its value
 
     for index in range(1, config.max_iterations + 1):
         master = _solve_master(instance, cuts)
@@ -232,30 +219,25 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
                                reason="master relaxation unbounded", trace=tuple(trace))
         point, master_value = master
 
-        if track:
+        if isinstance(mode, TrackIncumbent):
             z = subproblem_value(instance, point.x)
             if z <= point.eta:
                 return _converged(instance, trace, index, point, master_value)
             if isinstance(z, Fraction):
-                candidate_value = dot(instance.c, point.x) + z
-                if incumbent_value is None or candidate_value < incumbent_value:
-                    incumbent = EpiPoint(x=point.x, eta=z)
-                    incumbent_value = candidate_value
+                value = dot(instance.c, point.x) + z
+                if best is None or value < best[1]:
+                    best = (EpiPoint(x=point.x, eta=z), value)
+            if best is not None:
+                core = _blend_points(core or best[0], best[0], mode.blend)
 
         strategy: ObjectiveSpec = config.strategy
         fallback = False
-        if isinstance(strategy, Directional):
-            try:
-                direction, direction_eta = next_core_objective(config, incumbent, point,
-                                                               previous_core)
-                strategy = Directional(direction=direction, direction_eta=direction_eta)
-                if track:
-                    # the blend the direction aims at, recovered exactly
-                    previous_core = EpiPoint(x=tuple(p + d for p, d in zip(point.x, direction)),
-                                             eta=point.eta + direction_eta)
-            except NoIncumbent:
-                strategy = MisOnes()
-                fallback = True
+        if core is not None:
+            strategy = Directional(direction=tuple(c - p for c, p in zip(core.x, point.x)),
+                                   direction_eta=core.eta - point.eta)
+        elif mode is not None:
+            strategy = MisOnes()
+            fallback = True
 
         try:
             result = separate(instance, point, strategy)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .benders import (FixedCore, SolveStatus, SolverConfig, TrackIncumbent, _solve_master,
                       solve)
 from .cglp import Custom, Directional, MisOnes, ObjectiveSpec, build_alt_polyhedron
-from .errors import (DimensionError, EmptyEpigraph, NoIncumbent, ParseError,
+from .errors import (DimensionError, EmptyEpigraph, ParseError,
                      PreconditionViolated, StrategyUnbounded, TooLarge,
                      UnboundedDirection, ZeroCertificate)
 from .instance_io import load_instance, trace_to_json
@@ -315,7 +315,7 @@ def run(argv: Sequence[str]) -> int:
         print(f"error={exc}", file=sys.stderr)
         return EXIT_UNBOUNDED
     except (ParseError, DimensionError, PreconditionViolated, TooLarge,
-            ZeroCertificate, NoIncumbent, OSError) as exc:
+            ZeroCertificate, OSError) as exc:
         print(f"error={exc}", file=sys.stderr)
         return EXIT_INPUT
 

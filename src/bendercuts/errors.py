@@ -41,9 +41,5 @@ class InfeasibleCandidate(ToolkitError):
     """The candidate point is not feasible for the system."""
 
 
-class NoIncumbent(ToolkitError):
-    """A core-point update was requested before any feasible point is known."""
-
-
 class DominanceUndefined(ToolkitError):
     """Cut domination is only defined for cuts with a negative eta coefficient."""

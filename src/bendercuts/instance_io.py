@@ -97,6 +97,8 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})") from None
+    except ValueError as exc:  # an integer literal past the int conversion limit
+        raise ParseError(f"not readable JSON: {exc}") from None
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
@@ -280,15 +282,17 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     Master values are recomputed with the recorded cut prefixes, and recorded
     face reports are recomputed from the recorded cuts.  A recorded
     certificate must be nonnegative, cancel y (u'A + u_eta d' = 0) and map to
-    the recorded cut up to scale, checked by arithmetic.  A reported optimum
-    is checked by arithmetic against its converged record, which must be the
-    last and only one.  A malformed document comes back as messages too, never
-    as an exception.
+    the recorded cut up to scale, checked by arithmetic.  A converged record
+    must be the last one and comes only with status optimal or ill_posed; an
+    optimum must have one and is checked by arithmetic against it.  A
+    malformed document comes back as messages too, never as an exception.
     """
     try:
         doc = json.loads(trace) if isinstance(trace, str) else trace
     except json.JSONDecodeError as exc:
         return [f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"]
+    except ValueError as exc:  # an integer literal past the int conversion limit
+        return [f"not readable JSON: {exc}"]
     except RecursionError:
         return ["JSON nested too deeply"]
     if not isinstance(doc, dict):
@@ -340,10 +344,16 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
             if fresh != rec["face"]:
                 problems.append(f"{where}: face report changed on replay: {fresh} != {rec['face']}")
         cuts.append(cut)
-    if doc.get("status") != "optimal":
+    # solve writes a converged record only last, and only under optimal (which
+    # needs it) or ill_posed (which may end without one)
+    status = doc.get("status")
+    last = [len(iterations)]
+    allowed = ([last] if status == "optimal" else [[], last] if status == "ill_posed" else [[]])
+    if converged_at not in allowed:
+        return problems + [f"status {status}: converged records at {converged_at},"
+                           f" expected {' or '.join(map(str, allowed))}"]
+    if status != "optimal":
         return problems
-    if converged_at != [len(iterations)]:
-        return problems + ["status optimal: the last record is not the only converged one"]
     try:
         x, y = _vec(doc.get("x"), "x", instance.n), _vec(doc.get("y"), "y", instance.k)
         reported = _num(doc.get("value"), "value")

@@ -142,7 +142,6 @@ class _Tableau:
         self.ncols = self.art0 + len(norm)
         self.sigma: list[Fraction] = []
         self.tab: list[list[Fraction]] = []
-        self.row_ids: list[int] = []
         for i, (coeffs, rel, rhs) in enumerate(norm):
             sigma = Fraction(-1) if rhs < 0 else _ONE
             row = [_ZERO] * (self.ncols + 1)
@@ -157,7 +156,6 @@ class _Tableau:
             row[-1] = sigma * rhs
             self.sigma.append(sigma)
             self.tab.append(row)
-            self.row_ids.append(i)
         self.basis = [self.art0 + i for i in range(len(norm))]
         self.obj: list[Fraction] = [_ZERO] * (self.ncols + 1)
 
@@ -210,18 +208,14 @@ class _Tableau:
         self.obj = obj
 
     def _drive_out_artificials(self):
-        keep = []
         for i in range(len(self.tab)):
             if self.basis[i] >= self.art0:
                 col = next((j for j in range(self.art0) if self.tab[i][j] != 0), None)
-                if col is None:
-                    continue  # redundant row, drop it
-                self._pivot(i, col)
-            keep.append(i)
-        if len(keep) != len(self.tab):
-            self.tab = [self.tab[i] for i in keep]
-            self.basis = [self.basis[i] for i in keep]
-            self.row_ids = [self.row_ids[i] for i in keep]
+                # a redundant row (no such column) stays, its artificial basic at 0:
+                # it is zero on every column phase two may enter, so no pivot or
+                # ratio test touches it, and its dual reads 0
+                if col is not None:
+                    self._pivot(i, col)
 
     # -- readouts ---------------------------------------------------------
 
@@ -231,8 +225,7 @@ class _Tableau:
         y_i is read from the artificial column of row i, whose reduced cost is
         art_cost - y_i (artificials cost 1 in phase one, 0 in phase two).
         """
-        y = {i: art_cost - self.obj[self.art0 + i] for i in self.row_ids}
-        return tuple(self.sigma[i] * y[i] if i in y else _ZERO for i in range(len(self.sigma)))
+        return tuple(s * (art_cost - self.obj[self.art0 + i]) for i, s in enumerate(self.sigma))
 
     def _fold(self, vals: list[Fraction]) -> Vector:
         """Column values back to variables: x_j = x_j+ - x_j-."""

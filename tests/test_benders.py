@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 
 from bendercuts import benders
 from bendercuts.benders import (CONVERGED, CUT_ADDED, FixedCore, SolveStatus,
-                                SolverConfig, TrackIncumbent,
-                                next_core_objective, solve, subproblem_check)
+                                SolverConfig, TrackIncumbent, solve,
+                                subproblem_check)
 from bendercuts.cglp import Directional, MisOnes
-from bendercuts.errors import NoIncumbent, PreconditionViolated
+from bendercuts.errors import PreconditionViolated
 from bendercuts.linalg import dot
 from bendercuts.model import (EpiPoint, Instance, PolyhedralDomain,
                               subproblem_value)
@@ -188,25 +188,35 @@ def test_one_membership_lp_per_iteration(ex1, monkeypatch, config):
         assert final == ["master", "check"]
 
 
-def test_next_core_objective_modes(ex1):
-    master = EpiPoint((F(0),), F(1))
-    fixed = SolverConfig(strategy=Directional((F(9),), F(9)),
-                         core_point_mode=FixedCore(EpiPoint((F(2),), F(3))))
-    assert next_core_objective(fixed, None, master) == ((F(2),), F(2))
+def _aim(x, eta):
+    return Directional((F(x),), F(eta))
 
-    tracking = SolverConfig(strategy=Directional((F(9),), F(9)),
-                            core_point_mode=TrackIncumbent(F(1, 2)))
-    incumbent = EpiPoint((F(4),), F(2))
-    previous = EpiPoint((F(2),), F(4))
-    assert next_core_objective(tracking, incumbent, master, previous) == ((F(3),), F(2))
-    assert next_core_objective(tracking, incumbent, master) == ((F(4),), F(1))
-    with pytest.raises(NoIncumbent):
-        next_core_objective(tracking, None, master)
 
-    plain = SolverConfig(strategy=Directional((F(2),), F(3)))
-    assert next_core_objective(plain, None, master) == ((F(2),), F(3))
-    with pytest.raises(PreconditionViolated):
-        next_core_objective(SolverConfig(strategy=MisOnes()), None, master)
+@pytest.mark.parametrize("gated,mode,expected", [
+    # no mode: the configured direction every round
+    (False, None, [_aim(0, 1)] * 3),
+    # each round aims at the fixed core (2, 3) from its master point
+    (False, FixedCore(EpiPoint((F(2),), F(3))), [_aim(2, 3), _aim(2, 0), _aim(F(2, 3), F(2, 3))]),
+    # round 1: core = incumbent (0, 5) seen at master (0, 0); round 2 at
+    # (5/2, 0) blends that core halfway toward the new incumbent (5/2, 7/4)
+    (False, TrackIncumbent(F(1, 2)), [_aim(0, 5), _aim(F(-5, 4), F(27, 8))]),
+    # no incumbent in the first two rounds: MIS, marked as a fallback
+    (True, TrackIncumbent(F(1, 2)), [MisOnes(), MisOnes()]),
+])
+def test_core_point_steering(monkeypatch, ex1, gated, mode, expected):
+    strategies = []
+    separate = benders.separate
+
+    def recording(instance, point, strategy):
+        strategies.append(strategy)
+        return separate(instance, point, strategy)
+
+    monkeypatch.setattr(benders, "separate", recording)
+    config = SolverConfig(strategy=_aim(0, 1), core_point_mode=mode)
+    result = solve(_gated_instance() if gated else ex1, config)
+    assert result.status == SolveStatus.OPTIMAL
+    assert strategies == expected
+    assert {r.fallback for r in result.trace[:-1]} == {gated}
 
 
 def test_config_validation():

@@ -70,6 +70,8 @@ _REJECTS = [
     (ParseError, lambda ex1: _mutant(ex1, master={"type": "ball"})),
     (ParseError, lambda ex1: _mutant(ex1, master={"type": "polyhedron", "G": [[-1]]})),
     (ParseError, lambda ex1: _mutant(ex1, master={"type": "finite", "points": []})),
+    # an integer literal past Python's int conversion limit (4300 digits)
+    (ParseError, lambda ex1: _mutant(ex1, eta_lower_bound="BIG").replace('"BIG"', "1" * 5000)),
 ]
 
 
@@ -195,6 +197,7 @@ _MALFORMED_TRACES = {
     "record_is_a_number": lambda doc: json.dumps(dict(doc, iterations=[3])),
     "not_json": lambda doc: "{not json",
     "nested_too_deeply": lambda doc: "[" * 200_000 + "]" * 200_000,
+    "integer_too_long": lambda doc: json.dumps(dict(doc, value="BIG")).replace('"BIG"', "1" * 5000),
     # ex1's first cut record, recorded face included, replayed on an instance
     # whose epi(z) is empty: there is no face to report
     "face_on_empty_epigraph": lambda doc: dict(
@@ -229,6 +232,34 @@ def test_replay_rejects_forged_optimum(ex1, name):
     config, result = _directional_result(ex1)
     problems = replay_trace(ex1, _FORGED_OPTIMA[name](trace_document(ex1, config, result)))
     assert problems and all(p.startswith("status optimal: ") for p in problems)
+
+
+@pytest.mark.parametrize("status", ["iteration_limit", "infeasible"])
+def test_replay_rejects_converged_record_under_other_status(ex1, status):
+    """solve writes a converged record only last, and only under optimal or ill_posed."""
+    config = SolverConfig(strategy=MisOnes())
+    doc = trace_document(ex1, config, solve(ex1, config))
+    relabelled = dict(doc, status=status, value=None, x=None, y=None)
+    assert replay_trace(ex1, relabelled) == [
+        f"status {status}: converged records at [4], expected []"]
+
+
+def test_replay_accepts_each_status_as_solve_ends_it(ex1):
+    def variant(**kw):
+        return Instance(master_domain=ex1.master_domain, **dict(EX1_KW, **kw))
+
+    # (instance, max_iterations, status, whether the last record converged)
+    for instance, limit, status, converged in [
+            (ex1, 50, "optimal", True),
+            (ex1, 1, "iteration_limit", False),
+            (_empty_epigraph(), 50, "infeasible", False),
+            (variant(c=(F(-1),)), 50, "ill_posed", False),  # master unbounded
+            (variant(eta_lower_bound=F(10)), 50, "ill_posed", True)]:  # eta on its bound
+        config = SolverConfig(strategy=MisOnes(), max_iterations=limit)
+        doc = trace_document(instance, config, solve(instance, config))
+        assert doc["status"] == status
+        assert ("converged" in [r["outcome"] for r in doc["iterations"]]) == converged
+        assert replay_trace(instance, doc) == []
 
 
 def _forge_cut_x_ge_3(doc):
@@ -416,6 +447,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     not_utf8.write_bytes(b"\xff\xfe{}")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    big = tmp_path / "big.json"
+    big.write_text(EX1_PATH.read_text(encoding="utf-8").replace(
+        '"eta_lower_bound": 0', '"eta_lower_bound": ' + "1" * 5000), encoding="utf-8")
     # a malformed instance sorted after a good one stops bench before any solve
     bench_dir = tmp_path / "bench"
     bench_dir.mkdir()
@@ -423,6 +457,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     (bench_dir / "z.json").write_text("{", encoding="utf-8")
     for argv in (["solve", str(not_utf8)],
                  ["solve", str(deep)],
+                 ["solve", str(big)],
                  ["solve", str(EX1_PATH), "--omega", "1"],
                  ["solve", str(EX1_PATH), "--strategy", "directional", "--blend", "1/2",
                   "--omega", "1", "--omega0", "1"],
