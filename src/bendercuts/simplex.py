@@ -15,6 +15,28 @@ Every consumer in the package relies on one sign convention, stated here once:
 
 Pivoting uses Bland's rule throughout, so solves are deterministic and free of
 cycling.  All numbers are ``fractions.Fraction``; nothing here rounds.
+
+Columns.  Phase one starts from ``M = [sigma A, -sigma A, sigma S, I]``, where
+sigma_i = -1 flips a row whose normalized right side is negative, ``S`` puts a
+slack on each "<=" row and ``I`` an artificial on every row.  Bland's rule, the
+basis and every readout use these *virtual* columns in this order: x_j+ at
+2j, x_j- at 2j+1, then the slacks in row order, then the artificials at
+``art0 + i``.  Half of them are copies, so the tableau stores only x_j+, the
+slacks and the artificials of "=" rows, and reads the others through two
+identities that hold at every basis B:
+
+* column.  The tableau column of virtual column v is B^-1 M_v, which is linear
+  in M_v.  M of x_j- is minus M of x_j+, and M of the artificial of "<=" row i
+  is e_i = sigma_i (sigma_i e_i), sigma_i times M of its slack.  So the same
+  holds of their tableau columns.
+* reduced cost.  d_v = c_v - c_B B^-1 M_v.  With the first identity,
+  d(x_j-) = c(x_j-) + c(x_j+) - d(x_j+) = -d(x_j+), since both phases cost
+  x_j- minus x_j+; and d(art_i) = c_art + sigma_i (d(slack_i) - 0), since no
+  phase costs a slack.  c_art, the artificials' cost, is 1 in phase one and
+  0 in phase two.
+
+A pivot is a row operation, which keeps both identities, so every pivot,
+ratio test and readout is the one the full-width tableau would make.
 """
 
 from __future__ import annotations
@@ -123,69 +145,121 @@ class LpOutcome:
     ray: Optional[Vector] = None
 
 
-def dual_objective_value(lp: LinearProgram, outcome: LpOutcome) -> Fraction:
-    """dual . normalized rhs; equals the internal minimization optimum."""
-    rhs = [r[2] for r in lp.normalized_rows]
-    return dot(outcome.dual, rhs)
-
-
 class _Tableau:
-    """Dense simplex tableau with an artificial column per row."""
+    """Dense simplex tableau that stores one column per twin pair.
+
+    Stored columns: x_j+ at j for each of the n variables, then the slacks in
+    row order, then the artificials of "=" rows, then the right side; the
+    objective row ``obj`` has the same layout.  Bland's rule, the basis, the
+    ratio tests and every readout index the virtual columns of the module
+    docstring.  ``where[v]`` names the stored column that holds virtual column
+    ``v`` and whether to negate it: x_j- is minus x_j+, and the artificial of
+    a "<=" row is sigma_i times its slack.  ``shifted[v]`` marks those
+    artificials, whose reduced cost adds the phase's artificial cost
+    ``art_cost`` to their slack's, signed.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         norm = lp.normalized_rows
-        # columns: x_j split into 2j (+) and 2j+1 (-), a slack per "<=" row,
-        # then one artificial per row
-        slack = 2 * lp.num_vars
-        self.art0 = slack + sum(rel == LE for _, rel, _ in norm)
+        n = lp.num_vars
+        n_le = sum(rel == LE for _, rel, _ in norm)
+        self.art0 = 2 * n + n_le
         self.ncols = self.art0 + len(norm)
-        self.sigma: list[Fraction] = []
+        self.where: list[tuple[int, bool]] = [(j // 2, j % 2 == 1) for j in range(2 * n)]
+        self.where += [(n + k, False) for k in range(n_le)]
+        self.shifted = [False] * self.art0
+        self.flip: list[bool] = []
         self.tab: list[list[Fraction]] = []
-        for i, (coeffs, rel, rhs) in enumerate(norm):
-            sigma = Fraction(-1) if rhs < 0 else _ONE
-            row = [_ZERO] * (self.ncols + 1)
+        slack, art = n, n + n_le
+        for coeffs, rel, rhs in norm:
+            flip = rhs < 0
+            row = [_ZERO] * (n + len(norm) + 1)
             for j, a in enumerate(coeffs):
                 if a:
-                    row[2 * j] = sigma * a
-                    row[2 * j + 1] = -sigma * a
+                    row[j] = -a if flip else a
             if rel == LE:
-                row[slack] = sigma
+                row[slack] = -_ONE if flip else _ONE
+                self.where.append((slack, flip))
                 slack += 1
-            row[self.art0 + i] = _ONE
-            row[-1] = sigma * rhs
-            self.sigma.append(sigma)
+            else:
+                row[art] = _ONE
+                self.where.append((art, False))
+                art += 1
+            self.shifted.append(rel == LE)
+            row[-1] = -rhs if flip else rhs
+            self.flip.append(flip)
             self.tab.append(row)
         self.basis = [self.art0 + i for i in range(len(norm))]
-        self.obj: list[Fraction] = [_ZERO] * (self.ncols + 1)
+        self.obj: list[Fraction] = [_ZERO] * (n + len(norm) + 1)
+        self.art_cost = _ZERO
 
     # -- internals --------------------------------------------------------
 
+    def _entry(self, row: list[Fraction], v: int) -> Fraction:
+        s, neg = self.where[v]
+        return -row[s] if neg else row[s]
+
+    def _reduced(self, v: int) -> Fraction:
+        """Reduced cost of virtual column v: its twin's, signed, plus the artificial shift."""
+        d = self._entry(self.obj, v)
+        return d + self.art_cost if self.shifted[v] else d
+
     def _pivot(self, r: int, c: int):
+        s, neg = self.where[c]
         prow = self.tab[r]
-        inv = 1 / prow[c]
+        inv = 1 / (-prow[s] if neg else prow[s])
         # the scaled pivot row's nonzeros, found once; only these columns change
         nz = [(j, v * inv) for j, v in enumerate(prow) if v]
         for j, v in nz:
             prow[j] = v
-        for row in (*self.tab, self.obj):
-            f = row[c]
+        for row in self.tab:
+            f = row[s]
             if f and row is not prow:
+                if neg:
+                    f = -f
                 for j, v in nz:
                     row[j] -= f * v
+        # the objective row moves by the entering virtual column's reduced cost,
+        # shift included, which leaves that reduced cost at 0
+        f = self._reduced(c)
+        if f:
+            obj = self.obj
+            for j, v in nz:
+                obj[j] -= f * v
         self.basis[r] = c
+
+    def _entering(self, limit: int) -> Optional[int]:
+        """The first virtual column below limit, in Bland order, with a negative reduced cost.
+
+        limit is art0 in phase two and ncols in phase one, so it only ever
+        cuts the artificials.
+        """
+        obj = self.obj
+        n = self.lp.num_vars
+        for j in range(n):
+            # x_j- costs minus x_j+, so one sign decides the pair
+            if obj[j] < 0:
+                return 2 * j
+            if obj[j] > 0:
+                return 2 * j + 1
+        # the slacks: stored column s holds virtual column n + s
+        for s in range(n, self.art0 - n):
+            if obj[s] < 0:
+                return n + s
+        return next((v for v in range(self.art0, limit) if self._reduced(v) < 0), None)
 
     def _run(self, limit: int) -> Optional[int]:
         """Bland pivoting on columns < limit: None when optimal, else the unbounded column."""
-        obj = self.obj
         while True:
-            enter = next((j for j in range(limit) if obj[j] < 0), None)
+            enter = self._entering(limit)
             if enter is None:
                 return None
+            s, neg = self.where[enter]
             leave = None
             best = None
             for i, row in enumerate(self.tab):
-                t = row[enter]
+                t = -row[s] if neg else row[s]
                 if t > 0:
                     ratio = row[-1] / t
                     if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
@@ -195,37 +269,53 @@ class _Tableau:
                 return enter
             self._pivot(leave, enter)
 
-    def _price(self, costs: list[Fraction]):
-        """Reduced costs (and minus the objective value, last) of one cost per column."""
-        obj = costs + [_ZERO]
+    def _price(self, costs: Vector, art_cost: Fraction):
+        """Reduced costs of the stored columns (and minus the objective value, last).
+
+        x_j+ costs costs[j], x_j- minus that, a slack 0 and an artificial art_cost.
+        """
+        n = self.lp.num_vars
+        n_le = self.art0 - 2 * n
+        self.art_cost = art_cost
+        obj = [*costs, *[_ZERO] * n_le, *[art_cost] * (len(self.tab) - n_le), _ZERO]
         for row, b in zip(self.tab, self.basis):
-            cb = costs[b]
+            if b >= self.art0:
+                cb = art_cost
+            elif b >= 2 * n:
+                continue
+            else:
+                cb = -costs[b // 2] if b % 2 else costs[b // 2]
             if cb:
-                for j in range(self.ncols + 1):
-                    if row[j]:
+                for j, v in enumerate(row):
+                    if v:
                         # a unit cost, as all of phase one's are, needs no product
-                        obj[j] -= row[j] if cb == 1 else cb * row[j]
+                        obj[j] -= v if cb == 1 else cb * v
         self.obj = obj
 
     def _drive_out_artificials(self):
-        for i in range(len(self.tab)):
+        n = self.lp.num_vars
+        for i, row in enumerate(self.tab):
             if self.basis[i] >= self.art0:
-                col = next((j for j in range(self.art0) if self.tab[i][j] != 0), None)
+                # x_j+ and the slacks are stored in virtual order, and x_j- is
+                # nonzero exactly where x_j+ is
+                s = next((j for j in range(self.art0 - n) if row[j] != 0), None)
                 # a redundant row (no such column) stays, its artificial basic at 0:
                 # it is zero on every column phase two may enter, so no pivot or
                 # ratio test touches it, and its dual reads 0
-                if col is not None:
-                    self._pivot(i, col)
+                if s is not None:
+                    self._pivot(i, 2 * s if s < n else n + s)
 
     # -- readouts ---------------------------------------------------------
 
-    def _row_duals(self, art_cost: Fraction) -> Vector:
+    def _row_duals(self) -> Vector:
         """Multipliers per normalized row, mapped back through sigma flips.
 
-        y_i is read from the artificial column of row i, whose reduced cost is
-        art_cost - y_i (artificials cost 1 in phase one, 0 in phase two).
+        y_i = sigma_i (art_cost - d_i) for the reduced cost d_i of row i's
+        artificial (artificials cost 1 in phase one, 0 in phase two).
         """
-        return tuple(s * (art_cost - self.obj[self.art0 + i]) for i, s in enumerate(self.sigma))
+        a = self.art_cost
+        return tuple(self._reduced(v) - a if flip else a - self._reduced(v)
+                     for v, flip in enumerate(self.flip, self.art0))
 
     def _fold(self, vals: list[Fraction]) -> Vector:
         """Column values back to variables: x_j = x_j+ - x_j-."""
@@ -241,30 +331,25 @@ class _Tableau:
         d = [_ZERO] * self.ncols
         d[enter] = _ONE
         for i, b in enumerate(self.basis):
-            d[b] = -self.tab[i][enter]
+            d[b] = -self._entry(self.tab[i], enter)
         return self._fold(d)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly. Outcomes carry primal/dual, Farkas vector or ray."""
     t = _Tableau(lp)
-    t._price([_ZERO] * t.art0 + [_ONE] * (t.ncols - t.art0))
+    t._price((_ZERO,) * lp.num_vars, _ONE)
     t._run(t.ncols)
     infeas = -t.obj[-1]
     if infeas > 0:
-        farkas = tuple(-v for v in t._row_duals(_ONE))
+        farkas = tuple(-v for v in t._row_duals())
         return LpOutcome(status=LpStatus.INFEASIBLE, farkas=farkas)
     t._drive_out_artificials()
-    costs = [_ZERO] * t.ncols
-    for j, cj in enumerate(lp.objective):
-        cj = -cj if lp.sense == "max" else cj
-        costs[2 * j] = cj
-        costs[2 * j + 1] = -cj
-    t._price(costs)
+    t._price(tuple(-c for c in lp.objective) if lp.sense == "max" else lp.objective, _ZERO)
     enter = t._run(t.art0)
     if enter is not None:
         return LpOutcome(status=LpStatus.UNBOUNDED, ray=t._ray(enter))
     x = t._primal()
     value = dot(lp.objective, x)
-    dual = t._row_duals(_ZERO)
+    dual = t._row_duals()
     return LpOutcome(status=LpStatus.OPTIMAL, primal=x, objective_value=value, dual=dual)

@@ -1,10 +1,10 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 from bendercuts.linalg import dot
-from bendercuts.simplex import (EQ, GE, LE, LinearProgram, LpStatus,
-                                dual_objective_value, solve)
+from bendercuts.simplex import EQ, GE, LE, LinearProgram, LpOutcome, LpStatus, solve
 
 ints = st.integers(-5, 5)
 
@@ -36,26 +36,81 @@ def test_free_variables():
     assert out.primal == (F(-7),)
 
 
-def test_infeasible_gives_farkas():
-    rows = (((F(1),), LE, F(-1)), ((F(-1),), LE, F(0)))
-    lp = LinearProgram("min", (F(0),), rows)
+# Every "<=" row of this LP has a negative right side after normalization
+# except the second, so two of the three artificials are sigma-flipped; the
+# third row's artificial leaves the basis and enters it again in phase one.
+LE_ARTIFICIAL_REENTERS = LinearProgram(
+    "min", (F(2), F(1)),
+    (((F(-2), F(-1)), LE, F(-1)), ((F(-1), F(-2)), LE, F(2)), ((F(2), F(2)), LE, F(-3))))
+
+# min x1 over x1 - x2 <= 2, x2 <= 5, x2 >= 0: x1 runs off to -inf along x1-.
+RAY_ALONG_X_MINUS = LinearProgram("min", (F(1), F(0)),
+                                  (((F(1), F(-1)), LE, F(2)), ((F(0), F(1)), LE, F(5))),
+                                  lower=(None, F(0)))
+
+
+@pytest.mark.parametrize("lp", [
+    pytest.param(LinearProgram("min", (F(0),), (((F(1),), LE, F(-1)), ((F(-1),), LE, F(0)))),
+                 id="one_var"),
+    pytest.param(LE_ARTIFICIAL_REENTERS, id="le_artificial_reenters"),
+])
+def test_infeasible_gives_farkas(lp):
     out = solve(lp)
     assert out.status == LpStatus.INFEASIBLE
     f = out.farkas
     assert f is not None and all(v >= 0 for v in f)
     # multipliers kill the coefficients and expose a negative right-hand side
     norm = lp.normalized_rows
-    combo = [sum(f[i] * norm[i][0][j] for i in range(len(norm))) for j in range(1)]
-    assert combo == [F(0)]
+    combo = [sum(f[i] * norm[i][0][j] for i in range(len(norm))) for j in range(lp.num_vars)]
+    assert combo == [F(0)] * lp.num_vars
     assert sum(f[i] * norm[i][2] for i in range(len(norm))) < 0
 
 
-def test_unbounded_gives_ray():
-    lp = LinearProgram("max", (F(1),), (((F(-1),), LE, F(0)),))
+@pytest.mark.parametrize("lp", [
+    pytest.param(LinearProgram("max", (F(1),), (((F(-1),), LE, F(0)),)), id="one_var"),
+    pytest.param(RAY_ALONG_X_MINUS, id="ray_along_x_minus"),
+])
+def test_unbounded_gives_ray(lp):
     out = solve(lp)
     assert out.status == LpStatus.UNBOUNDED
     assert out.ray is not None
-    assert dot(lp.objective, out.ray) > 0
+    gain = dot(lp.objective, out.ray)
+    assert (gain > 0) if lp.sense == "max" else (gain < 0)
+    assert all(dot(coeffs, out.ray) <= 0 for coeffs, _, _ in lp.normalized_rows)
+
+
+# The tableau stores one column per twin pair: x_j- is read as minus x_j+, and
+# the artificial of a "<=" row as sigma times its slack.  Each LP below makes
+# Bland's rule enter, leave or read one of those derived columns; the outcomes
+# are pinned exactly as the full-width tableau gave them.
+@pytest.mark.parametrize("lp, expected", [
+    pytest.param(  # x1 and x2 both end with their minus column basic
+        LinearProgram("min", (F(1), F(2)), (((F(1), F(1)), GE, F(-4)),), lower=(None, F(-1))),
+        LpOutcome(LpStatus.OPTIMAL, primal=(F(-3), F(-1)), objective_value=F(-5),
+                  dual=(F(-1), F(-1))),
+        id="x_minus_basic"),
+    pytest.param(RAY_ALONG_X_MINUS, LpOutcome(LpStatus.UNBOUNDED, ray=(F(-1), F(0))),
+                 id="ray_along_x_minus"),
+    pytest.param(  # x1 + x2 >= 2 normalizes to a negative right side (sigma = -1); its
+        # artificial is still basic, at 0, when phase one ends and is driven out
+        LinearProgram("min", (F(1), F(3)), (((F(1), F(1)), LE, F(2)), ((F(1), F(1)), GE, F(2))),
+                      lower=(F(0), F(0))),
+        LpOutcome(LpStatus.OPTIMAL, primal=(F(2), F(0)), objective_value=F(2),
+                  dual=(F(0), F(-1), F(0), F(-2))),
+        id="ge_row_sigma_minus_driven_out"),
+    pytest.param(  # the "<=" row is twice the equality row
+        LinearProgram("max", (F(1), F(2)),
+                      (((F(1), F(1)), EQ, F(3)), ((F(2), F(2)), LE, F(6)), ((F(1), F(0)), GE, F(1))),
+                      lower=(F(0), F(0))),
+        LpOutcome(LpStatus.OPTIMAL, primal=(F(1), F(2)), objective_value=F(5),
+                  dual=(F(-2), F(0), F(-1), F(0), F(0))),
+        id="redundant_le_row"),
+    pytest.param(LE_ARTIFICIAL_REENTERS,
+                 LpOutcome(LpStatus.INFEASIBLE, farkas=(F(2, 3), F(2, 3), F(1))),
+                 id="farkas_reads_le_artificials"),
+])
+def test_twin_column_outcomes(lp, expected):
+    assert solve(lp) == expected
 
 
 def test_zero_rows_lp():
@@ -85,7 +140,7 @@ def test_duality_and_feasibility(rows, obj):
             assert dot(coeffs, out.primal) <= rhs
         assert all(v >= 0 for v in out.primal)
         assert dot(lp.objective, out.primal) == out.objective_value
-        assert dual_objective_value(lp, out) == out.objective_value
+        assert dot(out.dual, [r[2] for r in lp.normalized_rows]) == out.objective_value
     elif out.status == LpStatus.UNBOUNDED:
         ray = out.ray
         norm = lp.normalized_rows
