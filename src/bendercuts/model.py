@@ -225,6 +225,11 @@ def support_function(instance: Instance, pi: Sequence, pi0) -> Union[Fraction, f
     eta runs to +inf; INFEASIBLE raises EmptyEpigraph: there is nothing to
     support.
     """
+    return _support(instance, pi, pi0)[0]
+
+
+def _support(instance: Instance, pi: Sequence, pi0) -> tuple[Union[Fraction, float], Optional[Vector]]:
+    """`support_function`'s value and, when it is finite, the optimal (x, eta)."""
     pi = as_vector(pi)
     pi0 = as_fraction(pi0)
     if len(pi) != instance.n:
@@ -232,7 +237,9 @@ def support_function(instance: Instance, pi: Sequence, pi0) -> Union[Fraction, f
     out = solve(_epi_lift_lp(instance, direction=(pi + (pi0,), "max")))
     if out.status == LpStatus.INFEASIBLE:
         raise EmptyEpigraph("the epigraph is empty")
-    return out.objective_value if out.status == LpStatus.OPTIMAL else math.inf
+    if out.status == LpStatus.UNBOUNDED:
+        return math.inf, None
+    return out.objective_value, _project(instance, out.primal)
 
 
 def _implicit_mask(rows) -> Optional[tuple[bool, ...]]:
@@ -253,8 +260,12 @@ def _implicit_mask(rows) -> Optional[tuple[bool, ...]]:
     return tuple(mask)
 
 
-def _affine_dimension(instance: Instance, tight=None, bound: Optional[int] = None) -> int:
+def _affine_dimension(instance: Instance, tight=None, bound: Optional[int] = None,
+                      start: Optional[Vector] = None) -> int:
     """Affine dimension of epi(z), optionally sliced by a pinned hyperplane.
+
+    The growth starts at `start`, a point (x, eta) of the set, when the caller
+    has one, and otherwise at the optimum of a feasibility LP.
 
     Grows an affinely independent point set: directions orthogonal to the
     points found so far are optimized in both senses until no direction moves.
@@ -267,11 +278,13 @@ def _affine_dimension(instance: Instance, tight=None, bound: Optional[int] = Non
     independent.  When no direction moves, the set lies in p_0 plus the span of
     the differences, so they span it.
     """
-    base_out = solve(_epi_lift_lp(instance, tight=tight))
-    if base_out.status != LpStatus.OPTIMAL:
-        return -1
+    if start is None:
+        base_out = solve(_epi_lift_lp(instance, tight=tight))
+        if base_out.status != LpStatus.OPTIMAL:
+            return -1
+        start = _project(instance, base_out.primal)
     dim = instance.n + 1
-    points = [_project(instance, base_out.primal)]
+    points = [start]
     while bound is None or len(points) <= bound:
         diffs = [tuple(p[j] - points[0][j] for j in range(dim)) for p in points[1:]]
         grew = False
@@ -303,8 +316,12 @@ def epi_dimension(instance: Instance) -> int:
     return d
 
 
-def epi_face_dimension(instance: Instance, pi: Sequence, pi0, alpha) -> int:
+def epi_face_dimension(instance: Instance, pi: Sequence, pi0, alpha,
+                       start: Optional[Vector] = None) -> int:
     """Dimension of epi(z) cut with {pi.x + pi0*eta = alpha}; -1 when empty.
+
+    `start`, when given, is a point (x, eta) of the slice, and the growth
+    starts there instead of solving a feasibility LP for one.
 
     The point growth stops at the largest dimension the slice can have.  The
     slice lies in epi(z), so its dimension is at most dim epi(z).  When
@@ -320,7 +337,7 @@ def epi_face_dimension(instance: Instance, pi: Sequence, pi0, alpha) -> int:
     if epi_dim < 0:
         return -1
     bound = min(instance.n, epi_dim) if any(pi) or pi0 else epi_dim
-    return _affine_dimension(instance, tight=(pi, pi0, alpha), bound=bound)
+    return _affine_dimension(instance, tight=(pi, pi0, alpha), bound=bound, start=start)
 
 
 def undecomposed_value(instance: Instance) -> Union[Fraction, float]:

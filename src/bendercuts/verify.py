@@ -29,8 +29,8 @@ from typing import Optional
 from .errors import DimensionError, DominanceUndefined, InfeasibleCandidate, TooLarge
 from .linalg import Vector, as_vector, dot, matrix_rank, solve_square
 from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _implicit_mask,
-                    _rows_feasible, epi_dimension, epi_face_dimension, epigraph_rows,
-                    feasibility_rows, subproblem_value, support_function)
+                    _rows_feasible, _support, epi_dimension, epi_face_dimension,
+                    epigraph_rows, feasibility_rows, subproblem_value)
 from .separation import Certificate, Cut
 from .simplex import EQ, LE, LinearProgram, LpStatus, solve
 
@@ -74,10 +74,11 @@ def face_report(instance: Instance, cut: Cut) -> FaceReport:
     face dimension -1: either it misses epi(z) or it slices into it.
     """
     epi_dim = epi_dimension(instance)
-    h = support_function(instance, cut.coef_x, cut.coef_eta)
+    h, top = _support(instance, cut.coef_x, cut.coef_eta)
     if h != cut.rhs:
         return FaceReport(-1, epi_dim, FaceClass.NON_SUPPORTING)
-    face_dim = epi_face_dimension(instance, cut.coef_x, cut.coef_eta, cut.rhs)
+    # the support LP's optimum lies on the face, so the growth starts there
+    face_dim = epi_face_dimension(instance, cut.coef_x, cut.coef_eta, cut.rhs, start=top)
     if face_dim == epi_dim:
         cls = FaceClass.CONTAINS_EPI
     elif face_dim == epi_dim - 1:

@@ -229,8 +229,9 @@ def _oracle_cases():
 
 
 def test_cached_oracles_match_fresh_copies():
-    """Reports on an instance queried before equal those on a fresh copy, and
-    the bounded face search finds the dimension the unbounded growth finds.
+    """Reports on an instance queried before equal those on a fresh copy, the
+    bounded face search finds the dimension the unbounded growth finds, and so
+    does a growth that starts at the support LP's optimum.
     Pinning a draw to a hyperplane through relint drops a full epi(z) by one
     dimension, and the cut along that hyperplane contains the pinned epi(z)."""
     cases, pinned = _oracle_cases()
@@ -246,6 +247,9 @@ def test_cached_oracles_match_fresh_copies():
             assert pareto_verdict(inst, cut) == pareto_verdict(fresh, cut)
             tight = (cut.coef_x, cut.coef_eta, cut.rhs)
             assert epi_face_dimension(inst, *tight) == _affine_dimension(inst, tight=tight)
+            h, top = model._support(inst, cut.coef_x, cut.coef_eta)
+            if h == cut.rhs:  # face_report's growth starts at the support LP's optimum
+                assert epi_face_dimension(inst, *tight, start=top) == epi_face_dimension(inst, *tight)
     full = 0
     for inst, flat, wall in pinned:
         if epi_dimension(inst) == inst.n + 1:
@@ -263,10 +267,10 @@ def test_second_report_skips_instance_lps(ex1, monkeypatch):
         solved.append(lp)
         return real_solve(lp)
 
-    def spy(instance, tight=None, bound=None):
+    def spy(instance, tight=None, bound=None, start=None):
         if tight is None:
             epi_dimensions.append(instance)
-        return real_affine_dimension(instance, tight=tight, bound=bound)
+        return real_affine_dimension(instance, tight=tight, bound=bound, start=start)
 
     real_solve, real_affine_dimension = model.solve, model._affine_dimension
     monkeypatch.setattr(model, "solve", counting)
