@@ -128,31 +128,33 @@ def _blend_points(a: EpiPoint, b: EpiPoint, blend: Fraction) -> EpiPoint:
     )
 
 
-def _master_lp(instance: Instance, dom: PolyhedralDomain, cuts) -> LinearProgram:
+def _master_lp(instance: Instance, dom: PolyhedralDomain, cuts, floor: Optional[Fraction]
+               ) -> LinearProgram:
     n = instance.n
     rows = [(tuple(grow) + (_ZERO,), LE, gi) for grow, gi in zip(dom.G, dom.g)]
     for cut in cuts:
         rows.append((cut.coef_x + (cut.coef_eta,), LE, cut.rhs))
-    return LinearProgram(
-        "min",
-        instance.c + (_ONE,),
-        tuple(rows),
-        lower=(None,) * n + (instance.eta_lower_bound,),
-    )
+    return LinearProgram("min", instance.c + (_ONE,), tuple(rows), lower=(None,) * n + (floor,))
 
 
-def _solve_master(instance: Instance, cuts) -> Union[str, tuple[EpiPoint, Fraction]]:
-    """Master optimum as (point, value), or 'infeasible' / 'unbounded'."""
+def _solve_master(instance: Instance, cuts, floored: bool = True
+                  ) -> Union[str, tuple[EpiPoint, Fraction]]:
+    """Master optimum as (point, value), or 'infeasible' / 'unbounded'.
+
+    eta is bounded below by the instance's eta_lower_bound, or not at all
+    when floored is False.
+    """
+    floor = instance.eta_lower_bound if floored else None
     dom = instance.master_domain
     if isinstance(dom, PolyhedralDomain):
-        out = solve_lp(_master_lp(instance, dom, cuts))
+        out = solve_lp(_master_lp(instance, dom, cuts, floor))
         if out.status != LpStatus.OPTIMAL:
             return "infeasible" if out.status == LpStatus.INFEASIBLE else "unbounded"
         point = EpiPoint(x=out.primal[:instance.n], eta=out.primal[instance.n])
         return point, out.objective_value
     best = None
     for p in dom.points:
-        eta = instance.eta_lower_bound
+        eta = floor
         ok = True
         for cut in cuts:
             level = dot(cut.coef_x, p)
@@ -162,10 +164,12 @@ def _solve_master(instance: Instance, cuts) -> Union[str, tuple[EpiPoint, Fracti
                     break
             else:
                 bound = (level - cut.rhs) / (-cut.coef_eta)
-                if bound > eta:
+                if eta is None or bound > eta:
                     eta = bound
         if not ok:
             continue
+        if eta is None:  # no cut bounds eta at this point
+            return "unbounded"
         value = dot(instance.c, p) + eta
         if best is None or value < best[1]:
             best = (EpiPoint(x=p, eta=eta), value)
@@ -177,8 +181,21 @@ def _record(trace, **kw):
 
 
 def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
-               master_value: Fraction) -> SolveResult:
-    """The one exit for a master point inside epi(z); its LP gives y."""
+               master_value: Fraction, cuts) -> SolveResult:
+    """The one exit for a master point inside epi(z); its LP gives y.
+
+    A point with eta on its lower bound is proven optimal only by one more
+    master LP, over the same cuts without the eta floor.  Lemma: let V be the
+    master value at (x*, eta*), eta* = eta_lower_bound, and V' the floor-free
+    master optimum.  Every cut is valid for epi(z), so each (x, z(x)) with x
+    in the master set and z(x) finite is feasible for the floor-free master,
+    and V' <= min c.x + z(x).  The point lies in epi(z), so z(x*) <= eta* and
+    min c.x + z(x) <= c.x* + z(x*) <= c.x* + eta* = V.  Hence V' == V forces
+    equality throughout: z(x*) = eta*, and (x*, y) is optimal at V.  When
+    V' < V, or the floor-free master is unbounded, the floor may be binding and
+    the run stays ill_posed (which can also happen at a true optimum V: the
+    rule is sound, not complete).
+    """
     _record(trace, index=index, master_point=point, master_value=master_value,
             outcome=CONVERGED)
     y = subproblem_check(instance, point)
@@ -187,10 +204,13 @@ def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
                            reason="subproblem unbounded below at the converged point",
                            trace=tuple(trace))
     if point.eta == instance.eta_lower_bound:
-        return SolveResult(status=SolveStatus.ILL_POSED,
-                           reason="eta converged onto its lower bound; the bound may"
-                                  " be hiding the true optimum",
-                           trace=tuple(trace))
+        free = _solve_master(instance, cuts, floored=False)
+        # a relaxation of a feasible master is feasible, so free is not 'infeasible'
+        if free == "unbounded" or free[1] != master_value:
+            return SolveResult(status=SolveStatus.ILL_POSED,
+                               reason="eta converged onto its lower bound; the bound may"
+                                      " be hiding the true optimum",
+                               trace=tuple(trace))
     value = dot(instance.c, point.x) + dot(instance.d, y)
     return SolveResult(status=SolveStatus.OPTIMAL, x=point.x, y=y, value=value,
                        trace=tuple(trace))
@@ -222,7 +242,7 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
         if isinstance(mode, TrackIncumbent):
             z = subproblem_value(instance, point.x)
             if z <= point.eta:
-                return _converged(instance, trace, index, point, master_value)
+                return _converged(instance, trace, index, point, master_value, cuts)
             if isinstance(z, Fraction):
                 value = dot(instance.c, point.x) + z
                 if best is None or value < best[1]:
@@ -251,7 +271,7 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
                                trace=tuple(trace))
 
         if result.kind == IN_EPIGRAPH:
-            return _converged(instance, trace, index, point, master_value)
+            return _converged(instance, trace, index, point, master_value, cuts)
         face = face_report(instance, result.cut) if config.verify_each_cut else None
         cuts.append(result.cut)
         _record(trace, index=index, master_point=point, master_value=master_value,

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -10,9 +11,10 @@ from bendercuts.benders import (CONVERGED, CUT_ADDED, FixedCore, SolveStatus,
                                 subproblem_check)
 from bendercuts.cglp import Directional, MisOnes
 from bendercuts.errors import PreconditionViolated
+from bendercuts.instance_io import replay_trace, trace_document
 from bendercuts.linalg import dot
 from bendercuts.model import (EpiPoint, Instance, PolyhedralDomain,
-                              subproblem_value)
+                              subproblem_value, undecomposed_value)
 from bendercuts.randgen import random_instance
 from bendercuts.verify import FaceClass
 
@@ -94,6 +96,34 @@ def test_eta_floor_is_reported():
     assert result.status == SolveStatus.ILL_POSED
     assert "lower bound" in result.reason
     assert result.trace[-1].outcome == CONVERGED
+
+
+def test_optimum_on_the_eta_floor_is_proven():
+    """A box draw converges with eta on its floor, and the master without the
+    floor has the same value, so the run is optimal at the true optimum."""
+    inst = random_instance(random.Random(15))
+    inst = replace(inst, c=tuple(abs(v) for v in inst.c), d=tuple(abs(v) for v in inst.d))
+    config = SolverConfig(strategy=MisOnes())
+    result = solve(inst, config)
+    assert result.trace[-1].outcome == CONVERGED
+    assert result.trace[-1].master_point.eta == inst.eta_lower_bound
+    assert result.status == SolveStatus.OPTIMAL
+    assert result.value == F(8, 3) == undecomposed_value(inst)
+    assert replay_trace(inst, trace_document(inst, config, result)) == []
+
+
+def test_floor_free_finite_master(ex1_finite):
+    """Without the floor, a point that no cut bounds in eta makes the finite
+    master unbounded; once every point is bounded it has an optimum."""
+    assert benders._solve_master(ex1_finite, [], floored=False) == "unbounded"
+    assert benders._solve_master(ex1_finite, [P2_CUT], floored=False) == (
+        EpiPoint(x=(F(0),), eta=F(3)), F(3))
+    # with eta_lower_bound 3 the run converges at (1, 3), on the floor, at the
+    # true optimum 4; the floor-free master leaves eta unbounded at x = 3, so
+    # the run cannot be proven optimal
+    result = solve(replace(ex1_finite, eta_lower_bound=F(3)))
+    assert result.status == SolveStatus.ILL_POSED and "lower bound" in result.reason
+    assert result.trace[-1].master_point == EpiPoint(x=(F(1),), eta=F(3))
 
 
 def test_subproblem_unbounded_below():
