@@ -34,7 +34,8 @@ class PreconditionViolated(ToolkitError):
 
 
 class TooLarge(ToolkitError):
-    """Brute-force enumeration refused: too many variables."""
+    """Refused for size: brute-force enumeration past its cap, or a number
+    past the digit limit of instance and trace documents."""
 
 
 class InfeasibleCandidate(ToolkitError):

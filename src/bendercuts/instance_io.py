@@ -19,7 +19,7 @@ from .benders import (CONVERGED, CoreMode, FixedCore, IterationRecord, SolveResu
                       SolverConfig, _solve_master)
 from .cglp import Directional, MisOnes, ObjectiveSpec, certificate_rows
 from .errors import (DimensionError, EmptyEpigraph, ParseError, PreconditionViolated,
-                     ZeroCertificate)
+                     TooLarge, ZeroCertificate)
 from .linalg import Vector, dot
 from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, feasibility_rows
 from .separation import Certificate, Cut, canonical_cut, certificate_to_cut
@@ -29,20 +29,38 @@ _TRACE_FORMAT = "bendercuts-trace/1"
 
 _INSTANCE_KEYS = ("n", "k", "m", "c", "d", "H", "A", "b", "master", "eta_lower_bound")
 
+MAX_DIGITS = 4300
+"""Most decimal digits a numerator or denominator may have in a document.
+
+Reading refuses a longer number with ParseError (a message, in replay_trace)
+and writing with TooLarge.  It is CPython's default limit on int/str
+conversion, so under default settings every document within it reads and
+writes.
+"""
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+
+
+def _too_long(value: Fraction) -> bool:
+    return not -_DIGIT_BOUND < value.numerator < _DIGIT_BOUND or value.denominator >= _DIGIT_BOUND
+
 
 def _num(value: Any, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+        number = Fraction(value)
+    elif isinstance(value, str):
         if any(ch in value for ch in ".eE"):
             raise ParseError(f"{where}: non-integer literals are not accepted: {value!r}")
         try:
-            return Fraction(value)
+            number = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad rational {value!r}: {exc}") from None
-    raise ParseError(f"{where}: expected an integer or 'p/q' string, got {type(value).__name__}")
+    else:
+        raise ParseError(f"{where}: expected an integer or 'p/q' string, got {type(value).__name__}")
+    if _too_long(number):
+        raise ParseError(f"{where}: a numerator or denominator has more than {MAX_DIGITS} digits")
+    return number
 
 
 def _vec(value: Any, where: str, length: Optional[int] = None) -> Vector:
@@ -134,6 +152,8 @@ def load_instance(path) -> Instance:
 
 
 def _enc(value: Fraction) -> Union[int, str]:
+    if _too_long(value):
+        raise TooLarge(f"a number has more than {MAX_DIGITS} digits; documents hold at most that")
     return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 

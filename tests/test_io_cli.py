@@ -1,18 +1,19 @@
 import json
 import re
 import shlex
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from bendercuts.benders import SolverConfig, solve
+from bendercuts.benders import SolveResult, SolveStatus, SolverConfig, solve
 from bendercuts.cglp import Directional, MisOnes
 from bendercuts.cli import format_cut, run
-from bendercuts.errors import DimensionError, ParseError
-from bendercuts.instance_io import (instance_digest, instance_document, load_instance,
-                                    parse_instance, replay_trace, serialize_instance,
-                                    trace_document, trace_to_json)
+from bendercuts.errors import DimensionError, ParseError, TooLarge
+from bendercuts.instance_io import (MAX_DIGITS, instance_digest, instance_document,
+                                    load_instance, parse_instance, replay_trace,
+                                    serialize_instance, trace_document, trace_to_json)
 from bendercuts.model import FiniteDomain, Instance, PolyhedralDomain
 from bendercuts.separation import Cut
 
@@ -72,6 +73,10 @@ _REJECTS = [
     (ParseError, lambda ex1: _mutant(ex1, master={"type": "finite", "points": []})),
     # an integer literal past Python's int conversion limit (4300 digits)
     (ParseError, lambda ex1: _mutant(ex1, eta_lower_bound="BIG").replace('"BIG"', "1" * 5000)),
+    # one digit past MAX_DIGITS, as an integer literal and as a denominator
+    (ParseError, lambda ex1: _mutant(ex1, eta_lower_bound="BIG").replace(
+        '"BIG"', "-" + "9" * (MAX_DIGITS + 1))),
+    (ParseError, lambda ex1: _mutant(ex1, eta_lower_bound="1/" + "3" * (MAX_DIGITS + 1))),
 ]
 
 
@@ -79,6 +84,20 @@ _REJECTS = [
 def test_parse_rejections(ex1, exc, make):
     with pytest.raises(exc):
         parse_instance(make(ex1))
+
+
+def test_writers_refuse_numbers_past_max_digits(ex1):
+    """What the readers refuse, the writers refuse too, with a ToolkitError."""
+    config, result = SolverConfig(), SolveResult(SolveStatus.ITERATION_LIMIT)
+    for big in (F(-10 ** 4400), F(1, 10 ** MAX_DIGITS), F(10 ** MAX_DIGITS)):
+        inst = replace(ex1, eta_lower_bound=big)
+        for write in (serialize_instance, instance_digest,
+                      lambda i: trace_document(i, config, result),
+                      lambda i: trace_to_json(i, config, result)):
+            with pytest.raises(TooLarge):
+                write(inst)
+    widest = replace(ex1, eta_lower_bound=F(-(10 ** MAX_DIGITS - 1), 10 ** MAX_DIGITS - 2))
+    assert parse_instance(serialize_instance(widest)) == widest
 
 
 def test_readme_instance_example_parses():
