@@ -79,7 +79,9 @@ CONVERGED = "converged"
 CUT_ADDED = "cut_added"
 
 
-@dataclass(frozen=True)
+# Results and their records have slots: callers keep whole traces, and a
+# record without a __dict__ is about half the size.
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     index: int
     master_point: EpiPoint
@@ -99,7 +101,7 @@ class SolveStatus(str, Enum):
     ILL_POSED = "ill_posed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     status: SolveStatus
     x: Optional[Vector] = None

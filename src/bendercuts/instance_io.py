@@ -40,6 +40,11 @@ writes.
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 
 
+_SMALL = {v: Fraction(v) for v in range(-256, 257)}
+"""One shared Fraction per small integer: instance data are mostly small
+integers, and a parsed instance keeps every entry."""
+
+
 def _too_long(value: Fraction) -> bool:
     return not -_DIGIT_BOUND < value.numerator < _DIGIT_BOUND or value.denominator >= _DIGIT_BOUND
 
@@ -48,7 +53,7 @@ def _num(value: Any, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
     if isinstance(value, int):
-        number = Fraction(value)
+        number = _SMALL[value] if -256 <= value <= 256 else Fraction(value)
     elif isinstance(value, str):
         if any(ch in value for ch in ".eE"):
             raise ParseError(f"{where}: non-integer literals are not accepted: {value!r}")

@@ -78,7 +78,7 @@ class FiniteDomain:
 MasterDomain = Union[PolyhedralDomain, FiniteDomain]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpiPoint:
     """A candidate point (x, eta) in master-epigraph space."""
 

@@ -32,7 +32,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """Nonnegative multipliers on the linking rows and the epigraph row."""
 
@@ -59,7 +59,7 @@ class Certificate:
         return tuple(idx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
     """Halfspace coef_x . x + coef_eta . eta <= rhs in master-epigraph space."""
 
@@ -159,7 +159,8 @@ def canonical_cut(cut: Cut) -> Cut:
 
 def _certificate_from_duals(dual: Vector, m: int, t_star: Fraction) -> Certificate:
     return Certificate(
-        row_multipliers=tuple(-dual[i] / t_star for i in range(m)),
+        # zero multipliers share one Fraction: solve traces keep every certificate
+        row_multipliers=tuple(-d / t_star if d else _ZERO for d in dual[:m]),
         eta_multiplier=-dual[m] / t_star,
     )
 

@@ -318,8 +318,13 @@ class _Tableau:
                      for v, flip in enumerate(self.flip, self.art0))
 
     def _fold(self, vals: list[Fraction]) -> Vector:
-        """Column values back to variables: x_j = x_j+ - x_j-."""
-        return tuple(vals[2 * j] - vals[2 * j + 1] for j in range(self.lp.num_vars))
+        """Column values back to variables: x_j = x_j+ - x_j-.
+
+        At most one twin is nonzero, and that value is returned as is, so a
+        kept solution holds no fresh Fraction per coordinate.
+        """
+        n2 = 2 * self.lp.num_vars
+        return tuple(p - m if m else p for p, m in zip(vals[:n2:2], vals[1:n2:2]))
 
     def _primal(self) -> Vector:
         vals = [_ZERO] * self.ncols

@@ -48,7 +48,7 @@ class FaceClass(str, Enum):
     CONTAINS_EPI = "contains_epi"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaceReport:
     face_dimension: int
     epi_dimension: int
