@@ -21,22 +21,36 @@ sigma_i = -1 flips a row whose normalized right side is negative, ``S`` puts a
 slack on each "<=" row and ``I`` an artificial on every row.  Bland's rule, the
 basis and every readout use these *virtual* columns in this order: x_j+ at
 2j, x_j- at 2j+1, then the slacks in row order, then the artificials at
-``art0 + i``.  Half of them are copies, so the tableau stores only x_j+, the
-slacks and the artificials of "=" rows, and reads the others through two
-identities that hold at every basis B:
+``art0 + i``.  The tableau column of virtual column v is B^-1 M_v, which is
+linear in M_v, and M of x_j- is minus M of x_j+; so the tableau stores only
+x_j+, and reads x_j- as minus x_j+ with reduced cost -d(x_j+) (both phases cost
+x_j- minus x_j+).  A pivot is a row operation, which keeps that identity.
 
-* column.  The tableau column of virtual column v is B^-1 M_v, which is linear
-  in M_v.  M of x_j- is minus M of x_j+, and M of the artificial of "<=" row i
-  is e_i = sigma_i (sigma_i e_i), sigma_i times M of its slack.  So the same
-  holds of their tableau columns.
-* reduced cost.  d_v = c_v - c_B B^-1 M_v.  With the first identity,
-  d(x_j-) = c(x_j-) + c(x_j+) - d(x_j+) = -d(x_j+), since both phases cost
-  x_j- minus x_j+; and d(art_i) = c_art + sigma_i (d(slack_i) - 0), since no
-  phase costs a slack.  c_art, the artificials' cost, is 1 in phase one and
-  0 in phase two.
+Artificials.  Both phases enter only x_j+, x_j- and the slacks: an artificial
+that leaves the basis never comes back, as in the textbook two-phase method.
+So the tableau stores the artificials of "=" rows only, and no readout needs
+the artificial of a "<=" row.  Let pi = c_B B^-1, the multipliers of the
+flipped rows under the phase's costs (the objective on x, 0 on the slacks,
+``art_cost`` on the artificials: 1 in phase one, 0 in phase two).  The slack
+of "<=" row i has reduced cost -sigma_i pi_i and the artificial of "=" row i
+has art_cost - pi_i, so sigma o pi is read off the rows' own columns.  Three
+facts rest on the reduced costs of the columns that may enter, and on no
+artificial's:
 
-A pivot is a row operation, which keeps both identities, so every pivot,
-ratio test and readout is the one the full-width tableau would make.
+* phase one ends at 0 exactly when the LP is feasible.  At its end no column
+  that may enter has a negative reduced cost.  d(x_j+) >= 0 and
+  d(x_j-) = -d(x_j+) >= 0 give d(x_j+) = 0, so f = -sigma o pi has f'A = 0
+  (phase one costs x nothing), f_i = d(slack_i) >= 0 on "<=" rows, and
+  f . b = -pi . (sigma o b) = -w, minus the phase-one value.  So w > 0 makes
+  f a Farkas vector, and w = 0 leaves every artificial at 0: a feasible point;
+* Bland's rule still terminates.  A left artificial is nonbasic and never
+  enters again, so from then on it is a deleted column.  Between two leaves
+  of artificials the pivots are Bland pivots on one fixed LP, which do not
+  cycle, and each row's artificial leaves at most once;
+* the dual is sigma o pi and the Farkas vector -sigma o pi.  At the phase-two
+  optimum d(x_j+) = 0 as above, so y = sigma o pi has y'A = c,
+  y_i = -d(slack_i) <= 0 on "<=" rows, and y . b = c_B B^-1 (sigma o b), the
+  optimal value; the Farkas vector is the first fact's f.
 """
 
 from __future__ import annotations
@@ -153,10 +167,8 @@ class _Tableau:
     objective row ``obj`` has the same layout.  Bland's rule, the basis, the
     ratio tests and every readout index the virtual columns of the module
     docstring.  ``where[v]`` names the stored column that holds virtual column
-    ``v`` and whether to negate it: x_j- is minus x_j+, and the artificial of
-    a "<=" row is sigma_i times its slack.  ``shifted[v]`` marks those
-    artificials, whose reduced cost adds the phase's artificial cost
-    ``art_cost`` to their slack's, signed.
+    ``v`` < ``art0`` and whether to negate it: x_j- is minus x_j+.  ``own[i]``
+    is the stored slack or artificial of row i.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -168,7 +180,7 @@ class _Tableau:
         self.ncols = self.art0 + len(norm)
         self.where: list[tuple[int, bool]] = [(j // 2, j % 2 == 1) for j in range(2 * n)]
         self.where += [(n + k, False) for k in range(n_le)]
-        self.shifted = [False] * self.art0
+        self.own: list[int] = []
         self.flip: list[bool] = []
         self.tab: list[list[Fraction]] = []
         slack, art = n, n + n_le
@@ -180,13 +192,12 @@ class _Tableau:
                     row[j] = -a if flip else a
             if rel == LE:
                 row[slack] = -_ONE if flip else _ONE
-                self.where.append((slack, flip))
+                self.own.append(slack)
                 slack += 1
             else:
                 row[art] = _ONE
-                self.where.append((art, False))
+                self.own.append(art)
                 art += 1
-            self.shifted.append(rel == LE)
             row[-1] = -rhs if flip else rhs
             self.flip.append(flip)
             self.tab.append(row)
@@ -199,11 +210,6 @@ class _Tableau:
     def _entry(self, row: list[Fraction], v: int) -> Fraction:
         s, neg = self.where[v]
         return -row[s] if neg else row[s]
-
-    def _reduced(self, v: int) -> Fraction:
-        """Reduced cost of virtual column v: its twin's, signed, plus the artificial shift."""
-        d = self._entry(self.obj, v)
-        return d + self.art_cost if self.shifted[v] else d
 
     def _pivot(self, r: int, c: int):
         s, neg = self.where[c]
@@ -220,21 +226,17 @@ class _Tableau:
                     f = -f
                 for j, v in nz:
                     row[j] -= f * v
-        # the objective row moves by the entering virtual column's reduced cost,
-        # shift included, which leaves that reduced cost at 0
-        f = self._reduced(c)
+        # the objective row moves by the entering column's reduced cost, which
+        # leaves that reduced cost at 0
+        f = self._entry(self.obj, c)
         if f:
             obj = self.obj
             for j, v in nz:
                 obj[j] -= f * v
         self.basis[r] = c
 
-    def _entering(self, limit: int) -> Optional[int]:
-        """The first virtual column below limit, in Bland order, with a negative reduced cost.
-
-        limit is art0 in phase two and ncols in phase one, so it only ever
-        cuts the artificials.
-        """
+    def _entering(self) -> Optional[int]:
+        """The first x_j+, x_j- or slack, in Bland order, with a negative reduced cost."""
         obj = self.obj
         n = self.lp.num_vars
         for j in range(n):
@@ -244,15 +246,12 @@ class _Tableau:
             if obj[j] > 0:
                 return 2 * j + 1
         # the slacks: stored column s holds virtual column n + s
-        for s in range(n, self.art0 - n):
-            if obj[s] < 0:
-                return n + s
-        return next((v for v in range(self.art0, limit) if self._reduced(v) < 0), None)
+        return next((n + s for s in range(n, self.art0 - n) if obj[s] < 0), None)
 
-    def _run(self, limit: int) -> Optional[int]:
-        """Bland pivoting on columns < limit: None when optimal, else the unbounded column."""
+    def _run(self) -> Optional[int]:
+        """Bland pivoting: None when optimal, else the unbounded column."""
         while True:
-            enter = self._entering(limit)
+            enter = self._entering()
             if enter is None:
                 return None
             s, neg = self.where[enter]
@@ -308,14 +307,11 @@ class _Tableau:
     # -- readouts ---------------------------------------------------------
 
     def _row_duals(self) -> Vector:
-        """Multipliers per normalized row, mapped back through sigma flips.
-
-        y_i = sigma_i (art_cost - d_i) for the reduced cost d_i of row i's
-        artificial (artificials cost 1 in phase one, 0 in phase two).
-        """
-        a = self.art_cost
-        return tuple(self._reduced(v) - a if flip else a - self._reduced(v)
-                     for v, flip in enumerate(self.flip, self.art0))
+        """sigma o pi: minus a "<=" row's slack reduced cost, and
+        sigma_i (art_cost - d_i) for the reduced cost d_i of an "=" row's artificial."""
+        obj, a, eq0 = self.obj, self.art_cost, self.art0 - self.lp.num_vars
+        return tuple(-obj[s] if s < eq0 else (obj[s] - a if flip else a - obj[s])
+                     for s, flip in zip(self.own, self.flip))
 
     def _fold(self, vals: list[Fraction]) -> Vector:
         """Column values back to variables: x_j = x_j+ - x_j-.
@@ -344,14 +340,14 @@ def solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly. Outcomes carry primal/dual, Farkas vector or ray."""
     t = _Tableau(lp)
     t._price((_ZERO,) * lp.num_vars, _ONE)
-    t._run(t.ncols)
+    t._run()
     infeas = -t.obj[-1]
     if infeas > 0:
         farkas = tuple(-v for v in t._row_duals())
         return LpOutcome(status=LpStatus.INFEASIBLE, farkas=farkas)
     t._drive_out_artificials()
     t._price(tuple(-c for c in lp.objective) if lp.sense == "max" else lp.objective, _ZERO)
-    enter = t._run(t.art0)
+    enter = t._run()
     if enter is not None:
         return LpOutcome(status=LpStatus.UNBOUNDED, ray=t._ray(enter))
     x = t._primal()

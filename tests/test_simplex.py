@@ -1,10 +1,11 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bendercuts.linalg import dot
-from bendercuts.simplex import EQ, GE, LE, LinearProgram, LpOutcome, LpStatus, solve
+from bendercuts.simplex import EQ, GE, LE, LinearProgram, LpOutcome, LpStatus, _Tableau, solve
 
 ints = st.integers(-5, 5)
 
@@ -37,9 +38,9 @@ def test_free_variables():
 
 
 # Every "<=" row of this LP has a negative right side after normalization
-# except the second, so two of the three artificials are sigma-flipped; the
-# third row's artificial leaves the basis and enters it again in phase one.
-LE_ARTIFICIAL_REENTERS = LinearProgram(
+# except the second, so two of the three rows are sigma-flipped, and the
+# Farkas vector is read from flipped and unflipped slacks alike.
+FLIPPED_LE_ROWS = LinearProgram(
     "min", (F(2), F(1)),
     (((F(-2), F(-1)), LE, F(-1)), ((F(-1), F(-2)), LE, F(2)), ((F(2), F(2)), LE, F(-3))))
 
@@ -52,7 +53,7 @@ RAY_ALONG_X_MINUS = LinearProgram("min", (F(1), F(0)),
 @pytest.mark.parametrize("lp", [
     pytest.param(LinearProgram("min", (F(0),), (((F(1),), LE, F(-1)), ((F(-1),), LE, F(0)))),
                  id="one_var"),
-    pytest.param(LE_ARTIFICIAL_REENTERS, id="le_artificial_reenters"),
+    pytest.param(FLIPPED_LE_ROWS, id="flipped_le_rows"),
 ])
 def test_infeasible_gives_farkas(lp):
     out = solve(lp)
@@ -79,10 +80,12 @@ def test_unbounded_gives_ray(lp):
     assert all(dot(coeffs, out.ray) <= 0 for coeffs, _, _ in lp.normalized_rows)
 
 
-# The tableau stores one column per twin pair: x_j- is read as minus x_j+, and
-# the artificial of a "<=" row as sigma times its slack.  Each LP below makes
-# Bland's rule enter, leave or read one of those derived columns; the outcomes
-# are pinned exactly as the full-width tableau gave them.
+# The tableau stores x_j+ only and reads x_j- as minus it, and it reads a "<="
+# row's multiplier from its slack.  Each LP below makes Bland's rule enter,
+# leave or read one of those columns; the outcomes are pinned exactly.  The
+# Farkas vector is the one phase one gives when no artificial re-enters; the
+# full-width tableau, which let the third row's artificial re-enter, read
+# (2/3, 2/3, 1), which aggregates to the same 0 <= -7/2.
 @pytest.mark.parametrize("lp, expected", [
     pytest.param(  # x1 and x2 both end with their minus column basic
         LinearProgram("min", (F(1), F(2)), (((F(1), F(1)), GE, F(-4)),), lower=(None, F(-1))),
@@ -105,9 +108,9 @@ def test_unbounded_gives_ray(lp):
         LpOutcome(LpStatus.OPTIMAL, primal=(F(1), F(2)), objective_value=F(5),
                   dual=(F(-2), F(0), F(-1), F(0), F(0))),
         id="redundant_le_row"),
-    pytest.param(LE_ARTIFICIAL_REENTERS,
-                 LpOutcome(LpStatus.INFEASIBLE, farkas=(F(2, 3), F(2, 3), F(1))),
-                 id="farkas_reads_le_artificials"),
+    pytest.param(FLIPPED_LE_ROWS,
+                 LpOutcome(LpStatus.INFEASIBLE, farkas=(F(1), F(1), F(3, 2))),
+                 id="farkas_reads_le_slacks"),
 ])
 def test_twin_column_outcomes(lp, expected):
     assert solve(lp) == expected
@@ -134,7 +137,14 @@ def random_lp(draw_rows, draw_obj):
        st.lists(ints.map(F), min_size=2, max_size=2))
 def test_duality_and_feasibility(rows, obj):
     lp = random_lp(rows, obj)
-    out = solve(lp)
+    pivot = _Tableau._pivot
+
+    def no_artificial_enters(self, r, c):
+        assert c < self.art0, "an artificial entered the basis"
+        return pivot(self, r, c)
+
+    with mock.patch.object(_Tableau, "_pivot", no_artificial_enters):
+        out = solve(lp)
     if out.status == LpStatus.OPTIMAL:
         for coeffs, rel, rhs in lp.rows:
             assert dot(coeffs, out.primal) <= rhs
