@@ -4,8 +4,9 @@ Each round solves the relaxed master over (x, eta) and runs one LP that
 decides whether the master point already sits in epi(z): the strategy's
 relaxed-subproblem CGLP, whose optimum t* = 0 means membership and t* > 0
 yields the cut, or, under TrackIncumbent, the subproblem LP z(x) that also
-feeds the incumbent, with z(x) <= eta meaning membership. Only the converged
-point pays one more LP, for the d-minimizing y.
+feeds the incumbent, with z(x) <= eta meaning membership. That LP also holds
+the d-minimizing y of a converged point (see `_converged`); only a point on
+the eta floor pays more LPs.
 
 A core-point mode steers a directional strategy (Magnanti-Wong; Papadakos
 moves the core toward the incumbent). The loop keeps the core point itself:
@@ -29,7 +30,7 @@ from typing import Optional, Union
 from .cglp import Directional, MisOnes, ObjectiveSpec
 from .errors import PreconditionViolated, StrategyUnbounded, EmptyEpigraph
 from .linalg import Vector, as_fraction, dot
-from .model import EpiPoint, Instance, PolyhedralDomain, feasibility_rows, subproblem_value
+from .model import EpiPoint, Instance, PolyhedralDomain, _subproblem, feasibility_rows
 from .separation import IN_EPIGRAPH, Certificate, Cut, separate
 from .simplex import LE, LinearProgram, LpStatus, solve as solve_lp
 from .verify import FaceReport, face_report
@@ -114,7 +115,8 @@ class SolveResult:
 def subproblem_check(instance: Instance, point: EpiPoint) -> Optional[Vector]:
     """The d-minimizing y at a point of epi(z), or None when d.y is unbounded below.
 
-    The loop calls it once, at the converged point; outside epi(z) it raises.
+    The loop calls it once, at a point that converged onto the eta floor;
+    outside epi(z) it raises.
     """
     out = solve_lp(LinearProgram("min", instance.d, feasibility_rows(instance, point)))
     if out.status == LpStatus.INFEASIBLE:
@@ -183,15 +185,24 @@ def _record(trace, **kw):
 
 
 def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
-               master_value: Fraction, cuts) -> SolveResult:
-    """The one exit for a master point inside epi(z); its LP gives y.
+               master_value: Fraction, cuts, y: Vector) -> SolveResult:
+    """The one exit for a master point inside epi(z); y is its membership LP's y.
 
-    A point with eta on its lower bound is proven optimal only by one more
-    master LP, over the same cuts without the eta floor.  Lemma: let V be the
-    master value at (x*, eta*), eta* = eta_lower_bound, and V' the floor-free
-    master optimum.  Every cut is valid for epi(z), so each (x, z(x)) with x
-    in the master set and z(x) finite is feasible for the floor-free master,
-    and V' <= min c.x + z(x).  The point lies in epi(z), so z(x*) <= eta* and
+    Off the eta floor that y is d-minimizing.  Lemma: for fixed x*, the master
+    optimum sets eta* to the largest of the floor and the cut bounds at x*
+    (eta costs 1, and the finite master takes that largest bound).  Every cut
+    is valid for epi(z), so each cut bound is at most z(x*); eta* above the
+    floor is one of them, so eta* <= z(x*), and membership gives z(x*) <= eta*.
+    So eta* = z(x*), and any y with A y <= b - H x* and d.y <= eta* has
+    d.y = z(x*).
+
+    A point with eta on its lower bound gets y from `subproblem_check`, and is
+    proven optimal only by one more master LP, over the same cuts without the
+    eta floor.  Lemma: let V be the master value at (x*, eta*),
+    eta* = eta_lower_bound, and V' the floor-free master optimum.  Every cut
+    is valid for epi(z), so each (x, z(x)) with x in the master set and z(x)
+    finite is feasible for the floor-free master, and V' <= min c.x + z(x).
+    The point lies in epi(z), so z(x*) <= eta* and
     min c.x + z(x) <= c.x* + z(x*) <= c.x* + eta* = V.  Hence V' == V forces
     equality throughout: z(x*) = eta*, and (x*, y) is optimal at V.  When
     V' < V, or the floor-free master is unbounded, the floor may be binding and
@@ -200,12 +211,12 @@ def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
     """
     _record(trace, index=index, master_point=point, master_value=master_value,
             outcome=CONVERGED)
-    y = subproblem_check(instance, point)
-    if y is None:
-        return SolveResult(status=SolveStatus.ILL_POSED,
-                           reason="subproblem unbounded below at the converged point",
-                           trace=tuple(trace))
     if point.eta == instance.eta_lower_bound:
+        y = subproblem_check(instance, point)
+        if y is None:
+            return SolveResult(status=SolveStatus.ILL_POSED,
+                               reason="subproblem unbounded below at the converged point",
+                               trace=tuple(trace))
         free = _solve_master(instance, cuts, floored=False)
         # a relaxation of a feasible master is feasible, so free is not 'infeasible'
         if free == "unbounded" or free[1] != master_value:
@@ -242,9 +253,9 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
         point, master_value = master
 
         if isinstance(mode, TrackIncumbent):
-            z = subproblem_value(instance, point.x)
+            z, y = _subproblem(instance, point.x)
             if z <= point.eta:
-                return _converged(instance, trace, index, point, master_value, cuts)
+                return _converged(instance, trace, index, point, master_value, cuts, y)
             if isinstance(z, Fraction):
                 value = dot(instance.c, point.x) + z
                 if best is None or value < best[1]:
@@ -273,7 +284,7 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
                                trace=tuple(trace))
 
         if result.kind == IN_EPIGRAPH:
-            return _converged(instance, trace, index, point, master_value, cuts)
+            return _converged(instance, trace, index, point, master_value, cuts, result.y)
         face = face_report(instance, result.cut) if config.verify_each_cut else None
         cuts.append(result.cut)
         _record(trace, index=index, master_point=point, master_value=master_value,

@@ -195,12 +195,17 @@ def _project(instance: Instance, xyeta: Vector) -> Vector:
 
 def subproblem_value(instance: Instance, x: Sequence) -> Union[Fraction, float]:
     """z(x); +inf when infeasible, -inf when unbounded below."""
+    return _subproblem(instance, x)[0]
+
+
+def _subproblem(instance: Instance, x: Sequence) -> tuple[Union[Fraction, float], Optional[Vector]]:
+    """`subproblem_value`'s value and, when it is finite, the d-minimizing y."""
     rhs = instance.linking_rhs(as_vector(x))
     lp = LinearProgram("min", instance.d, tuple((a, LE, r) for a, r in zip(instance.A, rhs)))
     out = solve(lp)
     if out.status == LpStatus.OPTIMAL:
-        return out.objective_value
-    return math.inf if out.status == LpStatus.INFEASIBLE else -math.inf
+        return out.objective_value, out.primal
+    return (math.inf if out.status == LpStatus.INFEASIBLE else -math.inf), None
 
 
 def _rows_feasible(rows, num_vars: int) -> bool:

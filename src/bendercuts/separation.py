@@ -95,6 +95,7 @@ class SeparationResult:
     cut: Optional[Cut] = None
     certificate: Optional[Certificate] = None
     cglp_value: Optional[Fraction] = None
+    y: Optional[Vector] = None  # in_epigraph: a y with A y <= b - H x*, d.y <= eta*
     instance: Optional[Instance] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -187,8 +188,9 @@ def _push_to_vertex(rows, weights: Vector, weight_eta: Fraction, value: Fraction
 def separate(instance: Instance, point: EpiPoint, strategy: ObjectiveSpec) -> SeparationResult:
     """Run a strategy's CGLP against a point and return the selected cut.
 
-    InEpigraph when no certificate exists; otherwise the CGLP's basic dual
-    certificate, its cut and the CGLP value (always negative).  Whether the
+    InEpigraph when no certificate exists, with the CGLP's y at t* = 0, which
+    proves membership; otherwise the CGLP's basic dual certificate, its cut
+    and the CGLP value (always negative).  Whether the
     cut touches epi(z) is left to the result's `supporting`, which runs its
     independent support-function solve only when it is read.
     """
@@ -200,7 +202,7 @@ def separate(instance: Instance, point: EpiPoint, strategy: ObjectiveSpec) -> Se
         raise StrategyUnbounded("no relaxation along these weights reaches the epigraph")
     t_star = out.objective_value
     if t_star == 0:
-        return SeparationResult(kind=IN_EPIGRAPH)
+        return SeparationResult(kind=IN_EPIGRAPH, y=out.primal[:instance.k])
     cert = _certificate_from_duals(out.dual, instance.m, t_star)
     return SeparationResult(
         kind=SEPARATED,

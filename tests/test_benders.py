@@ -98,11 +98,16 @@ def test_eta_floor_is_reported():
     assert result.trace[-1].outcome == CONVERGED
 
 
+def _floor_draw():
+    """Box seed 15 with c and d made nonnegative: MIS converges on the eta floor."""
+    inst = random_instance(random.Random(15))
+    return replace(inst, c=tuple(abs(v) for v in inst.c), d=tuple(abs(v) for v in inst.d))
+
+
 def test_optimum_on_the_eta_floor_is_proven():
     """A box draw converges with eta on its floor, and the master without the
     floor has the same value, so the run is optimal at the true optimum."""
-    inst = random_instance(random.Random(15))
-    inst = replace(inst, c=tuple(abs(v) for v in inst.c), d=tuple(abs(v) for v in inst.d))
+    inst = _floor_draw()
     config = SolverConfig(strategy=MisOnes())
     result = solve(inst, config)
     assert result.trace[-1].outcome == CONVERGED
@@ -185,21 +190,24 @@ def test_subproblem_check_payloads(ex1, origin):
         subproblem_check(ex1, origin)
 
 
-@pytest.mark.parametrize("config", [
-    SolverConfig(strategy=MisOnes()),
-    SolverConfig(strategy=Directional((F(2),), F(3))),
-    SolverConfig(strategy=Directional((F(0),), F(1)),
-                 core_point_mode=TrackIncumbent(F(1, 2))),
-], ids=["mis", "directional", "track"])
-def test_one_membership_lp_per_iteration(ex1, monkeypatch, config):
-    """Membership comes from the iteration's CGLP (or z(x) under TrackIncumbent);
-    subproblem_check runs once, at the converged point, for y."""
+@pytest.mark.parametrize("config, on_floor, tail", [
+    (SolverConfig(strategy=MisOnes()), False, ["master", "separate"]),
+    (SolverConfig(strategy=Directional((F(2),), F(3))), False, ["master", "separate"]),
+    (SolverConfig(strategy=Directional((F(0),), F(1)),
+                  core_point_mode=TrackIncumbent(F(1, 2))), False, ["separate", "master"]),
+    # on the floor: y from the check, then the floor-free master
+    (SolverConfig(strategy=MisOnes()), True, ["master", "separate", "check", "master"]),
+], ids=["mis", "directional", "track", "mis_on_floor"])
+def test_one_membership_lp_per_iteration(ex1, monkeypatch, config, on_floor, tail):
+    """Membership comes from the iteration's CGLP (or z(x) under TrackIncumbent),
+    and that LP's y is the converged point's; subproblem_check runs only for a
+    point on the eta floor, once."""
     calls = []
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(name)
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(benders, "subproblem_check",
@@ -207,15 +215,10 @@ def test_one_membership_lp_per_iteration(ex1, monkeypatch, config):
     monkeypatch.setattr(benders, "separate", counted("separate", benders.separate))
     monkeypatch.setattr(benders, "_solve_master",
                         counted("master", benders._solve_master))
-    result = solve(ex1, config)
+    result = solve(_floor_draw() if on_floor else ex1, config)
     assert result.status == SolveStatus.OPTIMAL
-    assert calls.count("check") == 1
-    assert calls[-1] == "check"
-    final = calls[len(calls) - 1 - calls[::-1].index("master"):]
-    if config.core_point_mode is None:
-        assert final == ["master", "separate", "check"]
-    else:
-        assert final == ["master", "check"]
+    assert calls.count("check") == on_floor
+    assert calls[-len(tail):] == tail
 
 
 def _aim(x, eta):
