@@ -3,7 +3,8 @@
 As a pytest plugin it routes `bendercuts.simplex.solve`, under every name a
 loaded module imported it as, through a recorder while each test runs, and
 counts `_Tableau._pivot` calls.  For each test id it keeps the ordered list of
-(LP digest, outcome digest, pivots) and writes them to a JSON file:
+(LP digest, outcome digest, pivots), and it notes which ids are Hypothesis
+tests; it writes both to a JSON file:
 
     python -m pytest -q -p lp_digest --hypothesis-seed=0 --lp-digest-out=before.json
 
@@ -23,6 +24,17 @@ which prints the totals of each and then names every test id present in both:
 (LP, outcome, pivots) is contained in the before one (LPs dropped or moved,
 none added or changed), and `differs` otherwise.  It exits 1 only when some id
 differs.
+
+A verdict other than `equal` on a Hypothesis test is marked `(Hypothesis)`.
+Hypothesis draws some examples from the numeric literals in the loaded
+package source, so adding a literal anywhere in `bendercuts` can change what
+such a test solves although no LP code changed; their verdicts compare the
+examples as much as the LPs.
+
+Digests hash a text in which every `Fraction` is its hexadecimal numerator
+and denominator: `repr` would write decimal digits, which Python refuses past
+4300 of them.  So compare only two recordings made by the same version of
+this script.
 """
 
 from __future__ import annotations
@@ -31,12 +43,22 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import is_hypothesis_test
+
+
+def _text(value) -> str:
+    if isinstance(value, Fraction):
+        return f"{value.numerator:x}/{value.denominator:x}"
+    if isinstance(value, tuple):
+        return "(" + ",".join(map(_text, value)) + ")"
+    return repr(value)
 
 
 def _digest(value) -> str:
-    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(_text(value).encode("utf-8")).hexdigest()[:16]
 
 
 def lp_digest(lp) -> str:
@@ -57,6 +79,7 @@ class Recorder:
         self.pivots = 0
         self.current: list | None = None
         self.by_test: dict[str, list] = {}
+        self.hypothesis: list[str] = []
 
     def _recording_solve(self, lp):
         before = self.pivots
@@ -94,6 +117,8 @@ class Recorder:
                 setattr(module, name, self.solve)
             if self.current:
                 self.by_test[item.nodeid] = self.current
+                if is_hypothesis_test(getattr(item, "obj", None)):
+                    self.hypothesis.append(item.nodeid)
             self.current = None
 
     def pytest_collection_finish(self, session):
@@ -103,7 +128,8 @@ class Recorder:
 
     def pytest_sessionfinish(self, session):
         with open(session.config.getoption("lp_digest_out"), "w", encoding="utf-8") as fh:
-            json.dump(self.by_test, fh, indent=0, sort_keys=True)
+            json.dump({"tests": self.by_test, "hypothesis": sorted(self.hypothesis)}, fh,
+                      indent=0, sort_keys=True)
 
     def pytest_terminal_summary(self, terminalreporter, config):
         terminalreporter.write_line(
@@ -133,26 +159,32 @@ def _verdict(before: list, after: list) -> str:
     return "subset" if min(have.values()) >= 0 else "differs"
 
 
-def _load(path: str) -> dict:
+def _load(path: str) -> tuple[dict, set]:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        recording = json.load(fh)
+    return recording["tests"], set(recording["hypothesis"])
 
 
 def main(argv) -> int:
     if len(argv) != 2:
         print("usage: python scripts/lp_digest.py BEFORE.json AFTER.json", file=sys.stderr)
         return 2
-    before, after = _load(argv[0]), _load(argv[1])
+    (before, hyp_before), (after, hyp_after) = _load(argv[0]), _load(argv[1])
     print(f"before: {_totals(before)}")
     print(f"after:  {_totals(after)}")
     for test_id in sorted(set(before) ^ set(after)):
         print(f"only in {'before' if test_id in before else 'after'}: {test_id}")
-    verdicts = Counter()
+    hypothesis = hyp_before | hyp_after
+    verdicts, marked = Counter(), Counter()
     for test_id in sorted(set(before) & set(after)):
         verdict = _verdict(before[test_id], after[test_id])
         verdicts[verdict] += 1
+        if verdict != "equal" and test_id in hypothesis:
+            marked[verdict] += 1
+            verdict += " (Hypothesis)"
         print(f"{verdict}: {test_id}")
-    print(", ".join(f"{verdicts[v]} {v}" for v in ("equal", "subset", "differs")))
+    print(", ".join(f"{verdicts[v]} {v}" + (f" ({marked[v]} in Hypothesis tests)" if marked[v] else "")
+                    for v in ("equal", "subset", "differs")))
     return 1 if verdicts["differs"] else 0
 
 
