@@ -10,8 +10,10 @@ configs on each, and hashes, per run:
 * `replay_trace` of its `trace_document`.
 
 It prints the sha256 prefix of all of that, then a tally of statuses, cuts,
-fallback records and replay problems. Two commits that print the same first
-line returned the same results:
+fallback records and replay problems, then one line per config: its status
+tally, the mean and largest iteration count of its optimal runs, and its
+fallback records. Two commits that print the same first line returned the
+same results:
 
     python scripts/result_digest.py --count 100
 """
@@ -19,11 +21,11 @@ line returned the same results:
 import argparse
 import hashlib
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction as F
 
-from bendercuts.benders import FixedCore, SolverConfig, TrackIncumbent, solve
+from bendercuts.benders import FixedCore, SolverConfig, SolveStatus, TrackIncumbent, solve
 from bendercuts.cglp import Custom, Directional, MisOnes
 from bendercuts.errors import ToolkitError
 from bendercuts.instance_io import replay_trace, trace_document
@@ -63,6 +65,7 @@ def main():
 
     lines = []
     tally = Counter()
+    statuses, iterations, fallbacks = defaultdict(Counter), defaultdict(list), Counter()
     for finite in (False, True):
         for seed in range(args.count):
             rng = random.Random(seed)
@@ -85,11 +88,21 @@ def main():
                 tally["cuts"] += len(cuts)
                 tally["fallback_records"] += sum(r.fallback for r in result.trace)
                 tally["replay_problems"] += len(problems)
+                statuses[name][result.status.value] += 1
+                if result.status == SolveStatus.OPTIMAL:
+                    iterations[name].append(len(result.trace))
+                fallbacks[name] += sum(r.fallback for r in result.trace)
 
     text = "\n".join(lines) + "\n"
     print(f"digest {hashlib.sha256(text.encode()).hexdigest()[:16]}")
     for key in sorted(tally):
         print(f"{key} {tally[key]}")
+    for name, counts in statuses.items():
+        runs = iterations[name]
+        mean = f"{sum(runs) / len(runs):.2f}" if runs else "-"
+        print(f"config {name}: {' '.join(f'{k}:{v}' for k, v in sorted(counts.items()))},"
+              f" iterations of optimal runs mean {mean} max {max(runs, default='-')},"
+              f" fallback_records {fallbacks[name]}")
 
 
 if __name__ == "__main__":
