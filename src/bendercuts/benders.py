@@ -185,7 +185,7 @@ def _record(trace, **kw):
 
 
 def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
-               master_value: Fraction, cuts, y: Vector) -> SolveResult:
+               master_value: Fraction, cuts, y: Optional[Vector]) -> SolveResult:
     """The one exit for a master point inside epi(z); y is its membership LP's y.
 
     Off the eta floor that y is d-minimizing.  Lemma: for fixed x*, the master

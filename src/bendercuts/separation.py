@@ -190,9 +190,9 @@ def separate(instance: Instance, point: EpiPoint, strategy: ObjectiveSpec) -> Se
 
     InEpigraph when no certificate exists, with the CGLP's y at t* = 0, which
     proves membership; otherwise the CGLP's basic dual certificate, its cut
-    and the CGLP value (always negative).  Whether the
-    cut touches epi(z) is left to the result's `supporting`, which runs its
-    independent support-function solve only when it is read.
+    and the CGLP value (always negative).  Whether the cut touches epi(z) is
+    left to the result's `supporting`, which runs its independent
+    support-function solve only when it is read.
     """
     weights, weight_eta = strategy_weights(instance, strategy)
     out = solve(build_cglp_relaxed_subproblem(instance, point, weights, weight_eta))
