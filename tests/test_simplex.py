@@ -83,9 +83,7 @@ def test_unbounded_gives_ray(lp):
 # The tableau stores x_j+ only and reads x_j- as minus it, and it reads a "<="
 # row's multiplier from its slack.  Each LP below makes Bland's rule enter,
 # leave or read one of those columns; the outcomes are pinned exactly.  The
-# Farkas vector is the one phase one gives when no artificial re-enters; the
-# full-width tableau, which let the third row's artificial re-enter, read
-# (2/3, 2/3, 1), which aggregates to the same 0 <= -7/2.
+# Farkas vector is the one phase one gives when no left artificial re-enters.
 @pytest.mark.parametrize("lp, expected", [
     pytest.param(  # x1 and x2 both end with their minus column basic
         LinearProgram("min", (F(1), F(2)), (((F(1), F(1)), GE, F(-4)),), lower=(None, F(-1))),
