@@ -16,7 +16,7 @@ Every consumer in the package relies on one sign convention, stated here once:
 Pivoting uses Bland's rule throughout, so solves are deterministic and free of
 cycling.  All numbers are ``fractions.Fraction``; nothing here rounds.
 
-Columns.  Phase one starts from ``M = [sigma A, -sigma A, sigma S, I]``, where
+Columns.  The tableau reads ``M = [sigma A, -sigma A, sigma S, I]``, where
 sigma_i = -1 flips a row whose normalized right side is negative, ``S`` puts a
 slack on each "<=" row and ``I`` an artificial on every row.  Bland's rule, the
 basis and every readout use these *virtual* columns in this order: x_j+ at
@@ -26,31 +26,39 @@ linear in M_v, and M of x_j- is minus M of x_j+; so the tableau stores only
 x_j+, and reads x_j- as minus x_j+ with reduced cost -d(x_j+) (both phases cost
 x_j- minus x_j+).  A pivot is a row operation, which keeps that identity.
 
-Artificials.  Both phases enter only x_j+, x_j- and the slacks: an artificial
-that leaves the basis never comes back, as in the textbook two-phase method.
-So the tableau stores the artificials of "=" rows only, and no readout needs
-the artificial of a "<=" row.  Let pi = c_B B^-1, the multipliers of the
+Artificials.  Phase one starts from the slack basis (Bixby 1992): a "<=" row
+with a nonnegative right side (sigma_i = 1) starts with its slack basic, whose
+column is e_i as an artificial's is, and every other row with its artificial
+basic.  Both phases enter only x_j+, x_j- and the slacks: an artificial that
+leaves the basis never comes back, as in the textbook two-phase method.  A row
+that starts with its slack basic is then a row whose artificial has already
+left.  So the tableau stores the artificials of "=" rows only, and no readout
+needs the artificial of a "<=" row.  Let pi = c_B B^-1, the multipliers of the
 flipped rows under the phase's costs (the objective on x, 0 on the slacks,
 ``art_cost`` on the artificials: 1 in phase one, 0 in phase two).  The slack
 of "<=" row i has reduced cost -sigma_i pi_i and the artificial of "=" row i
 has art_cost - pi_i, so sigma o pi is read off the rows' own columns.  Three
 facts rest on the reduced costs of the columns that may enter, and on no
-artificial's:
+artificial's, whichever rows started with a basic artificial:
 
-* phase one ends at 0 exactly when the LP is feasible.  At its end no column
-  that may enter has a negative reduced cost.  d(x_j+) >= 0 and
+* phase one ends at 0 exactly when the LP is feasible.  Its value
+  w = c_B B^-1 (sigma o b) sums the basic artificials, each >= 0.  At its end
+  no column that may enter has a negative reduced cost.  d(x_j+) >= 0 and
   d(x_j-) = -d(x_j+) >= 0 give d(x_j+) = 0, so f = -sigma o pi has f'A = 0
   (phase one costs x nothing), f_i = d(slack_i) >= 0 on "<=" rows, and
-  f . b = -pi . (sigma o b) = -w, minus the phase-one value.  So w > 0 makes
-  f a Farkas vector, and w = 0 leaves every artificial at 0: a feasible point;
-* Bland's rule still terminates.  A left artificial is nonbasic and never
-  enters again, so from then on it is a deleted column.  Between two leaves
-  of artificials the pivots are Bland pivots on one fixed LP, which do not
-  cycle, and each row's artificial leaves at most once;
+  f . b = -pi . (sigma o b) = -w.  So w > 0 makes f a Farkas vector, and
+  w = 0 leaves every artificial at 0: a feasible point;
+* Bland's rule still terminates.  An artificial that is nonbasic, from the
+  start or once it left, never enters, so from then on it is a deleted
+  column.  Between two leaves of artificials the pivots are Bland pivots on
+  one fixed LP, which do not cycle, and each row's artificial leaves at most
+  once;
 * the dual is sigma o pi and the Farkas vector -sigma o pi.  At the phase-two
   optimum d(x_j+) = 0 as above, so y = sigma o pi has y'A = c,
   y_i = -d(slack_i) <= 0 on "<=" rows, and y . b = c_B B^-1 (sigma o b), the
   optimal value; the Farkas vector is the first fact's f.
+
+``check_outcome`` checks each of these certificates by arithmetic alone.
 """
 
 from __future__ import annotations
@@ -151,6 +159,13 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """One solve's result and its certificate.
+
+    OPTIMAL carries primal, objective_value and dual; INFEASIBLE the Farkas
+    vector; UNBOUNDED the improving ray and the basic feasible primal it
+    was found at.
+    """
+
     status: LpStatus
     primal: Optional[Vector] = None
     objective_value: Optional[Fraction] = None
@@ -183,8 +198,9 @@ class _Tableau:
         self.own: list[int] = []
         self.flip: list[bool] = []
         self.tab: list[list[Fraction]] = []
+        self.basis: list[int] = []
         slack, art = n, n + n_le
-        for coeffs, rel, rhs in norm:
+        for i, (coeffs, rel, rhs) in enumerate(norm):
             flip = rhs < 0
             row = [_ZERO] * (n + len(norm) + 1)
             for j, a in enumerate(coeffs):
@@ -193,15 +209,17 @@ class _Tableau:
             if rel == LE:
                 row[slack] = -_ONE if flip else _ONE
                 self.own.append(slack)
+                # the slack start: stored slack s is virtual column n + s
+                self.basis.append(self.art0 + i if flip else n + slack)
                 slack += 1
             else:
                 row[art] = _ONE
                 self.own.append(art)
+                self.basis.append(self.art0 + i)
                 art += 1
             row[-1] = -rhs if flip else rhs
             self.flip.append(flip)
             self.tab.append(row)
-        self.basis = [self.art0 + i for i in range(len(norm))]
         self.obj: list[Fraction] = [_ZERO] * (n + len(norm) + 1)
         self.art_cost = _ZERO
 
@@ -349,8 +367,73 @@ def solve(lp: LinearProgram) -> LpOutcome:
     t._price(tuple(-c for c in lp.objective) if lp.sense == "max" else lp.objective, _ZERO)
     enter = t._run()
     if enter is not None:
-        return LpOutcome(status=LpStatus.UNBOUNDED, ray=t._ray(enter))
+        return LpOutcome(status=LpStatus.UNBOUNDED, primal=t._primal(), ray=t._ray(enter))
     x = t._primal()
     value = dot(lp.objective, x)
     dual = t._row_duals()
     return LpOutcome(status=LpStatus.OPTIMAL, primal=x, objective_value=value, dual=dual)
+
+
+def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> Optional[str]:
+    """The first way the outcome's certificate fails for lp, or None if it holds.
+
+    Exact arithmetic against ``lp.normalized_rows`` and the internal
+    (minimization) objective c; no LP is solved.  An OPTIMAL primal x
+    satisfies every row and its dual y has y_i <= 0 on "<=" rows, y'A = c and
+    y . b = c . x, which is weak duality with equality, so x is optimal.  An
+    INFEASIBLE Farkas vector f has f_i >= 0 on "<=" rows, f'A = 0 and
+    f . b < 0.  An UNBOUNDED primal is feasible and its ray r has a_i . r <= 0
+    on "<=" rows, = 0 on "=" rows, and c . r < 0.
+    """
+    norm = lp.normalized_rows
+    n, m = lp.num_vars, len(norm)
+    cost = tuple(-c for c in lp.objective) if lp.sense == "max" else lp.objective
+    rhs = tuple(r for _, _, r in norm)
+    status = outcome.status
+    carried = {"primal": outcome.primal, "objective_value": outcome.objective_value,
+               "dual": outcome.dual, "farkas": outcome.farkas, "ray": outcome.ray}
+    wanted = {LpStatus.OPTIMAL: ("primal", "objective_value", "dual"),
+              LpStatus.INFEASIBLE: ("farkas",),
+              LpStatus.UNBOUNDED: ("primal", "ray")}[status]
+    for name, value in carried.items():
+        if (value is None) == (name in wanted):
+            return f"{status.value} outcome {'lacks' if value is None else 'carries'} {name}"
+        if name != "objective_value" and value is not None and len(value) != (
+                m if name in ("dual", "farkas") else n):
+            return f"{name} has {len(value)} entries"
+
+    def multiplier_problem(mult: Vector, name: str, sign: int, target: Vector,
+                           what: str) -> Optional[str]:
+        """sign * mult >= 0 on "<=" rows and mult' A = target, or what fails."""
+        for i, (u, (_, rel, _)) in enumerate(zip(mult, norm)):
+            if rel == LE and sign * u < 0:
+                return f"{name}[{i}] = {u} has the wrong sign on a <= row"
+        combo = tuple(sum((u * coeffs[j] for u, (coeffs, _, _) in zip(mult, norm) if u), _ZERO)
+                      for j in range(n))
+        return None if combo == target else f"{name}' A is not {what}"
+
+    if status == LpStatus.INFEASIBLE:
+        f = outcome.farkas
+        problem = multiplier_problem(f, "farkas", 1, (_ZERO,) * n, "0")
+        if problem is None and dot(f, rhs) >= 0:
+            problem = "farkas . rhs is not negative"
+        return problem
+    x = outcome.primal
+    for i, (coeffs, rel, b) in enumerate(norm):
+        lhs = dot(coeffs, x)
+        if lhs > b or (rel == EQ and lhs != b):
+            return f"primal violates row {i}: {lhs} {rel} {b} fails"
+    if status == LpStatus.UNBOUNDED:
+        r = outcome.ray
+        for i, (coeffs, rel, _) in enumerate(norm):
+            slope = dot(coeffs, r)
+            if slope > 0 or (rel == EQ and slope):
+                return f"ray leaves row {i}: a . ray = {slope}"
+        return None if dot(cost, r) < 0 else "ray does not improve the objective"
+    y = outcome.dual
+    problem = multiplier_problem(y, "dual", -1, cost, "the objective")
+    if problem is None and dot(y, rhs) != dot(cost, x):
+        problem = "dual . rhs is not the optimum"
+    if problem is None and outcome.objective_value != dot(lp.objective, x):
+        problem = "objective_value is not objective . primal"
+    return problem

@@ -98,22 +98,27 @@ def test_eta_floor_is_reported():
     assert result.trace[-1].outcome == CONVERGED
 
 
-def _floor_draw():
-    """Box seed 15 with c and d made nonnegative: MIS converges on the eta floor."""
-    inst = random_instance(random.Random(15))
-    return replace(inst, c=tuple(abs(v) for v in inst.c), d=tuple(abs(v) for v in inst.d))
+def _floor_instance():
+    """min x/2 + z(x) over 0 <= x <= 2, z(x) = min {y : y >= 0, y >= 2 - x},
+    eta >= 0.  Every master optimum on the way is unique, so the run does not
+    depend on simplex tie-breaks: the floor master stops at (0, 0), one cut
+    eta >= 2 - x follows, and the next master stops at (2, 0), on the floor."""
+    return Instance(n=1, k=1, m=2, c=(F(1, 2),), d=(F(1),),
+                    H=((F(0),), (F(-1),)), A=((F(-1),), (F(-1),)), b=(F(0), F(-2)),
+                    master_domain=PolyhedralDomain(G=((F(-1),), (F(1),)), g=(F(0), F(2))),
+                    eta_lower_bound=F(0))
 
 
 def test_optimum_on_the_eta_floor_is_proven():
-    """A box draw converges with eta on its floor, and the master without the
+    """The run converges with eta on its floor, and the master without the
     floor has the same value, so the run is optimal at the true optimum."""
-    inst = _floor_draw()
+    inst = _floor_instance()
     config = SolverConfig(strategy=MisOnes())
     result = solve(inst, config)
     assert result.trace[-1].outcome == CONVERGED
     assert result.trace[-1].master_point.eta == inst.eta_lower_bound
     assert result.status == SolveStatus.OPTIMAL
-    assert result.value == F(8, 3) == undecomposed_value(inst)
+    assert result.value == F(1) == undecomposed_value(inst)
     assert replay_trace(inst, trace_document(inst, config, result)) == []
 
 
@@ -215,7 +220,7 @@ def test_one_membership_lp_per_iteration(ex1, monkeypatch, config, on_floor, tai
     monkeypatch.setattr(benders, "separate", counted("separate", benders.separate))
     monkeypatch.setattr(benders, "_solve_master",
                         counted("master", benders._solve_master))
-    result = solve(_floor_draw() if on_floor else ex1, config)
+    result = solve(_floor_instance() if on_floor else ex1, config)
     assert result.status == SolveStatus.OPTIMAL
     assert calls.count("check") == on_floor
     assert calls[-len(tail):] == tail

@@ -14,7 +14,7 @@ from bendercuts.errors import DimensionError, ParseError, TooLarge
 from bendercuts.instance_io import (MAX_DIGITS, instance_digest, instance_document,
                                     load_instance, parse_instance, replay_trace,
                                     serialize_instance, trace_document, trace_to_json)
-from bendercuts.model import FiniteDomain, Instance, PolyhedralDomain
+from bendercuts.model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain
 from bendercuts.separation import Cut
 
 from conftest import EX1_KW, P2_CUT, P3_CUT
@@ -381,13 +381,18 @@ def test_cli_negative_rational_values(capsys):
     assert out[0] == "kind=separated"
 
 
-def test_cli_verify_facet(capsys):
+def test_cli_verify_facet(capsys, ex1):
     code = run(["verify", str(EX1_PATH), "--cut", "-2", "-1", "-5"])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out == ["face_dimension=1", "epi_dimension=2",
                    "classification=facet_defining", "mis=true", "pareto=pareto",
-                   "witness_x=1", "witness_eta=3"]
+                   "witness_x=4/3", "witness_eta=7/3"]
+    # the face is a segment and the LP's tie-break picks the witness on it, so
+    # check the property too: on the cut, and in epi(z) with y = eta (d = 1)
+    x, eta = (F(line.split("=")[1]) for line in out[-2:])
+    assert Cut(coef_x=(F(-2),), coef_eta=F(-1), rhs=F(-5)).value_at(EpiPoint((x,), eta)) == -5
+    assert all(h * x + a * eta <= b for (h,), (a,), b in zip(ex1.H, ex1.A, ex1.b))
 
 
 def test_cli_verify_non_supporting(capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from unittest import mock
 
@@ -5,17 +6,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bendercuts.linalg import dot
-from bendercuts.simplex import EQ, GE, LE, LinearProgram, LpOutcome, LpStatus, _Tableau, solve
+from bendercuts.simplex import (EQ, GE, LE, LinearProgram, LpOutcome, LpStatus, _Tableau,
+                                check_outcome, solve)
 
 ints = st.integers(-5, 5)
 
 
+# max x + y s.t. x + 2y <= 4, 3x + y <= 6, x,y >= 0
+TWO_VAR_MAX = LinearProgram("max", (F(1), F(1)),
+                            (((F(1), F(2)), LE, F(4)), ((F(3), F(1)), LE, F(6))),
+                            lower=(F(0), F(0)))
+
+
 def test_two_var_optimum():
-    # max x + y s.t. x + 2y <= 4, 3x + y <= 6, x,y >= 0
-    lp = LinearProgram("max", (F(1), F(1)),
-                       (((F(1), F(2)), LE, F(4)), ((F(3), F(1)), LE, F(6))),
-                       lower=(F(0), F(0)))
-    out = solve(lp)
+    out = solve(TWO_VAR_MAX)
     assert out.status == LpStatus.OPTIMAL
     assert out.primal == (F(8, 5), F(6, 5))
     assert out.objective_value == F(14, 5)
@@ -82,15 +86,15 @@ def test_unbounded_gives_ray(lp):
 
 # The tableau stores x_j+ only and reads x_j- as minus it, and it reads a "<="
 # row's multiplier from its slack.  Each LP below makes Bland's rule enter,
-# leave or read one of those columns; the outcomes are pinned exactly.  The
-# Farkas vector is the one phase one gives when no left artificial re-enters.
+# leave or read one of those columns; the outcomes are pinned exactly.
 @pytest.mark.parametrize("lp, expected", [
     pytest.param(  # x1 and x2 both end with their minus column basic
         LinearProgram("min", (F(1), F(2)), (((F(1), F(1)), GE, F(-4)),), lower=(None, F(-1))),
         LpOutcome(LpStatus.OPTIMAL, primal=(F(-3), F(-1)), objective_value=F(-5),
                   dual=(F(-1), F(-1))),
         id="x_minus_basic"),
-    pytest.param(RAY_ALONG_X_MINUS, LpOutcome(LpStatus.UNBOUNDED, ray=(F(-1), F(0))),
+    pytest.param(RAY_ALONG_X_MINUS,
+                 LpOutcome(LpStatus.UNBOUNDED, primal=(F(0), F(0)), ray=(F(-1), F(0))),
                  id="ray_along_x_minus"),
     pytest.param(  # x1 + x2 >= 2 normalizes to a negative right side (sigma = -1); its
         # artificial is still basic, at 0, when phase one ends and is driven out
@@ -106,12 +110,95 @@ def test_unbounded_gives_ray(lp):
         LpOutcome(LpStatus.OPTIMAL, primal=(F(1), F(2)), objective_value=F(5),
                   dual=(F(-2), F(0), F(-1), F(0), F(0))),
         id="redundant_le_row"),
+    # the second row starts with its slack basic; the Farkas vector is 2/3 of
+    # (1, 1, 3/2), the one an artificial start gives: the same ray of the cone
     pytest.param(FLIPPED_LE_ROWS,
-                 LpOutcome(LpStatus.INFEASIBLE, farkas=(F(1), F(1), F(3, 2))),
+                 LpOutcome(LpStatus.INFEASIBLE, farkas=(F(2, 3), F(2, 3), F(1))),
                  id="farkas_reads_le_slacks"),
 ])
 def test_twin_column_outcomes(lp, expected):
     assert solve(lp) == expected
+
+
+def _feasible(lp, x):
+    return all(dot(coeffs, x) <= rhs if rel == LE else dot(coeffs, x) == rhs
+               for coeffs, rel, rhs in lp.normalized_rows)
+
+
+def test_slack_feasible_rows_need_no_phase_one_pivot():
+    """Every normalized row is "<=" with a nonnegative right side, so phase
+    one starts, and ends, at the slack basis; only phase two pivots."""
+    lp = replace(TWO_VAR_MAX, upper=(F(3), None))
+    assert all(rel == LE and rhs >= 0 for _, rel, rhs in lp.normalized_rows)
+    phases = []
+    pivot = _Tableau._pivot
+
+    def counted(self, r, c):
+        phases.append(self.art_cost)
+        return pivot(self, r, c)
+
+    with mock.patch.object(_Tableau, "_pivot", counted):
+        out = solve(lp)
+    assert out.objective_value == F(14, 5) and check_outcome(lp, out) is None
+    assert phases and F(1) not in phases
+
+
+def test_restated_equality_with_a_new_right_side_is_infeasible():
+    """max x + y over x + y = 2 stated twice is optimal; with the second right
+    side set to 3 it is infeasible, and its Farkas vector proves it."""
+    rows = (((F(1), F(1)), EQ, F(2)), ((F(1), F(1)), EQ, F(2)))
+    lp = LinearProgram("max", (F(1), F(1)), rows)
+    assert solve(lp).status == LpStatus.OPTIMAL
+    lp = replace(lp, rows=(rows[0], (rows[1][0], EQ, F(3))))
+    out = solve(lp)
+    assert out.status == LpStatus.INFEASIBLE
+    assert check_outcome(lp, out) is None
+
+
+@pytest.mark.parametrize("lp", [
+    pytest.param(RAY_ALONG_X_MINUS, id="ray_along_x_minus"),
+    # max x over x - y <= 1, y >= 2: the ray leaves from a point with y > 0
+    pytest.param(LinearProgram("max", (F(1), F(0)), (((F(1), F(-1)), LE, F(1)),),
+                               lower=(None, F(2))), id="ray_off_the_origin"),
+])
+def test_unbounded_outcome_carries_a_feasible_point(lp):
+    out = solve(lp)
+    assert out.status == LpStatus.UNBOUNDED and check_outcome(lp, out) is None
+    for t in (0, 1, 10):
+        assert _feasible(lp, tuple(p + t * r for p, r in zip(out.primal, out.ray)))
+
+
+_BY_STATUS = {"optimal": TWO_VAR_MAX, "infeasible": FLIPPED_LE_ROWS,
+              "unbounded": RAY_ALONG_X_MINUS}
+
+
+@pytest.mark.parametrize("status, corrupt, problem", [
+    pytest.param("optimal", lambda o: replace(o, dual=(-o.dual[0],) + o.dual[1:]),
+                 "dual[0] = 2/5 has the wrong sign on a <= row", id="dual_sign"),
+    pytest.param("optimal", lambda o: replace(o, primal=(o.primal[0] + 1, o.primal[1])),
+                 "primal violates row 0: 5 <= 4 fails", id="primal_row"),
+    pytest.param("optimal", lambda o: replace(o, objective_value=o.objective_value + 1),
+                 "objective_value is not objective . primal", id="objective_value"),
+    pytest.param("optimal", lambda o: replace(o, dual=o.dual[:-1]), "dual has 3 entries",
+                 id="dual_length"),
+    pytest.param("optimal", lambda o: replace(o, ray=o.primal), "optimal outcome carries ray",
+                 id="extra_field"),
+    pytest.param("infeasible", lambda o: replace(o, farkas=(o.farkas[0] * 2,) + o.farkas[1:]),
+                 "farkas' A is not 0", id="farkas_aggregate"),
+    pytest.param("infeasible", lambda o: replace(o, farkas=None),
+                 "infeasible outcome lacks farkas", id="missing_field"),
+    pytest.param("unbounded", lambda o: replace(o, ray=(F(0), F(0))),
+                 "ray does not improve the objective", id="zero_ray"),
+    pytest.param("unbounded", lambda o: replace(o, ray=(F(0), F(1))),
+                 "ray leaves row 1: a . ray = 1", id="ray_leaves"),
+    pytest.param("unbounded", lambda o: replace(o, primal=(F(0), F(6))),
+                 "primal violates row 1: 6 <= 5 fails", id="ray_base"),
+])
+def test_check_outcome_names_the_broken_part(status, corrupt, problem):
+    lp = _BY_STATUS[status]
+    out = solve(lp)
+    assert check_outcome(lp, out) is None
+    assert check_outcome(lp, corrupt(out)) == problem
 
 
 def test_zero_rows_lp():
@@ -143,6 +230,7 @@ def test_duality_and_feasibility(rows, obj):
 
     with mock.patch.object(_Tableau, "_pivot", no_artificial_enters):
         out = solve(lp)
+    assert check_outcome(lp, out) is None
     if out.status == LpStatus.OPTIMAL:
         for coeffs, rel, rhs in lp.rows:
             assert dot(coeffs, out.primal) <= rhs
