@@ -1,4 +1,4 @@
-"""LP-identity check: record every simplex solve the test suite makes.
+"""LP-identity check: record, and check, every simplex solve the test suite makes.
 
 As a pytest plugin it routes `bendercuts.simplex.solve`, under every name a
 loaded module imported it as, through a recorder while each test runs, and
@@ -30,6 +30,14 @@ Hypothesis draws some examples from the numeric literals in the loaded
 package source, so adding a literal anywhere in `bendercuts` can change what
 such a test solves although no LP code changed; their verdicts compare the
 examples as much as the LPs.
+
+Every routed solve is also checked by `simplex.check_outcome`, which verifies
+the outcome's certificate (primal and dual, Farkas vector, or feasible point
+and ray) by exact arithmetic.  A solve whose certificate fails fails its test
+id, with the problem text as the report; the terminal summary counts the
+solves checked and the problems found.  This check needs no second recording,
+so it still holds where a legitimate change of start or pivot order makes the
+comparison read `differs`.
 
 Digests hash a text in which every `Fraction` is its hexadecimal numerator
 and denominator: `repr` would write decimal digits, which Python refuses past
@@ -80,12 +88,21 @@ class Recorder:
         self.current: list | None = None
         self.by_test: dict[str, list] = {}
         self.hypothesis: list[str] = []
+        self.checked = 0
+        self.problems: list[str] = []
+        self.problem_total = 0
 
     def _recording_solve(self, lp):
         before = self.pivots
         out = self.solve(lp)
         if self.current is not None:
             self.current.append([lp_digest(lp), outcome_digest(out), self.pivots - before])
+        self.checked += 1
+        problem = self.simplex.check_outcome(lp, out)
+        if problem is not None:
+            self.problems.append(f"check_outcome: {out.status.value} solve of LP "
+                                 f"{lp_digest(lp)}: {problem}")
+            self.problem_total += 1
         return out
 
     def _aliases(self):
@@ -121,6 +138,14 @@ class Recorder:
                     self.hypothesis.append(item.nodeid)
             self.current = None
 
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_makereport(self, item, call):
+        report = (yield).get_result()
+        if self.problems:
+            report.outcome = "failed"
+            report.longrepr = "\n".join(self.problems)
+            self.problems = []
+
     def pytest_collection_finish(self, session):
         from hypothesis import settings
         settings.register_profile("lp_digest", parent=settings.default, database=None)
@@ -134,6 +159,9 @@ class Recorder:
     def pytest_terminal_summary(self, terminalreporter, config):
         terminalreporter.write_line(
             f"lp_digest: {_totals(self.by_test)} -> {config.getoption('lp_digest_out')}")
+        terminalreporter.write_line(
+            f"lp_digest: check_outcome found {self.problem_total} problems in "
+            f"{self.checked} solves")
 
 
 def pytest_addoption(parser):

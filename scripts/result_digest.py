@@ -10,7 +10,8 @@ configs on each, and hashes, per run:
 * `replay_trace` of its `trace_document`.
 
 It prints the sha256 prefix of all of that, then a tally of statuses, cuts,
-fallback records and replay problems, then one line per config: its status
+fallback records, replay problems and `optimal` values that differ from
+`undecomposed_value` (outside the digest), then one line per config: its status
 tally, the mean and largest iteration count of its optimal runs, and its
 fallback records. Two commits that print the same first line returned the
 same results:
@@ -29,6 +30,7 @@ from bendercuts.benders import FixedCore, SolverConfig, SolveStatus, TrackIncumb
 from bendercuts.cglp import Custom, Directional, MisOnes
 from bendercuts.errors import ToolkitError
 from bendercuts.instance_io import replay_trace, trace_document
+from bendercuts.model import undecomposed_value
 from bendercuts.randgen import interior_epi_point, random_instance
 from bendercuts.verify import face_report, pareto_verdict
 
@@ -91,6 +93,7 @@ def main():
                 statuses[name][result.status.value] += 1
                 if result.status == SolveStatus.OPTIMAL:
                     iterations[name].append(len(result.trace))
+                    tally["optimal_value_mismatches"] += result.value != undecomposed_value(inst)
                 fallbacks[name] += sum(r.fallback for r in result.trace)
 
     text = "\n".join(lines) + "\n"

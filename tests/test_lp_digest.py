@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import lp_digest
 
@@ -36,3 +41,42 @@ def test_differences_in_hypothesis_tests_are_named(tmp_path, capsys):
     assert "differs (Hypothesis): t::drawn" in lines
     assert "equal: t::same" in lines
     assert lines[-1] == "1 equal, 0 subset, 2 differs (1 in Hypothesis tests)"
+
+
+CORRUPTED_RUN = textwrap.dedent("""
+    from fractions import Fraction as F
+
+    from bendercuts import simplex
+    from bendercuts.simplex import LE, LinearProgram
+
+    LP = LinearProgram("max", (F(1), F(1)), (((F(1), F(2)), LE, F(4)), ((F(3), F(1)), LE, F(6))),
+                       lower=(F(0), F(0)))
+
+    def test_clean():
+        assert simplex.solve(LP).objective_value == F(14, 5)
+
+    def test_flipped_dual_sign(monkeypatch):
+        row_duals = simplex._Tableau._row_duals
+        monkeypatch.setattr(simplex._Tableau, "_row_duals",
+                            lambda t: (-row_duals(t)[0],) + row_duals(t)[1:])
+        assert simplex.solve(LP).objective_value == F(14, 5)
+""")
+
+
+def test_a_corrupted_outcome_fails_its_test_id(tmp_path):
+    """A solve whose dual has one flipped sign still returns the right optimum,
+    so only the plugin's check_outcome can fail that test."""
+    (tmp_path / "test_inner.py").write_text(CORRUPTED_RUN, encoding="utf-8")
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(repo / "src"), str(repo / "scripts")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "lp_digest", "-p", "no:cacheprovider",
+         f"--lp-digest-out={tmp_path / 'rec.json'}", f"--rootdir={tmp_path}", str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    out = run.stdout
+    assert run.returncode == 1, out
+    assert "1 failed, 1 passed" in out
+    assert "FAILED test_inner.py::test_flipped_dual_sign" in out
+    assert "check_outcome: optimal solve of LP" in out
+    assert "dual[0] = 2/5 has the wrong sign on a <= row" in out
+    assert "lp_digest: check_outcome found 1 problems in 2 solves" in out
