@@ -35,7 +35,7 @@ Every routed solve is also checked by `simplex.check_outcome`, which verifies
 the outcome's certificate (primal and dual, Farkas vector, or feasible point
 and ray) by exact arithmetic.  A solve whose certificate fails fails its test
 id, with the problem text as the report; the terminal summary counts the
-solves checked and the problems found.  This check needs no second recording,
+problems found.  This check needs no second recording,
 so it still holds where a legitimate change of start or pivot order makes the
 comparison read `differs`.
 
@@ -88,7 +88,6 @@ class Recorder:
         self.current: list | None = None
         self.by_test: dict[str, list] = {}
         self.hypothesis: list[str] = []
-        self.checked = 0
         self.problems: list[str] = []
         self.problem_total = 0
 
@@ -97,7 +96,6 @@ class Recorder:
         out = self.solve(lp)
         if self.current is not None:
             self.current.append([lp_digest(lp), outcome_digest(out), self.pivots - before])
-        self.checked += 1
         problem = self.simplex.check_outcome(lp, out)
         if problem is not None:
             self.problems.append(f"check_outcome: {out.status.value} solve of LP "
@@ -160,8 +158,7 @@ class Recorder:
         terminalreporter.write_line(
             f"lp_digest: {_totals(self.by_test)} -> {config.getoption('lp_digest_out')}")
         terminalreporter.write_line(
-            f"lp_digest: check_outcome found {self.problem_total} problems in "
-            f"{self.checked} solves")
+            f"lp_digest: check_outcome found {self.problem_total} problems")
 
 
 def pytest_addoption(parser):

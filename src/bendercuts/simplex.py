@@ -395,11 +395,11 @@ def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> Optional[str]:
     wanted = {LpStatus.OPTIMAL: ("primal", "objective_value", "dual"),
               LpStatus.INFEASIBLE: ("farkas",),
               LpStatus.UNBOUNDED: ("primal", "ray")}[status]
+    sizes = {"primal": n, "ray": n, "dual": m, "farkas": m}
     for name, value in carried.items():
         if (value is None) == (name in wanted):
             return f"{status.value} outcome {'lacks' if value is None else 'carries'} {name}"
-        if name != "objective_value" and value is not None and len(value) != (
-                m if name in ("dual", "farkas") else n):
+        if value is not None and name in sizes and len(value) != sizes[name]:
             return f"{name} has {len(value)} entries"
 
     def multiplier_problem(mult: Vector, name: str, sign: int, target: Vector,

@@ -79,4 +79,4 @@ def test_a_corrupted_outcome_fails_its_test_id(tmp_path):
     assert "FAILED test_inner.py::test_flipped_dual_sign" in out
     assert "check_outcome: optimal solve of LP" in out
     assert "dual[0] = 2/5 has the wrong sign on a <= row" in out
-    assert "lp_digest: check_outcome found 1 problems in 2 solves" in out
+    assert "lp_digest: check_outcome found 1 problems" in out
