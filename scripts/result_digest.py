@@ -11,9 +11,9 @@ configs on each, and hashes, per run:
 
 It prints the sha256 prefix of all of that, then a tally of statuses, cuts,
 fallback records, replay problems and `optimal` values that differ from
-`undecomposed_value` (outside the digest), then one line per config: its status
-tally, the mean and largest iteration count of its optimal runs, and its
-fallback records. Two commits that print the same first line returned the
+`undecomposed_value`, then the `ill_posed` runs by reason (all outside the
+digest), then one line per config: its status tally, the mean and largest
+iteration count of its optimal runs, and its fallback records. Two commits that print the same first line returned the
 same results:
 
     python scripts/result_digest.py --count 100
@@ -66,7 +66,7 @@ def main():
     args = parser.parse_args()
 
     lines = []
-    tally = Counter()
+    tally, ill_posed = Counter(), Counter()
     statuses, iterations, fallbacks = defaultdict(Counter), defaultdict(list), Counter()
     for finite in (False, True):
         for seed in range(args.count):
@@ -91,6 +91,8 @@ def main():
                 tally["fallback_records"] += sum(r.fallback for r in result.trace)
                 tally["replay_problems"] += len(problems)
                 statuses[name][result.status.value] += 1
+                if result.status == SolveStatus.ILL_POSED:
+                    ill_posed[result.reason] += 1
                 if result.status == SolveStatus.OPTIMAL:
                     iterations[name].append(len(result.trace))
                     tally["optimal_value_mismatches"] += result.value != undecomposed_value(inst)
@@ -100,6 +102,8 @@ def main():
     print(f"digest {hashlib.sha256(text.encode()).hexdigest()[:16]}")
     for key in sorted(tally):
         print(f"{key} {tally[key]}")
+    for reason, count in ill_posed.most_common():
+        print(f"ill_posed {count}: {reason}")
     for name, counts in statuses.items():
         runs = iterations[name]
         mean = f"{sum(runs) / len(runs):.2f}" if runs else "-"

@@ -30,7 +30,7 @@ from typing import Optional, Union
 from .cglp import Directional, MisOnes, ObjectiveSpec
 from .errors import PreconditionViolated, StrategyUnbounded, EmptyEpigraph
 from .linalg import Vector, as_fraction, dot
-from .model import EpiPoint, Instance, PolyhedralDomain, _subproblem, feasibility_rows
+from .model import EpiPoint, Instance, PolyhedralDomain, _subproblem
 from .separation import IN_EPIGRAPH, Certificate, Cut, separate
 from .simplex import LE, LinearProgram, LpStatus, solve as solve_lp
 from .verify import FaceReport, face_report
@@ -116,12 +116,12 @@ def subproblem_check(instance: Instance, point: EpiPoint) -> Optional[Vector]:
     """The d-minimizing y at a point of epi(z), or None when d.y is unbounded below.
 
     The loop calls it once, at a point that converged onto the eta floor;
-    outside epi(z) it raises.
+    outside epi(z), where z(x) > eta, it raises.
     """
-    out = solve_lp(LinearProgram("min", instance.d, feasibility_rows(instance, point)))
-    if out.status == LpStatus.INFEASIBLE:
+    z, y = _subproblem(instance, point.x)
+    if z > point.eta:
         raise PreconditionViolated("the point lies outside epi(z)")
-    return out.primal if out.status == LpStatus.OPTIMAL else None
+    return y
 
 
 def _blend_points(a: EpiPoint, b: EpiPoint, blend: Fraction) -> EpiPoint:

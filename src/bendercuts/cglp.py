@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import DimensionError
-from .linalg import Vector, as_fraction, as_vector, dot
+from .linalg import Vector, as_fraction, as_vector, dot, sized
 from .model import EpiPoint, Instance, feasibility_rows
 from .simplex import EQ, GE, LE, LinearProgram
 
@@ -87,9 +87,7 @@ def lift_objective(instance: Instance, direction: Sequence, direction_eta) -> tu
     The weight on linking row i is H_i . direction; the epigraph row gets
     -direction_eta.  Optimizing either version gives the same value.
     """
-    direction = as_vector(direction)
-    if len(direction) != instance.n:
-        raise DimensionError(f"direction has {len(direction)} entries, expected {instance.n}")
+    direction = sized(as_vector(direction), instance.n, "direction")
     weights = tuple(dot(hrow, direction) for hrow in instance.H)
     return weights, -as_fraction(direction_eta)
 
@@ -113,9 +111,7 @@ def strategy_weights(instance: Instance, strategy: ObjectiveSpec) -> tuple[Vecto
     if isinstance(strategy, Directional):
         return lift_objective(instance, strategy.direction, strategy.direction_eta)
     if isinstance(strategy, Custom):
-        if len(strategy.weights) != instance.m:
-            raise DimensionError(f"weights have {len(strategy.weights)} entries, expected {instance.m}")
-        return strategy.weights, strategy.weight_eta
+        return sized(strategy.weights, instance.m, "weights"), strategy.weight_eta
     raise DimensionError(f"unknown strategy {strategy!r}")
 
 
@@ -128,9 +124,7 @@ def build_reverse_polar_lp(instance: Instance, point: EpiPoint, direction: Seque
     the point off by at least one unit and tie it to the witness; coef_eta
     stays nonpositive and u nonnegative.
     """
-    direction = as_vector(direction)
-    if len(direction) != instance.n:
-        raise DimensionError(f"direction has {len(direction)} entries, expected {instance.n}")
+    direction = sized(as_vector(direction), instance.n, "direction")
     n, k, m = instance.n, instance.k, instance.m
     nvars = n + 1 + m
     rows = [(point.x + (point.eta,) + tuple(-v for v in instance.b), GE, _ONE)]
@@ -154,9 +148,7 @@ def build_cglp_normalized(instance: Instance, point: EpiPoint, weights: Sequence
     weights.u + weight_eta.u_eta = -1.  A positive optimum xi scales by 1/xi
     to an optimal certificate at the usual -1 level, with value -1/xi there.
     """
-    weights = as_vector(weights)
-    if len(weights) != instance.m:
-        raise DimensionError(f"weights have {len(weights)} entries, expected {instance.m}")
+    weights = sized(as_vector(weights), instance.m, "weights")
     normalization = (weights + (as_fraction(weight_eta),), EQ, Fraction(-1))
     rows = certificate_rows(instance) + (normalization,)
     level = instance.linking_rhs(point.x) + (point.eta,)
@@ -174,9 +166,7 @@ def build_cglp_relaxed_subproblem(instance: Instance, point: EpiPoint, weights: 
     exactly when the point already lies in epi(z); for t* > 0 the row duals
     scaled by 1/t* form an optimal certificate with value -1/t*.
     """
-    weights = as_vector(weights)
-    if len(weights) != instance.m:
-        raise DimensionError(f"weights have {len(weights)} entries, expected {instance.m}")
+    weights = sized(as_vector(weights), instance.m, "weights")
     column = weights + (as_fraction(weight_eta),)
     rows = tuple((coeffs + (w,), rel, rhs)
                  for (coeffs, rel, rhs), w in zip(feasibility_rows(instance, point), column))

@@ -8,7 +8,6 @@ error, 5 iteration limit reached.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +19,8 @@ from .cglp import Custom, Directional, MisOnes, ObjectiveSpec, build_alt_polyhed
 from .errors import (DimensionError, EmptyEpigraph, ParseError,
                      PreconditionViolated, StrategyUnbounded, TooLarge,
                      UnboundedDirection, ZeroCertificate)
-from .instance_io import load_instance, trace_to_json
+from .instance_io import _LITERAL, _num, load_instance, trace_to_json
+from .linalg import sized
 from .model import EpiPoint, Instance
 from .separation import Cut, SEPARATED, certificate_for_cut, separate
 from .verify import enumerate_vertices, face_report, is_mis_certificate, pareto_verdict
@@ -47,19 +47,18 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # lets tokens like -2/7 pass as values rather than option names
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
+        self._negative_number_matcher = _LITERAL
 
     def error(self, message):
         raise ParseError(message)
 
 
 def _rational(text: str) -> Fraction:
-    if any(ch in text for ch in ".eE"):
-        raise argparse.ArgumentTypeError(f"non-integer literal not accepted: {text!r}")
+    """The literals of instance files; argparse puts the option name in front."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"bad rational: {text!r}") from None
+        return _num(text, "value")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _var_name(i: int, n: int) -> str:
@@ -108,20 +107,17 @@ def _build_strategy(args, instance: Instance, has_core_mode: bool) -> ObjectiveS
             return Directional(direction=(_ZERO,) * instance.n, direction_eta=Fraction(1))
         if args.omega is None or args.omega0 is None:
             raise ParseError("--strategy directional needs --omega and --omega0")
-        if len(args.omega) != instance.n:
-            raise DimensionError(f"--omega expects {instance.n} values, got {len(args.omega)}")
-        return Directional(direction=tuple(args.omega), direction_eta=args.omega0)
+        return Directional(direction=tuple(sized(args.omega, instance.n, "--omega")),
+                           direction_eta=args.omega0)
     if args.omega_tilde is None:
         raise ParseError("--strategy custom needs --omega-tilde")
-    if len(args.omega_tilde) != instance.m:
-        raise DimensionError(f"--omega-tilde expects {instance.m} values, got {len(args.omega_tilde)}")
     weight_eta = args.omega_tilde0 if args.omega_tilde0 is not None else Fraction(-1)
-    return Custom(weights=tuple(args.omega_tilde), weight_eta=weight_eta)
+    return Custom(weights=tuple(sized(args.omega_tilde, instance.m, "--omega-tilde")),
+                  weight_eta=weight_eta)
 
 
 def _parse_point(values: Sequence[Fraction], instance: Instance) -> EpiPoint:
-    if len(values) != instance.n + 1:
-        raise DimensionError(f"--point expects {instance.n + 1} values, got {len(values)}")
+    sized(values, instance.n + 1, "--point")
     return EpiPoint(x=tuple(values[:-1]), eta=values[-1])
 
 
@@ -176,9 +172,7 @@ def _root_master_point(instance: Instance) -> Optional[EpiPoint]:
 
 def _cmd_verify(args) -> int:
     instance = load_instance(args.file)
-    values = args.cut
-    if len(values) != instance.n + 2:
-        raise DimensionError(f"--cut expects {instance.n + 2} values, got {len(values)}")
+    values = sized(args.cut, instance.n + 2, "--cut")
     cut = Cut(coef_x=tuple(values[:instance.n]), coef_eta=values[instance.n],
               rhs=values[instance.n + 1])
     report = face_report(instance, cut)

@@ -1,17 +1,20 @@
 """Instance and trace files.
 
-Instances are JSON documents whose numbers are either integers or "p/q"
-strings; floats are rejected rather than rounded, so a file that parses is
-exact by construction.  Traces record every iteration of a solve in enough
-detail to be replayed: feeding the recorded cuts back into fresh master
-solves must reproduce the recorded master values, and re-running the face
-classification must reproduce the recorded reports.
+Instances are JSON documents whose numbers are integers or `_LITERAL`
+strings: an optional sign, ASCII digits, and optionally "/" and ASCII digits.
+Floats are rejected rather than rounded, so a file that parses is exact by
+construction; the CLI reads its rational arguments with the same `_num`.
+Traces record every iteration of a solve in enough detail to be replayed:
+feeding the recorded cuts back into fresh master solves must reproduce the
+recorded master values, and re-running the face classification must
+reproduce the recorded reports.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from typing import Any, Optional, Union
 
@@ -20,7 +23,7 @@ from .benders import (CONVERGED, CoreMode, FixedCore, IterationRecord, SolveResu
 from .cglp import Directional, MisOnes, ObjectiveSpec, certificate_rows
 from .errors import (DimensionError, EmptyEpigraph, ParseError, PreconditionViolated,
                      TooLarge, ZeroCertificate)
-from .linalg import Vector, dot
+from .linalg import Vector, dot, sized
 from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, feasibility_rows
 from .separation import Certificate, Cut, canonical_cut, certificate_to_cut
 from .verify import FaceReport, face_report
@@ -39,6 +42,9 @@ writes.
 """
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 
+_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
+"""The one rational literal: `match` accepts it whole or not at all."""
+
 
 _SMALL = {v: Fraction(v) for v in range(-256, 257)}
 """One shared Fraction per small integer: instance data are mostly small
@@ -50,20 +56,20 @@ def _too_long(value: Fraction) -> bool:
 
 
 def _num(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
-    if isinstance(value, int):
+    """A JSON integer or a `_LITERAL` string as a Fraction, or ParseError."""
+    if isinstance(value, int) and not isinstance(value, bool):
         number = _SMALL[value] if -256 <= value <= 256 else Fraction(value)
-    elif isinstance(value, str):
-        if any(ch in value for ch in ".eE"):
-            raise ParseError(f"{where}: non-integer literals are not accepted: {value!r}")
+    elif isinstance(value, str) and _LITERAL.match(value):
         try:
             number = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad rational {value!r}: {exc}") from None
+        except ZeroDivisionError:
+            raise ParseError(f"{where}: zero denominator in {value!r}") from None
+        except ValueError:  # more digits than int/str conversion allows
+            number = None
     else:
-        raise ParseError(f"{where}: expected an integer or 'p/q' string, got {type(value).__name__}")
-    if _too_long(number):
+        got = repr(value) if isinstance(value, (str, float)) else type(value).__name__
+        raise ParseError(f"{where}: expected an integer or a 'p/q' literal, got {got}")
+    if number is None or _too_long(number):
         raise ParseError(f"{where}: a numerator or denominator has more than {MAX_DIGITS} digits")
     return number
 
@@ -71,17 +77,15 @@ def _num(value: Any, where: str) -> Fraction:
 def _vec(value: Any, where: str, length: Optional[int] = None) -> Vector:
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list")
-    if length is not None and len(value) != length:
-        raise DimensionError(f"{where}: expected {length} entries, got {len(value)}")
+    if length is not None:
+        sized(value, length, where)
     return tuple(_num(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
 def _mat(value: Any, where: str, rows: int, cols: int) -> tuple[Vector, ...]:
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list of rows")
-    if len(value) != rows:
-        raise DimensionError(f"{where}: expected {rows} rows, got {len(value)}")
-    return tuple(_vec(r, f"{where}[{i}]", cols) for i, r in enumerate(value))
+    return tuple(_vec(r, f"{where}[{i}]", cols) for i, r in enumerate(sized(value, rows, where)))
 
 
 def _int(value: Any, where: str) -> int:
@@ -115,15 +119,20 @@ def _parse_master(doc: Any, n: int) -> Union[PolyhedralDomain, FiniteDomain]:
     raise ParseError(f"master.type must be 'polyhedron' or 'finite', got {kind!r}")
 
 
-def parse_instance(text: str) -> Instance:
+def _decode(text: str) -> Any:
+    """json.loads, with every way it refuses a text mapped to ParseError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})") from None
     except ValueError as exc:  # an integer literal past the int conversion limit
         raise ParseError(f"not readable JSON: {exc}") from None
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
+
+
+def parse_instance(text: str) -> Instance:
+    doc = _decode(text)
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     missing = [key for key in _INSTANCE_KEYS if key not in doc]
@@ -313,13 +322,9 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     malformed document comes back as messages too, never as an exception.
     """
     try:
-        doc = json.loads(trace) if isinstance(trace, str) else trace
-    except json.JSONDecodeError as exc:
-        return [f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"]
-    except ValueError as exc:  # an integer literal past the int conversion limit
-        return [f"not readable JSON: {exc}"]
-    except RecursionError:
-        return ["JSON nested too deeply"]
+        doc = _decode(trace) if isinstance(trace, str) else trace
+    except ParseError as exc:
+        return [str(exc)]
     if not isinstance(doc, dict):
         return [f"a trace is a JSON object, not {type(doc).__name__}"]
     problems: list[str] = []

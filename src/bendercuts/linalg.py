@@ -22,6 +22,13 @@ def as_vector(values: Sequence) -> Vector:
     return tuple(as_fraction(v) for v in values)
 
 
+def sized(values: Sequence, n: int, what: str) -> Sequence:
+    """values itself, or DimensionError unless it has n entries."""
+    if len(values) != n:
+        raise DimensionError(f"{what} has {len(values)} entries, expected {n}")
+    return values
+
+
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     if len(a) != len(b):
         raise DimensionError(f"dot: {len(a)} vs {len(b)}")

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionError, EmptyEpigraph
-from .linalg import Vector, as_fraction, as_vector, nullspace_basis
+from .linalg import Vector, as_fraction, as_vector, nullspace_basis, sized
 from .simplex import EQ, LE, LinearProgram, LpStatus, solve
 
 _ZERO = Fraction(0)
@@ -89,9 +89,6 @@ class EpiPoint:
         object.__setattr__(self, "x", as_vector(self.x))
         object.__setattr__(self, "eta", as_fraction(self.eta))
 
-    def as_tuple(self) -> Vector:
-        return self.x + (self.eta,)
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -144,8 +141,7 @@ class Instance:
 
     def linking_rhs(self, x: Vector) -> Vector:
         """b - H x, the subproblem right-hand side at x."""
-        if len(x) != self.n:
-            raise DimensionError(f"x has {len(x)} entries, expected {self.n}")
+        sized(x, self.n, "x")
         return tuple(bi - sum((hij * xj for hij, xj in zip(hrow, x)), _ZERO)
                      for hrow, bi in zip(self.H, self.b))
 
@@ -235,11 +231,8 @@ def support_function(instance: Instance, pi: Sequence, pi0) -> Union[Fraction, f
 
 def _support(instance: Instance, pi: Sequence, pi0) -> tuple[Union[Fraction, float], Optional[Vector]]:
     """`support_function`'s value and, when it is finite, the optimal (x, eta)."""
-    pi = as_vector(pi)
-    pi0 = as_fraction(pi0)
-    if len(pi) != instance.n:
-        raise DimensionError(f"pi has {len(pi)} entries, expected {instance.n}")
-    out = solve(_epi_lift_lp(instance, direction=(pi + (pi0,), "max")))
+    pi = sized(as_vector(pi), instance.n, "pi")
+    out = solve(_epi_lift_lp(instance, direction=(pi + (as_fraction(pi0),), "max")))
     if out.status == LpStatus.INFEASIBLE:
         raise EmptyEpigraph("the epigraph is empty")
     if out.status == LpStatus.UNBOUNDED:
@@ -248,15 +241,12 @@ def _support(instance: Instance, pi: Sequence, pi0) -> tuple[Union[Fraction, flo
 
 
 def _implicit_mask(rows) -> Optional[tuple[bool, ...]]:
-    """Which <=-rows hold with equality everywhere on the solution set.
+    """Which rows hold with equality everywhere on the solution set.
 
-    None when the set is empty.  Equality rows are marked implicit as well.
+    None when the set is empty.
     """
     mask = []
-    for coeffs, rel, rhs in rows:
-        if rel == EQ:
-            mask.append(True)
-            continue
+    for coeffs, _, rhs in rows:
         probe = LinearProgram("min", coeffs, tuple(rows))
         out = solve(probe)
         if out.status == LpStatus.INFEASIBLE:

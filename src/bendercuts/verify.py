@@ -26,8 +26,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .errors import DimensionError, DominanceUndefined, InfeasibleCandidate, TooLarge
-from .linalg import Vector, as_vector, dot, matrix_rank, solve_square
+from .errors import DominanceUndefined, InfeasibleCandidate, TooLarge
+from .linalg import Vector, as_vector, dot, matrix_rank, sized, solve_square
 from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _implicit_mask,
                     _rows_feasible, _support, epi_dimension, epi_face_dimension,
                     epigraph_rows, feasibility_rows, subproblem_value)
@@ -135,9 +135,7 @@ def enumerate_vertices(lp: LinearProgram) -> tuple[Vector, ...]:
 def is_vertex(lp: LinearProgram, candidate) -> bool:
     """Feasible and with tight rows of full rank."""
     rows, dim = lp.normalized_rows, lp.num_vars
-    candidate = as_vector(candidate)
-    if len(candidate) != dim:
-        raise DimensionError(f"candidate has {len(candidate)} entries, expected {dim}")
+    candidate = sized(as_vector(candidate), dim, "candidate")
     tight = []
     for coeffs, rel, rhs in rows:
         v = dot(coeffs, candidate)

@@ -176,6 +176,18 @@ def test_incumbent_fallback():
     assert result.trace[0].fallback is True
 
 
+def test_unbounded_direction_falls_back_to_mis():
+    """Straight up misses epi(z) from some master points of this draw (seed 7 of
+    scripts/result_digest.py, c and d made nonnegative there): those rounds
+    separate with MisOnes, are marked, and the run still reaches the optimum."""
+    inst = random_instance(random.Random(7))
+    inst = replace(inst, c=tuple(abs(v) for v in inst.c), d=tuple(abs(v) for v in inst.d))
+    result = solve(inst, SolverConfig(strategy=Directional((F(0),) * inst.n, F(1))))
+    assert any(r.fallback for r in result.trace)
+    assert result.status == SolveStatus.OPTIMAL
+    assert result.value == undecomposed_value(inst)
+
+
 def test_track_incumbent_on_ex1(ex1):
     config = SolverConfig(strategy=Directional((F(0),), F(1)),
                           core_point_mode=TrackIncumbent(F(1, 2)),

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from bendercuts.benders import SolveResult, SolveStatus, SolverConfig, solve
-from bendercuts.cglp import Directional, MisOnes
-from bendercuts.cli import format_cut, run
+from bendercuts.benders import (FixedCore, SolveResult, SolveStatus, SolverConfig,
+                                TrackIncumbent, solve)
+from bendercuts.cglp import Custom, Directional, MisOnes
+from bendercuts.cli import _rational, format_cut, run
 from bendercuts.errors import DimensionError, ParseError, TooLarge
 from bendercuts.instance_io import (MAX_DIGITS, instance_digest, instance_document,
                                     load_instance, parse_instance, replay_trace,
@@ -84,6 +85,34 @@ _REJECTS = [
 def test_parse_rejections(ex1, exc, make):
     with pytest.raises(exc):
         parse_instance(make(ex1))
+
+
+_ACCEPTED = {"3": F(3), "-2/7": F(-2, 7), "+3": F(3), "10/4": F(5, 2)}
+_REFUSED = ["1.5", "1e3", "1_000", "\u0663/4", " 3/4", "1/0"]
+
+
+@pytest.mark.parametrize("literal", list(_ACCEPTED) + _REFUSED)
+def test_one_literal_grammar(ex1, capsys, literal):
+    """Instance files, traces and CLI arguments accept the same literals, as
+    the same numbers, and refuse the rest with the same message."""
+    text = _mutant(ex1, eta_lower_bound=literal)
+    config = SolverConfig(strategy=MisOnes())
+    doc = trace_document(ex1, config, solve(ex1, config))
+    doc["iterations"][0]["master_value"] = literal
+    problems = replay_trace(ex1, doc)
+    code = run(["separate", str(EX1_PATH), "--point", "0", literal])
+    err = capsys.readouterr().err
+    if literal in _ACCEPTED:
+        number = _ACCEPTED[literal]
+        assert parse_instance(text).eta_lower_bound == number
+        assert problems == [f"iteration 1: master value 0 != recorded {number}"]
+        assert code == 0 and _rational(literal) == number
+        return
+    with pytest.raises(ParseError) as refused:
+        parse_instance(text)
+    message = str(refused.value).removeprefix("eta_lower_bound: ")
+    assert problems == [f"iteration 1: master_value: {message}"]
+    assert code == 4 and err == f"error=argument --point: value: {message}\n"
 
 
 def test_writers_refuse_numbers_past_max_digits(ex1):
@@ -243,6 +272,8 @@ def _forge_first_record_converged(doc):
 _FORGED_OPTIMA = {
     "first_record_converged": _forge_first_record_converged,
     "y_and_value_edited": lambda doc: dict(doc, y=["99"], value="100"),
+    "x_not_a_literal": lambda doc: dict(doc, x=["4.0/3"]),
+    "y_too_long": lambda doc: dict(doc, y=doc["y"] * 2),
 }
 
 
@@ -302,6 +333,11 @@ def _edit_first_certificate(doc, key, value):
     return doc
 
 
+def _replace_first_cut(doc, cut):
+    doc["iterations"][0].update(cut=cut, certificate=None)
+    return doc
+
+
 # forged trace -> the message its first record gets
 _FORGED_CUTS = {
     "x_ge_3_real_certificate": (
@@ -312,6 +348,10 @@ _FORGED_CUTS = {
     "multipliers_keep_y": (
         lambda doc: _edit_first_certificate(doc, "eta_multiplier", "1"),
         "recorded certificate does not cancel y: u'A + u_eta d' != 0"),
+    "zero_certificate": (
+        lambda doc: _edit_first_certificate(
+            _edit_first_certificate(doc, "row_multipliers", [0, 0, 0]), "eta_multiplier", 0),
+        "recorded certificate maps to no cut"),
 }
 
 
@@ -322,6 +362,48 @@ def test_replay_checks_cuts_against_certificates(ex1, name):
     assert replay_trace(ex1, doc) == []
     forge, message = _FORGED_CUTS[name]
     assert replay_trace(ex1, forge(doc)) == [f"iteration 1: {message}"]
+
+
+def test_replay_checks_what_each_cut_does_to_the_master(ex1):
+    config = SolverConfig(strategy=MisOnes())
+    # eta >= -1 holds at the first master point (0, 0), so the cut leaves it in place
+    problems = replay_trace(ex1, _replace_first_cut(
+        trace_document(ex1, config, solve(ex1, config)), {"coef_x": [0], "coef_eta": -1, "rhs": 1}))
+    assert "iteration 1: recorded cut does not cut off its master point" in problems
+    # x <= -1 cuts off x = 0 and, with the master set x >= 0, leaves no master point
+    problems = replay_trace(ex1, _replace_first_cut(
+        trace_document(ex1, config, solve(ex1, config)), {"coef_x": [1], "coef_eta": 0, "rhs": -1}))
+    assert problems[-1] == "iteration 2: master became infeasible on replay"
+
+
+_CONFIG_DOCUMENTS = {
+    "fixed_core": (
+        SolverConfig(strategy=Directional((F(0),), F(1)),
+                     core_point_mode=FixedCore(EpiPoint((F(2),), F(7, 2)))),
+        {"strategy": {"kind": "directional", "direction": [0], "direction_eta": 1},
+         "max_iterations": 50, "core_point_mode": {"kind": "fixed_core", "x": [2], "eta": "7/2"},
+         "verify_each_cut": False}),
+    "track_incumbent": (
+        SolverConfig(strategy=Directional((F(0),), F(1)),
+                     core_point_mode=TrackIncumbent(F(1, 3)), verify_each_cut=True),
+        {"strategy": {"kind": "directional", "direction": [0], "direction_eta": 1},
+         "max_iterations": 50, "core_point_mode": {"kind": "track_incumbent", "blend": "1/3"},
+         "verify_each_cut": True}),
+    "custom": (
+        SolverConfig(strategy=Custom((F(-1), F(0), F(-1, 2)), F(-1)), max_iterations=20),
+        {"strategy": {"kind": "custom", "weights": [-1, 0, "-1/2"], "weight_eta": -1},
+         "max_iterations": 20, "core_point_mode": None, "verify_each_cut": False}),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONFIG_DOCUMENTS))
+def test_trace_writes_every_config_kind(ex1, name):
+    config, document = _CONFIG_DOCUMENTS[name]
+    result = solve(ex1, config)
+    assert result.status == SolveStatus.OPTIMAL
+    text = trace_to_json(ex1, config, result)
+    assert json.loads(text)["config"] == document
+    assert replay_trace(ex1, text) == []
 
 
 def test_format_cut():
@@ -499,6 +581,30 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert run(["--help"]) == 0
     assert "solve" in capsys.readouterr().out
+
+
+def test_cli_exits_of_the_oracles(tmp_path, capsys):
+    """Exit codes and messages that only separation, verify and bench reach."""
+    empty = _write_instance(tmp_path, "empty.json", m=2, H=((F(0),), (F(0),)),
+                            A=((F(1),), (F(-1),)), b=(F(-1), F(0)))
+    assert run(["separate", str(empty), "--point", "0", "0"]) == 2
+    assert capsys.readouterr().err == "error=the epigraph is empty; nothing to separate from\n"
+    # straight down from below epi(z) never reaches it
+    assert run(["separate", str(EX1_PATH), "--point", "0", "0", "--strategy", "directional",
+                "--omega", "0", "--omega0", "-1"]) == 3
+    assert capsys.readouterr().err == \
+        "error=no relaxation along these weights reaches the epigraph\n"
+    # no default MIS point: the root master is unbounded
+    unbounded = _write_instance(tmp_path, "unbounded.json", c=(F(-1),))
+    assert run(["verify", str(unbounded), "--cut", "-2", "-1", "-5"]) == 0
+    assert "mis=unknown" in capsys.readouterr().out.splitlines()
+    assert run(["bench", str(tmp_path / "missing")]) == 4
+    assert capsys.readouterr().err == f"error=not a directory: {tmp_path / 'missing'}\n"
+    no_json = tmp_path / "no_json"
+    no_json.mkdir()
+    (no_json / "ex1.txt").write_text(EX1_PATH.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run(["bench", str(no_json)]) == 4
+    assert capsys.readouterr().err == f"error=no .json instances under {no_json}\n"
 
 
 def test_cli_custom_strategy(capsys):

@@ -187,6 +187,12 @@ _BY_STATUS = {"optimal": TWO_VAR_MAX, "infeasible": FLIPPED_LE_ROWS,
                  "farkas' A is not 0", id="farkas_aggregate"),
     pytest.param("infeasible", lambda o: replace(o, farkas=None),
                  "infeasible outcome lacks farkas", id="missing_field"),
+    # the zero vector has the right signs and aggregates to 0 . x <= 0
+    pytest.param("infeasible", lambda o: replace(o, farkas=(F(0),) * len(o.farkas)),
+                 "farkas . rhs is not negative", id="farkas_rhs"),
+    # a feasible point below the optimum keeps the dual's signs and y'A = c
+    pytest.param("optimal", lambda o: replace(o, primal=(F(0), F(0))),
+                 "dual . rhs is not the optimum", id="dual_rhs"),
     pytest.param("unbounded", lambda o: replace(o, ray=(F(0), F(0))),
                  "ray does not improve the objective", id="zero_ray"),
     pytest.param("unbounded", lambda o: replace(o, ray=(F(0), F(1))),
