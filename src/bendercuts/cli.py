@@ -19,8 +19,8 @@ from .cglp import Custom, Directional, MisOnes, ObjectiveSpec, build_alt_polyhed
 from .errors import (DimensionError, EmptyEpigraph, ParseError,
                      PreconditionViolated, StrategyUnbounded, TooLarge,
                      UnboundedDirection, ZeroCertificate)
-from .instance_io import _LITERAL, _num, load_instance, trace_to_json
-from .linalg import sized
+from .instance_io import _num, load_instance, trace_to_json
+from .linalg import LITERAL, sized
 from .model import EpiPoint, Instance
 from .separation import Cut, SEPARATED, certificate_for_cut, separate
 from .verify import enumerate_vertices, face_report, is_mis_certificate, pareto_verdict
@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # lets tokens like -2/7 pass as values rather than option names
-        self._negative_number_matcher = _LITERAL
+        self._negative_number_matcher = LITERAL
 
     def error(self, message):
         raise ParseError(message)

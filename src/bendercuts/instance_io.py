@@ -1,6 +1,6 @@
 """Instance and trace files.
 
-Instances are JSON documents whose numbers are integers or `_LITERAL`
+Instances are JSON documents whose numbers are integers or `linalg.LITERAL`
 strings: an optional sign, ASCII digits, and optionally "/" and ASCII digits.
 Floats are rejected rather than rounded, so a file that parses is exact by
 construction; the CLI reads its rational arguments with the same `_num`.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from fractions import Fraction
 from typing import Any, Optional, Union
 
@@ -23,7 +22,7 @@ from .benders import (CONVERGED, CoreMode, FixedCore, IterationRecord, SolveResu
 from .cglp import Directional, MisOnes, ObjectiveSpec, certificate_rows
 from .errors import (DimensionError, EmptyEpigraph, ParseError, PreconditionViolated,
                      TooLarge, ZeroCertificate)
-from .linalg import Vector, dot, sized
+from .linalg import LITERAL, Vector, dot, sized
 from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, feasibility_rows
 from .separation import Certificate, Cut, canonical_cut, certificate_to_cut
 from .verify import FaceReport, face_report
@@ -42,10 +41,6 @@ writes.
 """
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 
-_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
-"""The one rational literal: `match` accepts it whole or not at all."""
-
-
 _SMALL = {v: Fraction(v) for v in range(-256, 257)}
 """One shared Fraction per small integer: instance data are mostly small
 integers, and a parsed instance keeps every entry."""
@@ -56,10 +51,10 @@ def _too_long(value: Fraction) -> bool:
 
 
 def _num(value: Any, where: str) -> Fraction:
-    """A JSON integer or a `_LITERAL` string as a Fraction, or ParseError."""
+    """A JSON integer or a `LITERAL` string as a Fraction, or ParseError."""
     if isinstance(value, int) and not isinstance(value, bool):
         number = _SMALL[value] if -256 <= value <= 256 else Fraction(value)
-    elif isinstance(value, str) and _LITERAL.match(value):
+    elif isinstance(value, str) and LITERAL.match(value):
         try:
             number = Fraction(value)
         except ZeroDivisionError:

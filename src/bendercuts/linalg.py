@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DimensionError
+from .errors import DimensionError, ParseError
 
 Vector = tuple[Fraction, ...]
+
+LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
+"""The one rational literal: an optional sign, ASCII digits, and optionally
+"/" and ASCII digits.  `match` accepts it whole or not at all."""
 
 
 def as_fraction(value) -> Fraction:
@@ -15,6 +20,13 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("floats are not accepted, use int, Fraction or 'p/q'")
+    if isinstance(value, str):
+        try:
+            if LITERAL.match(value):
+                return Fraction(value)
+        except ZeroDivisionError:
+            pass
+        raise ParseError(f"expected an integer or a 'p/q' literal, got {value!r}")
     return Fraction(value)
 
 

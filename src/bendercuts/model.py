@@ -26,13 +26,7 @@ _ZERO = Fraction(0)
 
 
 def _as_matrix(rows: Sequence[Sequence], width: int, name: str) -> tuple[Vector, ...]:
-    out = []
-    for r in rows:
-        v = as_vector(r)
-        if len(v) != width:
-            raise DimensionError(f"{name} row has {len(v)} entries, expected {width}")
-        out.append(v)
-    return tuple(out)
+    return tuple(sized(as_vector(r), width, f"{name} row") for r in rows)
 
 
 @dataclass(frozen=True)

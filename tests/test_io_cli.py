@@ -93,8 +93,9 @@ _REFUSED = ["1.5", "1e3", "1_000", "\u0663/4", " 3/4", "1/0"]
 
 @pytest.mark.parametrize("literal", list(_ACCEPTED) + _REFUSED)
 def test_one_literal_grammar(ex1, capsys, literal):
-    """Instance files, traces and CLI arguments accept the same literals, as
-    the same numbers, and refuse the rest with the same message."""
+    """Instance files, traces, CLI arguments and the constructors accept the
+    same literals, as the same numbers; the first three refuse the rest with
+    the same message, the constructors with ParseError too."""
     text = _mutant(ex1, eta_lower_bound=literal)
     config = SolverConfig(strategy=MisOnes())
     doc = trace_document(ex1, config, solve(ex1, config))
@@ -107,7 +108,10 @@ def test_one_literal_grammar(ex1, capsys, literal):
         assert parse_instance(text).eta_lower_bound == number
         assert problems == [f"iteration 1: master value 0 != recorded {number}"]
         assert code == 0 and _rational(literal) == number
+        assert replace(ex1, eta_lower_bound=literal).eta_lower_bound == number
         return
+    with pytest.raises(ParseError):
+        replace(ex1, eta_lower_bound=literal)
     with pytest.raises(ParseError) as refused:
         parse_instance(text)
     message = str(refused.value).removeprefix("eta_lower_bound: ")

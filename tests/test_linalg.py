@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from bendercuts.errors import ParseError
 from bendercuts.linalg import (affine_rank, as_fraction, as_vector, dot,
                                matrix_rank, nullspace_basis, solve_square)
 
@@ -20,6 +21,13 @@ def test_as_fraction_rejects_floats():
         as_fraction(0.5)
     assert as_fraction(3) == F(3)
     assert as_fraction(F(2, 7)) == F(2, 7)
+
+
+def test_as_fraction_reads_strings_with_the_one_grammar():
+    assert [as_fraction(s) for s in ("3", "-2/7", "+3", "10/4")] == [3, F(-2, 7), 3, F(5, 2)]
+    for refused in ("1.5", "1e3", "1_000", "\u0663/4", " 3/4", "1/0", ""):
+        with pytest.raises(ParseError):
+            as_fraction(refused)
 
 
 def test_as_vector():
