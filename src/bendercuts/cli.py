@@ -1,6 +1,8 @@
 """Command-line surface: solve, separate, verify, enumerate, bench.
 
 Output is line oriented key=value text with exact rationals throughout.
+Every number argument is a literal of the instance files' grammar; an
+integer option such as --max-iter must also be a whole number.
 Exit codes: 0 success, 2 infeasible, 3 unbounded or ill-posed, 4 input
 error, 5 iteration limit reached.
 """
@@ -59,6 +61,14 @@ def _rational(text: str) -> Fraction:
         return _num(text, "value")
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _whole(text: str) -> int:
+    """A `_rational` that is a whole number, as an int."""
+    value = _rational(text)
+    if value.denominator != 1:
+        raise argparse.ArgumentTypeError(f"value: expected a whole number, got {text!r}")
+    return int(value)
 
 
 def _var_name(i: int, n: int) -> str:
@@ -256,7 +266,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="run the decomposition loop")
     p.add_argument("file")
     common_strategy(p)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--max-iter", type=_whole, default=50)
     p.add_argument("--verify", action="store_true",
                    help="classify every emitted cut and record it in the trace")
     p.add_argument("--trace", default=None, help="write a replayable trace file")
@@ -289,7 +299,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="iteration counts per strategy over a directory")
     p.add_argument("dir")
     p.add_argument("--strategies", default="mis,directional")
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--max-iter", type=_whole, default=50)
     p.set_defaults(handler=_cmd_bench)
 
     return parser

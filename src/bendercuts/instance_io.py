@@ -3,7 +3,10 @@
 Instances are JSON documents whose numbers are integers or `linalg.LITERAL`
 strings: an optional sign, ASCII digits, and optionally "/" and ASCII digits.
 Floats are rejected rather than rounded, so a file that parses is exact by
-construction; the CLI reads its rational arguments with the same `_num`.
+construction.  Every string is read by `linalg.as_fraction`, which also
+bounds a numerator or denominator at `linalg.MAX_DIGITS` digits; the CLI
+reads its arguments with the same `_num`.  Sizes are checked by the
+constructors the parsed fields go to, not by the parser.
 Traces record every iteration of a solve in enough detail to be replayed:
 feeding the recorded cuts back into fresh master solves must reproduce the
 recorded master values, and re-running the face classification must
@@ -22,51 +25,36 @@ from .benders import (CONVERGED, CoreMode, FixedCore, IterationRecord, SolveResu
 from .cglp import Directional, MisOnes, ObjectiveSpec, certificate_rows
 from .errors import (DimensionError, EmptyEpigraph, ParseError, PreconditionViolated,
                      TooLarge, ZeroCertificate)
-from .linalg import LITERAL, Vector, dot, sized
+from .linalg import MAX_DIGITS, Vector, as_fraction, dot, sized, too_long
 from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, feasibility_rows
 from .separation import Certificate, Cut, canonical_cut, certificate_to_cut
+from .simplex import violated_row
 from .verify import FaceReport, face_report
 
 _TRACE_FORMAT = "bendercuts-trace/1"
 
 _INSTANCE_KEYS = ("n", "k", "m", "c", "d", "H", "A", "b", "master", "eta_lower_bound")
 
-MAX_DIGITS = 4300
-"""Most decimal digits a numerator or denominator may have in a document.
-
-Reading refuses a longer number with ParseError (a message, in replay_trace)
-and writing with TooLarge.  It is CPython's default limit on int/str
-conversion, so under default settings every document within it reads and
-writes.
-"""
-_DIGIT_BOUND = 10 ** MAX_DIGITS
-
 _SMALL = {v: Fraction(v) for v in range(-256, 257)}
 """One shared Fraction per small integer: instance data are mostly small
 integers, and a parsed instance keeps every entry."""
 
 
-def _too_long(value: Fraction) -> bool:
-    return not -_DIGIT_BOUND < value.numerator < _DIGIT_BOUND or value.denominator >= _DIGIT_BOUND
-
-
 def _num(value: Any, where: str) -> Fraction:
-    """A JSON integer or a `LITERAL` string as a Fraction, or ParseError."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        number = _SMALL[value] if -256 <= value <= 256 else Fraction(value)
-    elif isinstance(value, str) and LITERAL.match(value):
-        try:
-            number = Fraction(value)
-        except ZeroDivisionError:
-            raise ParseError(f"{where}: zero denominator in {value!r}") from None
-        except ValueError:  # more digits than int/str conversion allows
-            number = None
-    else:
-        got = repr(value) if isinstance(value, (str, float)) else type(value).__name__
+    """A JSON integer or a `LITERAL` string as a Fraction, or ParseError.
+
+    `as_fraction` reads it; this adds only what JSON needs: the refusal of
+    other JSON values, shared small integers, and `where` in the message.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        got = repr(value) if isinstance(value, float) else type(value).__name__
         raise ParseError(f"{where}: expected an integer or a 'p/q' literal, got {got}")
-    if number is None or _too_long(number):
-        raise ParseError(f"{where}: a numerator or denominator has more than {MAX_DIGITS} digits")
-    return number
+    if isinstance(value, int) and -256 <= value <= 256:
+        return _SMALL[value]
+    try:
+        return as_fraction(value)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _vec(value: Any, where: str, length: Optional[int] = None) -> Vector:
@@ -77,10 +65,10 @@ def _vec(value: Any, where: str, length: Optional[int] = None) -> Vector:
     return tuple(_num(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
-def _mat(value: Any, where: str, rows: int, cols: int) -> tuple[Vector, ...]:
+def _mat(value: Any, where: str) -> tuple[Vector, ...]:
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list of rows")
-    return tuple(_vec(r, f"{where}[{i}]", cols) for i, r in enumerate(sized(value, rows, where)))
+    return tuple(_vec(r, f"{where}[{i}]") for i, r in enumerate(value))
 
 
 def _int(value: Any, where: str) -> int:
@@ -89,7 +77,7 @@ def _int(value: Any, where: str) -> int:
     return value
 
 
-def _parse_master(doc: Any, n: int) -> Union[PolyhedralDomain, FiniteDomain]:
+def _parse_master(doc: Any) -> Union[PolyhedralDomain, FiniteDomain]:
     if not isinstance(doc, dict):
         raise ParseError("master: expected an object")
     kind = doc.get("type")
@@ -99,9 +87,7 @@ def _parse_master(doc: Any, n: int) -> Union[PolyhedralDomain, FiniteDomain]:
             raise ParseError(f"master: unknown keys {sorted(extra)}")
         if "G" not in doc or "g" not in doc:
             raise ParseError("master: polyhedron needs both G and g")
-        g = _vec(doc["g"], "master.g")
-        G = _mat(doc["G"], "master.G", len(g), n)
-        return PolyhedralDomain(G=G, g=g)
+        return PolyhedralDomain(G=_mat(doc["G"], "master.G"), g=_vec(doc["g"], "master.g"))
     if kind == "finite":
         extra = set(doc) - {"type", "points"}
         if extra:
@@ -109,8 +95,7 @@ def _parse_master(doc: Any, n: int) -> Union[PolyhedralDomain, FiniteDomain]:
         pts = doc.get("points")
         if not isinstance(pts, list) or not pts:
             raise ParseError("master: finite needs a nonempty points list")
-        return FiniteDomain(points=tuple(
-            _vec(p, f"master.points[{i}]", n) for i, p in enumerate(pts)))
+        return FiniteDomain(points=_mat(pts, "master.points"))
     raise ParseError(f"master.type must be 'polyhedron' or 'finite', got {kind!r}")
 
 
@@ -136,17 +121,14 @@ def parse_instance(text: str) -> Instance:
     extra = set(doc) - set(_INSTANCE_KEYS)
     if extra:
         raise ParseError(f"unknown keys {sorted(extra)}")
-    n = _int(doc["n"], "n")
-    k = _int(doc["k"], "k")
-    m = _int(doc["m"], "m")
     return Instance(
-        n=n, k=k, m=m,
-        c=_vec(doc["c"], "c", n),
-        d=_vec(doc["d"], "d", k),
-        H=_mat(doc["H"], "H", m, n),
-        A=_mat(doc["A"], "A", m, k),
-        b=_vec(doc["b"], "b", m),
-        master_domain=_parse_master(doc["master"], n),
+        n=_int(doc["n"], "n"), k=_int(doc["k"], "k"), m=_int(doc["m"], "m"),
+        c=_vec(doc["c"], "c"),
+        d=_vec(doc["d"], "d"),
+        H=_mat(doc["H"], "H"),
+        A=_mat(doc["A"], "A"),
+        b=_vec(doc["b"], "b"),
+        master_domain=_parse_master(doc["master"]),
         eta_lower_bound=_num(doc["eta_lower_bound"], "eta_lower_bound"),
     )
 
@@ -161,7 +143,7 @@ def load_instance(path) -> Instance:
 
 
 def _enc(value: Fraction) -> Union[int, str]:
-    if _too_long(value):
+    if too_long(value):
         raise TooLarge(f"a number has more than {MAX_DIGITS} digits; documents hold at most that")
     return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
@@ -294,7 +276,7 @@ def _certificate_from_document(doc: Any, m: int) -> Certificate:
 def _certificate_problem(instance: Instance, cert: Certificate, cut: Cut) -> Optional[str]:
     """Does a nonnegative certificate cancel y and map to the recorded cut?"""
     u = cert.as_tuple()
-    if any(dot(coeffs, u) != rhs for coeffs, _, rhs in certificate_rows(instance)):
+    if violated_row(certificate_rows(instance), u) is not None:
         return "recorded certificate does not cancel y: u'A + u_eta d' != 0"
     try:
         derived = certificate_to_cut(instance, cert)
@@ -385,8 +367,7 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     except (ParseError, DimensionError) as exc:
         return problems + [f"status optimal: {exc}"]
     # the last record converged: recorded and value are its point and replayed master value
-    rows = feasibility_rows(instance, recorded)
-    if x != recorded.x or any(dot(coeffs, y) > rhs for coeffs, _, rhs in rows):
+    if x != recorded.x or violated_row(feasibility_rows(instance, recorded), y) is not None:
         problems.append("status optimal: (x, y) does not solve the converged subproblem")
     objective = dot(instance.c, x) + dot(instance.d, y)
     if not reported == objective == value:

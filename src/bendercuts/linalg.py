@@ -14,20 +14,48 @@ LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 """The one rational literal: an optional sign, ASCII digits, and optionally
 "/" and ASCII digits.  `match` accepts it whole or not at all."""
 
+MAX_DIGITS = 4300
+"""Most decimal digits the numerator or denominator of an outside number may have.
+
+`as_fraction` refuses a longer int or literal with ParseError, and the
+instance and trace writers refuse a longer number with TooLarge.  It is
+CPython's default limit on int/str conversion, so under default settings
+every document within it reads and writes.
+"""
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+
+
+def too_long(value: Fraction) -> bool:
+    """Has the numerator or the denominator more than MAX_DIGITS digits?"""
+    return not -_DIGIT_BOUND < value.numerator < _DIGIT_BOUND or value.denominator >= _DIGIT_BOUND
+
 
 def as_fraction(value) -> Fraction:
+    """value as a Fraction; the one place where a string becomes one.
+
+    A Fraction comes back as it is.  A string must be a whole `LITERAL` with a
+    nonzero denominator, and a string or an int may have at most MAX_DIGITS
+    digits in its numerator and denominator; ParseError otherwise.  A float
+    raises TypeError: it is not exact.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError("floats are not accepted, use int, Fraction or 'p/q'")
-    if isinstance(value, str):
-        try:
-            if LITERAL.match(value):
-                return Fraction(value)
-        except ZeroDivisionError:
-            pass
+    if not isinstance(value, str):
+        number = Fraction(value)
+    elif not LITERAL.match(value):
         raise ParseError(f"expected an integer or a 'p/q' literal, got {value!r}")
-    return Fraction(value)
+    else:
+        try:
+            number = Fraction(value)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {value!r}") from None
+        except ValueError:  # more digits than int/str conversion allows
+            number = None
+    if number is None or too_long(number):
+        raise ParseError(f"a numerator or denominator has more than {MAX_DIGITS} digits")
+    return number
 
 
 def as_vector(values: Sequence) -> Vector:

@@ -26,7 +26,7 @@ _ZERO = Fraction(0)
 
 
 def _as_matrix(rows: Sequence[Sequence], width: int, name: str) -> tuple[Vector, ...]:
-    return tuple(sized(as_vector(r), width, f"{name} row") for r in rows)
+    return tuple(sized(as_vector(r), width, f"{name}[{i}]") for i, r in enumerate(rows))
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,9 @@ class PolyhedralDomain:
     g: Vector
 
     def __post_init__(self):
-        g = as_vector(self.g)
-        if not self.G and g:
-            raise DimensionError("rhs without rows")
-        width = len(self.G[0]) if self.G else 0
-        G = _as_matrix(self.G, width, "G")
-        if len(G) != len(g):
-            raise DimensionError("G and g disagree on the row count")
+        G = _as_matrix(self.G, len(self.G[0]) if self.G else 0, "G")
         object.__setattr__(self, "G", G)
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", sized(as_vector(self.g), len(G), "g"))
 
     @cached_property
     def implicit_mask(self) -> Optional[tuple[bool, ...]]:
@@ -100,29 +94,21 @@ class Instance:
     def __post_init__(self):
         if self.n < 1 or self.k < 1 or self.m < 1:
             raise DimensionError("n, k and m must all be at least 1")
-        c = as_vector(self.c)
-        d = as_vector(self.d)
-        b = as_vector(self.b)
-        if len(c) != self.n or len(d) != self.k or len(b) != self.m:
-            raise DimensionError("c, d or b has the wrong length")
-        H = _as_matrix(self.H, self.n, "H")
-        A = _as_matrix(self.A, self.k, "A")
-        if len(H) != self.m or len(A) != self.m:
-            raise DimensionError("H and A must have m rows")
+        object.__setattr__(self, "c", sized(as_vector(self.c), self.n, "c"))
+        object.__setattr__(self, "d", sized(as_vector(self.d), self.k, "d"))
+        object.__setattr__(self, "b", sized(as_vector(self.b), self.m, "b"))
+        object.__setattr__(self, "H", sized(_as_matrix(self.H, self.n, "H"), self.m, "H"))
+        object.__setattr__(self, "A", sized(_as_matrix(self.A, self.k, "A"), self.m, "A"))
         dom = self.master_domain
         if isinstance(dom, PolyhedralDomain):
-            if dom.G and len(dom.G[0]) != self.n:
-                raise DimensionError("master rows must have n columns")
+            name, rows = "G", dom.G
         elif isinstance(dom, FiniteDomain):
-            if len(dom.points[0]) != self.n:
-                raise DimensionError("master points must have n entries")
+            name, rows = "points", dom.points
         else:
             raise DimensionError("unknown master domain kind")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "A", A)
+        # the domain has made its rows one width, so the first row speaks for all
+        if rows:
+            sized(rows[0], self.n, f"master.{name}[0]")
         object.__setattr__(self, "eta_lower_bound", as_fraction(self.eta_lower_bound))
 
     @cached_property

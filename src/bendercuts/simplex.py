@@ -70,7 +70,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import DimensionError
-from .linalg import Vector, as_fraction, as_vector, dot
+from .linalg import Vector, as_fraction, as_vector, dot, sized
 
 LE = "<="
 EQ = "="
@@ -114,14 +114,9 @@ class LinearProgram:
         for coeffs, rel, rhs in self.rows:
             if rel not in (LE, EQ, GE):
                 raise DimensionError(f"unknown relation {rel!r}")
-            coeffs = as_vector(coeffs)
-            if len(coeffs) != n:
-                raise DimensionError(f"row has {len(coeffs)} coefficients, expected {n}")
-            rows.append((coeffs, rel, as_fraction(rhs)))
-        lower = self.lower if self.lower is not None else (None,) * n
-        upper = self.upper if self.upper is not None else (None,) * n
-        if len(lower) != n or len(upper) != n:
-            raise DimensionError("bound vectors must match the variable count")
+            rows.append((sized(as_vector(coeffs), n, "a row"), rel, as_fraction(rhs)))
+        lower = (None,) * n if self.lower is None else sized(self.lower, n, "lower")
+        upper = (None,) * n if self.upper is None else sized(self.upper, n, "upper")
         lower = tuple(None if v is None else as_fraction(v) for v in lower)
         upper = tuple(None if v is None else as_fraction(v) for v in upper)
         object.__setattr__(self, "objective", objective)
@@ -374,6 +369,16 @@ def solve(lp: LinearProgram) -> LpOutcome:
     return LpOutcome(status=LpStatus.OPTIMAL, primal=x, objective_value=value, dual=dual)
 
 
+def violated_row(rows, point: Vector) -> Optional[int]:
+    """Index of the first (coefficients, relation, rhs) row, "<=" or "=", that
+    point fails; None when it satisfies every row."""
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        lhs = dot(coeffs, point)
+        if lhs > rhs or (rel == EQ and lhs != rhs):
+            return i
+    return None
+
+
 def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> Optional[str]:
     """The first way the outcome's certificate fails for lp, or None if it holds.
 
@@ -419,16 +424,16 @@ def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> Optional[str]:
             problem = "farkas . rhs is not negative"
         return problem
     x = outcome.primal
-    for i, (coeffs, rel, b) in enumerate(norm):
-        lhs = dot(coeffs, x)
-        if lhs > b or (rel == EQ and lhs != b):
-            return f"primal violates row {i}: {lhs} {rel} {b} fails"
+    i = violated_row(norm, x)
+    if i is not None:
+        coeffs, rel, b = norm[i]
+        return f"primal violates row {i}: {dot(coeffs, x)} {rel} {b} fails"
     if status == LpStatus.UNBOUNDED:
         r = outcome.ray
-        for i, (coeffs, rel, _) in enumerate(norm):
-            slope = dot(coeffs, r)
-            if slope > 0 or (rel == EQ and slope):
-                return f"ray leaves row {i}: a . ray = {slope}"
+        # the ray stays in the recession cone: the rows with right side 0
+        i = violated_row(((coeffs, rel, _ZERO) for coeffs, rel, _ in norm), r)
+        if i is not None:
+            return f"ray leaves row {i}: a . ray = {dot(norm[i][0], r)}"
         return None if dot(cost, r) < 0 else "ray does not improve the objective"
     y = outcome.dual
     problem = multiplier_problem(y, "dual", -1, cost, "the objective")

@@ -32,7 +32,7 @@ from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _implici
                     _rows_feasible, _support, epi_dimension, epi_face_dimension,
                     epigraph_rows, feasibility_rows, subproblem_value)
 from .separation import Certificate, Cut
-from .simplex import EQ, LE, LinearProgram, LpStatus, solve
+from .simplex import EQ, LE, LinearProgram, LpStatus, solve, violated_row
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -119,15 +119,7 @@ def enumerate_vertices(lp: LinearProgram) -> tuple[Vector, ...]:
     found = set()
     for subset in combinations(range(len(rows)), dim):
         sol = solve_square([rows[i][0] for i in subset], [rows[i][2] for i in subset])
-        if sol is None:
-            continue
-        ok = True
-        for coeffs, rel, rhs in rows:
-            v = dot(coeffs, sol)
-            if v > rhs or (rel == EQ and v != rhs):
-                ok = False
-                break
-        if ok:
+        if sol is not None and violated_row(rows, sol) is None:
             found.add(sol)
     return tuple(sorted(found))
 
@@ -136,13 +128,9 @@ def is_vertex(lp: LinearProgram, candidate) -> bool:
     """Feasible and with tight rows of full rank."""
     rows, dim = lp.normalized_rows, lp.num_vars
     candidate = sized(as_vector(candidate), dim, "candidate")
-    tight = []
-    for coeffs, rel, rhs in rows:
-        v = dot(coeffs, candidate)
-        if v > rhs or (rel == EQ and v != rhs):
-            raise InfeasibleCandidate("candidate violates the system")
-        if v == rhs:
-            tight.append(coeffs)
+    if violated_row(rows, candidate) is not None:
+        raise InfeasibleCandidate("candidate violates the system")
+    tight = [coeffs for coeffs, _, rhs in rows if dot(coeffs, candidate) == rhs]
     return matrix_rank(tight) == dim
 
 

@@ -13,9 +13,10 @@ from bendercuts.cglp import Directional, MisOnes
 from bendercuts.errors import PreconditionViolated
 from bendercuts.instance_io import replay_trace, trace_document
 from bendercuts.linalg import dot
-from bendercuts.model import (EpiPoint, Instance, PolyhedralDomain,
+from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain,
                               subproblem_value, undecomposed_value)
 from bendercuts.randgen import random_instance
+from bendercuts.separation import Cut, canonical_cut
 from bendercuts.verify import FaceClass
 
 from conftest import EX1_KW, P1_CUT, P2_CUT, P3_CUT, same_cut
@@ -134,6 +135,26 @@ def test_floor_free_finite_master(ex1_finite):
     result = solve(replace(ex1_finite, eta_lower_bound=F(3)))
     assert result.status == SolveStatus.ILL_POSED and "lower bound" in result.reason
     assert result.trace[-1].master_point == EpiPoint(x=(F(1),), eta=F(3))
+
+
+@pytest.mark.parametrize("strategy", [MisOnes(), Directional((F(0),), F(1))],
+                         ids=["mis", "directional_up"])
+def test_finite_master_feasibility_cut(strategy):
+    """z(x) = 0 for x <= 1 and +inf beyond, so the master point x = 2 takes a
+    feasibility cut (coef_eta 0), which the finite master then enforces by
+    dropping x = 2; undecomposed_value skips that point too."""
+    inst = Instance(n=1, k=1, m=2, c=(F(-1),), d=(F(1),),
+                    H=((F(0),), (F(1),)), A=((F(-1),), (F(1),)), b=(F(0), F(1)),
+                    master_domain=FiniteDomain(points=((F(0),), (F(1),), (F(2),))),
+                    eta_lower_bound=F(-10))
+    config = SolverConfig(strategy=strategy)
+    result = solve(inst, config)
+    feasibility = [r.cut for r in result.trace if r.cut is not None and r.cut.coef_eta == 0]
+    assert [canonical_cut(cut) for cut in feasibility] == [Cut((F(1),), F(0), F(1))]
+    assert result.status == SolveStatus.OPTIMAL
+    assert result.value == F(-1) == undecomposed_value(inst)
+    assert result.x == (F(1),)
+    assert replay_trace(inst, trace_document(inst, config, result)) == []
 
 
 def test_subproblem_unbounded_below():

@@ -16,7 +16,7 @@ from bendercuts.instance_io import (MAX_DIGITS, instance_digest, instance_docume
                                     load_instance, parse_instance, replay_trace,
                                     serialize_instance, trace_document, trace_to_json)
 from bendercuts.model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain
-from bendercuts.separation import Cut
+from bendercuts.separation import Cut, certificate_for_cut
 
 from conftest import EX1_KW, P2_CUT, P3_CUT
 
@@ -78,6 +78,21 @@ _REJECTS = [
     (ParseError, lambda ex1: _mutant(ex1, eta_lower_bound="BIG").replace(
         '"BIG"', "-" + "9" * (MAX_DIGITS + 1))),
     (ParseError, lambda ex1: _mutant(ex1, eta_lower_bound="1/" + "3" * (MAX_DIGITS + 1))),
+    # the parser's own type checks
+    (ParseError, lambda ex1: _mutant(ex1, master=[[-1]])),
+    (ParseError, lambda ex1: _mutant(ex1, master={"type": "polyhedron", "G": [[-1]], "g": [0],
+                                                  "points": [[0]]})),
+    (ParseError, lambda ex1: _mutant(ex1, master={"type": "finite", "points": [[0]], "G": []})),
+    (ParseError, lambda ex1: _mutant(ex1, c=1)),
+    (ParseError, lambda ex1: _mutant(ex1, H=[-2, -1, -4])),
+    (ParseError, lambda ex1: _mutant(ex1, H=[[-2], "-1/2", [-4]])),
+    # sizes the constructors check once the document is read
+    (DimensionError, lambda ex1: _mutant(ex1, master={"type": "polyhedron", "G": [[-1, 0]],
+                                                      "g": [0]})),
+    (DimensionError, lambda ex1: _mutant(ex1, master={"type": "polyhedron", "G": [[-1]],
+                                                      "g": [0, 1]})),
+    (DimensionError, lambda ex1: _mutant(ex1, master={"type": "finite",
+                                                      "points": [[0], [1, 2]]})),
 ]
 
 
@@ -91,7 +106,8 @@ _ACCEPTED = {"3": F(3), "-2/7": F(-2, 7), "+3": F(3), "10/4": F(5, 2)}
 _REFUSED = ["1.5", "1e3", "1_000", "\u0663/4", " 3/4", "1/0"]
 
 
-@pytest.mark.parametrize("literal", list(_ACCEPTED) + _REFUSED)
+@pytest.mark.parametrize("literal", list(_ACCEPTED) + _REFUSED + [
+    pytest.param("1" * (MAX_DIGITS + 1), id="max_digits_plus_one")])
 def test_one_literal_grammar(ex1, capsys, literal):
     """Instance files, traces, CLI arguments and the constructors accept the
     same literals, as the same numbers; the first three refuse the rest with
@@ -602,6 +618,11 @@ def test_cli_exits_of_the_oracles(tmp_path, capsys):
     unbounded = _write_instance(tmp_path, "unbounded.json", c=(F(-1),))
     assert run(["verify", str(unbounded), "--cut", "-2", "-1", "-5"]) == 0
     assert "mis=unknown" in capsys.readouterr().out.splitlines()
+    # no certificate maps to x <= 100, and a cut with coef_eta 0 has no Pareto verdict
+    assert certificate_for_cut(load_instance(EX1_PATH), Cut((F(1),), F(0), F(100))) is None
+    assert run(["verify", str(EX1_PATH), "--cut", "1", "0", "100"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "mis=unknown" in out and "pareto=not_applicable" in out
     assert run(["bench", str(tmp_path / "missing")]) == 4
     assert capsys.readouterr().err == f"error=not a directory: {tmp_path / 'missing'}\n"
     no_json = tmp_path / "no_json"
@@ -609,6 +630,22 @@ def test_cli_exits_of_the_oracles(tmp_path, capsys):
     (no_json / "ex1.txt").write_text(EX1_PATH.read_text(encoding="utf-8"), encoding="utf-8")
     assert run(["bench", str(no_json)]) == 4
     assert capsys.readouterr().err == f"error=no .json instances under {no_json}\n"
+
+
+@pytest.mark.parametrize("command", [["solve", str(EX1_PATH)], ["bench", str(INSTANCES)]],
+                         ids=["solve", "bench"])
+def test_cli_max_iter_reads_the_one_grammar(capsys, command):
+    """--max-iter takes the literals of instance files that are whole numbers."""
+    for refused in ("1_0", "\u0663", " 3", "1/2"):
+        assert run(command + ["--max-iter", refused]) == 4, refused
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error=argument --max-iter: value: ")
+        assert not captured.out
+    outputs = []
+    for accepted in ("3", "+3", "6/2"):
+        assert run(command + ["--max-iter", accepted]) == (5 if command[0] == "solve" else 0)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2] and "iterations=3" in outputs[0]
 
 
 def test_cli_custom_strategy(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bendercuts.errors import ParseError
-from bendercuts.linalg import (affine_rank, as_fraction, as_vector, dot,
+from bendercuts.linalg import (MAX_DIGITS, affine_rank, as_fraction, as_vector, dot,
                                matrix_rank, nullspace_basis, solve_square)
 
 ints = st.integers(-6, 6)
@@ -28,6 +28,19 @@ def test_as_fraction_reads_strings_with_the_one_grammar():
     for refused in ("1.5", "1e3", "1_000", "\u0663/4", " 3/4", "1/0", ""):
         with pytest.raises(ParseError):
             as_fraction(refused)
+
+
+def test_as_fraction_bounds_digits():
+    """A string or an int past MAX_DIGITS digits is refused; a Fraction is taken as it is."""
+    widest = "9" * MAX_DIGITS
+    assert as_fraction(widest) == as_fraction(int(widest)) == 10 ** MAX_DIGITS - 1
+    assert as_fraction(f"-1/{widest}") == F(-1, 10 ** MAX_DIGITS - 1)
+    for refused in ("1" * (MAX_DIGITS + 1), "1/" + "3" * (MAX_DIGITS + 1), 10 ** MAX_DIGITS):
+        with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits"):
+            as_fraction(refused)
+    assert as_fraction(F(10 ** MAX_DIGITS)) == 10 ** MAX_DIGITS
+    with pytest.raises(ParseError, match="zero denominator in '1/0'"):
+        as_fraction("1/0")
 
 
 def test_as_vector():

@@ -57,9 +57,20 @@ def test_epi_dimension(ex1):
     assert epi_face_dimension(ex1, (F(-2, 7),), F(-2, 7), F(-1)) == -1
 
 
+def _one_row(master, b) -> Instance:
+    """One linking row 0 x + 0 y <= b: every x has recourse when b >= 0, and
+    min y then runs off to -infinity; none has when b < 0."""
+    return Instance(n=1, k=1, m=1, c=(F(1),), d=(F(1),), H=((F(0),),), A=((F(0),),),
+                    b=(b,), master_domain=master, eta_lower_bound=F(0))
+
+
 def test_undecomposed_value(ex1, ex1_finite):
     assert undecomposed_value(ex1) == F(11, 3)
     assert undecomposed_value(ex1_finite) == F(4)
+    box = PolyhedralDomain(G=((F(-1),), (F(1),)), g=(F(0), F(1)))
+    assert undecomposed_value(_one_row(FiniteDomain(points=((F(0),),)), F(1))) == -math.inf
+    assert undecomposed_value(_one_row(box, F(1))) == -math.inf
+    assert undecomposed_value(_one_row(box, F(-1))) == math.inf
 
 
 def test_instance_validation():
