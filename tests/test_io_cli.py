@@ -84,7 +84,7 @@ _REJECTS = [
                                                   "points": [[0]]})),
     (ParseError, lambda ex1: _mutant(ex1, master={"type": "finite", "points": [[0]], "G": []})),
     (ParseError, lambda ex1: _mutant(ex1, c=1)),
-    (ParseError, lambda ex1: _mutant(ex1, H=[-2, -1, -4])),
+    (ParseError, lambda ex1: _mutant(ex1, H={"rows": [[-2], [-1], [-4]]})),
     (ParseError, lambda ex1: _mutant(ex1, H=[[-2], "-1/2", [-4]])),
     # sizes the constructors check once the document is read
     (DimensionError, lambda ex1: _mutant(ex1, master={"type": "polyhedron", "G": [[-1, 0]],
