@@ -3,10 +3,10 @@
 Instances are JSON documents whose numbers are integers or `linalg.LITERAL`
 strings: an optional sign, ASCII digits, and optionally "/" and ASCII digits.
 Floats are rejected rather than rounded, so a file that parses is exact by
-construction.  Every string is read by `linalg.as_fraction`, which also
-bounds a numerator or denominator at `linalg.MAX_DIGITS` digits; the CLI
-reads its arguments with the same `_num`.  Sizes are checked by the
-constructors the parsed fields go to, not by the parser.
+construction.  Every string is read by `linalg.as_fraction`, which refuses a
+numerator or denominator past `linalg.MAX_DIGITS` digits (also importable from
+here) with ParseError; the CLI reads every number argument, integer options
+included, with the same `_num`.  Sizes are checked by the constructors.
 Traces record every iteration of a solve in enough detail to be replayed:
 feeding the recorded cuts back into fresh master solves must reproduce the
 recorded master values, and re-running the face classification must

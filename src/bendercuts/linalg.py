@@ -1,4 +1,7 @@
-"""Dense exact linear algebra over rationals. Desk scale only."""
+"""Dense exact linear algebra over rationals. Desk scale only.
+
+`as_fraction` reads every outside number: documents, CLI arguments (the
+integer options too) and constructor arguments, all under `MAX_DIGITS`."""
 
 from __future__ import annotations
 
@@ -15,13 +18,10 @@ LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 "/" and ASCII digits.  `match` accepts it whole or not at all."""
 
 MAX_DIGITS = 4300
-"""Most decimal digits the numerator or denominator of an outside number may have.
-
-`as_fraction` refuses a longer int or literal with ParseError, and the
-instance and trace writers refuse a longer number with TooLarge.  It is
-CPython's default limit on int/str conversion, so under default settings
-every document within it reads and writes.
-"""
+"""Most digits of an outside number's numerator or denominator: `as_fraction` refuses
+more with ParseError, the document writers with TooLarge.  It is CPython's default
+int/str conversion limit, so under default settings every document within it reads
+and writes."""
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 
 
@@ -34,10 +34,8 @@ def as_fraction(value) -> Fraction:
     """value as a Fraction; the one place where a string becomes one.
 
     A Fraction comes back as it is.  A string must be a whole `LITERAL` with a
-    nonzero denominator, and a string or an int may have at most MAX_DIGITS
-    digits in its numerator and denominator; ParseError otherwise.  A float
-    raises TypeError: it is not exact.
-    """
+    nonzero denominator, and a string or an int may have at most MAX_DIGITS digits
+    in its numerator and denominator; ParseError otherwise.  A float: TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
