@@ -134,11 +134,8 @@ def _blend_points(a: EpiPoint, b: EpiPoint, blend: Fraction) -> EpiPoint:
 
 def _master_lp(instance: Instance, dom: PolyhedralDomain, cuts, floor: Optional[Fraction]
                ) -> LinearProgram:
-    n = instance.n
-    rows = [(tuple(grow) + (_ZERO,), LE, gi) for grow, gi in zip(dom.G, dom.g)]
-    for cut in cuts:
-        rows.append((cut.coef_x + (cut.coef_eta,), LE, cut.rhs))
-    return LinearProgram("min", instance.c + (_ONE,), tuple(rows), lower=(None,) * n + (floor,))
+    rows = dom.rows(1) + tuple((cut.coef_x + (cut.coef_eta,), LE, cut.rhs) for cut in cuts)
+    return LinearProgram("min", instance.c + (_ONE,), rows, lower=(None,) * instance.n + (floor,))
 
 
 def _solve_master(instance: Instance, cuts, floored: bool = True

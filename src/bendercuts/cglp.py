@@ -21,7 +21,7 @@ from typing import Sequence, Union
 
 from .errors import DimensionError
 from .linalg import Vector, as_fraction, as_vector, dot, sized
-from .model import EpiPoint, Instance, feasibility_rows
+from .model import EpiPoint, Instance, level
 from .simplex import EQ, GE, LE, LinearProgram
 
 _ZERO = Fraction(0)
@@ -70,15 +70,19 @@ def certificate_rows(instance: Instance) -> tuple:
                  for j in range(instance.k))
 
 
+def certificate_lp(instance: Instance, sense: str, objective: Vector, rows) -> LinearProgram:
+    """An LP over certificates (u_1 .. u_m, u_eta) >= 0: `certificate_rows`, then rows."""
+    return LinearProgram(sense, objective, certificate_rows(instance) + tuple(rows),
+                         lower=(_ZERO,) * (instance.m + 1))
+
+
 def build_alt_polyhedron(instance: Instance, point: EpiPoint, relaxed: bool = False) -> LinearProgram:
     """Normalized certificates (u_1 .. u_m, u_eta) >= 0 for one point, zero objective.
 
     Nonempty exactly when the point lies outside epi(z); relaxed=True turns the
     -1 level into an upper bound, which keeps the vertex set."""
-    level = instance.linking_rhs(point.x) + (point.eta,)
-    rows = certificate_rows(instance) + ((level, LE if relaxed else EQ, Fraction(-1)),)
-    nvars = instance.m + 1
-    return LinearProgram("min", (_ZERO,) * nvars, rows, lower=(_ZERO,) * nvars)
+    normalization = (level(instance, point), LE if relaxed else EQ, Fraction(-1))
+    return certificate_lp(instance, "min", (_ZERO,) * (instance.m + 1), (normalization,))
 
 
 def lift_objective(instance: Instance, direction: Sequence, direction_eta) -> tuple[Vector, Fraction]:
@@ -150,11 +154,15 @@ def build_cglp_normalized(instance: Instance, point: EpiPoint, weights: Sequence
     """
     weights = sized(as_vector(weights), instance.m, "weights")
     normalization = (weights + (as_fraction(weight_eta),), EQ, Fraction(-1))
-    rows = certificate_rows(instance) + (normalization,)
-    level = instance.linking_rhs(point.x) + (point.eta,)
-    objective = tuple(-v for v in level)
-    nvars = instance.m + 1
-    return LinearProgram("max", objective, rows, lower=(_ZERO,) * nvars)
+    return certificate_lp(instance, "max", tuple(-v for v in level(instance, point)),
+                          (normalization,))
+
+
+def one_column_lp(instance: Instance, column: Vector, rhs: Vector, cost: Fraction) -> LinearProgram:
+    """min cost.t over (y, t), t >= 0: the subproblem rows [A; d'] y plus column.t, <= rhs."""
+    k = instance.k
+    rows = tuple((row + (w,), LE, r) for row, w, r in zip(instance.A + (instance.d,), column, rhs))
+    return LinearProgram("min", (_ZERO,) * k + (cost,), rows, lower=(None,) * k + (_ZERO,))
 
 
 def build_cglp_relaxed_subproblem(instance: Instance, point: EpiPoint, weights: Sequence,
@@ -167,10 +175,5 @@ def build_cglp_relaxed_subproblem(instance: Instance, point: EpiPoint, weights: 
     scaled by 1/t* form an optimal certificate with value -1/t*.
     """
     weights = sized(as_vector(weights), instance.m, "weights")
-    column = weights + (as_fraction(weight_eta),)
-    rows = tuple((coeffs + (w,), rel, rhs)
-                 for (coeffs, rel, rhs), w in zip(feasibility_rows(instance, point), column))
-    k = instance.k
-    objective = (_ZERO,) * k + (_ONE,)
-    lower = (None,) * k + (_ZERO,)
-    return LinearProgram("min", objective, rows, lower=lower)
+    return one_column_lp(instance, weights + (as_fraction(weight_eta),), level(instance, point),
+                         _ONE)

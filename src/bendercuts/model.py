@@ -47,7 +47,12 @@ class PolyhedralDomain:
 
         One LP per row, on first read only: the domain is immutable.
         """
-        return _implicit_mask(tuple((grow, LE, gi) for grow, gi in zip(self.G, self.g)))
+        return _implicit_mask(self.rows())
+
+    def rows(self, pad: int = 0) -> tuple:
+        """G x <= g as LP rows, each followed by `pad` zero columns."""
+        zeros = (_ZERO,) * pad
+        return tuple((grow + zeros, LE, gi) for grow, gi in zip(self.G, self.g))
 
 
 @dataclass(frozen=True)
@@ -126,16 +131,27 @@ class Instance:
                      for hrow, bi in zip(self.H, self.b))
 
 
+def level(instance: Instance, point: EpiPoint) -> Vector:
+    """(b - H x*, eta*): the right side of the point's m+1 feasibility rows.
+
+    Certificates put their multipliers on those rows, so the level also
+    prices a certificate at the point: u'(b - Hx*) + u_eta eta*.
+    """
+    return instance.linking_rhs(point.x) + (point.eta,)
+
+
 def feasibility_rows(instance: Instance, point: EpiPoint):
     """Rows of {y : A y <= b - H x*, d . y <= eta*} over the y variables.
 
     Nonempty exactly when the point lies in epi(z); the m+1 rows are the ones
     certificates put multipliers on, in this order.
     """
-    rhs = instance.linking_rhs(point.x)
-    rows = [(arow, LE, ri) for arow, ri in zip(instance.A, rhs)]
-    rows.append((instance.d, LE, point.eta))
-    return tuple(rows)
+    return tuple((row, LE, r) for row, r in zip(instance.A + (instance.d,), level(instance, point)))
+
+
+def lifted(instance: Instance, x: Sequence, eta) -> Vector:
+    """An (x, eta)-space row or objective on the lifted columns (x, y, eta): zero on y."""
+    return tuple(x) + (_ZERO,) * instance.k + (eta,)
 
 
 def epigraph_rows(instance: Instance):
@@ -150,18 +166,13 @@ def epigraph_rows(instance: Instance):
 
 def _epi_lift_lp(instance: Instance, direction=None, tight=None) -> LinearProgram:
     """LP over the lifted epigraph; optional (x, eta)-objective and pinned cut."""
-    n, k = instance.n, instance.k
+    n = instance.n
     rows = list(epigraph_rows(instance))
     if tight is not None:
         pi, pi0, alpha = tight
-        rows.append((tuple(pi) + (_ZERO,) * k + (pi0,), EQ, alpha))
-    if direction is None:
-        objective = (_ZERO,) * (n + k + 1)
-        sense = "min"
-    else:
-        u, sense = direction
-        objective = tuple(u[:n]) + (_ZERO,) * k + (u[n],)
-    return LinearProgram(sense, objective, tuple(rows))
+        rows.append((lifted(instance, pi, pi0), EQ, alpha))
+    u, sense = direction or ((_ZERO,) * (n + 1), "min")
+    return LinearProgram(sense, lifted(instance, u[:n], u[n]), tuple(rows))
 
 
 def _project(instance: Instance, xyeta: Vector) -> Vector:
@@ -334,11 +345,9 @@ def undecomposed_value(instance: Instance) -> Union[Fraction, float]:
             if value < best:
                 best = value
         return best
-    n, k = instance.n, instance.k
-    rows = [(tuple(grow) + (_ZERO,) * k, LE, gi) for grow, gi in zip(dom.G, dom.g)]
-    for hrow, arow, bi in zip(instance.H, instance.A, instance.b):
-        rows.append((tuple(hrow) + tuple(arow), LE, bi))
-    out = solve(LinearProgram("min", instance.c + instance.d, tuple(rows)))
+    rows = dom.rows(instance.k) + tuple((hrow + arow, LE, bi)
+                                        for hrow, arow, bi in zip(instance.H, instance.A, instance.b))
+    out = solve(LinearProgram("min", instance.c + instance.d, rows))
     if out.status == LpStatus.OPTIMAL:
         return out.objective_value
     return math.inf if out.status == LpStatus.INFEASIBLE else -math.inf

@@ -19,13 +19,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .cglp import (ObjectiveSpec, _column, build_cglp_relaxed_subproblem, certificate_rows,
-                   lift_objective, strategy_weights)
+from .cglp import (ObjectiveSpec, _column, build_cglp_relaxed_subproblem, certificate_lp,
+                   lift_objective, one_column_lp, strategy_weights)
 from .errors import (EmptyEpigraph, PreconditionViolated, StrategyUnbounded, UnboundedDirection,
                      ZeroCertificate)
 from .linalg import Vector, as_fraction, as_vector, dot
-from .model import (EpiPoint, Instance, epi_contains, epi_is_empty, feasibility_rows,
-                    support_function)
+from .model import EpiPoint, Instance, epi_contains, epi_is_empty, level, support_function
 from .simplex import EQ, LinearProgram, LpStatus, solve
 
 _ZERO = Fraction(0)
@@ -136,12 +135,10 @@ def certificate_for_cut(instance: Instance, cut: Cut) -> Optional[Certificate]:
     """Inverse of `certificate_to_cut`: the smallest-multiplier-sum certificate
     that maps to the cut exactly; None when no certificate does."""
     m = instance.m
-    rows = list(certificate_rows(instance))
-    rows.extend((_column(instance.H, j) + (_ZERO,), EQ, v) for j, v in enumerate(cut.coef_x))
+    rows = [(_column(instance.H, j) + (_ZERO,), EQ, v) for j, v in enumerate(cut.coef_x)]
     rows.append((instance.b + (_ZERO,), EQ, cut.rhs))
     rows.append(((_ZERO,) * m + (_ONE,), EQ, -cut.coef_eta))
-    out = solve(LinearProgram("min", (_ONE,) * m + (_ZERO,), tuple(rows),
-                              lower=(_ZERO,) * (m + 1)))
+    out = solve(certificate_lp(instance, "min", (_ONE,) * m + (_ZERO,), rows))
     if out.status != LpStatus.OPTIMAL:
         return None
     return Certificate(row_multipliers=out.primal[:m], eta_multiplier=out.primal[m])
@@ -238,12 +235,8 @@ def boundedness_check(instance: Instance, point: EpiPoint, direction: Sequence,
     if epi_contains(instance, shifted):
         return DirectionClass.IN_SET
     weights, weight_eta = lift_objective(instance, direction, direction_eta)
-    rows = tuple((coeffs + (-rhs,), rel, -w)
-                 for (coeffs, rel, rhs), w in zip(feasibility_rows(instance, point),
-                                                  weights + (weight_eta,)))
-    k = instance.k
-    lp = LinearProgram("min", (_ZERO,) * (k + 1), rows,
-                       lower=(None,) * k + (_ZERO,))
+    lp = one_column_lp(instance, tuple(-v for v in level(instance, point)),
+                       tuple(-w for w in weights + (weight_eta,)), _ZERO)
     if solve(lp).status == LpStatus.OPTIMAL:
         return DirectionClass.IN_CLOSED_CONE
     return DirectionClass.OUTSIDE

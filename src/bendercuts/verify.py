@@ -30,7 +30,7 @@ from .errors import DominanceUndefined, InfeasibleCandidate, TooLarge
 from .linalg import Vector, as_vector, dot, matrix_rank, sized, solve_square
 from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _implicit_mask,
                     _rows_feasible, _support, epi_dimension, epi_face_dimension,
-                    epigraph_rows, feasibility_rows, subproblem_value)
+                    epigraph_rows, feasibility_rows, lifted, subproblem_value)
 from .separation import Certificate, Cut
 from .simplex import EQ, LE, LinearProgram, LpStatus, solve, violated_row
 
@@ -182,8 +182,7 @@ def core_point(instance: Instance) -> Optional[EpiPoint]:
     n, k = instance.n, instance.k
     dom = instance.master_domain
     if isinstance(dom, PolyhedralDomain):
-        rows = [(tuple(grow) + (_ZERO,) * (k + 1), LE, gi) for grow, gi in zip(dom.G, dom.g)]
-        rows.extend(epigraph_rows(instance))
+        rows = dom.rows(k + 1) + epigraph_rows(instance)
         sol = relative_interior_point(rows, n + k + 1)
         if sol is None:
             return None
@@ -202,11 +201,6 @@ def core_point(instance: Instance) -> Optional[EpiPoint]:
     return EpiPoint(x=x, eta=eta)
 
 
-def _tight_cut_row(instance: Instance, cut: Cut, extra: int):
-    coeffs = cut.coef_x + (_ZERO,) * instance.k + (cut.coef_eta,) + (_ZERO,) * extra
-    return (coeffs, EQ, cut.rhs)
-
-
 def pareto_verdict(instance: Instance, cut: Cut) -> ParetoVerdict:
     """Pareto test: is the cut tight somewhere over relint of the master set?
 
@@ -217,25 +211,22 @@ def pareto_verdict(instance: Instance, cut: Cut) -> ParetoVerdict:
         return ParetoVerdict(ParetoKind.NOT_APPLICABLE)
     n, k = instance.n, instance.k
     dom = instance.master_domain
-    lift = epigraph_rows(instance)
+    # variables: (x, y, eta), the mix weights of a finite master set, then the shared slack
+    s = 0 if isinstance(dom, PolyhedralDomain) else len(dom.points)
+    pad = (_ZERO,) * s
+    rows = [(c + pad, rel, rhs) for c, rel, rhs in epigraph_rows(instance)]
+    rows.append((lifted(instance, cut.coef_x, cut.coef_eta) + pad, EQ, cut.rhs))
+    slacked = [False] * len(rows)
     if isinstance(dom, PolyhedralDomain):
         mask = dom.implicit_mask
         if mask is None:
             return ParetoVerdict(ParetoKind.NOT_PARETO)
-        rows = list(lift)
-        rows.append(_tight_cut_row(instance, cut, extra=0))
-        slacked = [False] * len(rows)
-        for grow, gi, implicit in zip(dom.G, dom.g, mask):
-            rows.append((grow + (_ZERO,) * (k + 1), EQ if implicit else LE, gi))
+        for (coeffs, _, gi), implicit in zip(dom.rows(k + 1), mask):
+            rows.append((coeffs, EQ if implicit else LE, gi))
             slacked.append(not implicit)
-        lower = (None,) * (n + k + 1)
     else:
         points = dom.points
-        s = len(points)
-        # variables: (x, y, eta, mix weights), then the shared slack
         nvars = n + k + 1 + s
-        rows = [(tuple(c) + (_ZERO,) * s, rel, rhs) for c, rel, rhs in lift]
-        rows.append(_tight_cut_row(instance, cut, extra=s))
         for j in range(n):
             coeffs = [_ZERO] * nvars
             coeffs[j] = _ONE
@@ -249,8 +240,7 @@ def pareto_verdict(instance: Instance, cut: Cut) -> ParetoVerdict:
             coeffs[n + k + 1 + i] = -_ONE
             rows.append((tuple(coeffs), LE, _ZERO))
             slacked.append(True)
-        lower = (None,) * (n + k + 1) + (_ZERO,) * s
-    sol = _max_shared_slack(rows, slacked, lower)
+    sol = _max_shared_slack(rows, slacked, (None,) * (n + k + 1) + pad)
     if sol is None:
         return ParetoVerdict(ParetoKind.NOT_PARETO)
     return ParetoVerdict(ParetoKind.PARETO, witness=EpiPoint(x=sol[:n], eta=sol[n + k]))
@@ -275,7 +265,7 @@ def dominates(instance: Instance, a: Cut, b: Cut) -> bool:
     if isinstance(dom, FiniteDomain):
         gaps = [dot(coeffs, p) + offset for p in dom.points]
         return all(g >= 0 for g in gaps) and any(g > 0 for g in gaps)
-    rows = tuple((g, LE, gi) for g, gi in zip(dom.G, dom.g))
+    rows = dom.rows()
     low = solve(LinearProgram("min", coeffs, rows))
     if low.status == LpStatus.INFEASIBLE:
         return False
