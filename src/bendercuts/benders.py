@@ -181,6 +181,19 @@ def _record(trace, **kw):
     trace.append(IterationRecord(**kw))
 
 
+def _floor_binds(instance: Instance, cuts, master_value: Fraction) -> Optional[str]:
+    """Why a master point with eta on its lower bound is not proven optimal, or None.
+
+    It is proven when the master over the same cuts without the eta floor has
+    the same value; the lemma is in `_converged`.
+    """
+    free = _solve_master(instance, cuts, floored=False)
+    # a relaxation of a feasible master is feasible, so free is not 'infeasible'
+    if free == "unbounded" or free[1] != master_value:
+        return "eta converged onto its lower bound; the bound may be hiding the true optimum"
+    return None
+
+
 def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
                master_value: Fraction, cuts, y: Optional[Vector]) -> SolveResult:
     """The one exit for a master point inside epi(z); y is its membership LP's y.
@@ -214,13 +227,9 @@ def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
             return SolveResult(status=SolveStatus.ILL_POSED,
                                reason="subproblem unbounded below at the converged point",
                                trace=tuple(trace))
-        free = _solve_master(instance, cuts, floored=False)
-        # a relaxation of a feasible master is feasible, so free is not 'infeasible'
-        if free == "unbounded" or free[1] != master_value:
-            return SolveResult(status=SolveStatus.ILL_POSED,
-                               reason="eta converged onto its lower bound; the bound may"
-                                      " be hiding the true optimum",
-                               trace=tuple(trace))
+        reason = _floor_binds(instance, cuts, master_value)
+        if reason is not None:
+            return SolveResult(status=SolveStatus.ILL_POSED, reason=reason, trace=tuple(trace))
     value = dot(instance.c, point.x) + dot(instance.d, y)
     return SolveResult(status=SolveStatus.OPTIMAL, x=point.x, y=y, value=value,
                        trace=tuple(trace))

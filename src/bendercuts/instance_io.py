@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, Optional, Union
 
 from .benders import (CONVERGED, CoreMode, FixedCore, IterationRecord, SolveResult,
-                      SolverConfig, _solve_master)
+                      SolverConfig, _floor_binds, _solve_master)
 from .cglp import Directional, MisOnes, ObjectiveSpec, certificate_rows
 from .errors import (DimensionError, EmptyEpigraph, ParseError, PreconditionViolated,
                      TooLarge, ZeroCertificate)
@@ -287,16 +287,22 @@ def _certificate_problem(instance: Instance, cert: Certificate, cut: Cut) -> Opt
     return None
 
 
+def _point_text(point: EpiPoint) -> str:
+    return f"({', '.join(map(str, point.x + (point.eta,)))})"
+
+
 def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     """Check a trace against fresh computation; the mismatch list is empty iff it replays.
 
-    Master values are recomputed with the recorded cut prefixes, and recorded
-    face reports are recomputed from the recorded cuts.  A recorded
-    certificate must be nonnegative, cancel y (u'A + u_eta d' = 0) and map to
-    the recorded cut up to scale, checked by arithmetic.  A converged record
-    must be the last one and comes only with status optimal or ill_posed; an
-    optimum must have one and is checked by arithmetic against it.  A
-    malformed document comes back as messages too, never as an exception.
+    Master points and values are recomputed with the recorded cut prefixes,
+    and recorded face reports are recomputed from the recorded cuts.  Every
+    cut record must carry a certificate, which must be nonnegative, cancel y
+    (u'A + u_eta d' = 0) and map to the recorded cut up to scale, checked by
+    arithmetic.  A converged record must be the last one and comes only with
+    status optimal or ill_posed; an optimum must have one and is checked by
+    arithmetic against it, and, with eta on its lower bound there, by the
+    master without that bound, as `solve` checks it.  A malformed document
+    comes back as messages too, never as an exception.
     """
     try:
         doc = _decode(trace) if isinstance(trace, str) else trace
@@ -332,7 +338,10 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
         master = _solve_master(instance, cuts)
         if isinstance(master, str):
             return problems + [f"{where}: master became {master} on replay"]
-        _, value = master
+        replayed, value = master
+        if replayed != recorded:
+            problems.append(f"{where}: master point {_point_text(replayed)}"
+                            f" != recorded {_point_text(recorded)}")
         if value != recorded_value:
             problems.append(f"{where}: master value {value} != recorded {recorded_value}")
         if cut is None:
@@ -340,7 +349,8 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
             continue
         if cut.holds_at(recorded):
             problems.append(f"{where}: recorded cut does not cut off its master point")
-        wrong = None if cert is None else _certificate_problem(instance, cert, cut)
+        wrong = ("recorded cut has no certificate" if cert is None
+                 else _certificate_problem(instance, cert, cut))
         if wrong is not None:
             problems.append(f"{where}: {wrong}")
         if rec.get("face") is not None:
@@ -373,4 +383,6 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     if not reported == objective == value:
         problems.append(f"status optimal: value {reported}, c.x + d.y {objective} and"
                         f" master value {value} differ")
+    if recorded.eta == instance.eta_lower_bound and (unproven := _floor_binds(instance, cuts, value)):
+        problems.append(f"status optimal: {unproven}")
     return problems

@@ -57,6 +57,12 @@ def as_fraction(value) -> Fraction:
 
 
 def as_vector(values: Sequence) -> Vector:
+    """values as a tuple of Fractions, each read by `as_fraction`.
+
+    DimensionError unless values is a sequence, and not a string or bytes,
+    whose characters would pass for entries."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
+        raise DimensionError(f"expected a sequence of numbers, got {type(values).__name__}")
     return tuple(as_fraction(v) for v in values)
 
 

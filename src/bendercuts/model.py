@@ -97,6 +97,8 @@ class Instance:
     eta_lower_bound: Fraction
 
     def __post_init__(self):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.n, self.k, self.m)):
+            raise DimensionError("n, k and m must be integers")
         if self.n < 1 or self.k < 1 or self.m < 1:
             raise DimensionError("n, k and m must all be at least 1")
         object.__setattr__(self, "c", sized(as_vector(self.c), self.n, "c"))

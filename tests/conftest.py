@@ -50,6 +50,12 @@ def same_cut(a: Cut, b: Cut) -> bool:
     return canonical_cut(a) == canonical_cut(b)
 
 
+def empty_epigraph() -> Instance:
+    """No x has a feasible subproblem (y <= -1 and -y <= 0), so epi(z) is empty."""
+    kw = dict(EX1_KW, m=2, H=((F(0),), (F(0),)), A=((F(1),), (F(-1),)), b=(F(-1), F(0)))
+    return Instance(master_domain=PolyhedralDomain(G=((F(-1),),), g=(F(0),)), **kw)
+
+
 @pytest.fixture
 def ex1() -> Instance:
     return Instance(master_domain=PolyhedralDomain(G=((F(-1),),), g=(F(0),)), **EX1_KW)

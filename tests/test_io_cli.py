@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import shlex
 from dataclasses import replace
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from bendercuts.benders import (FixedCore, SolveResult, SolveStatus, SolverConfig,
-                                TrackIncumbent, solve)
+                                TrackIncumbent, solve, subproblem_check)
 from bendercuts.cglp import Custom, Directional, MisOnes
 from bendercuts.cli import _rational, format_cut, run
 from bendercuts.errors import DimensionError, ParseError, TooLarge
@@ -16,9 +17,10 @@ from bendercuts.instance_io import (MAX_DIGITS, instance_digest, instance_docume
                                     load_instance, parse_instance, replay_trace,
                                     serialize_instance, trace_document, trace_to_json)
 from bendercuts.model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain
+from bendercuts.randgen import random_instance
 from bendercuts.separation import Cut, certificate_for_cut
 
-from conftest import EX1_KW, P2_CUT, P3_CUT
+from conftest import EX1_KW, P2_CUT, P3_CUT, empty_epigraph
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -100,6 +102,21 @@ _REJECTS = [
 def test_parse_rejections(ex1, exc, make):
     with pytest.raises(exc):
         parse_instance(make(ex1))
+
+
+# what a document refuses with ParseError, a constructor refuses with a ToolkitError too
+_CONSTRUCTOR_REJECTS = {
+    "n_a_string": lambda ex1: replace(ex1, n="1"),
+    "n_a_bool": lambda ex1: replace(ex1, n=True),
+    "x_a_string": lambda ex1: EpiPoint(x="12", eta=0),
+    "x_a_number": lambda ex1: EpiPoint(x=5, eta=0),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONSTRUCTOR_REJECTS))
+def test_constructor_rejections(ex1, name):
+    with pytest.raises(DimensionError):
+        _CONSTRUCTOR_REJECTS[name](ex1)
 
 
 _ACCEPTED = {"3": F(3), "-2/7": F(-2, 7), "+3": F(3), "10/4": F(5, 2)}
@@ -246,12 +263,6 @@ def test_trace_detects_tampering(ex1):
     assert replay_trace(ex1, doc) == ["unknown trace format 'nope'"]
 
 
-def _empty_epigraph() -> Instance:
-    """No x has a feasible subproblem (y >= 0 and y <= -1), so epi(z) is empty."""
-    kw = dict(EX1_KW, m=2, H=((F(0),), (F(0),)), A=((F(1),), (F(-1),)), b=(F(-1), F(0)))
-    return Instance(master_domain=PolyhedralDomain(G=((F(-1),),), g=(F(0),)), **kw)
-
-
 def _edit_first_record(doc, edit):
     edit(doc["iterations"][0])
     return json.dumps(doc)
@@ -269,14 +280,14 @@ _MALFORMED_TRACES = {
     # ex1's first cut record, recorded face included, replayed on an instance
     # whose epi(z) is empty: there is no face to report
     "face_on_empty_epigraph": lambda doc: dict(
-        doc, instance_digest=instance_digest(_empty_epigraph()), iterations=doc["iterations"][:1]),
+        doc, instance_digest=instance_digest(empty_epigraph()), iterations=doc["iterations"][:1]),
 }
 
 
 @pytest.mark.parametrize("name", list(_MALFORMED_TRACES))
 def test_replay_reports_malformed_traces(ex1, name):
     config, result = _directional_result(ex1)
-    instance = _empty_epigraph() if name == "face_on_empty_epigraph" else ex1
+    instance = empty_epigraph() if name == "face_on_empty_epigraph" else ex1
     problems = replay_trace(instance, _MALFORMED_TRACES[name](trace_document(ex1, config, result)))
     assert problems and all(isinstance(p, str) for p in problems)
 
@@ -322,7 +333,7 @@ def test_replay_accepts_each_status_as_solve_ends_it(ex1):
     for instance, limit, status, converged in [
             (ex1, 50, "optimal", True),
             (ex1, 1, "iteration_limit", False),
-            (_empty_epigraph(), 50, "infeasible", False),
+            (empty_epigraph(), 50, "infeasible", False),
             (variant(c=(F(-1),)), 50, "ill_posed", False),  # master unbounded
             (variant(eta_lower_bound=F(10)), 50, "ill_posed", True)]:  # eta on its bound
         config = SolverConfig(strategy=MisOnes(), max_iterations=limit)
@@ -332,18 +343,20 @@ def test_replay_accepts_each_status_as_solve_ends_it(ex1):
         assert replay_trace(instance, doc) == []
 
 
-def _forge_cut_x_ge_3(doc):
-    """ex1's MIS trace whose first record adds x >= 3 under its real MIS certificate.
+def _forge_cut_x_ge(doc, bound, value, **first_fields):
+    """ex1's MIS trace whose first record adds x >= bound, with first_fields
+    replacing more of that record (its real MIS certificate, say).
 
-    The later records are the real MIS cuts of a solve over x >= 3, so every
-    master value replays and the reported optimum 9/2 (the true one is 11/3)
-    checks out against its converged record.
+    The later records are the real MIS cuts of a solve over x >= bound, so
+    every master point and value replays and the reported optimum `value` (the
+    true one is 11/3) checks out against its converged record.
     """
-    x_ge_3 = Instance(master_domain=PolyhedralDomain(G=((F(-1),),), g=(F(-3),)), **EX1_KW)
+    shifted = Instance(master_domain=PolyhedralDomain(G=((F(-1),),), g=(F(-bound),)), **EX1_KW)
     config = SolverConfig(strategy=MisOnes())
-    rest = trace_document(x_ge_3, config, solve(x_ge_3, config))
-    assert rest["value"] == "9/2"
-    first = dict(doc["iterations"][0], cut={"coef_x": [-1], "coef_eta": 0, "rhs": -3})
+    rest = trace_document(shifted, config, solve(shifted, config))
+    assert rest["value"] == value
+    cut = {"coef_x": [-1], "coef_eta": 0, "rhs": -bound}
+    first = dict(doc["iterations"][0], cut=cut, **first_fields)
     later = [dict(rec, index=i) for i, rec in enumerate(rest["iterations"], start=2)]
     return dict(rest, instance_digest=doc["instance_digest"], iterations=[first] + later)
 
@@ -361,7 +374,11 @@ def _replace_first_cut(doc, cut):
 # forged trace -> the message its first record gets
 _FORGED_CUTS = {
     "x_ge_3_real_certificate": (
-        _forge_cut_x_ge_3, "recorded cut is not the cut of its recorded certificate"),
+        lambda doc: _forge_cut_x_ge(doc, 3, "9/2"),
+        "recorded cut is not the cut of its recorded certificate"),
+    "x_ge_2_no_certificate": (
+        lambda doc: _forge_cut_x_ge(doc, 2, 4, certificate=None),
+        "recorded cut has no certificate"),
     "negative_multiplier": (
         lambda doc: _edit_first_certificate(doc, "row_multipliers", ["-1", "0", "0"]),
         "certificate multipliers must be nonnegative"),
@@ -384,6 +401,14 @@ def test_replay_checks_cuts_against_certificates(ex1, name):
     assert replay_trace(ex1, forge(doc)) == [f"iteration 1: {message}"]
 
 
+def test_replay_compares_master_points(ex1):
+    config = SolverConfig(strategy=MisOnes())
+    doc = trace_document(ex1, config, solve(ex1, config))
+    # (-7, -9) lies outside the master set x >= 0; the master value 0 is left as recorded
+    doc["iterations"][0]["master_point"] = {"x": [-7], "eta": -9}
+    assert replay_trace(ex1, doc) == ["iteration 1: master point (0, 0) != recorded (-7, -9)"]
+
+
 def test_replay_checks_what_each_cut_does_to_the_master(ex1):
     config = SolverConfig(strategy=MisOnes())
     # eta >= -1 holds at the first master point (0, 0), so the cut leaves it in place
@@ -394,6 +419,38 @@ def test_replay_checks_what_each_cut_does_to_the_master(ex1):
     problems = replay_trace(ex1, _replace_first_cut(
         trace_document(ex1, config, solve(ex1, config)), {"coef_x": [1], "coef_eta": 0, "rhs": -1}))
     assert problems[-1] == "iteration 2: master became infeasible on replay"
+
+
+def _box_draw(seed):
+    """`scripts/result_digest.py`'s box draw of this seed."""
+    inst = random_instance(random.Random(seed), finite=False)
+    return replace(inst, c=tuple(map(abs, inst.c)), d=tuple(map(abs, inst.d))) if seed % 2 else inst
+
+
+# instances whose MIS run ends ill_posed with eta on its lower bound
+_ON_THE_FLOOR = {
+    # the floor hides the optimum 11/3
+    "ex1_eta_ge_10": lambda: Instance(master_domain=PolyhedralDomain(G=((F(-1),),), g=(F(0),)),
+                                      **dict(EX1_KW, eta_lower_bound=F(10))),
+    # the problems are unbounded below
+    **{f"box_draw_{seed}": lambda seed=seed: _box_draw(seed) for seed in (5, 8, 14, 27)},
+}
+
+
+@pytest.mark.parametrize("name", list(_ON_THE_FLOOR))
+def test_replay_checks_an_optimum_on_the_eta_floor(name):
+    """Relabelled optimal, with a y that meets the subproblem rows at d.y = eta,
+    the run passes every arithmetic check; only the master without the eta
+    floor tells that the floor may hide the optimum."""
+    instance, config = _ON_THE_FLOOR[name](), SolverConfig(strategy=MisOnes())
+    result = solve(instance, config)
+    point = result.trace[-1].master_point
+    assert result.status == SolveStatus.ILL_POSED and point.eta == instance.eta_lower_bound
+    y = (F(10),) if name == "ex1_eta_ge_10" else subproblem_check(instance, point)
+    forged = dict(trace_document(instance, config, result), status="optimal",
+                  x=[str(v) for v in point.x], y=[str(v) for v in y],
+                  value=str(result.trace[-1].master_value))
+    assert replay_trace(instance, forged) == [f"status optimal: {result.reason}"]
 
 
 _CONFIG_DOCUMENTS = {

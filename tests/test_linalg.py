@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from bendercuts.errors import ParseError
+from bendercuts.errors import DimensionError, ParseError
 from bendercuts.linalg import (MAX_DIGITS, affine_rank, as_fraction, as_vector, dot,
                                matrix_rank, nullspace_basis, solve_square)
 
@@ -45,6 +45,10 @@ def test_as_fraction_bounds_digits():
 
 def test_as_vector():
     assert as_vector([1, F(1, 2)]) == (F(1), F(1, 2))
+    # a string's characters, or a byte string's codes, are not entries
+    for refused in ("12", b"12", 5, {1, 2}):
+        with pytest.raises(DimensionError):
+            as_vector(refused)
 
 
 def test_dot():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,7 @@ from bendercuts import model, verify
 from bendercuts.cglp import MisOnes, build_alt_polyhedron
 from bendercuts.errors import DominanceUndefined, InfeasibleCandidate, TooLarge
 from bendercuts.instance_io import parse_instance, serialize_instance
-from bendercuts.model import (EpiPoint, Instance, PolyhedralDomain, _affine_dimension,
+from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _affine_dimension,
                               epi_contains, epi_dimension, epi_face_dimension,
                               subproblem_value, support_function)
 from bendercuts.randgen import random_instance, separable_point
@@ -19,7 +20,11 @@ from bendercuts.verify import (FaceClass, ParetoKind, core_point, dominates,
                                enumerate_vertices, face_report, is_mis_certificate,
                                is_vertex, pareto_verdict, relative_interior_point)
 
-from conftest import P1, P2, P3, P1_CUT, P2_CUT, P3_CUT, ge_cut, pin_to_hyperplane
+from conftest import (P1, P2, P3, P1_CUT, P2_CUT, P3_CUT, empty_epigraph, ge_cut,
+                      pin_to_hyperplane)
+
+# x <= -1 and x >= 0: no master point at all
+_NO_MASTER_POINT = PolyhedralDomain(G=((F(1),), (F(-1),)), g=(F(-1), F(0)))
 
 
 def _cert(v):
@@ -101,6 +106,8 @@ def test_is_mis_certificate(ex1, origin):
     assert not is_mis_certificate(ex1, origin,
                                   Certificate(row_multipliers=(F(0),) * 3,
                                               eta_multiplier=F(1)))
+    # an empty support picks no subsystem
+    assert not is_mis_certificate(ex1, origin, _cert((F(0),) * 4))
 
 
 def test_pareto_over_nonnegative_x(ex1):
@@ -128,6 +135,11 @@ def test_pareto_finite_domain(ex1_finite):
     assert pareto_verdict(ex1_finite, P3_CUT).kind == ParetoKind.NOT_PARETO
 
 
+def test_pareto_over_an_empty_master_set(ex1):
+    empty = replace(ex1, master_domain=_NO_MASTER_POINT)
+    assert pareto_verdict(empty, P1_CUT).kind == ParetoKind.NOT_PARETO
+
+
 def test_dominates(ex1):
     raw = ge_cut((F(1),), F(1), F(7, 2))
     tightened = ge_cut((F(1),), F(1), F(11, 3))
@@ -138,6 +150,10 @@ def test_dominates(ex1):
     assert not dominates(ex1, P1_CUT, P1_CUT)
     with pytest.raises(DominanceUndefined):
         dominates(ex1, Cut(coef_x=(F(-1),), coef_eta=F(0), rhs=F(0)), P1_CUT)
+    # no master point, so nowhere strictly better
+    assert not dominates(replace(ex1, master_domain=_NO_MASTER_POINT), tightened, raw)
+    # eta >= 1 + x over eta >= 1: the gap x is 0 at x = 0 and grows without bound
+    assert dominates(ex1, ge_cut((F(-1),), F(1), F(1)), ge_cut((F(0),), F(1), F(1)))
 
 
 def test_dominates_finite(ex1_finite):
@@ -162,6 +178,10 @@ def test_core_point(ex1, ex1_finite):
     assert core.x[0] > 0
     assert subproblem_value(ex1, core.x) < core.eta
     assert core_point(ex1_finite) == EpiPoint((F(3, 2),), F(31, 8))
+    assert core_point(replace(ex1, master_domain=_NO_MASTER_POINT)) is None
+    # every master point has an infeasible subproblem
+    no_recourse = replace(empty_epigraph(), master_domain=FiniteDomain(points=((F(0),), (F(1),))))
+    assert core_point(no_recourse) is None
 
 
 @given(st.integers(0, 100_000))
