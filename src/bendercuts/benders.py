@@ -35,7 +35,6 @@ from .separation import IN_EPIGRAPH, Certificate, Cut, separate
 from .simplex import LE, LinearProgram, LpStatus, solve as solve_lp
 from .verify import FaceReport, face_report
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 

@@ -11,6 +11,12 @@ with the certificate as a witness.  The two CGLP variants trade the ambient
 space for the subproblem's: one swaps the normalization row into the
 constraint set, the other relaxes the subproblem along a lifted direction and
 recovers the certificate from its duals.
+
+Two constructors lay out the spaces: `certificate_lp` the certificate space
+(the alternative polyhedron, the normalized CGLP and
+`separation.certificate_for_cut`), and `one_column_lp` the subproblem's y plus
+one nonnegative column (the relaxed CGLP and `separation.boundedness_check`).
+Every one of those callers reads the point through `model.level`.
 """
 
 from __future__ import annotations

@@ -383,6 +383,7 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     if not reported == objective == value:
         problems.append(f"status optimal: value {reported}, c.x + d.y {objective} and"
                         f" master value {value} differ")
-    if recorded.eta == instance.eta_lower_bound and (unproven := _floor_binds(instance, cuts, value)):
+    unproven = recorded.eta == instance.eta_lower_bound and _floor_binds(instance, cuts, value)
+    if unproven:
         problems.append(f"status optimal: {unproven}")
     return problems

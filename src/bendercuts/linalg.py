@@ -57,12 +57,12 @@ def as_fraction(value) -> Fraction:
 
 
 def as_vector(values: Sequence) -> Vector:
-    """values as a tuple of Fractions, each read by `as_fraction`.
+    """values, a tuple or a list, as a tuple of Fractions, each read by `as_fraction`.
 
-    DimensionError unless values is a sequence, and not a string or bytes,
+    Anything else is refused with DimensionError: a number, a set, and a string,
     whose characters would pass for entries."""
-    if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
-        raise DimensionError(f"expected a sequence of numbers, got {type(values).__name__}")
+    if not isinstance(values, (tuple, list)):
+        raise DimensionError(f"expected a tuple or list of numbers, got {type(values).__name__}")
     return tuple(as_fraction(v) for v in values)
 
 

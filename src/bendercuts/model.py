@@ -347,8 +347,8 @@ def undecomposed_value(instance: Instance) -> Union[Fraction, float]:
             if value < best:
                 best = value
         return best
-    rows = dom.rows(instance.k) + tuple((hrow + arow, LE, bi)
-                                        for hrow, arow, bi in zip(instance.H, instance.A, instance.b))
+    linking = zip(instance.H, instance.A, instance.b)
+    rows = dom.rows(instance.k) + tuple((hrow + arow, LE, bi) for hrow, arow, bi in linking)
     out = solve(LinearProgram("min", instance.c + instance.d, rows))
     if out.status == LpStatus.OPTIMAL:
         return out.objective_value

@@ -45,8 +45,8 @@ def test_as_fraction_bounds_digits():
 
 def test_as_vector():
     assert as_vector([1, F(1, 2)]) == (F(1), F(1, 2))
-    # a string's characters, or a byte string's codes, are not entries
-    for refused in ("12", b"12", 5, {1, 2}):
+    # a vector is a tuple or a list: a string's characters are not its entries
+    for refused in ("12", 5, {1, 2}, range(2)):
         with pytest.raises(DimensionError):
             as_vector(refused)
 
