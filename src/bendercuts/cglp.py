@@ -16,7 +16,7 @@ Two constructors lay out the spaces: `certificate_lp` the certificate space
 (the alternative polyhedron, the normalized CGLP and
 `separation.certificate_for_cut`), and `one_column_lp` the subproblem's y plus
 one nonnegative column (the relaxed CGLP and `separation.boundedness_check`).
-Every one of those callers reads the point through `model.level`.
+Those that take a point read it through `model.level`.
 """
 
 from __future__ import annotations
