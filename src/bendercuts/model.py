@@ -19,10 +19,11 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionError, EmptyEpigraph
-from .linalg import Vector, as_fraction, as_vector, nullspace_basis, sized
+from .linalg import Vector, as_fraction, as_vector, matrix_rank, sized
 from .simplex import EQ, LE, LinearProgram, LpStatus, solve
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _as_matrix(rows: Sequence[Sequence], width: int, name: str) -> tuple[Vector, ...]:
@@ -45,7 +46,7 @@ class PolyhedralDomain:
     def implicit_mask(self) -> Optional[tuple[bool, ...]]:
         """Which rows of G x <= g hold with equality on all of S; None when S is empty.
 
-        One LP per row, on first read only: the domain is immutable.
+        One LP (see `_implicit_mask`), on first read only: the domain is immutable.
         """
         return _implicit_mask(self.rows())
 
@@ -122,7 +123,8 @@ class Instance:
     def epi_affine_dimension(self) -> int:
         """Affine dimension of epi(z), -1 when it is empty.
 
-        Computed by rank growth on first read only: the instance is immutable.
+        Computed from the lifted epigraph's implicit equalities (see
+        `_affine_dimension`) on first read only: the instance is immutable.
         """
         return _affine_dimension(self)
 
@@ -166,20 +168,11 @@ def epigraph_rows(instance: Instance):
     return tuple(rows)
 
 
-def _epi_lift_lp(instance: Instance, direction=None, tight=None) -> LinearProgram:
-    """LP over the lifted epigraph; optional (x, eta)-objective and pinned cut."""
+def _epi_lift_lp(instance: Instance, direction=None) -> LinearProgram:
+    """LP over the lifted epigraph with an optional (x, eta)-objective."""
     n = instance.n
-    rows = list(epigraph_rows(instance))
-    if tight is not None:
-        pi, pi0, alpha = tight
-        rows.append((lifted(instance, pi, pi0), EQ, alpha))
     u, sense = direction or ((_ZERO,) * (n + 1), "min")
-    return LinearProgram(sense, lifted(instance, u[:n], u[n]), tuple(rows))
-
-
-def _project(instance: Instance, xyeta: Vector) -> Vector:
-    n, k = instance.n, instance.k
-    return xyeta[:n] + (xyeta[n + k],)
+    return LinearProgram(sense, lifted(instance, u[:n], u[n]), epigraph_rows(instance))
 
 
 def subproblem_value(instance: Instance, x: Sequence) -> Union[Fraction, float]:
@@ -219,81 +212,65 @@ def support_function(instance: Instance, pi: Sequence, pi0) -> Union[Fraction, f
     eta runs to +inf; INFEASIBLE raises EmptyEpigraph: there is nothing to
     support.
     """
-    return _support(instance, pi, pi0)[0]
-
-
-def _support(instance: Instance, pi: Sequence, pi0) -> tuple[Union[Fraction, float], Optional[Vector]]:
-    """`support_function`'s value and, when it is finite, the optimal (x, eta)."""
     pi = sized(as_vector(pi), instance.n, "pi")
     out = solve(_epi_lift_lp(instance, direction=(pi + (as_fraction(pi0),), "max")))
     if out.status == LpStatus.INFEASIBLE:
         raise EmptyEpigraph("the epigraph is empty")
-    if out.status == LpStatus.UNBOUNDED:
-        return math.inf, None
-    return out.objective_value, _project(instance, out.primal)
+    return math.inf if out.status == LpStatus.UNBOUNDED else out.objective_value
 
 
 def _implicit_mask(rows) -> Optional[tuple[bool, ...]]:
-    """Which rows hold with equality everywhere on the solution set.
+    """Which rows hold with equality everywhere on the solution set; None when it is empty.
 
-    None when the set is empty.
+    The rows are `<=` and `=` rows only.  One LP (Freund, Roundy and Todd,
+    1985) over (z, t, s), one s per `<=` row: max sum s subject to
+    a_i z - r_i t + s_i <= 0 on the `<=` rows, a_i z - r_i t = 0 on the `=`
+    rows, t >= 1 and 0 <= s <= 1.  A solution gives the point z/t of the set,
+    so the LP is infeasible exactly when the set is empty, and s_i > 0 puts
+    that point strictly inside row i.  Every optimum has s_j > 0 on each row j
+    some point p of the set leaves strictly: adding mu (p, 1) raises row j's
+    room and lowers no other row's.  So the implicit rows are the `=` rows
+    and the `<=` rows whose s is 0.
     """
-    mask = []
-    for coeffs, _, rhs in rows:
-        probe = LinearProgram("min", coeffs, tuple(rows))
-        out = solve(probe)
-        if out.status == LpStatus.INFEASIBLE:
-            return None
-        mask.append(out.status == LpStatus.OPTIMAL and out.objective_value == rhs)
-    return tuple(mask)
+    if not rows:
+        return ()
+    dim = len(rows[0][0])
+    les = [i for i, (_, rel, _) in enumerate(rows) if rel == LE]
+    unit = {i: tuple(_ONE if i == j else _ZERO for j in les) for i in les}
+    no_slack = (_ZERO,) * len(les)
+    lp_rows = tuple((tuple(coeffs) + (-rhs,) + unit.get(i, no_slack), rel, _ZERO)
+                    for i, (coeffs, rel, rhs) in enumerate(rows))
+    out = solve(LinearProgram("max", (_ZERO,) * (dim + 1) + (_ONE,) * len(les), lp_rows,
+                              lower=(None,) * dim + (_ONE,) + no_slack,
+                              upper=(None,) * (dim + 1) + (_ONE,) * len(les)))
+    if out.status == LpStatus.INFEASIBLE:
+        return None
+    s = dict(zip(les, out.primal[dim + 1:]))
+    return tuple(s.get(i, _ZERO) == 0 for i in range(len(rows)))
 
 
-def _affine_dimension(instance: Instance, tight=None, bound: Optional[int] = None,
-                      start: Optional[Vector] = None) -> int:
-    """Affine dimension of epi(z), optionally sliced by a pinned hyperplane.
+def _affine_dimension(instance: Instance, tight=None) -> int:
+    """Affine dimension of epi(z), optionally sliced by a pinned hyperplane; -1 when empty.
 
-    The growth starts at `start`, a point (x, eta) of the set, when the caller
-    has one, and otherwise at the optimum of a feasibility LP.
-
-    Grows an affinely independent point set: directions orthogonal to the
-    points found so far are optimized in both senses until no direction moves.
-    Standard basis directions come first via the nullspace ordering.  Growth
-    also stops once the points span `bound` dimensions, a dimension the caller
-    knows the set cannot exceed.  The dimension is len(points) - 1: a point is
-    added only along a direction u orthogonal to every earlier difference
-    p_i - p_0, with u . (p - p_0) != 0 for the new point p, so p - p_0 is not in
-    the span of the earlier differences and the points stay affinely
-    independent.  When no direction moves, the set lies in p_0 plus the span of
-    the differences, so they span it.
+    epi(z), or its slice by pi.x + pi0*eta = alpha when `tight` is
+    (pi, pi0, alpha), is the (x, eta) projection of the lifted set Q of
+    `epigraph_rows` (plus the pinned row).  Q's affine hull is {w : E w = e},
+    E its implicit equalities (`_implicit_mask`), so the projection's hull has
+    the direction space P null(E), P the unit rows of x and eta, whose
+    dimension is rank([E; P]) - rank(E).
     """
-    if start is None:
-        base_out = solve(_epi_lift_lp(instance, tight=tight))
-        if base_out.status != LpStatus.OPTIMAL:
-            return -1
-        start = _project(instance, base_out.primal)
-    dim = instance.n + 1
-    points = [start]
-    while bound is None or len(points) <= bound:
-        diffs = [tuple(p[j] - points[0][j] for j in range(dim)) for p in points[1:]]
-        grew = False
-        for u in nullspace_basis(diffs, dim):
-            base_val = sum((ui * pi for ui, pi in zip(u, points[0])), _ZERO)
-            for sense in ("max", "min"):
-                out = solve(_epi_lift_lp(instance, direction=(u, sense), tight=tight))
-                if out.status == LpStatus.UNBOUNDED:
-                    step = _project(instance, out.ray)
-                    points.append(tuple(p + s for p, s in zip(points[0], step)))
-                    grew = True
-                    break
-                if out.status == LpStatus.OPTIMAL and out.objective_value != base_val:
-                    points.append(_project(instance, out.primal))
-                    grew = True
-                    break
-            if grew:
-                break
-        if not grew:
-            break
-    return len(points) - 1
+    n = instance.n
+    rows = epigraph_rows(instance)
+    if tight is not None:
+        pi, pi0, alpha = tight
+        rows += ((lifted(instance, pi, pi0), EQ, alpha),)
+    mask = _implicit_mask(rows)
+    if mask is None:
+        return -1
+    implicit = [coeffs for (coeffs, _, _), holds in zip(rows, mask) if holds]
+    eye = [tuple(_ONE if i == j else _ZERO for i in range(n + 1)) for j in range(n + 1)]
+    units = [lifted(instance, e[:n], e[n]) for e in eye]
+    return matrix_rank(implicit + units) - matrix_rank(implicit)
 
 
 def epi_dimension(instance: Instance) -> int:
@@ -304,28 +281,10 @@ def epi_dimension(instance: Instance) -> int:
     return d
 
 
-def epi_face_dimension(instance: Instance, pi: Sequence, pi0, alpha,
-                       start: Optional[Vector] = None) -> int:
-    """Dimension of epi(z) cut with {pi.x + pi0*eta = alpha}; -1 when empty.
-
-    `start`, when given, is a point (x, eta) of the slice, and the growth
-    starts there instead of solving a feasibility LP for one.
-
-    The point growth stops at the largest dimension the slice can have.  The
-    slice lies in epi(z), so its dimension is at most dim epi(z).  When
-    (pi, pi0) is nonzero, as every `Cut` has it, the slice also lies in a
-    hyperplane of the (x, eta)-space R^(n+1), so its dimension is at most n.
-    The growth keeps its points affinely independent (see `_affine_dimension`),
-    so once there are bound + 1 of them the slice has dimension exactly bound,
-    and the closing LPs, which could only find that no direction moves, are
-    not solved.  The bound comes from the instance's cached epigraph dimension.
-    """
-    pi, pi0, alpha = as_vector(pi), as_fraction(pi0), as_fraction(alpha)
-    epi_dim = instance.epi_affine_dimension
-    if epi_dim < 0:
-        return -1
-    bound = min(instance.n, epi_dim) if any(pi) or pi0 else epi_dim
-    return _affine_dimension(instance, tight=(pi, pi0, alpha), bound=bound, start=start)
+def epi_face_dimension(instance: Instance, pi: Sequence, pi0, alpha) -> int:
+    """Dimension of epi(z) cut with {pi.x + pi0*eta = alpha}; -1 when empty."""
+    pi = sized(as_vector(pi), instance.n, "pi")
+    return _affine_dimension(instance, tight=(pi, as_fraction(pi0), as_fraction(alpha)))
 
 
 def undecomposed_value(instance: Instance) -> Union[Fraction, float]:

@@ -1,20 +1,20 @@
 """Independent oracles for every cut property the toolkit claims.
 
 Nothing in here trusts the separation machinery: face dimensions come from
-rank growth over the epigraph, the minimal-infeasible-subsystem test deletes
+the implicit equalities of the lifted epigraph, the minimal-infeasible-subsystem test deletes
 rows one at a time, vertices are enumerated by brute force over row subsets,
 and Pareto verdicts follow the tight-point characterization over the relative
 interior of the master set.  These run the acceptance suite and double as
 regression oracles, so they favor being obviously correct over being fast.
 
 Two facts depend on the instance alone and are computed once per instance:
-the affine dimension of epi(z) (`Instance.epi_affine_dimension`, which also
-bounds the face search) and the implicit equalities of a polyhedral master
-set (`PolyhedralDomain.implicit_mask`).  Each is cached on the frozen object
-that determines it, so repeated reports on one instance skip those LPs.  They
-stay independent of the separation code: both come from rank growth and LP
-probes over the instance's own rows, never from a cut, a certificate or a
-separation result, and the cache changes when they are computed, not what.
+the affine dimension of epi(z) (`Instance.epi_affine_dimension`) and the
+implicit equalities of a polyhedral master set (`PolyhedralDomain.implicit_mask`).
+Each is cached on the frozen object that determines it, so repeated reports on
+one instance skip those LPs.  They stay independent of the separation code:
+both come from one implicit-equality LP over the instance's own rows (and, for
+the dimension, two ranks), never from a cut, a certificate or a separation
+result, and the cache changes when they are computed, not what.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import Optional
 from .errors import DominanceUndefined, InfeasibleCandidate, TooLarge
 from .linalg import Vector, as_vector, dot, matrix_rank, sized, solve_square
 from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _implicit_mask,
-                    _rows_feasible, _support, epi_dimension, epi_face_dimension,
-                    epigraph_rows, feasibility_rows, lifted, subproblem_value)
+                    _rows_feasible, epi_dimension, epi_face_dimension, epigraph_rows,
+                    feasibility_rows, lifted, subproblem_value, support_function)
 from .separation import Certificate, Cut
 from .simplex import EQ, LE, LinearProgram, LpStatus, solve, violated_row
 
@@ -74,11 +74,9 @@ def face_report(instance: Instance, cut: Cut) -> FaceReport:
     face dimension -1: either it misses epi(z) or it slices into it.
     """
     epi_dim = epi_dimension(instance)
-    h, top = _support(instance, cut.coef_x, cut.coef_eta)
-    if h != cut.rhs:
+    if support_function(instance, cut.coef_x, cut.coef_eta) != cut.rhs:
         return FaceReport(-1, epi_dim, FaceClass.NON_SUPPORTING)
-    # the support LP's optimum lies on the face, so the growth starts there
-    face_dim = epi_face_dimension(instance, cut.coef_x, cut.coef_eta, cut.rhs, start=top)
+    face_dim = epi_face_dimension(instance, cut.coef_x, cut.coef_eta, cut.rhs)
     if face_dim == epi_dim:
         cls = FaceClass.CONTAINS_EPI
     elif face_dim == epi_dim - 1:
