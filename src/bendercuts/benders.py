@@ -44,6 +44,10 @@ class FixedCore:
 
     point: EpiPoint
 
+    def __post_init__(self):
+        if not isinstance(self.point, EpiPoint):
+            raise PreconditionViolated("a fixed core's point must be an EpiPoint")
+
 
 @dataclass(frozen=True)
 class TrackIncumbent:
@@ -69,10 +73,15 @@ class SolverConfig:
     verify_each_cut: bool = False
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise PreconditionViolated("max_iterations must be at least 1")
-        if self.core_point_mode is not None and not isinstance(self.strategy, Directional):
+        limit, mode = self.max_iterations, self.core_point_mode
+        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
+            raise PreconditionViolated("max_iterations must be an integer of at least 1")
+        if mode is not None and not isinstance(mode, (FixedCore, TrackIncumbent)):
+            raise PreconditionViolated("core_point_mode must be None, FixedCore or TrackIncumbent")
+        if mode is not None and not isinstance(self.strategy, Directional):
             raise PreconditionViolated("core point modes only steer directional strategies")
+        if not isinstance(self.verify_each_cut, bool):
+            raise PreconditionViolated("verify_each_cut must be True or False")
 
 
 CONVERGED = "converged"

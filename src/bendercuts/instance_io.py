@@ -26,7 +26,7 @@ from .cglp import Directional, MisOnes, ObjectiveSpec, certificate_rows
 from .errors import (DimensionError, EmptyEpigraph, ParseError, PreconditionViolated,
                      TooLarge, ZeroCertificate)
 from .linalg import MAX_DIGITS, Vector, as_fraction, dot, sized, too_long
-from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, feasibility_rows
+from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, feasibility_rows, level
 from .separation import Certificate, Cut, canonical_cut, certificate_to_cut
 from .simplex import violated_row
 from .verify import FaceReport, face_report
@@ -273,8 +273,10 @@ def _certificate_from_document(doc: Any, m: int) -> Certificate:
                             "certificate.eta_multiplier"))
 
 
-def _certificate_problem(instance: Instance, cert: Certificate, cut: Cut) -> Optional[str]:
-    """Does a nonnegative certificate cancel y and map to the recorded cut?"""
+def _certificate_problem(instance: Instance, cert: Certificate, cut: Cut,
+                         point: EpiPoint) -> Optional[str]:
+    """Does a nonnegative certificate cancel y, map to the recorded cut and
+    price the master point at -1, as the CGLP's by strong duality does?"""
     u = cert.as_tuple()
     if violated_row(certificate_rows(instance), u) is not None:
         return "recorded certificate does not cancel y: u'A + u_eta d' != 0"
@@ -284,6 +286,9 @@ def _certificate_problem(instance: Instance, cert: Certificate, cut: Cut) -> Opt
         return "recorded certificate maps to no cut"
     if canonical_cut(derived) != canonical_cut(cut):
         return "recorded cut is not the cut of its recorded certificate"
+    priced = dot(u, level(instance, point))
+    if priced != -1:
+        return f"recorded certificate prices its master point at {priced}, not -1"
     return None
 
 
@@ -295,10 +300,11 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     """Check a trace against fresh computation; the mismatch list is empty iff it replays.
 
     Master points and values are recomputed with the recorded cut prefixes,
-    and recorded face reports are recomputed from the recorded cuts.  Every
-    cut record must carry a certificate, which must be nonnegative, cancel y
-    (u'A + u_eta d' = 0) and map to the recorded cut up to scale, checked by
-    arithmetic.  A converged record must be the last one and comes only with
+    and recorded face reports are recomputed from the recorded cuts.  Each
+    record's index must be its position.  Every cut record must carry a
+    negative CGLP value and a certificate, which must be nonnegative, cancel y
+    (u'A + u_eta d' = 0), map to the recorded cut up to scale and price the
+    replayed master point at -1 (u'(b - Hx*) + u_eta eta* = -1), checked by arithmetic.  A converged record must be the last one and comes only with
     status optimal or ill_posed; an optimum must have one and is checked by
     arithmetic against it, and, with eta on its lower bound there, by the
     master without that bound, as `solve` checks it.  A malformed document
@@ -329,12 +335,16 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
                                        instance.n),
                                 eta=_num(_field(point, "eta", "master_point"), "master_point.eta"))
             recorded_value = _num(_field(rec, "master_value", "record"), "master_value")
+            index = _int(_field(rec, "index", "record"), "index")
             converged = _field(rec, "outcome", "record") == CONVERGED
             cut = None if converged else _cut_from_document(rec.get("cut"), instance.n)
+            cglp_value = None if converged else _num(rec.get("cglp_value"), "cglp_value")
             cert = (None if converged or rec.get("certificate") is None
                     else _certificate_from_document(rec["certificate"], instance.m))
         except (ParseError, DimensionError, ZeroCertificate, PreconditionViolated) as exc:
             return problems + [f"{where}: {exc}"]
+        if index != position:
+            problems.append(f"{where}: recorded at position {position}")
         master = _solve_master(instance, cuts)
         if isinstance(master, str):
             return problems + [f"{where}: master became {master} on replay"]
@@ -349,8 +359,10 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
             continue
         if cut.holds_at(recorded):
             problems.append(f"{where}: recorded cut does not cut off its master point")
+        if cglp_value >= 0:
+            problems.append(f"{where}: recorded cglp_value {cglp_value} is not negative")
         wrong = ("recorded cut has no certificate" if cert is None
-                 else _certificate_problem(instance, cert, cut))
+                 else _certificate_problem(instance, cert, cut, replayed))
         if wrong is not None:
             problems.append(f"{where}: {wrong}")
         if rec.get("face") is not None:

@@ -23,7 +23,7 @@ from .cglp import (ObjectiveSpec, _column, build_cglp_relaxed_subproblem, certif
                    lift_objective, one_column_lp, strategy_weights)
 from .errors import (EmptyEpigraph, PreconditionViolated, StrategyUnbounded, UnboundedDirection,
                      ZeroCertificate)
-from .linalg import Vector, as_fraction, as_vector, dot
+from .linalg import Vector, as_fraction, as_vector, dot, sized
 from .model import EpiPoint, Instance, epi_contains, epi_is_empty, level, support_function
 from .simplex import EQ, LinearProgram, LpStatus, solve
 
@@ -118,6 +118,7 @@ class DirectionClass(str, Enum):
 
 def certificate_to_cut(instance: Instance, cert: Certificate) -> Cut:
     """Map a certificate to its cut: coefficients H'u, -u_eta, right side u.b."""
+    sized(cert.row_multipliers, instance.m, "certificate.row_multipliers")
     if not any(cert.row_multipliers) and not cert.eta_multiplier:
         raise ZeroCertificate("all multipliers are zero")
     coef_x = tuple(
@@ -135,6 +136,7 @@ def certificate_for_cut(instance: Instance, cut: Cut) -> Optional[Certificate]:
     """Inverse of `certificate_to_cut`: the smallest-multiplier-sum certificate
     that maps to the cut exactly; None when no certificate does."""
     m = instance.m
+    sized(cut.coef_x, instance.n, "cut.coef_x")
     rows = [(_column(instance.H, j) + (_ZERO,), EQ, v) for j, v in enumerate(cut.coef_x)]
     rows.append((instance.b + (_ZERO,), EQ, cut.rhs))
     rows.append(((_ZERO,) * m + (_ONE,), EQ, -cut.coef_eta))

@@ -93,6 +93,7 @@ def is_mis_certificate(instance: Instance, point: EpiPoint, cert: Certificate) -
     multipliers must be infeasible, and dropping any single row of it must
     restore feasibility.
     """
+    sized(cert.row_multipliers, instance.m, "certificate.row_multipliers")
     rows = feasibility_rows(instance, point)
     support = cert.support
     if not support:
@@ -205,6 +206,7 @@ def pareto_verdict(instance: Instance, cut: Cut) -> ParetoVerdict:
     Only cuts that actually bound eta qualify; anything with a zero eta
     coefficient is out of scope for domination comparisons.
     """
+    sized(cut.coef_x, instance.n, "cut.coef_x")
     if cut.coef_eta >= 0:
         return ParetoVerdict(ParetoKind.NOT_APPLICABLE)
     n, k = instance.n, instance.k
@@ -258,6 +260,8 @@ def dominates(instance: Instance, a: Cut, b: Cut) -> bool:
     if a.coef_eta >= 0 or b.coef_eta >= 0:
         raise DominanceUndefined("domination compares eta bounds; both cuts"
                                  " need a negative eta coefficient")
+    sized(a.coef_x, instance.n, "cut a.coef_x")
+    sized(b.coef_x, instance.n, "cut b.coef_x")
     coeffs, offset = _eta_bound_gap(a, b)
     dom = instance.master_domain
     if isinstance(dom, FiniteDomain):

@@ -12,13 +12,14 @@ from bendercuts.benders import (FixedCore, SolveResult, SolveStatus, SolverConfi
                                 TrackIncumbent, solve, subproblem_check)
 from bendercuts.cglp import Custom, Directional, MisOnes
 from bendercuts.cli import _rational, format_cut, run
-from bendercuts.errors import DimensionError, ParseError, TooLarge
+from bendercuts.errors import DimensionError, ParseError, TooLarge, ToolkitError
 from bendercuts.instance_io import (MAX_DIGITS, instance_digest, instance_document,
                                     load_instance, parse_instance, replay_trace,
                                     serialize_instance, trace_document, trace_to_json)
 from bendercuts.model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain
 from bendercuts.randgen import random_instance
-from bendercuts.separation import Cut, certificate_for_cut
+from bendercuts.separation import Certificate, Cut, certificate_for_cut, certificate_to_cut
+from bendercuts.verify import dominates, is_mis_certificate
 
 from conftest import EX1_KW, P2_CUT, P3_CUT, empty_epigraph
 
@@ -104,12 +105,20 @@ def test_parse_rejections(ex1, exc, make):
         parse_instance(make(ex1))
 
 
-# what a document refuses with ParseError, a constructor refuses with a ToolkitError too
+# what a document refuses with ParseError, a constructor refuses with a ToolkitError
+# too; a cut is sized against the instance's n and a certificate against its m
 _CONSTRUCTOR_REJECTS = {
     "n_a_string": lambda ex1: replace(ex1, n="1"),
     "n_a_bool": lambda ex1: replace(ex1, n=True),
     "x_a_string": lambda ex1: EpiPoint(x="12", eta=0),
     "x_a_number": lambda ex1: EpiPoint(x=5, eta=0),
+    "certificate_for_two_coef_x": lambda ex1: certificate_for_cut(
+        ex1, Cut(coef_x=(-1, -1), coef_eta=-1, rhs=-5)),
+    "cut_of_two_multipliers": lambda ex1: certificate_to_cut(ex1, Certificate((1, 1), 1)),
+    "mis_test_of_four_multipliers": lambda ex1: is_mis_certificate(
+        ex1, EpiPoint(x=(0,), eta=0), Certificate((0, 0, 0, 1), 1)),
+    "dominates_two_coef_x": lambda ex1: dominates(
+        ex1, Cut(coef_x=(-1, 0), coef_eta=-1, rhs=-5), P2_CUT),
 }
 
 
@@ -117,6 +126,23 @@ _CONSTRUCTOR_REJECTS = {
 def test_constructor_rejections(ex1, name):
     with pytest.raises(DimensionError):
         _CONSTRUCTOR_REJECTS[name](ex1)
+
+
+_UP = Directional((F(0),), F(1))
+_MALFORMED_CONFIGS = {
+    "max_iterations_a_fraction": lambda: SolverConfig(max_iterations=2.5),
+    "max_iterations_a_string": lambda: SolverConfig(max_iterations="3"),
+    "max_iterations_a_bool": lambda: SolverConfig(max_iterations=True),
+    "mode_a_string": lambda: SolverConfig(strategy=_UP, core_point_mode="track"),
+    "fixed_core_a_tuple": lambda: FixedCore(point=(1, 2)),
+    "verify_each_cut_a_string": lambda: SolverConfig(verify_each_cut="no"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED_CONFIGS))
+def test_config_rejections(name):
+    with pytest.raises(ToolkitError):
+        _MALFORMED_CONFIGS[name]()
 
 
 _ACCEPTED = {"3": F(3), "-2/7": F(-2, 7), "+3": F(3), "10/4": F(5, 2)}
@@ -389,6 +415,15 @@ _FORGED_CUTS = {
         lambda doc: _edit_first_certificate(
             _edit_first_certificate(doc, "row_multipliers", [0, 0, 0]), "eta_multiplier", 0),
         "recorded certificate maps to no cut"),
+    # the first certificate (0, 0, 1/14, 2/7) doubled: it still cancels y and
+    # maps to the same cut up to scale
+    "doubled_certificate": (
+        lambda doc: _edit_first_certificate(
+            _edit_first_certificate(doc, "row_multipliers", [0, 0, "1/7"]), "eta_multiplier", "4/7"),
+        "recorded certificate prices its master point at -2, not -1"),
+    "positive_cglp_value": (
+        lambda doc: _edit_first_record(doc, lambda rec: rec.update(cglp_value=5)),
+        "recorded cglp_value 5 is not negative"),
 }
 
 
@@ -399,6 +434,15 @@ def test_replay_checks_cuts_against_certificates(ex1, name):
     assert replay_trace(ex1, doc) == []
     forge, message = _FORGED_CUTS[name]
     assert replay_trace(ex1, forge(doc)) == [f"iteration 1: {message}"]
+
+
+def test_replay_checks_record_indices(ex1):
+    config = SolverConfig(strategy=MisOnes())
+    doc = trace_document(ex1, config, solve(ex1, config))
+    doc["iterations"][0]["index"] = 7
+    assert replay_trace(ex1, doc) == ["iteration 7: recorded at position 1"]
+    doc["iterations"][0]["index"] = True
+    assert replay_trace(ex1, doc) == ["iteration True: index: expected an integer"]
 
 
 def test_replay_compares_master_points(ex1):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bendercuts.errors import DimensionError, EmptyEpigraph
-from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain,
+from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _implicit_mask,
                               epi_contains, epi_dimension, epi_face_dimension,
                               epi_is_empty, subproblem_value, support_function,
                               undecomposed_value)
 from bendercuts.randgen import random_instance
+from bendercuts.simplex import EQ, LE, LinearProgram, LpStatus, solve
 
 from conftest import empty_epigraph
 
@@ -95,6 +96,44 @@ def test_empty_epigraph_instance():
         epi_dimension(inst)
     with pytest.raises(EmptyEpigraph):
         support_function(inst, (F(1),), F(-1))
+
+
+def _implicit_reference(rows):
+    """Row by row: row i is implicit when min a_i.z over the rows reaches r_i."""
+    mask = []
+    for coeffs, _, rhs in rows:
+        out = solve(LinearProgram("min", coeffs, tuple(rows)))
+        if out.status == LpStatus.INFEASIBLE:
+            return None
+        mask.append(out.status == LpStatus.OPTIMAL and out.objective_value == rhs)
+    return tuple(mask)
+
+
+def test_implicit_mask_matches_a_per_row_reference():
+    """The one implicit-equality LP agrees with one min LP per row on seeded
+    `<=`/`=` systems, empty and all-`=` ones among them; no rows, no mask."""
+    assert _implicit_mask(()) == ()
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(300):
+        dim, all_eq = rng.randint(1, 3), rng.random() < 0.15
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+            rhs = F(rng.randint(-2, 2))
+            rows.append((coeffs, EQ if all_eq or rng.random() < 0.2 else LE, rhs))
+            if rng.random() < 0.3:  # the opposite row: pins this one, or empties the set
+                rows.append((tuple(-c for c in coeffs), LE, -rhs - rng.choice((0, 0, 1))))
+        mask = _implicit_mask(rows)
+        assert mask == _implicit_reference(rows), rows
+        if mask is None:
+            seen.add("empty")
+        elif all_eq:
+            seen.add("all_eq")
+        else:
+            seen.update("implicit_le" if implicit else "loose_le"
+                        for (_, rel, _), implicit in zip(rows, mask) if rel == LE)
+    assert seen == {"empty", "all_eq", "implicit_le", "loose_le"}
 
 
 def test_epi_face_dimension_of_empty_sets(ex1):

@@ -16,7 +16,7 @@ from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain
 from bendercuts.randgen import random_instance, separable_point
 from bendercuts.separation import Certificate, Cut, SEPARATED, separate
 from bendercuts.simplex import LE, LinearProgram
-from bendercuts.verify import (FaceClass, ParetoKind, core_point, dominates,
+from bendercuts.verify import (FaceClass, FaceReport, ParetoKind, core_point, dominates,
                                enumerate_vertices, face_report, is_mis_certificate,
                                is_vertex, pareto_verdict, relative_interior_point)
 
@@ -172,6 +172,18 @@ def test_relative_interior_point():
     assert relative_interior_point(empty, 1) is None
 
 
+def test_rowless_polyhedral_master(ex1):
+    """A master set with no rows is all of R^n; ex1's oracles read the same on it."""
+    free = replace(ex1, master_domain=PolyhedralDomain(G=(), g=()))
+    assert free.master_domain.implicit_mask == ()
+    assert relative_interior_point((), 2) == (F(0), F(0))
+    assert core_point(free) == core_point(ex1) == EpiPoint((F(4, 3),), F(13, 3))
+    for cut in (P1_CUT, P2_CUT, P3_CUT):
+        assert face_report(free, cut) == face_report(ex1, cut)
+        assert pareto_verdict(free, cut) == pareto_verdict(ex1, cut)
+    assert pareto_verdict(free, P1_CUT).witness == EpiPoint((F(4, 3),), F(7, 3))
+
+
 def test_core_point(ex1, ex1_finite):
     core = core_point(ex1)
     assert core is not None
@@ -304,3 +316,20 @@ def test_second_report_skips_instance_lps(ex1, monkeypatch):
     solved.clear()
     assert pareto_verdict(ex1, P1_CUT) == first
     assert len(solved) == 1
+
+
+def test_warm_face_report_solves_two_lps(monkeypatch):
+    """With dim epi(z) cached, a face report is the support LP and one
+    implicit-equality LP, whatever the dimension of the face."""
+    # z(x) = x1 + x2 + x3 where that sum is at most 10: dim epi(z) = 4
+    inst = Instance(n=3, k=1, m=2, c=(0, 0, 0), d=(1,), H=((1, 1, 1), (0, 0, 0)),
+                    A=((-1,), (1,)), b=(0, 10), eta_lower_bound=0,
+                    master_domain=PolyhedralDomain(G=((-1, 0, 0),), g=(0,)))
+    facet = Cut(coef_x=(1, 1, 1), coef_eta=-1, rhs=0)
+    report = FaceReport(3, 4, FaceClass.FACET_DEFINING)
+    assert face_report(inst, facet) == report
+    solved = []
+    real_solve = model.solve
+    monkeypatch.setattr(model, "solve", lambda lp: solved.append(lp) or real_solve(lp))
+    assert face_report(inst, facet) == report
+    assert len(solved) == 2
