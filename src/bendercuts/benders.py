@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 from .cglp import Directional, MisOnes, ObjectiveSpec
 from .errors import PreconditionViolated, StrategyUnbounded, EmptyEpigraph
-from .linalg import Vector, as_fraction, dot
+from .linalg import Vector, as_fraction, dot, sized
 from .model import EpiPoint, Instance, PolyhedralDomain, _subproblem
 from .separation import IN_EPIGRAPH, Certificate, Cut, separate
 from .simplex import LE, LinearProgram, LpStatus, solve as solve_lp
@@ -254,6 +254,8 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
     trace: list[IterationRecord] = []
     mode = config.core_point_mode
     core: Optional[EpiPoint] = mode.point if isinstance(mode, FixedCore) else None
+    if core is not None:
+        sized(core.x, instance.n, "core point x")
     best: Optional[tuple[EpiPoint, Fraction]] = None  # the incumbent and its value
 
     for index in range(1, config.max_iterations + 1):

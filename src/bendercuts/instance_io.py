@@ -276,7 +276,8 @@ def _certificate_from_document(doc: Any, m: int) -> Certificate:
 def _certificate_problem(instance: Instance, cert: Certificate, cut: Cut,
                          point: EpiPoint) -> Optional[str]:
     """Does a nonnegative certificate cancel y, map to the recorded cut and
-    price the master point at -1, as the CGLP's by strong duality does?"""
+    price the master point at -1, as every CGLP certificate does by strong
+    duality?"""
     u = cert.as_tuple()
     if violated_row(certificate_rows(instance), u) is not None:
         return "recorded certificate does not cancel y: u'A + u_eta d' != 0"
@@ -304,7 +305,8 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     record's index must be its position.  Every cut record must carry a
     negative CGLP value and a certificate, which must be nonnegative, cancel y
     (u'A + u_eta d' = 0), map to the recorded cut up to scale and price the
-    replayed master point at -1 (u'(b - Hx*) + u_eta eta* = -1), checked by arithmetic.  A converged record must be the last one and comes only with
+    replayed master point at -1 (u'(b - Hx*) + u_eta eta* = -1), checked by
+    arithmetic.  A converged record must be the last one and comes only with
     status optimal or ill_posed; an optimum must have one and is checked by
     arithmetic against it, and, with eta on its lower bound there, by the
     master without that bound, as `solve` checks it.  A malformed document

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionError, EmptyEpigraph
-from .linalg import Vector, as_fraction, as_vector, matrix_rank, sized
+from .linalg import Vector, as_fraction, as_vector, rref, sized
 from .simplex import EQ, LE, LinearProgram, LpStatus, solve
 
 _ZERO = Fraction(0)
@@ -257,9 +257,11 @@ def _affine_dimension(instance: Instance, tight=None) -> int:
     `epigraph_rows` (plus the pinned row).  Q's affine hull is {w : E w = e},
     E its implicit equalities (`_implicit_mask`), so the projection's hull has
     the direction space P null(E), P the unit rows of x and eta, whose
-    dimension is rank([E; P]) - rank(E).
+    dimension is rank([E; P]) - rank(E) = n + 1 - (rank(E) - rank(E_y)), E_y
+    the y columns of E.  One RREF of E with its y columns first gives both
+    ranks: its pivots among those columns are rank(E_y).
     """
-    n = instance.n
+    n, k = instance.n, instance.k
     rows = epigraph_rows(instance)
     if tight is not None:
         pi, pi0, alpha = tight
@@ -267,10 +269,9 @@ def _affine_dimension(instance: Instance, tight=None) -> int:
     mask = _implicit_mask(rows)
     if mask is None:
         return -1
-    implicit = [coeffs for (coeffs, _, _), holds in zip(rows, mask) if holds]
-    eye = [tuple(_ONE if i == j else _ZERO for i in range(n + 1)) for j in range(n + 1)]
-    units = [lifted(instance, e[:n], e[n]) for e in eye]
-    return matrix_rank(implicit + units) - matrix_rank(implicit)
+    y_first = [coeffs[n:n + k] + coeffs[:n] + coeffs[n + k:]
+               for (coeffs, _, _), holds in zip(rows, mask) if holds]
+    return n + 1 - sum(col >= k for col in rref(y_first)[1])
 
 
 def epi_dimension(instance: Instance) -> int:

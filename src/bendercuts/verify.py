@@ -1,16 +1,16 @@
 """Independent oracles for every cut property the toolkit claims.
 
 Nothing in here trusts the separation machinery: face dimensions come from
-the implicit equalities of the lifted epigraph, the minimal-infeasible-subsystem test deletes
-rows one at a time, vertices are enumerated by brute force over row subsets,
-and Pareto verdicts follow the tight-point characterization over the relative
-interior of the master set.  These run the acceptance suite and double as
+the implicit equalities of the lifted epigraph, the minimal-infeasible-
+subsystem test deletes rows one at a time, vertices are enumerated by brute
+force over row subsets, and Pareto verdicts follow the tight-point
+characterization over the relative interior of the master set.  These run the acceptance suite and double as
 regression oracles, so they favor being obviously correct over being fast.
 
 Two facts depend on the instance alone and are computed once per instance:
 the affine dimension of epi(z) (`Instance.epi_affine_dimension`) and the
-implicit equalities of a polyhedral master set (`PolyhedralDomain.implicit_mask`).
-Each is cached on the frozen object that determines it, so repeated reports on
+implicit equalities of a polyhedral master set
+(`PolyhedralDomain.implicit_mask`).  Each is cached on the frozen object that determines it, so repeated reports on
 one instance skip those LPs.  They stay independent of the separation code:
 both come from one implicit-equality LP over the instance's own rows (and, for
 the dimension, two ranks), never from a cut, a certificate or a separation

@@ -119,6 +119,8 @@ _CONSTRUCTOR_REJECTS = {
         ex1, EpiPoint(x=(0,), eta=0), Certificate((0, 0, 0, 1), 1)),
     "dominates_two_coef_x": lambda ex1: dominates(
         ex1, Cut(coef_x=(-1, 0), coef_eta=-1, rhs=-5), P2_CUT),
+    "fixed_core_of_two_x": lambda ex1: solve(ex1, SolverConfig(
+        strategy=Directional((F(0),), F(1)), core_point_mode=FixedCore(EpiPoint((2, 99), 0)))),
 }
 
 
