@@ -20,7 +20,9 @@ that must hand the simplex the same LPs, are compared with
     python scripts/lp_digest.py before.json after.json
 
 which prints the totals of each and then names every test id present in both:
-`equal` when its sequences are identical, `subset` when the after multiset of
+`equal` when its sequences are identical, `outcomes equal` when its LP and
+outcome sequences are identical and only pivot counts differ (a new start or
+pivot rule that reaches the same optima), `subset` when the after multiset of
 (LP, outcome, pivots) is contained in the before one (LPs dropped or moved,
 none added or changed), and `differs` otherwise.  It exits 1 only when some id
 differs.
@@ -179,6 +181,8 @@ def _totals(recording: dict) -> str:
 def _verdict(before: list, after: list) -> str:
     if before == after:
         return "equal"
+    if [step[:2] for step in before] == [step[:2] for step in after]:
+        return "outcomes equal"
     have = Counter(map(tuple, before))
     have.subtract(map(tuple, after))
     return "subset" if min(have.values()) >= 0 else "differs"
@@ -209,7 +213,7 @@ def main(argv) -> int:
             verdict += " (Hypothesis)"
         print(f"{verdict}: {test_id}")
     print(", ".join(f"{verdicts[v]} {v}" + (f" ({marked[v]} in Hypothesis tests)" if marked[v] else "")
-                    for v in ("equal", "subset", "differs")))
+                    for v in ("equal", "outcomes equal", "subset", "differs")))
     return 1 if verdicts["differs"] else 0
 
 

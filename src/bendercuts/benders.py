@@ -140,6 +140,12 @@ def _blend_points(a: EpiPoint, b: EpiPoint, blend: Fraction) -> EpiPoint:
     )
 
 
+def _aim(core: EpiPoint, point: EpiPoint) -> Directional:
+    """The direction from the master point to the core point."""
+    return Directional(direction=tuple(c - p for c, p in zip(core.x, point.x)),
+                       direction_eta=core.eta - point.eta)
+
+
 def _master_lp(instance: Instance, dom: PolyhedralDomain, cuts, floor: Optional[Fraction]
                ) -> LinearProgram:
     rows = dom.rows(1) + tuple((cut.coef_x + (cut.coef_eta,), LE, cut.rhs) for cut in cuts)
@@ -282,8 +288,7 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
         strategy: ObjectiveSpec = config.strategy
         fallback = False
         if core is not None:
-            strategy = Directional(direction=tuple(c - p for c, p in zip(core.x, point.x)),
-                                   direction_eta=core.eta - point.eta)
+            strategy = _aim(core, point)
         elif mode is not None:
             strategy = MisOnes()
             fallback = True

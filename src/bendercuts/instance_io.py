@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Any, Optional, Union
 
 from .benders import (CONVERGED, CoreMode, FixedCore, IterationRecord, SolveResult,
-                      SolverConfig, _floor_binds, _solve_master)
-from .cglp import Directional, MisOnes, ObjectiveSpec, certificate_rows
+                      SolverConfig, TrackIncumbent, _aim, _floor_binds, _solve_master)
+from .cglp import Custom, Directional, MisOnes, ObjectiveSpec, certificate_rows, strategy_weights
 from .errors import (DimensionError, EmptyEpigraph, ParseError, PreconditionViolated,
                      TooLarge, ZeroCertificate)
 from .linalg import MAX_DIGITS, Vector, as_fraction, dot, sized, too_long
@@ -258,6 +258,75 @@ def _field(doc: Any, key: str, where: str) -> Any:
     return doc[key]
 
 
+def _strategy_from_document(doc: Any, instance: Instance) -> ObjectiveSpec:
+    kind = _field(doc, "kind", "config.strategy")
+    if kind == "mis":
+        return MisOnes()
+    if kind == "directional":
+        return Directional(_vec(_field(doc, "direction", "config.strategy"),
+                                "config.strategy.direction", instance.n),
+                           _num(_field(doc, "direction_eta", "config.strategy"),
+                                "config.strategy.direction_eta"))
+    if kind == "custom":
+        return Custom(_vec(_field(doc, "weights", "config.strategy"), "config.strategy.weights",
+                           instance.m),
+                      _num(_field(doc, "weight_eta", "config.strategy"),
+                           "config.strategy.weight_eta"))
+    raise ParseError(f"config.strategy: unknown kind {kind!r}")
+
+
+def _core_mode_from_document(doc: Any, instance: Instance) -> Optional[CoreMode]:
+    if doc is None:
+        return None
+    kind = _field(doc, "kind", "config.core_point_mode")
+    if kind == "fixed_core":
+        return FixedCore(EpiPoint(
+            x=_vec(_field(doc, "x", "config.core_point_mode"), "config.core_point_mode.x",
+                   instance.n),
+            eta=_num(_field(doc, "eta", "config.core_point_mode"), "config.core_point_mode.eta")))
+    if kind == "track_incumbent":
+        return TrackIncumbent(_num(_field(doc, "blend", "config.core_point_mode"),
+                                   "config.core_point_mode.blend"))
+    raise ParseError(f"config.core_point_mode: unknown kind {kind!r}")
+
+
+def _config_from_document(doc: Any, instance: Instance) -> SolverConfig:
+    """A trace's `config` echo read back, sized against the instance; raises
+    ParseError or DimensionError, with the config's own refusals as ParseError."""
+    try:
+        return SolverConfig(
+            strategy=_strategy_from_document(_field(doc, "strategy", "config"), instance),
+            max_iterations=_int(_field(doc, "max_iterations", "config"), "config.max_iterations"),
+            core_point_mode=_core_mode_from_document(_field(doc, "core_point_mode", "config"),
+                                                     instance),
+            verify_each_cut=_field(doc, "verify_each_cut", "config"))
+    except PreconditionViolated as exc:
+        raise ParseError(f"config: {exc}") from None
+
+
+def _round_weights(instance: Instance, config: SolverConfig, point: EpiPoint,
+                   fallback: bool) -> Optional[Vector]:
+    """The CGLP weights (w, w_eta) of a cut record's round, or None when replay
+    cannot know them.
+
+    A fallback round ran MisOnes.  Any other round ran the configured strategy
+    when there is no core mode, and Directional(core - point) under FixedCore.
+    TrackIncumbent's core blends the incumbents of the earlier rounds, each
+    from a subproblem LP, so replay does not rebuild it.
+    """
+    mode = config.core_point_mode
+    if fallback:
+        strategy: ObjectiveSpec = MisOnes()
+    elif mode is None:
+        strategy = config.strategy
+    elif isinstance(mode, FixedCore):
+        strategy = _aim(mode.point, point)
+    else:
+        return None
+    weights, weight_eta = strategy_weights(instance, strategy)
+    return weights + (weight_eta,)
+
+
 def _cut_from_document(doc: Any, n: int) -> Cut:
     return Cut(coef_x=_vec(_field(doc, "coef_x", "cut"), "cut.coef_x", n),
                coef_eta=_num(_field(doc, "coef_eta", "cut"), "cut.coef_eta"),
@@ -306,7 +375,15 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     negative CGLP value and a certificate, which must be nonnegative, cancel y
     (u'A + u_eta d' = 0), map to the recorded cut up to scale and price the
     replayed master point at -1 (u'(b - Hx*) + u_eta eta* = -1), checked by
-    arithmetic.  A converged record must be the last one and comes only with
+    arithmetic.  The trace's config is read back and gives the round's CGLP
+    weights w (see `_round_weights`); then the CGLP value must be w . u
+    exactly.  The relaxed CGLP's t column is basic at t* > 0, so its row
+    duals y have y'w = 1, and u = -y/t* gives w . u = -1/t*, the value.
+    Records under TrackIncumbent that are not fallbacks keep only the sign
+    check.  MisOnes never falls back, so a fallback record under it is
+    refused.  A cut record has a face report exactly under verify_each_cut,
+    and a run has at most max_iterations records, exactly that many when it
+    hit the limit.  A converged record must be the last one and comes only with
     status optimal or ill_posed; an optimum must have one and is checked by
     arithmetic against it, and, with eta on its lower bound there, by the
     master without that bound, as `solve` checks it.  A malformed document
@@ -324,6 +401,10 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     digest = instance_digest(instance)
     if doc.get("instance_digest") != digest:
         problems.append("instance digest does not match")
+    try:
+        config = _config_from_document(doc.get("config"), instance)
+    except (ParseError, DimensionError) as exc:
+        return problems + [str(exc)]
     iterations = doc.get("iterations", [])
     if not isinstance(iterations, list):
         return problems + ["iterations: expected a list"]
@@ -341,6 +422,9 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
             converged = _field(rec, "outcome", "record") == CONVERGED
             cut = None if converged else _cut_from_document(rec.get("cut"), instance.n)
             cglp_value = None if converged else _num(rec.get("cglp_value"), "cglp_value")
+            fallback = None if converged else rec.get("fallback")
+            if not converged and not isinstance(fallback, bool):
+                raise ParseError("fallback: expected true or false")
             cert = (None if converged or rec.get("certificate") is None
                     else _certificate_from_document(rec["certificate"], instance.m))
         except (ParseError, DimensionError, ZeroCertificate, PreconditionViolated) as exc:
@@ -361,13 +445,23 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
             continue
         if cut.holds_at(recorded):
             problems.append(f"{where}: recorded cut does not cut off its master point")
+        if fallback and isinstance(config.strategy, MisOnes):
+            problems.append(f"{where}: a fallback record under MisOnes, which never falls back")
         if cglp_value >= 0:
             problems.append(f"{where}: recorded cglp_value {cglp_value} is not negative")
         wrong = ("recorded cut has no certificate" if cert is None
                  else _certificate_problem(instance, cert, cut, replayed))
+        if wrong is None and cglp_value < 0:
+            weights = _round_weights(instance, config, replayed, fallback)
+            priced = None if weights is None else dot(weights, cert.as_tuple())
+            if priced is not None and priced != cglp_value:
+                wrong = f"recorded cglp_value {cglp_value} is not weights . certificate {priced}"
         if wrong is not None:
             problems.append(f"{where}: {wrong}")
-        if rec.get("face") is not None:
+        if (rec.get("face") is not None) != config.verify_each_cut:
+            problems.append(f"{where}: {'a' if rec.get('face') is not None else 'no'} face"
+                            f" report under verify_each_cut {config.verify_each_cut}")
+        elif rec.get("face") is not None:
             try:
                 fresh = _face_document(face_report(instance, cut))
             except EmptyEpigraph as exc:
@@ -383,6 +477,9 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     if converged_at not in allowed:
         return problems + [f"status {status}: converged records at {converged_at},"
                            f" expected {' or '.join(map(str, allowed))}"]
+    limit = config.max_iterations
+    if len(iterations) > limit or (status == "iteration_limit" and len(iterations) != limit):
+        problems.append(f"status {status}: {len(iterations)} records under max_iterations {limit}")
     if status != "optimal":
         return problems
     try:

@@ -3,8 +3,9 @@
 Every consumer in the package relies on one sign convention, stated here once:
 
 * internally the problem is a minimization over rows normalized to <=-form
-  (">=" rows are negated, "=" rows stay equalities, finite variable bounds are
-  appended as extra <= rows, maximizations negate the objective);
+  (">=" rows are negated, "=" rows stay equalities, a finite lower bound is the
+  row -x_j <= -l_j and a finite upper bound the row x_j <= u_j, maximizations
+  negate the objective);
 * ``LpOutcome.dual`` and ``LpOutcome.farkas`` carry one multiplier per entry of
   ``LinearProgram.normalized_rows()``; the first ``len(rows)`` entries line up
   with the original rows;
@@ -16,12 +17,20 @@ Every consumer in the package relies on one sign convention, stated here once:
 Pivoting uses Bland's rule throughout, so solves are deterministic and free of
 cycling.  All numbers are ``fractions.Fraction``; nothing here rounds.
 
-Columns.  The tableau reads ``M = [sigma A, -sigma A, sigma S, I]``, where
-sigma_i = -1 flips a row whose normalized right side is negative, ``S`` puts a
-slack on each "<=" row and ``I`` an artificial on every row.  Bland's rule, the
-basis and every readout use these *virtual* columns in this order: x_j+ at
-2j, x_j- at 2j+1, then the slacks in row order, then the artificials at
-``art0 + i``.  The tableau column of virtual column v is B^-1 M_v, which is
+Lower bounds are column shifts (Chvatal, *Linear Programming*, 1983): the
+tableau writes x_j = l_j + x'_j with x'_j >= 0 for each finite l_j (x'_j = x_j,
+sign-free, for the others) and builds no row for the bound.  The rows it
+builds are the others of ``normalized_rows``, the upper bounds included, each
+with its own coefficients and the right side b_i - a_i . l.  ``_primal`` adds
+l back, and a ray is a direction, which the shift leaves as it is.
+
+Columns.  The tableau reads ``M = [sigma A, -sigma A, sigma S, I]`` over the
+built rows, where sigma_i = -1 flips a row whose right side is negative, ``S``
+puts a slack on each "<=" row and ``I`` an artificial on every row.  Bland's
+rule, the basis and every readout use these *virtual* columns in this order:
+x_j+ at 2j, x_j- at 2j+1, then the slacks in row order, then the artificials
+at ``art0 + i``.  x_j- of a shifted column is never offered to enter, and that
+is x'_j >= 0.  The tableau column of virtual column v is B^-1 M_v, which is
 linear in M_v, and M of x_j- is minus M of x_j+; so the tableau stores only
 x_j+, and reads x_j- as minus x_j+ with reduced cost -d(x_j+) (both phases cost
 x_j- minus x_j+).  A pivot is a row operation, which keeps that identity.
@@ -37,26 +46,33 @@ needs the artificial of a "<=" row.  Let pi = c_B B^-1, the multipliers of the
 flipped rows under the phase's costs (the objective on x, 0 on the slacks,
 ``art_cost`` on the artificials: 1 in phase one, 0 in phase two).  The slack
 of "<=" row i has reduced cost -sigma_i pi_i and the artificial of "=" row i
-has art_cost - pi_i, so sigma o pi is read off the rows' own columns.  Three
-facts rest on the reduced costs of the columns that may enter, and on no
-artificial's, whichever rows started with a basic artificial:
+has art_cost - pi_i, so sigma o pi is read off the rows' own columns, and
+d_j = d(x_j+) = c_j - (sigma o pi)'A_j off column j.  At the end of either
+phase no column that may enter has a negative reduced cost: d_j = 0 on a
+sign-free column (d(x_j-) = -d_j >= 0 too) and d_j >= 0 on a shifted one.
+Three facts rest on the reduced costs of the columns that may enter, and on
+no artificial's, whichever rows started with a basic artificial:
 
 * phase one ends at 0 exactly when the LP is feasible.  Its value
-  w = c_B B^-1 (sigma o b) sums the basic artificials, each >= 0.  At its end
-  no column that may enter has a negative reduced cost.  d(x_j+) >= 0 and
-  d(x_j-) = -d(x_j+) >= 0 give d(x_j+) = 0, so f = -sigma o pi has f'A = 0
-  (phase one costs x nothing), f_i = d(slack_i) >= 0 on "<=" rows, and
-  f . b = -pi . (sigma o b) = -w.  So w > 0 makes f a Farkas vector, and
-  w = 0 leaves every artificial at 0: a feasible point;
+  w = c_B B^-1 (sigma o (b - A l)) sums the basic artificials, each >= 0.
+  Phase one costs x nothing, so f = -sigma o pi has f'A_j = d_j,
+  f_i = d(slack_i) >= 0 on "<=" rows and f . (b - A l) = -w.  The lower-bound
+  row of x_j takes f_j = d_j >= 0: it adds -d_j to column j, so the whole
+  vector has f'A = 0, and -d_j l_j to the right side, so its value is
+  f . b - f'A l = -w.  So w > 0 makes f a Farkas vector, and w = 0 leaves
+  every artificial at 0: a feasible point;
 * Bland's rule still terminates.  An artificial that is nonbasic, from the
   start or once it left, never enters, so from then on it is a deleted
   column.  Between two leaves of artificials the pivots are Bland pivots on
   one fixed LP, which do not cycle, and each row's artificial leaves at most
   once;
-* the dual is sigma o pi and the Farkas vector -sigma o pi.  At the phase-two
-  optimum d(x_j+) = 0 as above, so y = sigma o pi has y'A = c,
-  y_i = -d(slack_i) <= 0 on "<=" rows, and y . b = c_B B^-1 (sigma o b), the
-  optimal value; the Farkas vector is the first fact's f.
+* the dual is y = sigma o pi on the built rows and -d_j on the lower-bound row
+  of x_j, and the Farkas vector is minus that, the first fact's f.  At the
+  phase-two optimum y_i = -d(slack_i) <= 0 on "<=" rows and -d_j <= 0 on
+  bound rows; the bound row adds (-d_j)(-1) = d_j to column j, so y'A = c
+  by the definition of d_j; and
+  y . b + sum d_j l_j = y . (b - A l) + c . l = c . x'* + c . l = c . x*,
+  since y . (b - A l) = c_B B^-1 (sigma o (b - A l)) is the optimum over x'.
 
 ``check_outcome`` checks each of these certificates by arithmetic alone.
 """
@@ -133,7 +149,8 @@ class LinearProgram:
         """<=-form rows: original rows (">=" negated), then bound rows.
 
         Bound rows come in variable order, lower bound (as -x_j <= -l) before
-        upper bound (as x_j <= u).  dual/farkas vectors index this list.
+        upper bound (as x_j <= u).  dual/farkas vectors index this list; the
+        tableau builds every row but the lower bounds, which it shifts away.
         """
         n = self.num_vars
         out = []
@@ -174,17 +191,28 @@ class _Tableau:
 
     Stored columns: x_j+ at j for each of the n variables, then the slacks in
     row order, then the artificials of "=" rows, then the right side; the
-    objective row ``obj`` has the same layout.  Bland's rule, the basis, the
-    ratio tests and every readout index the virtual columns of the module
-    docstring.  ``where[v]`` names the stored column that holds virtual column
-    ``v`` < ``art0`` and whether to negate it: x_j- is minus x_j+.  ``own[i]``
-    is the stored slack or artificial of row i.
+    objective row ``obj`` has the same layout.  Rows are the built rows of the
+    module docstring: ``normalized_rows`` without the lower bounds, over x'.
+    Bland's rule, the basis, the ratio tests and every readout index the
+    virtual columns of the module docstring.  ``where[v]`` names the stored
+    column that holds virtual column ``v`` < ``art0`` and whether to negate it:
+    x_j- is minus x_j+.  ``own[i]`` is the stored slack or artificial of built
+    row i, ``free[j]`` whether x_j has no lower bound, and ``lower_at`` maps the
+    ``normalized_rows`` index of each lower bound to its variable.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        norm = lp.normalized_rows
         n = lp.num_vars
+        self.free = [lo is None for lo in lp.lower]
+        shifts = [(j, lo) for j, lo in enumerate(lp.lower) if lo]
+        self.lower_at: dict[int, int] = {}
+        at = len(lp.rows)
+        for j, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
+            if lo is not None:
+                self.lower_at[at] = j
+            at += (lo is not None) + (up is not None)
+        norm = [r for i, r in enumerate(lp.normalized_rows) if i not in self.lower_at]
         n_le = sum(rel == LE for _, rel, _ in norm)
         self.art0 = 2 * n + n_le
         self.ncols = self.art0 + len(norm)
@@ -196,6 +224,7 @@ class _Tableau:
         self.basis: list[int] = []
         slack, art = n, n + n_le
         for i, (coeffs, rel, rhs) in enumerate(norm):
+            rhs -= sum(coeffs[j] * lo for j, lo in shifts if coeffs[j])
             flip = rhs < 0
             row = [_ZERO] * (n + len(norm) + 1)
             for j, a in enumerate(coeffs):
@@ -249,14 +278,15 @@ class _Tableau:
         self.basis[r] = c
 
     def _entering(self) -> Optional[int]:
-        """The first x_j+, x_j- or slack, in Bland order, with a negative reduced cost."""
-        obj = self.obj
+        """The first x_j+, x_j- of a sign-free x_j, or slack, in Bland order,
+        with a negative reduced cost."""
+        obj, free = self.obj, self.free
         n = self.lp.num_vars
         for j in range(n):
             # x_j- costs minus x_j+, so one sign decides the pair
             if obj[j] < 0:
                 return 2 * j
-            if obj[j] > 0:
+            if obj[j] > 0 and free[j]:
                 return 2 * j + 1
         # the slacks: stored column s holds virtual column n + s
         return next((n + s for s in range(n, self.art0 - n) if obj[s] < 0), None)
@@ -320,11 +350,16 @@ class _Tableau:
     # -- readouts ---------------------------------------------------------
 
     def _row_duals(self) -> Vector:
-        """sigma o pi: minus a "<=" row's slack reduced cost, and
-        sigma_i (art_cost - d_i) for the reduced cost d_i of an "=" row's artificial."""
+        """One multiplier per entry of ``normalized_rows``: sigma o pi on the
+        built rows, which is minus a "<=" row's slack reduced cost and
+        sigma_i (art_cost - d_i) for the reduced cost d_i of an "=" row's
+        artificial, and -d_j on the lower bound of x_j."""
         obj, a, eq0 = self.obj, self.art_cost, self.art0 - self.lp.num_vars
-        return tuple(-obj[s] if s < eq0 else (obj[s] - a if flip else a - obj[s])
-                     for s, flip in zip(self.own, self.flip))
+        built = (-obj[s] if s < eq0 else (obj[s] - a if flip else a - obj[s])
+                 for s, flip in zip(self.own, self.flip))
+        lower_at = self.lower_at
+        return tuple(-obj[lower_at[i]] if i in lower_at else next(built)
+                     for i in range(len(self.tab) + len(lower_at)))
 
     def _fold(self, vals: list[Fraction]) -> Vector:
         """Column values back to variables: x_j = x_j+ - x_j-.
@@ -336,10 +371,11 @@ class _Tableau:
         return tuple(p - m if m else p for p, m in zip(vals[:n2:2], vals[1:n2:2]))
 
     def _primal(self) -> Vector:
+        """x = l + x', with x' folded from the basic values."""
         vals = [_ZERO] * self.ncols
         for i, b in enumerate(self.basis):
             vals[b] = self.tab[i][-1]
-        return self._fold(vals)
+        return tuple(v + lo if lo else v for v, lo in zip(self._fold(vals), self.lp.lower))
 
     def _ray(self, enter: int) -> Vector:
         d = [_ZERO] * self.ncols

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bendercuts.benders import (FixedCore, SolveResult, SolveStatus, SolverConfig,
                                 TrackIncumbent, solve, subproblem_check)
@@ -17,7 +18,7 @@ from bendercuts.instance_io import (MAX_DIGITS, instance_digest, instance_docume
                                     load_instance, parse_instance, replay_trace,
                                     serialize_instance, trace_document, trace_to_json)
 from bendercuts.model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain
-from bendercuts.randgen import random_instance
+from bendercuts.randgen import interior_epi_point, random_instance
 from bendercuts.separation import Certificate, Cut, certificate_for_cut, certificate_to_cut
 from bendercuts.verify import dominates, is_mis_certificate
 
@@ -34,6 +35,50 @@ def test_round_trip(ex1, ex1_finite):
         again = parse_instance(text)
         assert again == inst
         assert instance_digest(again) == instance_digest(inst)
+
+
+numbers = st.fractions(min_value=-10 ** 12, max_value=10 ** 12, max_denominator=10 ** 6)
+
+
+@st.composite
+def instances(draw):
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return tuple(tuple(draw(st.lists(numbers, min_size=cols, max_size=cols)))
+                     for _ in range(rows))
+
+    if draw(st.booleans()):
+        rows = draw(st.integers(0, 3))
+        master = PolyhedralDomain(G=matrix(rows, n), g=matrix(1, rows)[0])
+    else:
+        master = FiniteDomain(points=matrix(draw(st.integers(1, 3)), n))
+    return Instance(n=n, k=k, m=m, c=matrix(1, n)[0], d=matrix(1, k)[0], H=matrix(m, n),
+                    A=matrix(m, k), b=matrix(1, m)[0], master_domain=master,
+                    eta_lower_bound=draw(numbers))
+
+
+@given(instances())
+def test_instance_round_trip(instance):
+    again = parse_instance(serialize_instance(instance))
+    assert again == instance
+    assert instance_digest(again) == instance_digest(instance)
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+def test_traces_of_random_draws_replay_clean(seed, finite):
+    """Every trace that `solve` writes replays as [], whatever status the run
+    ends in, under MIS, an upward Directional and FixedCore."""
+    rng = random.Random(seed)
+    instance = random_instance(rng, finite=finite)
+    up = Directional((F(0),) * instance.n, F(1))
+    configs = [SolverConfig(strategy=MisOnes()), SolverConfig(strategy=up)]
+    core = interior_epi_point(rng, instance)
+    if core is not None:
+        configs.append(SolverConfig(strategy=up, core_point_mode=FixedCore(core)))
+    for config in configs:
+        text = trace_to_json(instance, config, solve(instance, config))
+        assert replay_trace(instance, text) == []
 
 
 def test_load_shipped_instances(ex1, ex1_finite):
@@ -426,6 +471,16 @@ _FORGED_CUTS = {
     "positive_cglp_value": (
         lambda doc: _edit_first_record(doc, lambda rec: rec.update(cglp_value=5)),
         "recorded cglp_value 5 is not negative"),
+    # MIS weights price the first certificate (0, 0, 1/14, 2/7) at -5/14
+    "cglp_value_not_its_price": (
+        lambda doc: _edit_first_record(doc, lambda rec: rec.update(cglp_value=-1)),
+        "recorded cglp_value -1 is not weights . certificate -5/14"),
+    "fallback_under_mis": (
+        lambda doc: _edit_first_record(doc, lambda rec: rec.update(fallback=True)),
+        "a fallback record under MisOnes, which never falls back"),
+    "fallback_not_a_bool": (
+        lambda doc: _edit_first_record(doc, lambda rec: rec.update(fallback="no")),
+        "fallback: expected true or false"),
 }
 
 
@@ -436,6 +491,111 @@ def test_replay_checks_cuts_against_certificates(ex1, name):
     assert replay_trace(ex1, doc) == []
     forge, message = _FORGED_CUTS[name]
     assert replay_trace(ex1, forge(doc)) == [f"iteration 1: {message}"]
+
+
+# config edit -> the one message replay gives, before it reads any record
+_MALFORMED_CONFIG_ECHOES = {
+    "missing": (lambda cfg: None, "config: expected an object with 'strategy'"),
+    "unknown_strategy": (lambda cfg: dict(cfg, strategy={"kind": "best"}),
+                         "config.strategy: unknown kind 'best'"),
+    "direction_of_two": (
+        lambda cfg: dict(cfg, strategy={"kind": "directional", "direction": [1, 2],
+                                        "direction_eta": 1}),
+        "config.strategy.direction has 2 entries, expected 1"),
+    "custom_weights_of_two": (
+        lambda cfg: dict(cfg, strategy={"kind": "custom", "weights": [1, 2], "weight_eta": 1}),
+        "config.strategy.weights has 2 entries, expected 3"),
+    "core_mode_under_mis": (
+        lambda cfg: dict(cfg, core_point_mode={"kind": "track_incumbent", "blend": "1/2"}),
+        "config: core point modes only steer directional strategies"),
+    "blend_of_one": (
+        lambda cfg: dict(cfg, strategy={"kind": "directional", "direction": [0],
+                                        "direction_eta": 1},
+                         core_point_mode={"kind": "track_incumbent", "blend": 1}),
+        "config: blend must lie strictly between 0 and 1"),
+    "unknown_core_mode": (lambda cfg: dict(cfg, core_point_mode={"kind": "moving"}),
+                          "config.core_point_mode: unknown kind 'moving'"),
+    "max_iterations_a_string": (lambda cfg: dict(cfg, max_iterations="50"),
+                                "config.max_iterations: expected an integer"),
+    "verify_each_cut_a_string": (lambda cfg: dict(cfg, verify_each_cut="yes"),
+                                 "config: verify_each_cut must be True or False"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED_CONFIG_ECHOES))
+def test_replay_reads_the_config_back(ex1, name):
+    config = SolverConfig(strategy=MisOnes())
+    doc = trace_document(ex1, config, solve(ex1, config))
+    edit, message = _MALFORMED_CONFIG_ECHOES[name]
+    assert replay_trace(ex1, dict(doc, config=edit(doc["config"]))) == [message]
+
+
+def test_replay_checks_the_run_against_its_config(ex1):
+    """Face reports come exactly under verify_each_cut, and the record count
+    is bounded by max_iterations, which an iteration_limit run reached."""
+    config = SolverConfig(strategy=MisOnes())
+    doc = trace_document(ex1, config, solve(ex1, config))
+    assert replay_trace(ex1, dict(doc, config=dict(doc["config"], verify_each_cut=True))) == [
+        f"iteration {i}: no face report under verify_each_cut True" for i in (1, 2, 3)]
+    assert replay_trace(ex1, dict(doc, config=dict(doc["config"], max_iterations=3))) == [
+        "status optimal: 4 records under max_iterations 3"]
+    config = SolverConfig(strategy=MisOnes(), max_iterations=2)
+    doc = trace_document(ex1, config, solve(ex1, config))
+    assert replay_trace(ex1, doc) == []
+    assert replay_trace(ex1, dict(doc, config=dict(doc["config"], max_iterations=50))) == [
+        "status iteration_limit: 2 records under max_iterations 50"]
+    config, result = _directional_result(ex1)
+    doc = trace_document(ex1, config, result)
+    assert replay_trace(ex1, dict(doc, config=dict(doc["config"], verify_each_cut=False))) == [
+        f"iteration {i}: a face report under verify_each_cut False" for i in (1, 2)]
+
+
+def _flip_fallback(doc, position):
+    record = doc["iterations"][position]
+    record["fallback"] = not record["fallback"]
+    return doc
+
+
+@pytest.mark.parametrize("name", ["directional", "fixed_core", "custom"])
+def test_replay_prices_each_cut_with_its_rounds_weights(ex1, name):
+    """A cut record's cglp_value is its round's weights times its certificate:
+    the configured strategy's, Directional(core - point) under FixedCore, and
+    MisOnes' on a fallback; with the flag flipped the other weights price it."""
+    config = {"directional": _directional_result(ex1)[0],
+              "fixed_core": _CONFIG_DOCUMENTS["fixed_core"][0],
+              "custom": _CONFIG_DOCUMENTS["custom"][0]}[name]
+    doc = trace_document(ex1, config, solve(ex1, config))
+    assert replay_trace(ex1, doc) == []
+    [problem] = replay_trace(ex1, _flip_fallback(doc, 0))
+    assert problem.startswith("iteration 1: recorded cglp_value ")
+
+
+def test_replay_keeps_the_sign_check_under_track_incumbent(ex1):
+    """TrackIncumbent's core needs a subproblem LP per round, so a record that
+    is not a fallback is checked for its sign only; a fallback record is
+    priced with the MIS weights."""
+    config = _CONFIG_DOCUMENTS["track_incumbent"][0]
+    doc = trace_document(ex1, config, solve(ex1, config))
+    assert [r["fallback"] for r in doc["iterations"][:-1]] == [False, False]
+    forged = json.loads(json.dumps(doc))
+    forged["iterations"][0]["cglp_value"] = "-100"
+    assert replay_trace(ex1, forged) == []
+    # MIS weights price the first certificate (1/5, 0, 0, 1/5) at -2/5
+    assert replay_trace(ex1, _flip_fallback(doc, 0)) == [
+        "iteration 1: recorded cglp_value -1 is not weights . certificate -2/5"]
+    # y <= x - 1 and y >= 0: at the first master point x = 0 the subproblem
+    # is infeasible, so there is no incumbent yet and the round runs MIS
+    late = Instance(n=1, k=1, m=2, c=(F(1),), d=(F(-1),), H=((F(-1),), (F(0),)),
+                    A=((F(1),), (F(-1),)), b=(F(-1), F(0)), eta_lower_bound=F(-10),
+                    master_domain=PolyhedralDomain(G=((F(-1),), (F(1),)), g=(F(0), F(4))))
+    config = SolverConfig(strategy=Directional((F(0),), F(1)),
+                          core_point_mode=TrackIncumbent(F(1, 2)))
+    doc = trace_document(late, config, solve(late, config))
+    assert doc["iterations"][0]["fallback"] is True and replay_trace(late, doc) == []
+    forged = json.loads(json.dumps(doc))
+    forged["iterations"][0]["cglp_value"] = "-100"
+    assert replay_trace(late, forged) == [
+        "iteration 1: recorded cglp_value -100 is not weights . certificate -2/11"]
 
 
 def test_replay_checks_record_indices(ex1):

@@ -40,7 +40,31 @@ def test_differences_in_hypothesis_tests_are_named(tmp_path, capsys):
     assert "differs: t::plain" in lines
     assert "differs (Hypothesis): t::drawn" in lines
     assert "equal: t::same" in lines
-    assert lines[-1] == "1 equal, 0 subset, 2 differs (1 in Hypothesis tests)"
+    assert lines[-1] == "1 equal, 0 outcomes equal, 0 subset, 2 differs (1 in Hypothesis tests)"
+
+
+def test_pivot_counts_alone_read_outcomes_equal(tmp_path, capsys):
+    """Same LPs and outcomes in the same order with other pivot counts is the
+    split a pivot-rule change makes; a changed outcome or order still differs."""
+    before = {"t::pivots": [["lp", "out", 3], ["lp2", "out2", 1]],
+              "t::outcome": [["lp", "out", 3]],
+              "t::order": [["lp", "out", 3], ["lp2", "out2", 1]]}
+    after = {"t::pivots": [["lp", "out", 2], ["lp2", "out2", 0]],
+             "t::outcome": [["lp", "other", 2]],
+             "t::order": [["lp2", "out2", 0], ["lp", "out", 2]]}
+    paths = []
+    for name, tests in (("before", before), ("after", after)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"tests": tests, "hypothesis": []}), encoding="utf-8")
+    assert lp_digest.main([str(p) for p in paths]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "outcomes equal: t::pivots" in lines
+    assert "differs: t::outcome" in lines and "differs: t::order" in lines
+    assert lines[-1] == "0 equal, 1 outcomes equal, 0 subset, 2 differs"
+    # with no id that differs the comparison passes
+    paths[1].write_text(json.dumps({"tests": dict(before, **{"t::pivots": after["t::pivots"]}),
+                                    "hypothesis": []}), encoding="utf-8")
+    assert lp_digest.main([str(p) for p in paths]) == 0
 
 
 CORRUPTED_RUN = textwrap.dedent("""

@@ -84,11 +84,14 @@ def test_unbounded_gives_ray(lp):
     assert all(dot(coeffs, out.ray) <= 0 for coeffs, _, _ in lp.normalized_rows)
 
 
-# The tableau stores x_j+ only and reads x_j- as minus it, and it reads a "<="
-# row's multiplier from its slack.  Each LP below makes Bland's rule enter,
-# leave or read one of those columns; the outcomes are pinned exactly.
+# The tableau stores x_j+ only and reads x_j- as minus it, it reads a "<="
+# row's multiplier from its slack, and it shifts a lower-bounded x_j by its
+# bound and reads the bound's multiplier from x_j's reduced cost.  Each LP
+# below makes Bland's rule enter, leave or read one of those columns; the
+# outcomes are pinned exactly.
 @pytest.mark.parametrize("lp, expected", [
-    pytest.param(  # x1 and x2 both end with their minus column basic
+    pytest.param(  # x1 ends with its minus column basic, x2 on its lower bound -1,
+        # whose dual -1 is read off x2's reduced cost
         LinearProgram("min", (F(1), F(2)), (((F(1), F(1)), GE, F(-4)),), lower=(None, F(-1))),
         LpOutcome(LpStatus.OPTIMAL, primal=(F(-3), F(-1)), objective_value=F(-5),
                   dual=(F(-1), F(-1))),
@@ -115,6 +118,23 @@ def test_unbounded_gives_ray(lp):
     pytest.param(FLIPPED_LE_ROWS,
                  LpOutcome(LpStatus.INFEASIBLE, farkas=(F(2, 3), F(2, 3), F(1))),
                  id="farkas_reads_le_slacks"),
+    pytest.param(  # min 2 x1 + x2 over x1 + x2 >= 1, x1 >= 1, x2 >= -2: x1 rests on
+        # its bound, whose dual -1 is minus x1's reduced cost; x2's bound is slack
+        LinearProgram("min", (F(2), F(1)), (((F(1), F(1)), GE, F(1)),), lower=(F(1), F(-2))),
+        LpOutcome(LpStatus.OPTIMAL, primal=(F(1), F(0)), objective_value=F(2),
+                  dual=(F(-1), F(-1), F(0))),
+        id="dual_on_an_active_lower_bound"),
+    pytest.param(  # x1 - x2 <= -1 with x1 >= -1 and x2 <= -3: the row, the lower
+        # bound (its entry is x1's reduced cost) and the upper bound sum to 0 <= -3
+        LinearProgram("min", (F(1), F(0)), (((F(1), F(-1)), LE, F(-1)),),
+                      lower=(F(-1), None), upper=(None, F(-3))),
+        LpOutcome(LpStatus.INFEASIBLE, farkas=(F(1), F(1), F(1))),
+        id="farkas_on_bound_rows"),
+    pytest.param(  # max x1 + x2 over x1 - x2 <= 1, x1 >= -3, x2 >= 2: the point has l
+        # added back, and the ray along both shifted columns is as found
+        LinearProgram("max", (F(1), F(1)), (((F(1), F(-1)), LE, F(1)),), lower=(F(-3), F(2))),
+        LpOutcome(LpStatus.UNBOUNDED, primal=(F(3), F(2)), ray=(F(1), F(1))),
+        id="ray_over_shifted_columns"),
 ])
 def test_twin_column_outcomes(lp, expected):
     assert solve(lp) == expected
@@ -217,6 +237,30 @@ def test_bounds_both_sides():
     lp = LinearProgram("max", (F(1), F(-1)), (), lower=(F(-1), F(2)), upper=(F(5), F(9)))
     out = solve(lp)
     assert out.primal == (F(5), F(2))
+
+
+bounds = st.one_of(st.none(), ints.map(F))
+
+
+@given(st.lists(st.tuples(st.lists(ints.map(F), min_size=3, max_size=3),
+                          st.sampled_from([LE, GE, EQ]), ints.map(F)), max_size=3),
+       st.lists(ints.map(F), min_size=3, max_size=3), st.sampled_from(["min", "max"]),
+       st.lists(ints.map(F), min_size=3, max_size=3), st.lists(bounds, min_size=3, max_size=3),
+       st.lists(st.booleans(), min_size=3, max_size=3))
+def test_lower_bounds_as_shifts_agree_with_bounds_as_rows(rows, obj, sense, lower, upper, free):
+    """The tableau shifts each finite lower bound into its column; the same LP
+    with every bound written as a row of its own, over free columns, has the
+    same status and optimum, and both outcomes carry valid certificates."""
+    lower = [None if f else l for l, f in zip(lower, free)]
+    lp = LinearProgram(sense, obj, tuple(rows), lower=lower, upper=upper)
+    unit = [tuple(F(int(i == j)) for i in range(3)) for j in range(3)]
+    explicit = LinearProgram(sense, obj, tuple(rows) + tuple(
+        (unit[j], rel, v) for j in range(3)
+        for rel, v in ((GE, lower[j]), (LE, upper[j])) if v is not None))
+    shifted, as_rows = solve(lp), solve(explicit)
+    assert check_outcome(lp, shifted) is None and check_outcome(explicit, as_rows) is None
+    assert shifted.status == as_rows.status
+    assert shifted.objective_value == as_rows.objective_value
 
 
 def random_lp(draw_rows, draw_obj):
