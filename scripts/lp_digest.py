@@ -2,9 +2,12 @@
 
 As a pytest plugin it routes `bendercuts.simplex.solve`, under every name a
 loaded module imported it as, through a recorder while each test runs, and
-counts `_Tableau._pivot` calls.  For each test id it keeps the ordered list of
-(LP digest, outcome digest, pivots), and it notes which ids are Hypothesis
-tests; it writes both to a JSON file:
+counts `_Tableau._pivot` calls, split by phase: a pivot made while the
+tableau's `art_cost` is 1 counts for phase one, any other (phase two's, and
+the pivot of a one-column start) for phase two.  For each test id it keeps the
+ordered list of (LP digest, outcome digest, phase-one pivots, phase-two
+pivots), and it notes which ids are Hypothesis tests; it writes both to a
+JSON file:
 
     python -m pytest -q -p lp_digest --hypothesis-seed=0 --lp-digest-out=before.json
 
@@ -19,7 +22,8 @@ that must hand the simplex the same LPs, are compared with
 
     python scripts/lp_digest.py before.json after.json
 
-which prints the totals of each and then names every test id present in both:
+which prints the totals of each (solves, pivots, and the pivots of each phase)
+and then names every test id present in both:
 `equal` when its sequences are identical, `outcomes equal` when its LP and
 outcome sequences are identical and only pivot counts differ (a new start or
 pivot rule that reaches the same optima), `subset` when the after multiset of
@@ -44,7 +48,9 @@ comparison read `differs`.
 Digests hash a text in which every `Fraction` is its hexadecimal numerator
 and denominator: `repr` would write decimal digits, which Python refuses past
 4300 of them.  So compare only two recordings made by the same version of
-this script.
+this script.  In particular a recording from before the phase split holds one
+pivot count per solve where this version holds two, so it cannot be compared
+with one made now: record the older commit again with this script.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ class Recorder:
         self.simplex = simplex
         self.solve = simplex.solve
         self.pivot = simplex._Tableau._pivot
-        self.pivots = 0
+        self.pivots = [0, 0]  # phase one, phase two
         self.current: list | None = None
         self.by_test: dict[str, list] = {}
         self.hypothesis: list[str] = []
@@ -94,10 +100,11 @@ class Recorder:
         self.problem_total = 0
 
     def _recording_solve(self, lp):
-        before = self.pivots
+        before = list(self.pivots)
         out = self.solve(lp)
         if self.current is not None:
-            self.current.append([lp_digest(lp), outcome_digest(out), self.pivots - before])
+            self.current.append([lp_digest(lp), outcome_digest(out),
+                                 *(now - then for now, then in zip(self.pivots, before))])
         problem = self.simplex.check_outcome(lp, out)
         if problem is not None:
             self.problems.append(f"check_outcome: {out.status.value} solve of LP "
@@ -118,7 +125,7 @@ class Recorder:
         original_pivot = self.pivot
 
         def counting_pivot(tableau, r, c):
-            recorder.pivots += 1
+            recorder.pivots[tableau.art_cost != 1] += 1
             return original_pivot(tableau, r, c)
 
         patched = list(self._aliases())
@@ -174,8 +181,10 @@ def pytest_configure(config):
 
 def _totals(recording: dict) -> str:
     solves = sum(len(seq) for seq in recording.values())
-    pivots = sum(p for seq in recording.values() for _, _, p in seq)
-    return f"{len(recording)} test ids, {solves} solves, {pivots} pivots"
+    one = sum(step[2] for seq in recording.values() for step in seq)
+    two = sum(step[3] for seq in recording.values() for step in seq)
+    return (f"{len(recording)} test ids, {solves} solves, {one + two} pivots "
+            f"({one} in phase one, {two} in phase two)")
 
 
 def _verdict(before: list, after: list) -> str:

@@ -15,7 +15,6 @@ reproduce the recorded reports.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from typing import Any, Optional, Union
@@ -30,6 +29,16 @@ from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, feasibili
 from .separation import Certificate, Cut, canonical_cut, certificate_to_cut
 from .simplex import violated_row
 from .verify import FaceReport, face_report
+
+# The interpreter's builtin SHA-256, as the stdlib's random takes _sha512:
+# hashlib would map OpenSSL's libcrypto, about 3 MB resident, for one digest.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 _TRACE_FORMAT = "bendercuts-trace/1"
 
@@ -178,7 +187,7 @@ def serialize_instance(instance: Instance) -> str:
 
 def instance_digest(instance: Instance) -> str:
     canon = json.dumps(instance_document(instance), sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return "sha256:" + sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _strategy_document(strategy: ObjectiveSpec) -> dict:

@@ -25,7 +25,8 @@ with its own coefficients and the right side b_i - a_i . l.  ``_primal`` adds
 l back, and a ray is a direction, which the shift leaves as it is.
 
 Columns.  The tableau reads ``M = [sigma A, -sigma A, sigma S, I]`` over the
-built rows, where sigma_i = -1 flips a row whose right side is negative, ``S``
+built rows, where sigma_i = -1 flips a row whose right side is negative under
+the slack start (the one-column start below flips none), ``S``
 puts a slack on each "<=" row and ``I`` an artificial on every row.  Bland's
 rule, the basis and every readout use these *virtual* columns in this order:
 x_j+ at 2j, x_j- at 2j+1, then the slacks in row order, then the artificials
@@ -35,7 +36,8 @@ linear in M_v, and M of x_j- is minus M of x_j+; so the tableau stores only
 x_j+, and reads x_j- as minus x_j+ with reduced cost -d(x_j+) (both phases cost
 x_j- minus x_j+).  A pivot is a row operation, which keeps that identity.
 
-Artificials.  Phase one starts from the slack basis (Bixby 1992): a "<=" row
+Artificials.  Phase one starts from the slack basis (Bixby 1992), unless the
+one-column start below applies: a "<=" row
 with a nonnegative right side (sigma_i = 1) starts with its slack basic, whose
 column is e_i as an artificial's is, and every other row with its artificial
 basic.  Both phases enter only x_j+, x_j- and the slacks: an artificial that
@@ -73,6 +75,26 @@ no artificial's, whichever rows started with a basic artificial:
   by the definition of d_j; and
   y . b + sum d_j l_j = y . (b - A l) + c . l = c . x'* + c . l = c . x*,
   since y . (b - A l) = c_B B^-1 (sigma o (b - A l)) is the optimum over x'.
+
+The one-column start.  When every built row is "<=" and some right side
+r_i = (b - A l)_i is negative, the start repairs those rows with one column,
+as the first pivot of Chvatal's auxiliary problem does with its x_0
+(*Linear Programming*, 1983, ch. 3).  It takes the first x_j+ in Bland order
+that is negative on every row with r_i < 0 and that keeps r_i - a_ij t0 >= 0
+on every row, where t0 > 0 is the largest r_i / a_ij over the rows with
+r_i < 0.  It flips no row (sigma = 1 on every row) and pivots x_j+ into the
+smallest-index row i* that reaches t0, before phase one prices.  With no such
+column, or a "=" row, the slack start above runs; with no r_i < 0 the two are
+one start, which needs no repair and makes no pivot.  The start is sound:
+
+* its basis is feasible: x_j+ = r_i* / a_i*j = t0 and each other row's slack
+  is r_i - a_ij t0 >= 0, as the condition asks.  No artificial is basic, so
+  phase one prices every column at 0, sees w = 0 and makes no pivot;
+* Bland's rule terminates from any feasible basis, so phase two ends as it
+  does from the basis phase one leaves;
+* the readouts above hold for any basis phase two ends at, and with sigma = 1
+  on every row the dual is pi on the built rows and -d_j on the lower-bound
+  rows, as already proved.  No Farkas vector is read: w = 0.
 
 ``check_outcome`` checks each of these certificates by arithmetic alone.
 """
@@ -186,6 +208,24 @@ class LpOutcome:
     ray: Optional[Vector] = None
 
 
+def _one_column_start(rows, rhs: list[Fraction], n: int) -> Optional[tuple[int, int]]:
+    """(row i*, virtual column 2j) of the one-column start, or None for the
+    slack start: every row "<=", and x_j+ the first column in Bland order that
+    is negative on every row with a negative right side and breaks no row at
+    x_j+ = t0."""
+    short = [i for i, r in enumerate(rhs) if r < 0]
+    if not short or any(rel != LE for _, rel, _ in rows):
+        return None
+    for j in range(n):
+        if any(rows[i][0][j] >= 0 for i in short):
+            continue
+        # the largest ratio, and the smallest row index among its ties
+        t0, minus_row = max((rhs[i] / rows[i][0][j], -i) for i in short)
+        if all(r >= coeffs[j] * t0 for (coeffs, _, _), r in zip(rows, rhs) if coeffs[j] > 0):
+            return -minus_row, 2 * j
+    return None
+
+
 class _Tableau:
     """Dense simplex tableau that stores one column per twin pair.
 
@@ -198,7 +238,9 @@ class _Tableau:
     column that holds virtual column ``v`` < ``art0`` and whether to negate it:
     x_j- is minus x_j+.  ``own[i]`` is the stored slack or artificial of built
     row i, ``free[j]`` whether x_j has no lower bound, and ``lower_at`` maps the
-    ``normalized_rows`` index of each lower bound to its variable.
+    ``normalized_rows`` index of each lower bound to its variable.  The
+    tableau is built at the start basis: the one-column start of the module
+    docstring where it applies, the slack start otherwise.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -213,6 +255,9 @@ class _Tableau:
                 self.lower_at[at] = j
             at += (lo is not None) + (up is not None)
         norm = [r for i, r in enumerate(lp.normalized_rows) if i not in self.lower_at]
+        rhs_of = [rhs - sum(coeffs[j] * lo for j, lo in shifts if coeffs[j])
+                  for coeffs, _, rhs in norm]
+        start = _one_column_start(norm, rhs_of, n)
         n_le = sum(rel == LE for _, rel, _ in norm)
         self.art0 = 2 * n + n_le
         self.ncols = self.art0 + len(norm)
@@ -223,9 +268,8 @@ class _Tableau:
         self.tab: list[list[Fraction]] = []
         self.basis: list[int] = []
         slack, art = n, n + n_le
-        for i, (coeffs, rel, rhs) in enumerate(norm):
-            rhs -= sum(coeffs[j] * lo for j, lo in shifts if coeffs[j])
-            flip = rhs < 0
+        for i, ((coeffs, rel, _), rhs) in enumerate(zip(norm, rhs_of)):
+            flip = rhs < 0 and start is None
             row = [_ZERO] * (n + len(norm) + 1)
             for j, a in enumerate(coeffs):
                 if a:
@@ -246,6 +290,8 @@ class _Tableau:
             self.tab.append(row)
         self.obj: list[Fraction] = [_ZERO] * (n + len(norm) + 1)
         self.art_cost = _ZERO
+        if start is not None:
+            self._pivot(*start)
 
     # -- internals --------------------------------------------------------
 

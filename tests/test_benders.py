@@ -179,13 +179,18 @@ def test_nowhere_feasible_subproblem():
 
 
 def _gated_instance():
-    # x < 1 leaves the subproblem empty, so the first iterations have no
-    # incumbent to track
+    """min x + z(x) over x >= 0, z(x) = min {y : y >= 0} when x >= 1 and
+    empty below, eta >= -2.  x < 1 leaves the subproblem empty, so the first
+    iterations have no incumbent to track.  Every master optimum and every
+    MIS certificate on the way is unique, so the run does not depend on
+    simplex tie-breaks: at (0, -2) the MIS optimum is u = (0, 1/2),
+    u_eta = 1/2 (the cut eta >= 0), at (0, 0) it is u = (1, 0), u_eta = 0
+    (the cut x >= 1), and the master then stops at (1, 0)."""
     return Instance(n=1, k=1, m=2, c=(F(1),), d=(F(1),),
                     H=((F(-1),), (F(0),)), A=((F(0),), (F(-1),)),
                     b=(F(-1), F(0)),
                     master_domain=PolyhedralDomain(G=((F(-1),),), g=(F(0),)),
-                    eta_lower_bound=F(-1))
+                    eta_lower_bound=F(-2))
 
 
 def test_incumbent_fallback():

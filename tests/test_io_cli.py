@@ -1,7 +1,12 @@
+import hashlib
+import importlib.util
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -92,6 +97,24 @@ def test_digest_shape_and_sensitivity(ex1):
     doc = instance_document(ex1)
     doc["b"] = [-5, -3, -13]
     assert instance_digest(parse_instance(json.dumps(doc))) != digest
+
+
+def test_digest_is_sha256_of_the_canonical_json(ex1):
+    canon = json.dumps(instance_document(ex1), sort_keys=True, separators=(",", ":"))
+    assert instance_digest(ex1) == "sha256:" + hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def test_import_leaves_openssl_unloaded():
+    """The digest takes the interpreter's builtin SHA-256, so importing the
+    package maps no OpenSSL through hashlib's _hashlib."""
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no builtin SHA-256 module")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bendercuts; print('_hashlib' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _mutant(ex1, **changes):

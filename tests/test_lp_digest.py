@@ -19,14 +19,14 @@ def test_records_numbers_past_4300_digits():
     recorder.current = []
     out = recorder._recording_solve(lp)
     assert out.status == LpStatus.OPTIMAL and out.primal == (huge,)
-    [(lp_hash, out_hash, _)] = recorder.current
+    [(lp_hash, out_hash, _, _)] = recorder.current
     assert lp_hash == lp_digest.lp_digest(lp) != lp_digest.lp_digest(
         LinearProgram("min", (F(1),), (((F(1),), GE, huge - 1),)))
     assert out_hash == lp_digest.outcome_digest(solve(lp))
 
 
 def test_differences_in_hypothesis_tests_are_named(tmp_path, capsys):
-    step = ["lp", "out", 1]
+    step = ["lp", "out", 0, 1]
     before = {"tests": {"t::plain": [step], "t::drawn": [step], "t::same": [step]},
               "hypothesis": ["t::drawn", "t::same"]}
     after = {"tests": {"t::plain": [step, step], "t::drawn": [step, step], "t::same": [step]},
@@ -46,18 +46,22 @@ def test_differences_in_hypothesis_tests_are_named(tmp_path, capsys):
 def test_pivot_counts_alone_read_outcomes_equal(tmp_path, capsys):
     """Same LPs and outcomes in the same order with other pivot counts is the
     split a pivot-rule change makes; a changed outcome or order still differs."""
-    before = {"t::pivots": [["lp", "out", 3], ["lp2", "out2", 1]],
-              "t::outcome": [["lp", "out", 3]],
-              "t::order": [["lp", "out", 3], ["lp2", "out2", 1]]}
-    after = {"t::pivots": [["lp", "out", 2], ["lp2", "out2", 0]],
-             "t::outcome": [["lp", "other", 2]],
-             "t::order": [["lp2", "out2", 0], ["lp", "out", 2]]}
+    before = {"t::pivots": [["lp", "out", 2, 1], ["lp2", "out2", 1, 0]],
+              "t::outcome": [["lp", "out", 2, 1]],
+              "t::order": [["lp", "out", 2, 1], ["lp2", "out2", 1, 0]]}
+    after = {"t::pivots": [["lp", "out", 0, 2], ["lp2", "out2", 0, 0]],
+             "t::outcome": [["lp", "other", 0, 2]],
+             "t::order": [["lp2", "out2", 0, 0], ["lp", "out", 0, 2]]}
     paths = []
     for name, tests in (("before", before), ("after", after)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps({"tests": tests, "hypothesis": []}), encoding="utf-8")
     assert lp_digest.main([str(p) for p in paths]) == 1
     lines = capsys.readouterr().out.splitlines()
+    # each recording's totals split its pivots by phase
+    assert lines[:2] == [
+        "before: 3 test ids, 5 solves, 11 pivots (8 in phase one, 3 in phase two)",
+        "after:  3 test ids, 5 solves, 6 pivots (0 in phase one, 6 in phase two)"]
     assert "outcomes equal: t::pivots" in lines
     assert "differs: t::outcome" in lines and "differs: t::order" in lines
     assert lines[-1] == "0 equal, 1 outcomes equal, 0 subset, 2 differs"
@@ -79,6 +83,10 @@ CORRUPTED_RUN = textwrap.dedent("""
     def test_clean():
         assert simplex.solve(LP).objective_value == F(14, 5)
 
+    def test_equality_row():
+        lp = LinearProgram("min", (F(1), F(2)), (((F(1), F(1)), "=", F(2)),), lower=(F(0), F(0)))
+        assert simplex.solve(lp).objective_value == F(2)
+
     def test_flipped_dual_sign(monkeypatch):
         row_duals = simplex._Tableau._row_duals
         monkeypatch.setattr(simplex._Tableau, "_row_duals",
@@ -99,8 +107,15 @@ def test_a_corrupted_outcome_fails_its_test_id(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     out = run.stdout
     assert run.returncode == 1, out
-    assert "1 failed, 1 passed" in out
+    assert "1 failed, 2 passed" in out
     assert "FAILED test_inner.py::test_flipped_dual_sign" in out
     assert "check_outcome: optimal solve of LP" in out
     assert "dual[0] = 2/5 has the wrong sign on a <= row" in out
     assert "lp_digest: check_outcome found 1 problems" in out
+    # every row of LP starts feasible at the slack basis, so only phase two
+    # pivots; the equality row's artificial starts basic, so phase one pivots
+    tests = json.loads((tmp_path / "rec.json").read_text(encoding="utf-8"))["tests"]
+    [[_, _, one, two]] = tests["test_inner.py::test_clean"]
+    assert one == 0 and two > 0
+    [[_, _, one, _]] = tests["test_inner.py::test_equality_row"]
+    assert one > 0

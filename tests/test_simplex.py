@@ -5,9 +5,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
+from bendercuts import benders
+from bendercuts.cglp import build_cglp_relaxed_subproblem, mis_objective
 from bendercuts.linalg import dot
+from bendercuts.model import EpiPoint, _subproblem
 from bendercuts.simplex import (EQ, GE, LE, LinearProgram, LpOutcome, LpStatus, _Tableau,
                                 check_outcome, solve)
+
+from conftest import P1_CUT
 
 ints = st.integers(-5, 5)
 
@@ -145,11 +150,9 @@ def _feasible(lp, x):
                for coeffs, rel, rhs in lp.normalized_rows)
 
 
-def test_slack_feasible_rows_need_no_phase_one_pivot():
-    """Every normalized row is "<=" with a nonnegative right side, so phase
-    one starts, and ends, at the slack basis; only phase two pivots."""
-    lp = replace(TWO_VAR_MAX, upper=(F(3), None))
-    assert all(rel == LE and rhs >= 0 for _, rel, rhs in lp.normalized_rows)
+def _phases(run, *args):
+    """run(*args)'s result, and the art_cost of each pivot it made: 1 in
+    phase one, 0 in phase two and at a one-column start."""
     phases = []
     pivot = _Tableau._pivot
 
@@ -158,9 +161,53 @@ def test_slack_feasible_rows_need_no_phase_one_pivot():
         return pivot(self, r, c)
 
     with mock.patch.object(_Tableau, "_pivot", counted):
-        out = solve(lp)
+        return run(*args), phases
+
+
+def test_slack_feasible_rows_need_no_phase_one_pivot():
+    """Every normalized row is "<=" with a nonnegative right side, so phase
+    one starts, and ends, at the slack basis; only phase two pivots."""
+    lp = replace(TWO_VAR_MAX, upper=(F(3), None))
+    assert all(rel == LE and rhs >= 0 for _, rel, rhs in lp.normalized_rows)
+    out, phases = _phases(solve, lp)
     assert out.objective_value == F(14, 5) and check_outcome(lp, out) is None
     assert phases and F(1) not in phases
+
+
+@pytest.mark.parametrize("run, expected", [
+    # MIS weights put -1 on every row of the relaxed CGLP's t column
+    pytest.param(lambda ex1: solve(build_cglp_relaxed_subproblem(
+        ex1, EpiPoint((F(0),), F(0)), *mis_objective(ex1))),
+        LpOutcome(LpStatus.OPTIMAL, primal=(F(14, 5), F(14, 5)), objective_value=F(14, 5),
+                  dual=(F(0), F(0), F(-1, 5), F(-4, 5), F(0))),
+        id="mis_cglp_at_the_origin"),
+    # eta, on its floor, is -1 on the cut row 2x + eta >= 5
+    pytest.param(lambda ex1: benders._solve_master(ex1, [P1_CUT]),
+                 (EpiPoint((F(5, 2),), F(0)), F(5, 2)), id="master_after_one_cut"),
+    # y is -1, -1 and -4 on the rows, whose right sides are all negative at x = 0
+    pytest.param(lambda ex1: _subproblem(ex1, (F(0),)), (F(5), (F(5),)), id="subproblem_at_x_0"),
+])
+def test_one_column_start_makes_no_phase_one_pivot(ex1, run, expected):
+    """One column is negative on every row with a negative right side, so it
+    enters first and the start is feasible: phase one makes no pivot.  The
+    results are the ones the slack start's two phases gave."""
+    result, phases = _phases(run, ex1)
+    assert phases and F(1) not in phases
+    assert result == expected
+
+
+def test_one_column_start_refused_by_a_broken_row():
+    """min x1 + x2 over x1 >= 4, x1 - x2 <= 1, x >= 0: x1 is the one column
+    negative on the short row, but x1 = 4 breaks the second row (1 - 4 < 0),
+    so the slack start runs, with phase one, and finds the optimum."""
+    lp = LinearProgram("min", (F(1), F(1)), (((F(-1), F(0)), LE, F(-4)),
+                                             ((F(1), F(-1)), LE, F(1))),
+                       lower=(F(0), F(0)))
+    out, phases = _phases(solve, lp)
+    assert F(1) in phases
+    assert out == LpOutcome(LpStatus.OPTIMAL, primal=(F(4), F(3)), objective_value=F(7),
+                            dual=(F(-2), F(-1), F(0), F(0)))
+    assert check_outcome(lp, out) is None
 
 
 def test_restated_equality_with_a_new_right_side_is_infeasible():
@@ -261,6 +308,30 @@ def test_lower_bounds_as_shifts_agree_with_bounds_as_rows(rows, obj, sense, lowe
     assert check_outcome(lp, shifted) is None and check_outcome(explicit, as_rows) is None
     assert shifted.status == as_rows.status
     assert shifted.objective_value == as_rows.objective_value
+
+
+@given(st.lists(st.tuples(st.lists(ints.map(F), min_size=3, max_size=3), ints.map(F)),
+                min_size=1, max_size=4),
+       st.integers(0, 2), st.lists(ints.map(F), min_size=3, max_size=3),
+       st.sampled_from(["min", "max"]), st.lists(st.booleans(), min_size=3, max_size=3),
+       st.lists(st.one_of(st.none(), st.integers(0, 5).map(F)), min_size=3, max_size=3))
+def test_one_column_start_agrees_with_the_slack_start(rows, j, obj, sense, free, upper):
+    """Column j is negative on every "<=" row with a negative right side and
+    at most 0 on the others, so the one-column start applies and phase one
+    makes no pivot.  A redundant 0 = 0 row makes the same LP take the slack
+    start; both give the same status and optimum, with valid certificates."""
+    rows = tuple((tuple(-1 - abs(a) if i == j and (rhs < 0 or a > 0) else a
+                        for i, a in enumerate(coeffs)), LE, rhs) for coeffs, rhs in rows)
+    upper = [None if i == j else u for i, u in enumerate(upper)]
+    lower = [None if f else F(0) for f in free]
+    lp = LinearProgram(sense, obj, rows, lower=lower, upper=upper)
+    one_column, phases = _phases(solve, lp)
+    assert F(1) not in phases
+    padded = replace(lp, rows=rows + (((F(0),) * 3, EQ, F(0)),))
+    slack = solve(padded)
+    assert check_outcome(lp, one_column) is None and check_outcome(padded, slack) is None
+    assert one_column.status == slack.status
+    assert one_column.objective_value == slack.objective_value
 
 
 def random_lp(draw_rows, draw_obj):

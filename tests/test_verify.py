@@ -177,7 +177,10 @@ def test_rowless_polyhedral_master(ex1):
     free = replace(ex1, master_domain=PolyhedralDomain(G=(), g=()))
     assert free.master_domain.implicit_mask == ()
     assert relative_interior_point((), 2) == (F(0), F(0))
-    assert core_point(free) == core_point(ex1) == EpiPoint((F(4, 3),), F(13, 3))
+    # the core is one of many optima of the shared-slack LP; what it promises
+    # is a point strictly above the value function
+    core = core_point(free)
+    assert subproblem_value(free, core.x) < core.eta
     for cut in (P1_CUT, P2_CUT, P3_CUT):
         assert face_report(free, cut) == face_report(ex1, cut)
         assert pareto_verdict(free, cut) == pareto_verdict(ex1, cut)
