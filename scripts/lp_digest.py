@@ -2,12 +2,13 @@
 
 As a pytest plugin it routes `bendercuts.simplex.solve`, under every name a
 loaded module imported it as, through a recorder while each test runs, and
-counts `_Tableau._pivot` calls, split by phase: a pivot made while the
-tableau's `art_cost` is 1 counts for phase one, any other (phase two's, and
-the pivot of a one-column start) for phase two.  For each test id it keeps the
-ordered list of (LP digest, outcome digest, phase-one pivots, phase-two
-pivots), and it notes which ids are Hypothesis tests; it writes both to a
-JSON file:
+counts `_Tableau._pivot` calls in three buckets: a pivot made inside
+`_Tableau.__init__` (the one-column start's pivot, or the free-column start's
+eliminations) counts for the start, one made later while the tableau's
+`art_cost` is 1 for phase one, and any other for phase two.  For each test id
+it keeps the ordered list of (LP digest, outcome digest, start pivots,
+phase-one pivots, phase-two pivots), and it notes which ids are Hypothesis
+tests; it writes both to a JSON file:
 
     python -m pytest -q -p lp_digest --hypothesis-seed=0 --lp-digest-out=before.json
 
@@ -22,7 +23,8 @@ that must hand the simplex the same LPs, are compared with
 
     python scripts/lp_digest.py before.json after.json
 
-which prints the totals of each (solves, pivots, and the pivots of each phase)
+which prints the totals of each (solves, pivots, and the pivots of the start
+and of each phase)
 and then names every test id present in both:
 `equal` when its sequences are identical, `outcomes equal` when its LP and
 outcome sequences are identical and only pivot counts differ (a new start or
@@ -49,8 +51,10 @@ Digests hash a text in which every `Fraction` is its hexadecimal numerator
 and denominator: `repr` would write decimal digits, which Python refuses past
 4300 of them.  So compare only two recordings made by the same version of
 this script.  In particular a recording from before the phase split holds one
-pivot count per solve where this version holds two, so it cannot be compared
-with one made now: record the older commit again with this script.
+pivot count per solve, and one from before the start bucket two (its phase
+two counts the start's pivots), where this version holds three; neither can
+be compared with one made now: record the older commit again with this
+script.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ class Recorder:
         self.simplex = simplex
         self.solve = simplex.solve
         self.pivot = simplex._Tableau._pivot
-        self.pivots = [0, 0]  # phase one, phase two
+        self.pivots = [0, 0, 0]  # start, phase one, phase two
+        self.starting = False
         self.current: list | None = None
         self.by_test: dict[str, list] = {}
         self.hypothesis: list[str] = []
@@ -122,21 +127,29 @@ class Recorder:
     @pytest.hookimpl(hookwrapper=True)
     def pytest_runtest_protocol(self, item):
         recorder = self
-        original_pivot = self.pivot
+        tableau_class = self.simplex._Tableau
+        original_init, original_pivot = tableau_class.__init__, self.pivot
+
+        def starting_init(tableau, lp):
+            recorder.starting = True
+            try:
+                original_init(tableau, lp)
+            finally:
+                recorder.starting = False
 
         def counting_pivot(tableau, r, c):
-            recorder.pivots[tableau.art_cost != 1] += 1
+            recorder.pivots[0 if recorder.starting else 1 + (tableau.art_cost != 1)] += 1
             return original_pivot(tableau, r, c)
 
         patched = list(self._aliases())
         for module, name in patched:
             setattr(module, name, self._recording_solve)
-        self.simplex._Tableau._pivot = counting_pivot
+        tableau_class.__init__, tableau_class._pivot = starting_init, counting_pivot
         self.current = []
         try:
             yield
         finally:
-            self.simplex._Tableau._pivot = original_pivot
+            tableau_class.__init__, tableau_class._pivot = original_init, original_pivot
             for module, name in patched:
                 setattr(module, name, self.solve)
             if self.current:
@@ -181,10 +194,10 @@ def pytest_configure(config):
 
 def _totals(recording: dict) -> str:
     solves = sum(len(seq) for seq in recording.values())
-    one = sum(step[2] for seq in recording.values() for step in seq)
-    two = sum(step[3] for seq in recording.values() for step in seq)
-    return (f"{len(recording)} test ids, {solves} solves, {one + two} pivots "
-            f"({one} in phase one, {two} in phase two)")
+    start, one, two = (sum(step[k] for seq in recording.values() for step in seq)
+                       for k in (2, 3, 4))
+    return (f"{len(recording)} test ids, {solves} solves, {start + one + two} pivots "
+            f"({start} at the start, {one} in phase one, {two} in phase two)")
 
 
 def _verdict(before: list, after: list) -> str:

@@ -25,8 +25,8 @@ with its own coefficients and the right side b_i - a_i . l.  ``_primal`` adds
 l back, and a ray is a direction, which the shift leaves as it is.
 
 Columns.  The tableau reads ``M = [sigma A, -sigma A, sigma S, I]`` over the
-built rows, where sigma_i = -1 flips a row whose right side is negative under
-the slack start (the one-column start below flips none), ``S``
+built rows, where sigma_i = -1 flips a row that the free-column start below
+puts onto its artificial (the one-column start flips none), ``S``
 puts a slack on each "<=" row and ``I`` an artificial on every row.  Bland's
 rule, the basis and every readout use these *virtual* columns in this order:
 x_j+ at 2j, x_j- at 2j+1, then the slacks in row order, then the artificials
@@ -36,14 +36,16 @@ linear in M_v, and M of x_j- is minus M of x_j+; so the tableau stores only
 x_j+, and reads x_j- as minus x_j+ with reduced cost -d(x_j+) (both phases cost
 x_j- minus x_j+).  A pivot is a row operation, which keeps that identity.
 
-Artificials.  Phase one starts from the slack basis (Bixby 1992), unless the
-one-column start below applies: a "<=" row
-with a nonnegative right side (sigma_i = 1) starts with its slack basic, whose
-column is e_i as an artificial's is, and every other row with its artificial
-basic.  Both phases enter only x_j+, x_j- and the slacks: an artificial that
-leaves the basis never comes back, as in the textbook two-phase method.  A row
-that starts with its slack basic is then a row whose artificial has already
-left.  So the tableau stores the artificials of "=" rows only, and no readout
+Artificials.  Phase one starts from the slack basis (Bixby 1992), after the
+free-column start below has placed the sign-free columns, unless the
+one-column start below applies: a row that holds no free basic and is a "<="
+row with a nonnegative right side (sigma_i = 1) starts with its slack basic,
+whose column is e_i as an artificial's is, and every other such row with its
+artificial basic.  Both phases enter only x_j+, x_j- and the slacks: an
+artificial that leaves the basis never comes back, as in the textbook
+two-phase method.  A row that starts with its slack basic is then a row whose
+artificial has already left, and so is a row that a sign-free column holds.
+So the tableau stores the artificials of "=" rows only, and no readout
 needs the artificial of a "<=" row.  Let pi = c_B B^-1, the multipliers of the
 flipped rows under the phase's costs (the objective on x, 0 on the slacks,
 ``art_cost`` on the artificials: 1 in phase one, 0 in phase two).  The slack
@@ -56,7 +58,8 @@ Three facts rest on the reduced costs of the columns that may enter, and on
 no artificial's, whichever rows started with a basic artificial:
 
 * phase one ends at 0 exactly when the LP is feasible.  Its value
-  w = c_B B^-1 (sigma o (b - A l)) sums the basic artificials, each >= 0.
+  w = c_B B^-1 (sigma o (b - A l)) sums the basic artificials, each >= 0
+  (a free basic costs nothing in phase one).
   Phase one costs x nothing, so f = -sigma o pi has f'A_j = d_j,
   f_i = d(slack_i) >= 0 on "<=" rows and f . (b - A l) = -w.  The lower-bound
   row of x_j takes f_j = d_j >= 0: it adds -d_j to column j, so the whole
@@ -84,8 +87,9 @@ that is negative on every row with r_i < 0 and that keeps r_i - a_ij t0 >= 0
 on every row, where t0 > 0 is the largest r_i / a_ij over the rows with
 r_i < 0.  It flips no row (sigma = 1 on every row) and pivots x_j+ into the
 smallest-index row i* that reaches t0, before phase one prices.  With no such
-column, or a "=" row, the slack start above runs; with no r_i < 0 the two are
-one start, which needs no repair and makes no pivot.  The start is sound:
+column, or a "=" row, the free-column start below runs; with no r_i < 0 and
+no "=" row the tableau starts at the slack basis, which needs no repair and
+makes no pivot.  The start is sound:
 
 * its basis is feasible: x_j+ = r_i* / a_i*j = t0 and each other row's slack
   is r_i - a_ij t0 >= 0, as the condition asks.  No artificial is basic, so
@@ -95,6 +99,44 @@ one start, which needs no repair and makes no pivot.  The start is sound:
 * the readouts above hold for any basis phase two ends at, and with sigma = 1
   on every row the dual is pi on the built rows and -d_j on the lower-bound
   rows, as already proved.  No Farkas vector is read: w = 0.
+
+The free-column start.  Where phase one would run, that is with a "=" row or
+with a negative r_i that no one column repairs, the tableau places the
+sign-free columns first (Maros, *Computational Techniques of the Simplex
+Method*, 2003; Bixby 1992).  It builds every row unflipped, each with its own
+slack or artificial basic.  For each sign-free x_j in index order it pivots
+x_j+ into the first row that holds no free basic and has a nonzero entry in
+column j; that row is *held* from then on.  Then it flips each row that is
+not held and whose right side is now negative onto its artificial: the row
+is negated, a "<=" row's basic becomes its artificial and a "=" row keeps its
+artificial's entry at +1.  With no sign-free column this is the slack start.
+The start is sound:
+
+* a basic free variable needs no sign, so a held row leaves the ratio test
+  and its basic never leaves the basis; its value may be negative, which
+  ``_fold`` reads as x_j;
+* flipping a row whose basic is its own slack or artificial after the
+  elimination is sigma_i = -1 in M.  Let B be the start basis over the
+  unflipped M, so the tableau is B^-1 M.  Over M with sigma, the basis that
+  puts the flipped rows' artificials where their own columns were is
+  sigma B D, with D = -1 at those rows' basis positions and 1 elsewhere.  Its
+  inverse times the new M is D B^-1 M, which negates exactly the flipped
+  rows, on the x columns, the slacks and the artificials of unflipped "="
+  rows; a flipped "=" row's own artificial, which is basic, stays the unit
+  column, so its entry is set back to +1.  So the tableau is the one the
+  slack start's conventions read at that basis, every row that is not held
+  starts at a right side >= 0, and ``_row_duals`` and the Farkas readout
+  hold unchanged: they hold at whatever basis a phase ends;
+* Bland's rule terminates, because the rows without a free basic form an
+  ordinary LP: the held rows only define the free basics, no pivot leaves
+  from them, and the reduced costs are those of the other rows with the free
+  basics substituted out, so the argument above applies to it.  Phase one
+  cannot run unbounded: a column whose phase-one reduced cost is negative is
+  positive on the row of some basic artificial, which is not held;
+* a free column left nonbasic is zero on every row that is not held, and a
+  pivot in such a row keeps it so.  Phase one prices it at 0; when it enters
+  phase two, no row bounds it, so the LP is unbounded along a ray that moves
+  only it and the free basics.
 
 ``check_outcome`` checks each of these certificates by arithmetic alone.
 """
@@ -209,10 +251,10 @@ class LpOutcome:
 
 
 def _one_column_start(rows, rhs: list[Fraction], n: int) -> Optional[tuple[int, int]]:
-    """(row i*, virtual column 2j) of the one-column start, or None for the
-    slack start: every row "<=", and x_j+ the first column in Bland order that
-    is negative on every row with a negative right side and breaks no row at
-    x_j+ = t0."""
+    """(row i*, virtual column 2j) of the one-column start, or None where it
+    does not apply: every row "<=", and x_j+ the first column in Bland order
+    that is negative on every row with a negative right side and breaks no
+    row at x_j+ = t0."""
     short = [i for i, r in enumerate(rhs) if r < 0]
     if not short or any(rel != LE for _, rel, _ in rows):
         return None
@@ -240,7 +282,10 @@ class _Tableau:
     row i, ``free[j]`` whether x_j has no lower bound, and ``lower_at`` maps the
     ``normalized_rows`` index of each lower bound to its variable.  The
     tableau is built at the start basis: the one-column start of the module
-    docstring where it applies, the slack start otherwise.
+    docstring where it applies, the free-column start where phase one would
+    otherwise run, and the slack basis where it would not.  ``held[i]`` says
+    that the free-column start put a sign-free column in row i, which the
+    ratio test then skips.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -264,36 +309,58 @@ class _Tableau:
         self.where: list[tuple[int, bool]] = [(j // 2, j % 2 == 1) for j in range(2 * n)]
         self.where += [(n + k, False) for k in range(n_le)]
         self.own: list[int] = []
-        self.flip: list[bool] = []
+        self.flip = [False] * len(norm)
+        self.held = [False] * len(norm)
         self.tab: list[list[Fraction]] = []
         self.basis: list[int] = []
         slack, art = n, n + n_le
         for i, ((coeffs, rel, _), rhs) in enumerate(zip(norm, rhs_of)):
-            flip = rhs < 0 and start is None
             row = [_ZERO] * (n + len(norm) + 1)
-            for j, a in enumerate(coeffs):
-                if a:
-                    row[j] = -a if flip else a
+            row[:n] = coeffs
             if rel == LE:
-                row[slack] = -_ONE if flip else _ONE
+                row[slack] = _ONE
                 self.own.append(slack)
-                # the slack start: stored slack s is virtual column n + s
-                self.basis.append(self.art0 + i if flip else n + slack)
+                # stored slack s is virtual column n + s
+                self.basis.append(n + slack)
                 slack += 1
             else:
                 row[art] = _ONE
                 self.own.append(art)
                 self.basis.append(self.art0 + i)
                 art += 1
-            row[-1] = -rhs if flip else rhs
-            self.flip.append(flip)
+            row[-1] = rhs
             self.tab.append(row)
         self.obj: list[Fraction] = [_ZERO] * (n + len(norm) + 1)
         self.art_cost = _ZERO
         if start is not None:
             self._pivot(*start)
+        elif n_le < len(norm) or any(r < 0 for r in rhs_of):
+            self._free_column_start()
 
     # -- internals --------------------------------------------------------
+
+    def _free_column_start(self):
+        """Pivot each sign-free x_j+, in index order, into the first row with no
+        free basic and a nonzero entry in column j; then flip each row whose
+        own slack or artificial is basic at a negative value onto its
+        artificial (sigma_i = -1)."""
+        n, held = self.lp.num_vars, self.held
+        for j in range(n):
+            if self.free[j]:
+                r = next((i for i, row in enumerate(self.tab) if row[j] and not held[i]), None)
+                if r is not None:
+                    self._pivot(r, 2 * j)
+                    held[r] = True
+        eq0 = self.art0 - n
+        for i, row in enumerate(self.tab):
+            if row[-1] < 0 and not held[i]:
+                own = self.own[i]
+                self.tab[i] = row = [-v for v in row]
+                if own >= eq0:
+                    row[own] = _ONE
+                else:
+                    self.basis[i] = self.art0 + i
+                self.flip[i] = True
 
     def _entry(self, row: list[Fraction], v: int) -> Fraction:
         s, neg = self.where[v]
@@ -346,9 +413,10 @@ class _Tableau:
             s, neg = self.where[enter]
             leave = None
             best = None
-            for i, row in enumerate(self.tab):
+            for i, (row, held) in enumerate(zip(self.tab, self.held)):
                 t = -row[s] if neg else row[s]
-                if t > 0:
+                # a held row's free basic needs no sign, so the row bounds no step
+                if t > 0 and not held:
                     ratio = row[-1] / t
                     if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
                         best = ratio

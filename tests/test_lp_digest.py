@@ -19,14 +19,14 @@ def test_records_numbers_past_4300_digits():
     recorder.current = []
     out = recorder._recording_solve(lp)
     assert out.status == LpStatus.OPTIMAL and out.primal == (huge,)
-    [(lp_hash, out_hash, _, _)] = recorder.current
+    [(lp_hash, out_hash, _, _, _)] = recorder.current
     assert lp_hash == lp_digest.lp_digest(lp) != lp_digest.lp_digest(
         LinearProgram("min", (F(1),), (((F(1),), GE, huge - 1),)))
     assert out_hash == lp_digest.outcome_digest(solve(lp))
 
 
 def test_differences_in_hypothesis_tests_are_named(tmp_path, capsys):
-    step = ["lp", "out", 0, 1]
+    step = ["lp", "out", 0, 0, 1]
     before = {"tests": {"t::plain": [step], "t::drawn": [step], "t::same": [step]},
               "hypothesis": ["t::drawn", "t::same"]}
     after = {"tests": {"t::plain": [step, step], "t::drawn": [step, step], "t::same": [step]},
@@ -46,22 +46,24 @@ def test_differences_in_hypothesis_tests_are_named(tmp_path, capsys):
 def test_pivot_counts_alone_read_outcomes_equal(tmp_path, capsys):
     """Same LPs and outcomes in the same order with other pivot counts is the
     split a pivot-rule change makes; a changed outcome or order still differs."""
-    before = {"t::pivots": [["lp", "out", 2, 1], ["lp2", "out2", 1, 0]],
-              "t::outcome": [["lp", "out", 2, 1]],
-              "t::order": [["lp", "out", 2, 1], ["lp2", "out2", 1, 0]]}
-    after = {"t::pivots": [["lp", "out", 0, 2], ["lp2", "out2", 0, 0]],
-             "t::outcome": [["lp", "other", 0, 2]],
-             "t::order": [["lp2", "out2", 0, 0], ["lp", "out", 0, 2]]}
+    before = {"t::pivots": [["lp", "out", 0, 2, 1], ["lp2", "out2", 0, 1, 0]],
+              "t::outcome": [["lp", "out", 0, 2, 1]],
+              "t::order": [["lp", "out", 0, 2, 1], ["lp2", "out2", 0, 1, 0]]}
+    after = {"t::pivots": [["lp", "out", 1, 0, 1], ["lp2", "out2", 0, 0, 0]],
+             "t::outcome": [["lp", "other", 1, 0, 1]],
+             "t::order": [["lp2", "out2", 0, 0, 0], ["lp", "out", 1, 0, 1]]}
     paths = []
     for name, tests in (("before", before), ("after", after)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps({"tests": tests, "hypothesis": []}), encoding="utf-8")
     assert lp_digest.main([str(p) for p in paths]) == 1
     lines = capsys.readouterr().out.splitlines()
-    # each recording's totals split its pivots by phase
+    # each recording's totals split its pivots into the start and each phase
     assert lines[:2] == [
-        "before: 3 test ids, 5 solves, 11 pivots (8 in phase one, 3 in phase two)",
-        "after:  3 test ids, 5 solves, 6 pivots (0 in phase one, 6 in phase two)"]
+        "before: 3 test ids, 5 solves, 11 pivots (0 at the start, 8 in phase one, "
+        "3 in phase two)",
+        "after:  3 test ids, 5 solves, 6 pivots (3 at the start, 0 in phase one, "
+        "3 in phase two)"]
     assert "outcomes equal: t::pivots" in lines
     assert "differs: t::outcome" in lines and "differs: t::order" in lines
     assert lines[-1] == "0 equal, 1 outcomes equal, 0 subset, 2 differs"
@@ -95,16 +97,23 @@ CORRUPTED_RUN = textwrap.dedent("""
 """)
 
 
-def test_a_corrupted_outcome_fails_its_test_id(tmp_path):
-    """A solve whose dual has one flipped sign still returns the right optimum,
-    so only the plugin's check_outcome can fail that test."""
-    (tmp_path / "test_inner.py").write_text(CORRUPTED_RUN, encoding="utf-8")
+def _run_inner(tmp_path, source: str):
+    """Run the test module source under the plugin in a subprocess: the run
+    and the recording it wrote."""
+    (tmp_path / "test_inner.py").write_text(source, encoding="utf-8")
     repo = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(repo / "src"), str(repo / "scripts")]))
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "lp_digest", "-p", "no:cacheprovider",
          f"--lp-digest-out={tmp_path / 'rec.json'}", f"--rootdir={tmp_path}", str(tmp_path)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    return run, json.loads((tmp_path / "rec.json").read_text(encoding="utf-8"))["tests"]
+
+
+def test_a_corrupted_outcome_fails_its_test_id(tmp_path):
+    """A solve whose dual has one flipped sign still returns the right optimum,
+    so only the plugin's check_outcome can fail that test."""
+    run, tests = _run_inner(tmp_path, CORRUPTED_RUN)
     out = run.stdout
     assert run.returncode == 1, out
     assert "1 failed, 2 passed" in out
@@ -114,8 +123,40 @@ def test_a_corrupted_outcome_fails_its_test_id(tmp_path):
     assert "lp_digest: check_outcome found 1 problems" in out
     # every row of LP starts feasible at the slack basis, so only phase two
     # pivots; the equality row's artificial starts basic, so phase one pivots
-    tests = json.loads((tmp_path / "rec.json").read_text(encoding="utf-8"))["tests"]
-    [[_, _, one, two]] = tests["test_inner.py::test_clean"]
-    assert one == 0 and two > 0
-    [[_, _, one, _]] = tests["test_inner.py::test_equality_row"]
-    assert one > 0
+    [[_, _, start, one, two]] = tests["test_inner.py::test_clean"]
+    assert start == one == 0 and two > 0
+    [[_, _, start, one, _]] = tests["test_inner.py::test_equality_row"]
+    assert start == 0 and one > 0
+
+
+STARTS_RUN = textwrap.dedent("""
+    from fractions import Fraction as F
+
+    from bendercuts import simplex
+    from bendercuts.simplex import LE, LinearProgram
+
+    def test_one_column_start():
+        # x1 >= 1 and x1 >= 2 over x1, x2 >= 0: x1 enters at 2 before phase one
+        lp = LinearProgram("min", (F(1), F(1)), (((F(-1), F(0)), LE, F(-1)),
+                                                 ((F(-1), F(0)), LE, F(-2))), lower=(F(0), F(0)))
+        assert simplex.solve(lp).objective_value == F(2)
+
+    def test_free_column_start():
+        # x1 free is pivoted into the equality row, which holds it from then on
+        lp = LinearProgram("min", (F(1), F(1)), (((F(1), F(1)), "=", F(2)),),
+                           lower=(None, F(0)))
+        assert simplex.solve(lp).objective_value == F(2)
+""")
+
+
+def test_start_pivots_count_on_their_own(tmp_path):
+    """The pivots made inside _Tableau.__init__ count for the start, in their
+    own bucket: one for the one-column start, one per free column the
+    free-column start places; neither LP then pivots in phase one."""
+    run, tests = _run_inner(tmp_path, STARTS_RUN)
+    assert run.returncode == 0, run.stdout
+    assert "2 passed" in run.stdout
+    assert "lp_digest: 2 test ids, 2 solves, 2 pivots (2 at the start, 0 in phase one, " \
+        "0 in phase two)" in run.stdout
+    assert tests["test_inner.py::test_one_column_start"][0][2:] == [1, 0, 0]
+    assert tests["test_inner.py::test_free_column_start"][0][2:] == [1, 0, 0]

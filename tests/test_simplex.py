@@ -152,7 +152,7 @@ def _feasible(lp, x):
 
 def _phases(run, *args):
     """run(*args)'s result, and the art_cost of each pivot it made: 1 in
-    phase one, 0 in phase two and at a one-column start."""
+    phase one, 0 in phase two and at the start (one-column or free-column)."""
     phases = []
     pivot = _Tableau._pivot
 
@@ -207,6 +207,53 @@ def test_one_column_start_refused_by_a_broken_row():
     assert F(1) in phases
     assert out == LpOutcome(LpStatus.OPTIMAL, primal=(F(4), F(3)), objective_value=F(7),
                             dual=(F(-2), F(-1), F(0), F(0)))
+    assert check_outcome(lp, out) is None
+
+
+def test_free_column_absorbs_an_equality_row():
+    """min x1 + 2 x2 over x1 + x2 = 3, x1 - x2 <= 5, x2 >= 0, x1 free: x1 is
+    pivoted into the "=" row, so no artificial is basic, the second row's
+    right side stays 2 >= 0, and phase one makes no pivot."""
+    lp = LinearProgram("min", (F(1), F(2)), (((F(1), F(1)), EQ, F(3)),
+                                             ((F(1), F(-1)), LE, F(5))), lower=(None, F(0)))
+    out, phases = _phases(solve, lp)
+    assert phases == [F(0)]
+    assert out == LpOutcome(LpStatus.OPTIMAL, primal=(F(3), F(0)), objective_value=F(3),
+                            dual=(F(1), F(0), F(-1)))
+    assert check_outcome(lp, out) is None
+
+
+@pytest.mark.parametrize("cost, expected", [
+    pytest.param(F(1), LpOutcome(LpStatus.UNBOUNDED, primal=(F(0), F(1), F(1)),
+                                 ray=(F(-1), F(0), F(0))), id="ray_along_x_minus"),
+    pytest.param(F(-1), LpOutcome(LpStatus.UNBOUNDED, primal=(F(0), F(1), F(1)),
+                                  ray=(F(1), F(0), F(0))), id="ray_along_x_plus"),
+    pytest.param(F(0), LpOutcome(LpStatus.OPTIMAL, primal=(F(0), F(1), F(1)),
+                                 objective_value=F(1), dual=(F(-1), F(-1), F(0))),
+                 id="no_cost"),
+])
+def test_free_column_zero_on_every_row(cost, expected):
+    """min cost x1 + x3 over x2 = 1, x2 + x3 >= 2, x2 >= 0, x1 and x3 free:
+    x3 is pivoted into the second row, and x1, zero on every row, finds no
+    row and stays nonbasic; so it enters phase two only to prove the LP
+    unbounded, and never when it costs nothing."""
+    lp = LinearProgram("min", (cost, F(0), F(1)),
+                       (((F(0), F(1), F(0)), EQ, F(1)), ((F(0), F(1), F(1)), GE, F(2))),
+                       lower=(None, F(0), None))
+    out = solve(lp)
+    assert out == expected
+    assert check_outcome(lp, out) is None
+
+
+def test_infeasible_with_free_columns_gives_farkas():
+    """x1 + x2 <= 1 and x1 >= 3 with x2 >= 0, x1 free: x1 is pivoted into the
+    first row, the second then reads x2 + s1 + s2 = -2 and is flipped onto
+    its artificial, which phase one cannot drive to 0.  The Farkas vector
+    sums the two rows and the bound x2 >= 0 into 0 <= -2."""
+    lp = LinearProgram("min", (F(0), F(1)), (((F(1), F(1)), LE, F(1)),
+                                             ((F(-1), F(0)), LE, F(-3))), lower=(None, F(0)))
+    out = solve(lp)
+    assert out == LpOutcome(LpStatus.INFEASIBLE, farkas=(F(1), F(1), F(1)))
     assert check_outcome(lp, out) is None
 
 
@@ -318,8 +365,10 @@ def test_lower_bounds_as_shifts_agree_with_bounds_as_rows(rows, obj, sense, lowe
 def test_one_column_start_agrees_with_the_slack_start(rows, j, obj, sense, free, upper):
     """Column j is negative on every "<=" row with a negative right side and
     at most 0 on the others, so the one-column start applies and phase one
-    makes no pivot.  A redundant 0 = 0 row makes the same LP take the slack
-    start; both give the same status and optimum, with valid certificates."""
+    makes no pivot.  A redundant 0 = 0 row rules that start out: the same LP
+    then takes the free-column start whenever a column is free, and the slack
+    start when none is.  Both give the same status and optimum, with valid
+    certificates."""
     rows = tuple((tuple(-1 - abs(a) if i == j and (rhs < 0 or a > 0) else a
                         for i, a in enumerate(coeffs)), LE, rhs) for coeffs, rhs in rows)
     upper = [None if i == j else u for i, u in enumerate(upper)]
@@ -332,6 +381,47 @@ def test_one_column_start_agrees_with_the_slack_start(rows, j, obj, sense, free,
     assert check_outcome(lp, one_column) is None and check_outcome(padded, slack) is None
     assert one_column.status == slack.status
     assert one_column.objective_value == slack.objective_value
+
+
+@given(st.lists(st.tuples(st.lists(ints.map(F), min_size=3, max_size=3),
+                          st.sampled_from([LE, GE, EQ]), ints.map(F)), min_size=1, max_size=4),
+       st.lists(ints.map(F), min_size=3, max_size=3), st.sampled_from(["min", "max"]),
+       st.lists(st.booleans(), min_size=2, max_size=2),
+       st.lists(st.one_of(st.none(), st.integers(0, 5).map(F)), min_size=3, max_size=3))
+def test_free_column_start_agrees_with_split_columns(rows, obj, sense, free, upper):
+    """The first row is "=", so phase one would run and the free-column start
+    pivots the free columns (x1 always, x2 and x3 when drawn free) into the
+    basis, where they stay: no held row ever leaves.  Writing each free x_j as
+    p_j - q_j with p_j, q_j >= 0 gives an LP with no free column, which takes
+    the slack start; both have the same status and optimum, and both
+    outcomes carry valid certificates."""
+    rows = [(coeffs, EQ if i == 0 else rel, rhs) for i, (coeffs, rel, rhs) in enumerate(rows)]
+    free = [True, *free]
+    lower = [None if f else F(0) for f in free]
+    upper = [None if f else u for f, u in zip(free, upper)]
+    lp = LinearProgram(sense, obj, tuple(rows), lower=lower, upper=upper)
+
+    def split(vector):
+        return tuple(v for j, a in enumerate(vector) for v in ((a, -a) if free[j] else (a,)))
+
+    columns = len(split(obj))
+    split_lp = LinearProgram(sense, split(obj),
+                             tuple((split(coeffs), rel, rhs) for coeffs, rel, rhs in rows),
+                             lower=(F(0),) * columns,
+                             upper=tuple(v for f, u in zip(free, upper)
+                                         for v in ((None, None) if f else (u,))))
+    pivot = _Tableau._pivot
+
+    def held_rows_stay(self, r, c):
+        assert not self.held[r], "a pivot left from a held row"
+        return pivot(self, r, c)
+
+    with mock.patch.object(_Tableau, "_pivot", held_rows_stay):
+        out = solve(lp)
+    as_split = solve(split_lp)
+    assert check_outcome(lp, out) is None and check_outcome(split_lp, as_split) is None
+    assert out.status == as_split.status
+    assert out.objective_value == as_split.objective_value
 
 
 def random_lp(draw_rows, draw_obj):
