@@ -110,6 +110,17 @@ class SolveStatus(str, Enum):
     ILL_POSED = "ill_posed"
 
 
+MASTER_INFEASIBLE = "master problem infeasible"
+NO_RECOURSE = "no master point has a feasible subproblem"
+MASTER_UNBOUNDED = "master relaxation unbounded"
+SUBPROBLEM_UNBOUNDED = "subproblem unbounded below at the converged point"
+FLOOR_BINDS = "eta converged onto its lower bound; the bound may be hiding the true optimum"
+REASONS = {SolveStatus.OPTIMAL: (None,), SolveStatus.ITERATION_LIMIT: (None,),
+           SolveStatus.INFEASIBLE: (MASTER_INFEASIBLE, NO_RECOURSE),
+           SolveStatus.ILL_POSED: (MASTER_UNBOUNDED, SUBPROBLEM_UNBOUNDED, FLOOR_BINDS)}
+"""The reasons `solve` gives with each status, and no others: replay refuses the rest."""
+
+
 @dataclass(frozen=True, slots=True)
 class SolveResult:
     status: SolveStatus
@@ -203,9 +214,7 @@ def _floor_binds(instance: Instance, cuts, master_value: Fraction) -> Optional[s
     """
     free = _solve_master(instance, cuts, floored=False)
     # a relaxation of a feasible master is feasible, so free is not 'infeasible'
-    if free == "unbounded" or free[1] != master_value:
-        return "eta converged onto its lower bound; the bound may be hiding the true optimum"
-    return None
+    return FLOOR_BINDS if free == "unbounded" or free[1] != master_value else None
 
 
 def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
@@ -237,11 +246,7 @@ def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
             outcome=CONVERGED)
     if point.eta == instance.eta_lower_bound:
         y = subproblem_check(instance, point)
-        if y is None:
-            return SolveResult(status=SolveStatus.ILL_POSED,
-                               reason="subproblem unbounded below at the converged point",
-                               trace=tuple(trace))
-        reason = _floor_binds(instance, cuts, master_value)
+        reason = SUBPROBLEM_UNBOUNDED if y is None else _floor_binds(instance, cuts, master_value)
         if reason is not None:
             return SolveResult(status=SolveStatus.ILL_POSED, reason=reason, trace=tuple(trace))
     value = dot(instance.c, point.x) + dot(instance.d, y)
@@ -267,11 +272,9 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
     for index in range(1, config.max_iterations + 1):
         master = _solve_master(instance, cuts)
         if master == "infeasible":
-            return SolveResult(status=SolveStatus.INFEASIBLE,
-                               reason="master problem infeasible", trace=tuple(trace))
+            return SolveResult(SolveStatus.INFEASIBLE, reason=MASTER_INFEASIBLE, trace=tuple(trace))
         if master == "unbounded":
-            return SolveResult(status=SolveStatus.ILL_POSED,
-                               reason="master relaxation unbounded", trace=tuple(trace))
+            return SolveResult(SolveStatus.ILL_POSED, reason=MASTER_UNBOUNDED, trace=tuple(trace))
         point, master_value = master
 
         if isinstance(mode, TrackIncumbent):
@@ -300,9 +303,7 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
             fallback = True
             result = separate(instance, point, MisOnes())
         except EmptyEpigraph:
-            return SolveResult(status=SolveStatus.INFEASIBLE,
-                               reason="no master point has a feasible subproblem",
-                               trace=tuple(trace))
+            return SolveResult(SolveStatus.INFEASIBLE, reason=NO_RECOURSE, trace=tuple(trace))
 
         if result.kind == IN_EPIGRAPH:
             return _converged(instance, trace, index, point, master_value, cuts, result.y)

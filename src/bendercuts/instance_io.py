@@ -19,8 +19,8 @@ import json
 from fractions import Fraction
 from typing import Any, Optional, Union
 
-from .benders import (CONVERGED, CoreMode, FixedCore, IterationRecord, SolveResult,
-                      SolverConfig, TrackIncumbent, _aim, _floor_binds, _solve_master)
+from .benders import (CONVERGED, REASONS, CoreMode, FixedCore, IterationRecord, SolveResult,
+                      SolveStatus, SolverConfig, TrackIncumbent, _aim, _floor_binds, _solve_master)
 from .cglp import Custom, Directional, MisOnes, ObjectiveSpec, certificate_rows, strategy_weights
 from .errors import (DimensionError, EmptyEpigraph, ParseError, PreconditionViolated,
                      TooLarge, ZeroCertificate)
@@ -392,11 +392,13 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     check.  MisOnes never falls back, so a fallback record under it is
     refused.  A cut record has a face report exactly under verify_each_cut,
     and a run has at most max_iterations records, exactly that many when it
-    hit the limit.  A converged record must be the last one and comes only with
-    status optimal or ill_posed; an optimum must have one and is checked by
-    arithmetic against it, and, with eta on its lower bound there, by the
-    master without that bound, as `solve` checks it.  A malformed document
-    comes back as messages too, never as an exception.
+    hit the limit.  The status must be a `SolveStatus` value, and the reason
+    one that `solve` gives with it (`benders.REASONS`).  A converged record
+    must be the last one and comes only with status optimal or ill_posed; an
+    optimum must have one and is checked by arithmetic against it, and, with
+    eta on its lower bound there, by the master without that bound, as
+    `solve` checks it.  A malformed document comes back as messages too,
+    never as an exception.
     """
     try:
         doc = _decode(trace) if isinstance(trace, str) else trace
@@ -480,12 +482,16 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
         cuts.append(cut)
     # solve writes a converged record only last, and only under optimal (which
     # needs it) or ill_posed (which may end without one)
-    status = doc.get("status")
+    status, reason = doc.get("status"), doc.get("reason")
+    if status not in list(SolveStatus):
+        return problems + [f"unknown status {status!r}"]
     last = [len(iterations)]
     allowed = ([last] if status == "optimal" else [[], last] if status == "ill_posed" else [[]])
     if converged_at not in allowed:
         return problems + [f"status {status}: converged records at {converged_at},"
                            f" expected {' or '.join(map(str, allowed))}"]
+    if reason not in REASONS[SolveStatus(status)]:
+        problems.append(f"status {status}: solve gives no reason {reason!r} with it")
     limit = config.max_iterations
     if len(iterations) > limit or (status == "iteration_limit" and len(iterations) != limit):
         problems.append(f"status {status}: {len(iterations)} records under max_iterations {limit}")

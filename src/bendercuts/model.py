@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import DimensionError, EmptyEpigraph
 from .linalg import Vector, as_fraction, as_vector, rref, sized
-from .simplex import EQ, LE, LinearProgram, LpStatus, solve
+from .simplex import LE, LinearProgram, LpStatus, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -190,14 +190,10 @@ def _subproblem(instance: Instance, x: Sequence) -> tuple[Union[Fraction, float]
     return (math.inf if out.status == LpStatus.INFEASIBLE else -math.inf), None
 
 
-def _rows_feasible(rows, num_vars: int) -> bool:
-    """Do the rows have a solution?  One zero-objective LP."""
-    lp = LinearProgram("min", (_ZERO,) * num_vars, tuple(rows))
-    return solve(lp).status == LpStatus.OPTIMAL
-
-
 def epi_contains(instance: Instance, point: EpiPoint) -> bool:
-    return _rows_feasible(feasibility_rows(instance, point), instance.k)
+    """Do the point's feasibility rows have a solution?  One zero-objective LP."""
+    lp = LinearProgram("min", (_ZERO,) * instance.k, feasibility_rows(instance, point))
+    return solve(lp).status == LpStatus.OPTIMAL
 
 
 def epi_is_empty(instance: Instance) -> bool:
@@ -219,22 +215,25 @@ def support_function(instance: Instance, pi: Sequence, pi0) -> Union[Fraction, f
     return math.inf if out.status == LpStatus.UNBOUNDED else out.objective_value
 
 
-def _implicit_mask(rows) -> Optional[tuple[bool, ...]]:
-    """Which rows hold with equality everywhere on the solution set; None when it is empty.
+def _relative_interior(rows, dim: int) -> Optional[tuple[tuple[bool, ...], Vector]]:
+    """The rows that hold with equality everywhere on the solution set, and a
+    point of its relative interior; None when the set is empty.
 
-    The rows are `<=` and `=` rows only.  One LP (Freund, Roundy and Todd,
-    1985) over (z, t, s), one s per `<=` row: max sum s subject to
-    a_i z - r_i t + s_i <= 0 on the `<=` rows, a_i z - r_i t = 0 on the `=`
-    rows, t >= 1 and 0 <= s <= 1.  A solution gives the point z/t of the set,
-    so the LP is infeasible exactly when the set is empty, and s_i > 0 puts
-    that point strictly inside row i.  Every optimum has s_j > 0 on each row j
-    some point p of the set leaves strictly: adding mu (p, 1) raises row j's
-    room and lowers no other row's.  So the implicit rows are the `=` rows
-    and the `<=` rows whose s is 0.
+    The rows are `<=` and `=` rows over `dim` variables.  One LP (Freund,
+    Roundy and Todd, 1985) over (z, t, s), one s per `<=` row: max sum s
+    subject to a_i z - r_i t + s_i <= 0 on the `<=` rows, a_i z - r_i t = 0 on
+    the `=` rows, t >= 1 and 0 <= s <= 1.  A solution gives the point z/t of
+    the set, so the LP is infeasible exactly when the set is empty, and
+    s_i > 0 puts that point strictly inside row i.  Every optimum has s_j > 0
+    on each row j some point p of the set leaves strictly: adding mu (p, 1)
+    raises row j's room and lowers no other row's.  So the implicit rows are
+    the `=` rows and the `<=` rows whose s is 0, and the optimum's z/t lies on
+    every implicit row (as every point of the set does) and strictly inside
+    every other row (a_i z - r_i t <= -s_i < 0, divided by t > 0): it is in
+    the relative interior.
     """
     if not rows:
-        return ()
-    dim = len(rows[0][0])
+        return (), (_ZERO,) * dim
     les = [i for i, (_, rel, _) in enumerate(rows) if rel == LE]
     unit = {i: tuple(_ONE if i == j else _ZERO for j in les) for i in les}
     no_slack = (_ZERO,) * len(les)
@@ -246,28 +245,43 @@ def _implicit_mask(rows) -> Optional[tuple[bool, ...]]:
     if out.status == LpStatus.INFEASIBLE:
         return None
     s = dict(zip(les, out.primal[dim + 1:]))
-    return tuple(s.get(i, _ZERO) == 0 for i in range(len(rows)))
+    t = out.primal[dim]
+    return (tuple(s.get(i, _ZERO) == 0 for i in range(len(rows))),
+            tuple(v / t for v in out.primal[:dim]))
+
+
+def _implicit_mask(rows) -> Optional[tuple[bool, ...]]:
+    """`_relative_interior`'s rows that hold with equality everywhere; None when empty."""
+    found = _relative_interior(rows, len(rows[0][0]) if rows else 0)
+    return None if found is None else found[0]
 
 
 def _affine_dimension(instance: Instance, tight=None) -> int:
-    """Affine dimension of epi(z), optionally sliced by a pinned hyperplane; -1 when empty.
+    """Affine dimension of epi(z), or of the face a valid inequality exposes; -1 when empty.
 
-    epi(z), or its slice by pi.x + pi0*eta = alpha when `tight` is
-    (pi, pi0, alpha), is the (x, eta) projection of the lifted set Q of
-    `epigraph_rows` (plus the pinned row).  Q's affine hull is {w : E w = e},
-    E its implicit equalities (`_implicit_mask`), so the projection's hull has
-    the direction space P null(E), P the unit rows of x and eta, whose
-    dimension is rank([E; P]) - rank(E) = n + 1 - (rank(E) - rank(E_y)), E_y
-    the y columns of E.  One RREF of E with its y columns first gives both
-    ranks: its pivots among those columns are rank(E_y).
+    epi(z) is the (x, eta) projection of the lifted set Q of `epigraph_rows`.
+    Q's affine hull is {w : E w = e}, E its implicit equalities
+    (`_implicit_mask`), so the projection's hull has the direction space
+    P null(E), P the unit rows of x and eta, whose dimension is
+    rank([E; P]) - rank(E) = n + 1 - (rank(E) - rank(E_y)), E_y the y columns
+    of E.  One RREF of E with its y columns first gives both ranks: its pivots
+    among those columns are rank(E_y).
+
+    With `tight` = (pi, pi0, alpha), Q also gets the reversed row
+    -pi.x - pi0*eta <= -alpha, and the answer is -1 unless that row is
+    implicit on a nonempty Q.  A point of epi(z) with pi.x + pi0*eta > alpha
+    would lie in Q off that row, so an implicit reversed row on a nonempty Q
+    means the inequality pi.x + pi0*eta <= alpha is valid for epi(z) and
+    touches it, and Q is then the face it exposes.  Conversely, a valid
+    inequality that touches epi(z) makes Q that face, nonempty and on the row.
     """
     n, k = instance.n, instance.k
     rows = epigraph_rows(instance)
     if tight is not None:
         pi, pi0, alpha = tight
-        rows += ((lifted(instance, pi, pi0), EQ, alpha),)
+        rows += ((lifted(instance, tuple(-v for v in pi), -pi0), LE, -alpha),)
     mask = _implicit_mask(rows)
-    if mask is None:
+    if mask is None or (tight is not None and not mask[-1]):
         return -1
     y_first = [coeffs[n:n + k] + coeffs[:n] + coeffs[n + k:]
                for (coeffs, _, _), holds in zip(rows, mask) if holds]
@@ -283,7 +297,11 @@ def epi_dimension(instance: Instance) -> int:
 
 
 def epi_face_dimension(instance: Instance, pi: Sequence, pi0, alpha) -> int:
-    """Dimension of epi(z) cut with {pi.x + pi0*eta = alpha}; -1 when empty."""
+    """Dimension of the face that pi.x + pi0*eta <= alpha exposes on epi(z); -1
+    when it exposes none: it cuts into epi(z), misses it, or epi(z) is empty.
+
+    One implicit-equality LP; see `_affine_dimension`.
+    """
     pi = sized(as_vector(pi), instance.n, "pi")
     return _affine_dimension(instance, tight=(pi, as_fraction(pi0), as_fraction(alpha)))
 

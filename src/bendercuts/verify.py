@@ -2,10 +2,12 @@
 
 Nothing in here trusts the separation machinery: face dimensions come from
 the implicit equalities of the lifted epigraph, the minimal-infeasible-
-subsystem test deletes rows one at a time, vertices are enumerated by brute
-force over row subsets, and Pareto verdicts follow the tight-point
-characterization over the relative interior of the master set.  These run the acceptance suite and double as
-regression oracles, so they favor being obviously correct over being fast.
+subsystem test is one exact rank test on the support's rows, vertices are
+enumerated by brute force over row subsets, and Pareto verdicts follow the
+tight-point characterization over the relative interior of the master set.
+Each oracle is one LP or one RREF, and each rests on a theorem its docstring
+proves.  These run the acceptance suite and double as regression oracles, so
+they favor being obviously correct over being fast.
 
 Two facts depend on the instance alone and are computed once per instance:
 the affine dimension of epi(z) (`Instance.epi_affine_dimension`) and the
@@ -27,10 +29,10 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import DominanceUndefined, InfeasibleCandidate, TooLarge
-from .linalg import Vector, as_vector, dot, matrix_rank, sized, solve_square
-from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _implicit_mask,
-                    _rows_feasible, epi_dimension, epi_face_dimension, epigraph_rows,
-                    feasibility_rows, lifted, subproblem_value, support_function)
+from .linalg import Vector, as_vector, dot, matrix_rank, rref, sized, solve_square
+from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _relative_interior,
+                    epi_dimension, epi_face_dimension, epigraph_rows, feasibility_rows,
+                    lifted, subproblem_value)
 from .separation import Certificate, Cut
 from .simplex import EQ, LE, LinearProgram, LpStatus, solve, violated_row
 
@@ -71,12 +73,14 @@ def face_report(instance: Instance, cut: Cut) -> FaceReport:
     """Dimension of the face the cut exposes, against the epigraph's own.
 
     A cut whose right-hand side differs from the support function value gets
-    face dimension -1: either it misses epi(z) or it slices into it.
+    face dimension -1: either it misses epi(z) or it slices into it.  One
+    implicit-equality LP tells both apart from a face and measures the face
+    (`epi_face_dimension`), so no support LP runs.
     """
     epi_dim = epi_dimension(instance)
-    if support_function(instance, cut.coef_x, cut.coef_eta) != cut.rhs:
-        return FaceReport(-1, epi_dim, FaceClass.NON_SUPPORTING)
     face_dim = epi_face_dimension(instance, cut.coef_x, cut.coef_eta, cut.rhs)
+    if face_dim < 0:
+        return FaceReport(-1, epi_dim, FaceClass.NON_SUPPORTING)
     if face_dim == epi_dim:
         cls = FaceClass.CONTAINS_EPI
     elif face_dim == epi_dim - 1:
@@ -89,23 +93,34 @@ def face_report(instance: Instance, cut: Cut) -> FaceReport:
 def is_mis_certificate(instance: Instance, point: EpiPoint, cert: Certificate) -> bool:
     """Does the certificate's support pick out a minimal infeasible subsystem?
 
-    The subsystem of the point's feasibility rows indexed by the nonzero
-    multipliers must be infeasible, and dropping any single row of it must
-    restore feasibility.
+    The subsystem S of the point's feasibility rows a_i . y <= r_i indexed by
+    the nonzero multipliers must be infeasible, and dropping any single row of
+    it must restore feasibility.  That holds exactly when the rows [a_i | r_i],
+    i in S, are linearly independent and the unique u with
+    u'[A_S | r_S] = (0, -1) is positive, so one RREF of that transposed system
+    decides it (the vertices of the alternative polyhedron have exactly the
+    minimal infeasible subsystems as supports: Gleeson and Ryan, 1990).
+
+    Proof.  Such a u is a Farkas vector of S, so S is infeasible.  A proper
+    subset T infeasible would have a Farkas vector v >= 0 on T, scaled to
+    v'[A_S | r_S] = (0, -1) with zeros off T; that is a second solution, as u
+    has no zero.  Conversely, let S be minimal infeasible.  Any Farkas vector
+    v of S, scaled as above, is positive on S, since its support certifies an
+    infeasible subset.  A nonzero w with w'[A_S | r_S] = 0 would let v + e w,
+    for some real e, reach a zero entry while staying a nonnegative Farkas
+    vector, so the rows are independent and v is the unique u.
     """
     sized(cert.row_multipliers, instance.m, "certificate.row_multipliers")
     rows = feasibility_rows(instance, point)
     support = cert.support
     if not support:
         return False
-    picked = [rows[i] for i in support]
-    if _rows_feasible(picked, instance.k):
-        return False
-    for drop in range(len(picked)):
-        rest = picked[:drop] + picked[drop + 1:]
-        if not _rows_feasible(rest, instance.k):
-            return False
-    return True
+    width = len(support)
+    # column i holds row support[i] of S; the last column is the right side (0, -1)
+    system = [[rows[i][0][j] for i in support] + [_ZERO] for j in range(instance.k)]
+    system.append([rows[i][2] for i in support] + [-_ONE])
+    reduced, pivots = rref(system)
+    return pivots == list(range(width)) and all(row[width] > 0 for row in reduced)
 
 
 def enumerate_vertices(lp: LinearProgram) -> tuple[Vector, ...]:
@@ -156,19 +171,15 @@ def _max_shared_slack(rows, slacked, lower) -> Optional[Vector]:
 
 
 def relative_interior_point(rows, dim: int) -> Optional[Vector]:
-    """A point in the relative interior of the rows' solution set.
+    """A point in the relative interior of the rows' solution set: on every
+    implicit equality and strictly inside every other row.
 
-    Implicit equalities are pinned, every other inequality gets one shared
-    positive slack, and the slack is maximized (capped at 1).  None when the
-    set is empty.
+    The implicit-equality LP ends at such a point (see `_relative_interior`).
+    None when the set is empty.
     """
     rows = LinearProgram("min", (_ZERO,) * dim, tuple(rows)).normalized_rows
-    mask = _implicit_mask(rows)
-    if mask is None:
-        return None
-    pinned = [(coeffs, EQ if implicit else LE, rhs)
-              for (coeffs, _, rhs), implicit in zip(rows, mask)]
-    return _max_shared_slack(pinned, [not implicit for implicit in mask], (None,) * dim)
+    found = _relative_interior(rows, dim)
+    return None if found is None else found[1]
 
 
 def core_point(instance: Instance) -> Optional[EpiPoint]:

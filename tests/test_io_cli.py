@@ -439,6 +439,27 @@ def test_replay_accepts_each_status_as_solve_ends_it(ex1):
         assert replay_trace(instance, doc) == []
 
 
+_FORGED_ENDINGS = {
+    # (edit of ex1's MIS trace, the one problem replay reports)
+    "unknown_status": (lambda doc: dict(doc, status="banana", iterations=doc["iterations"][:2]),
+                       "unknown status 'banana'"),
+    "optimal_with_a_reason": (lambda doc: dict(doc, reason="hello"),
+                              "status optimal: solve gives no reason 'hello' with it"),
+    "ill_posed_with_any_reason": (
+        lambda doc: dict(doc, status="ill_posed", reason="anything at all"),
+        "status ill_posed: solve gives no reason 'anything at all' with it"),
+}
+
+
+@pytest.mark.parametrize("name", list(_FORGED_ENDINGS))
+def test_replay_checks_status_and_reason(ex1, name):
+    """The status must be a SolveStatus value, and the reason one that solve
+    gives with that status."""
+    config = SolverConfig(strategy=MisOnes())
+    forge, problem = _FORGED_ENDINGS[name]
+    assert replay_trace(ex1, forge(trace_document(ex1, config, solve(ex1, config)))) == [problem]
+
+
 def _forge_cut_x_ge(doc, bound, value, **first_fields):
     """ex1's MIS trace whose first record adds x >= bound, with first_fields
     replacing more of that record (its real MIS certificate, say).
@@ -668,15 +689,15 @@ _ON_THE_FLOOR = {
 
 @pytest.mark.parametrize("name", list(_ON_THE_FLOOR))
 def test_replay_checks_an_optimum_on_the_eta_floor(name):
-    """Relabelled optimal, with a y that meets the subproblem rows at d.y = eta,
-    the run passes every arithmetic check; only the master without the eta
-    floor tells that the floor may hide the optimum."""
+    """Relabelled optimal, with no reason and a y that meets the subproblem
+    rows at d.y = eta, the run passes every arithmetic check; only the master
+    without the eta floor tells that the floor may hide the optimum."""
     instance, config = _ON_THE_FLOOR[name](), SolverConfig(strategy=MisOnes())
     result = solve(instance, config)
     point = result.trace[-1].master_point
     assert result.status == SolveStatus.ILL_POSED and point.eta == instance.eta_lower_bound
     y = (F(10),) if name == "ex1_eta_ge_10" else subproblem_check(instance, point)
-    forged = dict(trace_document(instance, config, result), status="optimal",
+    forged = dict(trace_document(instance, config, result), status="optimal", reason=None,
                   x=[str(v) for v in point.x], y=[str(v) for v in y],
                   value=str(result.trace[-1].master_value))
     assert replay_trace(instance, forged) == [f"status optimal: {result.reason}"]

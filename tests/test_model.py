@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bendercuts.errors import DimensionError, EmptyEpigraph
+from bendercuts.linalg import dot
 from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _implicit_mask,
-                              epi_contains, epi_dimension, epi_face_dimension,
+                              _relative_interior, epi_contains, epi_dimension, epi_face_dimension,
                               epi_is_empty, subproblem_value, support_function,
                               undecomposed_value)
 from bendercuts.randgen import random_instance
@@ -109,12 +110,9 @@ def _implicit_reference(rows):
     return tuple(mask)
 
 
-def test_implicit_mask_matches_a_per_row_reference():
-    """The one implicit-equality LP agrees with one min LP per row on seeded
-    `<=`/`=` systems, empty and all-`=` ones among them; no rows, no mask."""
-    assert _implicit_mask(()) == ()
+def _seeded_systems():
+    """300 seeded `<=`/`=` systems as (dim, all rows `=`, rows); some are empty."""
     rng = random.Random(17)
-    seen = set()
     for _ in range(300):
         dim, all_eq = rng.randint(1, 3), rng.random() < 0.15
         rows = []
@@ -124,6 +122,15 @@ def test_implicit_mask_matches_a_per_row_reference():
             rows.append((coeffs, EQ if all_eq or rng.random() < 0.2 else LE, rhs))
             if rng.random() < 0.3:  # the opposite row: pins this one, or empties the set
                 rows.append((tuple(-c for c in coeffs), LE, -rhs - rng.choice((0, 0, 1))))
+        yield dim, all_eq, rows
+
+
+def test_implicit_mask_matches_a_per_row_reference():
+    """The one implicit-equality LP agrees with one min LP per row on seeded
+    `<=`/`=` systems, empty and all-`=` ones among them; no rows, no mask."""
+    assert _implicit_mask(()) == ()
+    seen = set()
+    for dim, all_eq, rows in _seeded_systems():
         mask = _implicit_mask(rows)
         assert mask == _implicit_reference(rows), rows
         if mask is None:
@@ -134,6 +141,19 @@ def test_implicit_mask_matches_a_per_row_reference():
             seen.update("implicit_le" if implicit else "loose_le"
                         for (_, rel, _), implicit in zip(rows, mask) if rel == LE)
     assert seen == {"empty", "all_eq", "implicit_le", "loose_le"}
+
+
+def test_relative_interior_point_is_on_the_implicit_rows_and_inside_the_others():
+    """The implicit-equality LP's point z/t lies on every implicit row and
+    strictly inside every other row of the seeded systems; no rows, the origin."""
+    assert _relative_interior((), 2) == ((), (F(0), F(0)))
+    for dim, _, rows in _seeded_systems():
+        found = _relative_interior(rows, dim)
+        if found is None:  # the per-row reference test checks the empty systems
+            continue
+        mask, point = found
+        for (coeffs, _, rhs), implicit in zip(rows, mask):
+            assert (dot(coeffs, point) == rhs) if implicit else (dot(coeffs, point) < rhs), rows
 
 
 def test_epi_face_dimension_of_empty_sets(ex1):

@@ -10,12 +10,14 @@ from bendercuts import model, verify
 from bendercuts.cglp import MisOnes, build_alt_polyhedron
 from bendercuts.errors import DominanceUndefined, InfeasibleCandidate, TooLarge
 from bendercuts.instance_io import parse_instance, serialize_instance
+from bendercuts.linalg import matrix_rank, rref
 from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _affine_dimension,
-                              epi_contains, epi_dimension, epi_face_dimension,
-                              subproblem_value, support_function)
+                              _implicit_mask, epi_contains, epi_dimension, epi_face_dimension,
+                              epigraph_rows, feasibility_rows, lifted, subproblem_value,
+                              support_function)
 from bendercuts.randgen import random_instance, separable_point
 from bendercuts.separation import Certificate, Cut, SEPARATED, separate
-from bendercuts.simplex import LE, LinearProgram
+from bendercuts.simplex import EQ, LE, LinearProgram, LpStatus, solve
 from bendercuts.verify import (FaceClass, FaceReport, ParetoKind, core_point, dominates,
                                enumerate_vertices, face_report, is_mis_certificate,
                                is_vertex, pareto_verdict, relative_interior_point)
@@ -177,8 +179,8 @@ def test_rowless_polyhedral_master(ex1):
     free = replace(ex1, master_domain=PolyhedralDomain(G=(), g=()))
     assert free.master_domain.implicit_mask == ()
     assert relative_interior_point((), 2) == (F(0), F(0))
-    # the core is one of many optima of the shared-slack LP; what it promises
-    # is a point strictly above the value function
+    # the core is one of many optima of the implicit-equality LP; what it
+    # promises is a point strictly above the value function
     core = core_point(free)
     assert subproblem_value(free, core.x) < core.eta
     for cut in (P1_CUT, P2_CUT, P3_CUT):
@@ -321,9 +323,9 @@ def test_second_report_skips_instance_lps(ex1, monkeypatch):
     assert len(solved) == 1
 
 
-def test_warm_face_report_solves_two_lps(monkeypatch):
-    """With dim epi(z) cached, a face report is the support LP and one
-    implicit-equality LP, whatever the dimension of the face."""
+def test_warm_face_report_solves_one_lp(monkeypatch):
+    """With dim epi(z) cached, a face report is one implicit-equality LP,
+    whatever the dimension of the face."""
     # z(x) = x1 + x2 + x3 where that sum is at most 10: dim epi(z) = 4
     inst = Instance(n=3, k=1, m=2, c=(0, 0, 0), d=(1,), H=((1, 1, 1), (0, 0, 0)),
                     A=((-1,), (1,)), b=(0, 10), eta_lower_bound=0,
@@ -335,4 +337,107 @@ def test_warm_face_report_solves_two_lps(monkeypatch):
     real_solve = model.solve
     monkeypatch.setattr(model, "solve", lambda lp: solved.append(lp) or real_solve(lp))
     assert face_report(inst, facet) == report
-    assert len(solved) == 2
+    assert len(solved) == 1
+
+
+def test_relative_interior_point_solves_one_lp(monkeypatch):
+    solved = []
+    real_solve = model.solve
+    monkeypatch.setattr(model, "solve", lambda lp: solved.append(lp) or real_solve(lp))
+    segment = (((F(-1),), LE, F(0)), ((F(1),), LE, F(1)))
+    assert relative_interior_point(segment, 1) == (F(1, 2),)
+    assert len(solved) == 1
+
+
+def _rows_feasible(rows, num_vars):
+    return solve(LinearProgram("min", (F(0),) * num_vars, tuple(rows))).status == LpStatus.OPTIMAL
+
+
+def _deletion_filter(instance, point, support):
+    """The reference MIS test: the support's rows are infeasible, and dropping
+    any one of them makes them feasible (1 + |S| LPs)."""
+    rows = feasibility_rows(instance, point)
+    picked = [rows[i] for i in support]
+    return (bool(picked) and not _rows_feasible(picked, instance.k)
+            and all(_rows_feasible(picked[:i] + picked[i + 1:], instance.k)
+                    for i in range(len(picked))))
+
+
+def _cert_on(inst, chosen, rng):
+    """A certificate with random positive multipliers on the chosen rows (m is the eta row)."""
+    values = [F(rng.randint(1, 4)) if i in chosen else F(0) for i in range(inst.m + 1)]
+    return Certificate(row_multipliers=tuple(values[:-1]), eta_multiplier=values[-1])
+
+
+def test_mis_rank_test_matches_the_deletion_filter():
+    """One RREF agrees with the deletion filter on seeded random supports and
+    on the MIS CGLP's vertex certificates; every kind of support is seen."""
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(150):
+        inst = random_instance(rng)
+        point = separable_point(rng, inst)
+        if point is None:
+            continue
+        certs = [separate(inst, point, MisOnes()).certificate]
+        for _ in range(4):
+            chosen = [i for i in range(inst.m + 1) if rng.random() < 0.5]
+            certs.append(_cert_on(inst, chosen, rng))
+        rows = feasibility_rows(inst, point)
+        for number, cert in enumerate(certs):
+            minimal = _deletion_filter(inst, point, cert.support)
+            assert is_mis_certificate(inst, point, cert) == minimal, (inst, point, cert)
+            picked = [rows[i][0] + (rows[i][2],) for i in cert.support]
+            if number == 0:
+                seen.add("vertex")
+            elif not cert.support:
+                seen.add("empty")
+            elif _rows_feasible([rows[i] for i in cert.support], inst.k):
+                seen.add("feasible")
+            elif not minimal:
+                seen.add("not_minimal")
+            else:
+                seen.add("minimal")
+            if matrix_rank(picked) < len(picked):
+                seen.add("dependent")
+    assert seen == {"vertex", "empty", "feasible", "not_minimal", "minimal", "dependent"}
+
+
+def _slice_dimension(inst, cut):
+    """Dimension of epi(z) sliced by the cut's hyperplane, -1 when empty: the
+    implicit equalities of the lifted epigraph with the cut as a `=` row, then
+    rank([E; P]) - rank(E) from one RREF with the y columns first."""
+    n, k = inst.n, inst.k
+    rows = epigraph_rows(inst) + ((lifted(inst, cut.coef_x, cut.coef_eta), EQ, cut.rhs),)
+    mask = _implicit_mask(rows)
+    if mask is None:
+        return -1
+    y_first = [c[n:n + k] + c[:n] + c[n + k:] for (c, _, _), holds in zip(rows, mask) if holds]
+    return n + 1 - sum(col >= k for col in rref(y_first)[1])
+
+
+def _two_lp_face_report(inst, cut):
+    """The reference face report: the support LP decides whether the cut
+    touches epi(z), then the `=`-row slice gives the face's dimension."""
+    epi_dim = epi_dimension(inst)
+    if support_function(inst, cut.coef_x, cut.coef_eta) != cut.rhs:
+        return FaceReport(-1, epi_dim, FaceClass.NON_SUPPORTING)
+    face_dim = _slice_dimension(inst, cut)
+    cls = (FaceClass.CONTAINS_EPI if face_dim == epi_dim else
+           FaceClass.FACET_DEFINING if face_dim == epi_dim - 1 else FaceClass.SUPPORTING)
+    return FaceReport(face_dim, epi_dim, cls)
+
+
+def test_face_report_matches_the_two_lp_reference():
+    """One implicit-equality LP per report agrees with the support LP and the
+    sliced dimension, at each case's right side and one above and below it."""
+    cases, _ = _oracle_cases()
+    seen = set()
+    for inst, cuts in cases:
+        for cut in cuts:
+            for shift in (0, 1, -1):
+                moved = Cut(coef_x=cut.coef_x, coef_eta=cut.coef_eta, rhs=cut.rhs + shift)
+                report = face_report(inst, moved)
+                assert report == _two_lp_face_report(inst, moved), (inst, moved)
+                seen.add(report.classification)
+    assert seen == set(FaceClass)
