@@ -7,8 +7,9 @@ counts `_Tableau._pivot` calls in three buckets: a pivot made inside
 eliminations) counts for the start, one made later while the tableau's
 `art_cost` is 1 for phase one, and any other for phase two.  For each test id
 it keeps the ordered list of (LP digest, outcome digest, start pivots,
-phase-one pivots, phase-two pivots), and it notes which ids are Hypothesis
-tests; it writes both to a JSON file:
+phase-one pivots, phase-two pivots, caller), the caller being the name of the
+function that called `solve`, and it notes which ids are Hypothesis tests; it
+writes both to a JSON file:
 
     python -m pytest -q -p lp_digest --hypothesis-seed=0 --lp-digest-out=before.json
 
@@ -30,8 +31,12 @@ and then names every test id present in both:
 outcome sequences are identical and only pivot counts differ (a new start or
 pivot rule that reaches the same optima), `subset` when the after multiset of
 (LP, outcome, pivots) is contained in the before one (LPs dropped or moved,
-none added or changed), and `differs` otherwise.  It exits 1 only when some id
-differs.
+none added or changed), and `differs` otherwise.  Verdicts ignore the
+callers.  Under each verdict other than `equal` it prints the callers of the
+id's unmatched solves: those whose (LP, outcome, pivots) the other side has no
+unused copy of, as `  before: name xN, ...` and
+`  after: ...`.  So a refactor that moves a solve from one function to another
+shows as the two names.  It exits 1 only when some id differs.
 
 A verdict other than `equal` on a Hypothesis test is marked `(Hypothesis)`.
 Hypothesis draws some examples from the numeric literals in the loaded
@@ -52,9 +57,9 @@ and denominator: `repr` would write decimal digits, which Python refuses past
 4300 of them.  So compare only two recordings made by the same version of
 this script.  In particular a recording from before the phase split holds one
 pivot count per solve, and one from before the start bucket two (its phase
-two counts the start's pivots), where this version holds three; neither can
-be compared with one made now: record the older commit again with this
-script.
+two counts the start's pivots), where this version holds three and the
+caller; none of them can be compared with one made now: record the older
+commit again with this script.
 """
 
 from __future__ import annotations
@@ -109,7 +114,8 @@ class Recorder:
         out = self.solve(lp)
         if self.current is not None:
             self.current.append([lp_digest(lp), outcome_digest(out),
-                                 *(now - then for now, then in zip(self.pivots, before))])
+                                 *(now - then for now, then in zip(self.pivots, before)),
+                                 sys._getframe(1).f_code.co_name])
         problem = self.simplex.check_outcome(lp, out)
         if problem is not None:
             self.problems.append(f"check_outcome: {out.status.value} solve of LP "
@@ -200,14 +206,32 @@ def _totals(recording: dict) -> str:
             f"({start} at the start, {one} in phase one, {two} in phase two)")
 
 
+def _solves(sequence: list) -> list[tuple]:
+    """Each step's (LP, outcome, pivots), without its caller."""
+    return [tuple(step[:5]) for step in sequence]
+
+
 def _verdict(before: list, after: list) -> str:
+    before, after = _solves(before), _solves(after)
     if before == after:
         return "equal"
     if [step[:2] for step in before] == [step[:2] for step in after]:
         return "outcomes equal"
-    have = Counter(map(tuple, before))
-    have.subtract(map(tuple, after))
+    have = Counter(before)
+    have.subtract(after)
     return "subset" if min(have.values()) >= 0 else "differs"
+
+
+def _unmatched_callers(sequence: list, other: list) -> str:
+    """The callers of the steps in sequence that other has no unused copy of."""
+    spare = Counter(_solves(other))
+    callers = Counter()
+    for solve, step in zip(_solves(sequence), sequence):
+        if spare[solve]:
+            spare[solve] -= 1
+        else:
+            callers[step[5]] += 1
+    return ", ".join(f"{name} x{count}" for name, count in sorted(callers.items())) or "none"
 
 
 def _load(path: str) -> tuple[dict, set]:
@@ -234,6 +258,9 @@ def main(argv) -> int:
             marked[verdict] += 1
             verdict += " (Hypothesis)"
         print(f"{verdict}: {test_id}")
+        if verdict != "equal":
+            print(f"  before: {_unmatched_callers(before[test_id], after[test_id])}")
+            print(f"  after: {_unmatched_callers(after[test_id], before[test_id])}")
     print(", ".join(f"{verdicts[v]} {v}" + (f" ({marked[v]} in Hypothesis tests)" if marked[v] else "")
                     for v in ("equal", "outcomes equal", "subset", "differs")))
     return 1 if verdicts["differs"] else 0

@@ -14,7 +14,8 @@ FixedCore's point from the start, or under TrackIncumbent the blend of the
 previous core (the incumbent, the first time) toward the best feasible point
 seen so far, renewed every round once an incumbent exists. Each round aims
 Directional(core - master point); a round with a mode but no core yet
-separates with MisOnes and is marked as a fallback.
+separates with MisOnes and is marked as a fallback.  `round_strategy` states
+that rule once, for the loop and for trace replay.
 
 Every iteration is recorded so a finished run can be replayed and re-verified
 from its trace alone.
@@ -27,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .cglp import Directional, MisOnes, ObjectiveSpec
+from .cglp import Custom, Directional, MisOnes, ObjectiveSpec
 from .errors import PreconditionViolated, StrategyUnbounded, EmptyEpigraph
 from .linalg import Vector, as_fraction, dot, sized
 from .model import EpiPoint, Instance, PolyhedralDomain, _subproblem
@@ -74,6 +75,8 @@ class SolverConfig:
 
     def __post_init__(self):
         limit, mode = self.max_iterations, self.core_point_mode
+        if not isinstance(self.strategy, (MisOnes, Directional, Custom)):
+            raise PreconditionViolated("strategy must be MisOnes, Directional or Custom")
         if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
             raise PreconditionViolated("max_iterations must be an integer of at least 1")
         if mode is not None and not isinstance(mode, (FixedCore, TrackIncumbent)):
@@ -151,8 +154,15 @@ def _blend_points(a: EpiPoint, b: EpiPoint, blend: Fraction) -> EpiPoint:
     )
 
 
-def _aim(core: EpiPoint, point: EpiPoint) -> Directional:
-    """The direction from the master point to the core point."""
+def round_strategy(config: SolverConfig, core: Optional[EpiPoint], point: EpiPoint,
+                   fallback: bool) -> ObjectiveSpec:
+    """The strategy a round separates with: MisOnes on a fallback, else
+    Directional(core - point) when there is a core point, else the configured
+    strategy."""
+    if fallback:
+        return MisOnes()
+    if core is None:
+        return config.strategy
     return Directional(direction=tuple(c - p for c, p in zip(core.x, point.x)),
                        direction_eta=core.eta - point.eta)
 
@@ -288,20 +298,13 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
             if best is not None:
                 core = _blend_points(core or best[0], best[0], mode.blend)
 
-        strategy: ObjectiveSpec = config.strategy
-        fallback = False
-        if core is not None:
-            strategy = _aim(core, point)
-        elif mode is not None:
-            strategy = MisOnes()
-            fallback = True
-
+        fallback = core is None and mode is not None
         try:
-            result = separate(instance, point, strategy)
+            result = separate(instance, point, round_strategy(config, core, point, fallback))
         except StrategyUnbounded:
             # MIS leaves only H_i = 0 rows unrelaxed and epi(z) meets those: no StrategyUnbounded
             fallback = True
-            result = separate(instance, point, MisOnes())
+            result = separate(instance, point, round_strategy(config, core, point, fallback))
         except EmptyEpigraph:
             return SolveResult(SolveStatus.INFEASIBLE, reason=NO_RECOURSE, trace=tuple(trace))
 

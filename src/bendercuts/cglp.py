@@ -134,6 +134,7 @@ def build_reverse_polar_lp(instance: Instance, point: EpiPoint, direction: Seque
     the point off by at least one unit and tie it to the witness; coef_eta
     stays nonpositive and u nonnegative.
     """
+    sized(point.x, instance.n, "point.x")
     direction = sized(as_vector(direction), instance.n, "direction")
     n, k, m = instance.n, instance.k, instance.m
     nvars = n + 1 + m

@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Any, Optional, Union
 
 from .benders import (CONVERGED, REASONS, CoreMode, FixedCore, IterationRecord, SolveResult,
-                      SolveStatus, SolverConfig, TrackIncumbent, _aim, _floor_binds, _solve_master)
+                      SolveStatus, SolverConfig, TrackIncumbent, _floor_binds, _solve_master,
+                      round_strategy)
 from .cglp import Custom, Directional, MisOnes, ObjectiveSpec, certificate_rows, strategy_weights
 from .errors import (DimensionError, EmptyEpigraph, ParseError, PreconditionViolated,
                      TooLarge, ZeroCertificate)
@@ -313,29 +314,6 @@ def _config_from_document(doc: Any, instance: Instance) -> SolverConfig:
         raise ParseError(f"config: {exc}") from None
 
 
-def _round_weights(instance: Instance, config: SolverConfig, point: EpiPoint,
-                   fallback: bool) -> Optional[Vector]:
-    """The CGLP weights (w, w_eta) of a cut record's round, or None when replay
-    cannot know them.
-
-    A fallback round ran MisOnes.  Any other round ran the configured strategy
-    when there is no core mode, and Directional(core - point) under FixedCore.
-    TrackIncumbent's core blends the incumbents of the earlier rounds, each
-    from a subproblem LP, so replay does not rebuild it.
-    """
-    mode = config.core_point_mode
-    if fallback:
-        strategy: ObjectiveSpec = MisOnes()
-    elif mode is None:
-        strategy = config.strategy
-    elif isinstance(mode, FixedCore):
-        strategy = _aim(mode.point, point)
-    else:
-        return None
-    weights, weight_eta = strategy_weights(instance, strategy)
-    return weights + (weight_eta,)
-
-
 def _cut_from_document(doc: Any, n: int) -> Cut:
     return Cut(coef_x=_vec(_field(doc, "coef_x", "cut"), "cut.coef_x", n),
                coef_eta=_num(_field(doc, "coef_eta", "cut"), "cut.coef_eta"),
@@ -385,14 +363,16 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     (u'A + u_eta d' = 0), map to the recorded cut up to scale and price the
     replayed master point at -1 (u'(b - Hx*) + u_eta eta* = -1), checked by
     arithmetic.  The trace's config is read back and gives the round's CGLP
-    weights w (see `_round_weights`); then the CGLP value must be w . u
-    exactly.  The relaxed CGLP's t column is basic at t* > 0, so its row
-    duals y have y'w = 1, and u = -y/t* gives w . u = -1/t*, the value.
-    Records under TrackIncumbent that are not fallbacks keep only the sign
-    check.  MisOnes never falls back, so a fallback record under it is
-    refused.  A cut record has a face report exactly under verify_each_cut,
-    and a run has at most max_iterations records, exactly that many when it
-    hit the limit.  The status must be a `SolveStatus` value, and the reason
+    weights w, those of `benders.round_strategy` with FixedCore's point as the
+    core; then the CGLP value must be w . u exactly.  The relaxed CGLP's t
+    column is basic at t* > 0, so its row duals y have y'w = 1, and
+    u = -y/t* gives w . u = -1/t*, the value.  Records under TrackIncumbent
+    that are not fallbacks keep only the sign check: that core blends the
+    incumbents of the earlier rounds, each from a subproblem LP, and replay
+    does not rebuild it.  MisOnes never falls back, so a fallback record
+    under it is refused.  A cut record has a face report exactly under
+    verify_each_cut, and a run has at most max_iterations records, exactly
+    that many when it hit the limit.  The status must be a `SolveStatus` value, and the reason
     one that `solve` gives with it (`benders.REASONS`).  A converged record
     must be the last one and comes only with status optimal or ill_posed; an
     optimum must have one and is checked by arithmetic against it, and, with
@@ -416,6 +396,8 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
         config = _config_from_document(doc.get("config"), instance)
     except (ParseError, DimensionError) as exc:
         return problems + [str(exc)]
+    mode = config.core_point_mode
+    core = mode.point if isinstance(mode, FixedCore) else None
     iterations = doc.get("iterations", [])
     if not isinstance(iterations, list):
         return problems + ["iterations: expected a list"]
@@ -462,10 +444,11 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
             problems.append(f"{where}: recorded cglp_value {cglp_value} is not negative")
         wrong = ("recorded cut has no certificate" if cert is None
                  else _certificate_problem(instance, cert, cut, replayed))
-        if wrong is None and cglp_value < 0:
-            weights = _round_weights(instance, config, replayed, fallback)
-            priced = None if weights is None else dot(weights, cert.as_tuple())
-            if priced is not None and priced != cglp_value:
+        if wrong is None and cglp_value < 0 and (fallback or not isinstance(mode, TrackIncumbent)):
+            weights, weight_eta = strategy_weights(
+                instance, round_strategy(config, core, replayed, fallback))
+            priced = dot(weights + (weight_eta,), cert.as_tuple())
+            if priced != cglp_value:
                 wrong = f"recorded cglp_value {cglp_value} is not weights . certificate {priced}"
         if wrong is not None:
             problems.append(f"{where}: {wrong}")

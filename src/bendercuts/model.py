@@ -168,13 +168,6 @@ def epigraph_rows(instance: Instance):
     return tuple(rows)
 
 
-def _epi_lift_lp(instance: Instance, direction=None) -> LinearProgram:
-    """LP over the lifted epigraph with an optional (x, eta)-objective."""
-    n = instance.n
-    u, sense = direction or ((_ZERO,) * (n + 1), "min")
-    return LinearProgram(sense, lifted(instance, u[:n], u[n]), epigraph_rows(instance))
-
-
 def subproblem_value(instance: Instance, x: Sequence) -> Union[Fraction, float]:
     """z(x); +inf when infeasible, -inf when unbounded below."""
     return _subproblem(instance, x)[0]
@@ -191,13 +184,13 @@ def _subproblem(instance: Instance, x: Sequence) -> tuple[Union[Fraction, float]
 
 
 def epi_contains(instance: Instance, point: EpiPoint) -> bool:
-    """Do the point's feasibility rows have a solution?  One zero-objective LP."""
-    lp = LinearProgram("min", (_ZERO,) * instance.k, feasibility_rows(instance, point))
-    return solve(lp).status == LpStatus.OPTIMAL
+    """z(x) <= eta: the subproblem LP of `subproblem_value`, the loop's own test."""
+    return _subproblem(instance, point.x)[0] <= point.eta
 
 
 def epi_is_empty(instance: Instance) -> bool:
-    return solve(_epi_lift_lp(instance)).status == LpStatus.INFEASIBLE
+    """Whether epi(z) is empty: the cached `Instance.epi_affine_dimension` is -1."""
+    return instance.epi_affine_dimension < 0
 
 
 def support_function(instance: Instance, pi: Sequence, pi0) -> Union[Fraction, float]:
@@ -209,7 +202,8 @@ def support_function(instance: Instance, pi: Sequence, pi0) -> Union[Fraction, f
     support.
     """
     pi = sized(as_vector(pi), instance.n, "pi")
-    out = solve(_epi_lift_lp(instance, direction=(pi + (as_fraction(pi0),), "max")))
+    out = solve(LinearProgram("max", lifted(instance, pi, as_fraction(pi0)),
+                              epigraph_rows(instance)))
     if out.status == LpStatus.INFEASIBLE:
         raise EmptyEpigraph("the epigraph is empty")
     return math.inf if out.status == LpStatus.UNBOUNDED else out.objective_value

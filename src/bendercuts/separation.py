@@ -228,7 +228,8 @@ def boundedness_check(instance: Instance, point: EpiPoint, direction: Sequence,
     IN_CLOSED_CONE: some positive stretch reaches epi(z) (or its recession),
     keeping the CGLP bounded.  OUTSIDE: the CGLP is unbounded.
     """
-    direction = as_vector(direction)
+    sized(point.x, instance.n, "point.x")
+    direction = sized(as_vector(direction), instance.n, "direction")
     direction_eta = as_fraction(direction_eta)
     shifted = EpiPoint(
         x=tuple(a + b for a, b in zip(point.x, direction)),

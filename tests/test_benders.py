@@ -304,6 +304,10 @@ def test_config_validation():
         SolverConfig(strategy=MisOnes(), core_point_mode=FixedCore(EpiPoint((F(2),), F(3))))
     with pytest.raises(PreconditionViolated):
         SolverConfig(max_iterations=0)
+    # a strategy that is not one of the three kinds is refused up front, not by
+    # the trace writer of a run that ends before its first separation
+    with pytest.raises(PreconditionViolated):
+        SolverConfig(strategy="mis")
 
 
 @given(st.integers(0, 100_000))

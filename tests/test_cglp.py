@@ -2,12 +2,14 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 from bendercuts.cglp import (Custom, Directional, MisOnes, build_alt_polyhedron,
                              build_cglp_normalized, build_cglp_relaxed_subproblem,
                              build_reverse_polar_lp, lift_objective, mis_objective,
                              strategy_weights)
+from bendercuts.errors import DimensionError
 from bendercuts.linalg import dot
 from bendercuts.model import EpiPoint, Instance, PolyhedralDomain
 from bendercuts.randgen import random_instance, separable_point
@@ -84,6 +86,8 @@ def test_reverse_polar_boundary_and_unbounded(ex1, origin):
     assert out.objective_value == F(-1)
     out = solve(build_reverse_polar_lp(ex1, origin, (F(-1),), F(0)))
     assert out.status == LpStatus.UNBOUNDED
+    with pytest.raises(DimensionError, match="point.x has 2 entries, expected 1"):
+        build_reverse_polar_lp(ex1, EpiPoint((F(0), F(0)), F(0)), (F(1),), F(0))
 
 
 def test_normalized_cglp_scales_to_vertex(ex1, origin):

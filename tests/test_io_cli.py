@@ -22,7 +22,8 @@ from bendercuts.errors import DimensionError, ParseError, TooLarge, ToolkitError
 from bendercuts.instance_io import (MAX_DIGITS, instance_digest, instance_document,
                                     load_instance, parse_instance, replay_trace,
                                     serialize_instance, trace_document, trace_to_json)
-from bendercuts.model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain
+from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain,
+                              undecomposed_value)
 from bendercuts.randgen import interior_epi_point, random_instance
 from bendercuts.separation import Certificate, Cut, certificate_for_cut, certificate_to_cut
 from bendercuts.verify import dominates, is_mis_certificate
@@ -73,7 +74,9 @@ def test_instance_round_trip(instance):
 @given(st.integers(0, 10 ** 6), st.booleans())
 def test_traces_of_random_draws_replay_clean(seed, finite):
     """Every trace that `solve` writes replays as [], whatever status the run
-    ends in, under MIS, an upward Directional and FixedCore."""
+    ends in, and every optimum equals the undecomposed one, under each config
+    `scripts/result_digest.py` runs: MIS, an upward Directional,
+    TrackIncumbent(1/2), a {-1, 0}-weighted Custom and FixedCore."""
     rng = random.Random(seed)
     instance = random_instance(rng, finite=finite)
     up = Directional((F(0),) * instance.n, F(1))
@@ -81,9 +84,15 @@ def test_traces_of_random_draws_replay_clean(seed, finite):
     core = interior_epi_point(rng, instance)
     if core is not None:
         configs.append(SolverConfig(strategy=up, core_point_mode=FixedCore(core)))
+    configs += [SolverConfig(strategy=up, core_point_mode=TrackIncumbent(F(1, 2))),
+                SolverConfig(strategy=Custom(tuple(F(-rng.randint(0, 1))
+                                                   for _ in range(instance.m)), F(-1)))]
+    expected = undecomposed_value(instance)
     for config in configs:
-        text = trace_to_json(instance, config, solve(instance, config))
-        assert replay_trace(instance, text) == []
+        result = solve(instance, config)
+        assert replay_trace(instance, trace_to_json(instance, config, result)) == []
+        if result.status == SolveStatus.OPTIMAL:
+            assert result.value == expected
 
 
 def test_load_shipped_instances(ex1, ex1_finite):

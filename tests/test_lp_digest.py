@@ -19,14 +19,15 @@ def test_records_numbers_past_4300_digits():
     recorder.current = []
     out = recorder._recording_solve(lp)
     assert out.status == LpStatus.OPTIMAL and out.primal == (huge,)
-    [(lp_hash, out_hash, _, _, _)] = recorder.current
+    [(lp_hash, out_hash, _, _, _, caller)] = recorder.current
+    assert caller == "test_records_numbers_past_4300_digits"
     assert lp_hash == lp_digest.lp_digest(lp) != lp_digest.lp_digest(
         LinearProgram("min", (F(1),), (((F(1),), GE, huge - 1),)))
     assert out_hash == lp_digest.outcome_digest(solve(lp))
 
 
 def test_differences_in_hypothesis_tests_are_named(tmp_path, capsys):
-    step = ["lp", "out", 0, 0, 1]
+    step = ["lp", "out", 0, 0, 1, "f"]
     before = {"tests": {"t::plain": [step], "t::drawn": [step], "t::same": [step]},
               "hypothesis": ["t::drawn", "t::same"]}
     after = {"tests": {"t::plain": [step, step], "t::drawn": [step, step], "t::same": [step]},
@@ -46,12 +47,12 @@ def test_differences_in_hypothesis_tests_are_named(tmp_path, capsys):
 def test_pivot_counts_alone_read_outcomes_equal(tmp_path, capsys):
     """Same LPs and outcomes in the same order with other pivot counts is the
     split a pivot-rule change makes; a changed outcome or order still differs."""
-    before = {"t::pivots": [["lp", "out", 0, 2, 1], ["lp2", "out2", 0, 1, 0]],
-              "t::outcome": [["lp", "out", 0, 2, 1]],
-              "t::order": [["lp", "out", 0, 2, 1], ["lp2", "out2", 0, 1, 0]]}
-    after = {"t::pivots": [["lp", "out", 1, 0, 1], ["lp2", "out2", 0, 0, 0]],
-             "t::outcome": [["lp", "other", 1, 0, 1]],
-             "t::order": [["lp2", "out2", 0, 0, 0], ["lp", "out", 1, 0, 1]]}
+    before = {"t::pivots": [["lp", "out", 0, 2, 1, "f"], ["lp2", "out2", 0, 1, 0, "g"]],
+              "t::outcome": [["lp", "out", 0, 2, 1, "f"]],
+              "t::order": [["lp", "out", 0, 2, 1, "f"], ["lp2", "out2", 0, 1, 0, "g"]]}
+    after = {"t::pivots": [["lp", "out", 1, 0, 1, "f"], ["lp2", "out2", 0, 0, 0, "g"]],
+             "t::outcome": [["lp", "other", 1, 0, 1, "f"]],
+             "t::order": [["lp2", "out2", 0, 0, 0, "g"], ["lp", "out", 1, 0, 1, "f"]]}
     paths = []
     for name, tests in (("before", before), ("after", after)):
         paths.append(tmp_path / f"{name}.json")
@@ -67,10 +68,39 @@ def test_pivot_counts_alone_read_outcomes_equal(tmp_path, capsys):
     assert "outcomes equal: t::pivots" in lines
     assert "differs: t::outcome" in lines and "differs: t::order" in lines
     assert lines[-1] == "0 equal, 1 outcomes equal, 0 subset, 2 differs"
+    # a solve whose pivots changed has no match on the other side
+    at = lines.index("outcomes equal: t::pivots")
+    assert lines[at + 1:at + 3] == ["  before: f x1, g x1", "  after: f x1, g x1"]
     # with no id that differs the comparison passes
     paths[1].write_text(json.dumps({"tests": dict(before, **{"t::pivots": after["t::pivots"]}),
                                     "hypothesis": []}), encoding="utf-8")
     assert lp_digest.main([str(p) for p in paths]) == 0
+
+
+def test_unmatched_solves_name_their_callers(tmp_path, capsys):
+    """Verdicts ignore callers; a verdict other than equal lists the callers of
+    the solves the other side cannot match, in order and with multiplicity."""
+    before = {"t::moved": [["lp", "out", 0, 0, 1, "epi_contains"], ["lp2", "out2", 0, 1, 0, "f"],
+                           ["lp3", "out3", 0, 0, 0, "epi_contains"]],
+              "t::renamed": [["lp", "out", 0, 0, 1, "f"]],
+              "t::dropped": [["lp", "out", 0, 0, 1, "f"], ["lp", "out", 0, 0, 1, "g"]]}
+    after = {"t::moved": [["lp4", "out4", 0, 0, 2, "_subproblem"],
+                          ["lp2", "out2", 0, 1, 0, "f"],
+                          ["lp5", "out5", 0, 0, 2, "_subproblem"]],
+             "t::renamed": [["lp", "out", 0, 0, 1, "h"]],
+             "t::dropped": [["lp", "out", 0, 0, 1, "f"]]}
+    paths = []
+    for name, tests in (("before", before), ("after", after)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"tests": tests, "hypothesis": []}), encoding="utf-8")
+    assert lp_digest.main([str(p) for p in paths]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("differs: t::moved")
+    assert lines[at + 1:at + 3] == ["  before: epi_contains x2", "  after: _subproblem x2"]
+    at = lines.index("subset: t::dropped")
+    assert lines[at + 1:at + 3] == ["  before: g x1", "  after: none"]
+    assert "equal: t::renamed" in lines
+    assert lines[-1] == "1 equal, 0 outcomes equal, 1 subset, 1 differs"
 
 
 CORRUPTED_RUN = textwrap.dedent("""
@@ -123,9 +153,9 @@ def test_a_corrupted_outcome_fails_its_test_id(tmp_path):
     assert "lp_digest: check_outcome found 1 problems" in out
     # every row of LP starts feasible at the slack basis, so only phase two
     # pivots; the equality row's artificial starts basic, so phase one pivots
-    [[_, _, start, one, two]] = tests["test_inner.py::test_clean"]
+    [[_, _, start, one, two, _]] = tests["test_inner.py::test_clean"]
     assert start == one == 0 and two > 0
-    [[_, _, start, one, _]] = tests["test_inner.py::test_equality_row"]
+    [[_, _, start, one, _, _]] = tests["test_inner.py::test_equality_row"]
     assert start == 0 and one > 0
 
 
@@ -158,5 +188,8 @@ def test_start_pivots_count_on_their_own(tmp_path):
     assert "2 passed" in run.stdout
     assert "lp_digest: 2 test ids, 2 solves, 2 pivots (2 at the start, 0 in phase one, " \
         "0 in phase two)" in run.stdout
-    assert tests["test_inner.py::test_one_column_start"][0][2:] == [1, 0, 0]
-    assert tests["test_inner.py::test_free_column_start"][0][2:] == [1, 0, 0]
+    # each solve also records the function that called it
+    assert tests["test_inner.py::test_one_column_start"][0][2:] == [1, 0, 0,
+                                                                    "test_one_column_start"]
+    assert tests["test_inner.py::test_free_column_start"][0][2:] == [1, 0, 0,
+                                                                     "test_free_column_start"]

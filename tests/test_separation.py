@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from bendercuts import linalg, separation
 from bendercuts.cglp import (Custom, Directional, MisOnes, build_alt_polyhedron,
                              build_cglp_relaxed_subproblem, strategy_weights)
-from bendercuts.errors import (EmptyEpigraph, PreconditionViolated,
+from bendercuts.errors import (DimensionError, EmptyEpigraph, PreconditionViolated,
                                StrategyUnbounded, UnboundedDirection,
                                ZeroCertificate)
 from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain,
@@ -233,6 +233,11 @@ def test_boundedness_trichotomy(ex1, origin):
     small = boundedness_check(ex1, origin, (F(2, 100),), F(3, 100))
     assert small in (DirectionClass.IN_SET, DirectionClass.IN_CLOSED_CONE)
     assert small == DirectionClass.IN_CLOSED_CONE  # too short to reach epi(z)
+    # an extra entry of the direction or the point is refused, not cut off
+    with pytest.raises(DimensionError, match="direction has 2 entries, expected 1"):
+        boundedness_check(ex1, origin, (F(2), F(99)), F(10))
+    with pytest.raises(DimensionError, match="point.x has 2 entries, expected 1"):
+        boundedness_check(ex1, EpiPoint((F(0), F(7)), F(0)), (F(2),), F(3))
 
 
 def test_exposed_point(ex1, origin):
