@@ -18,7 +18,10 @@ separates with MisOnes and is marked as a fallback.  `round_strategy` states
 that rule once, for the loop and for trace replay.
 
 Every iteration is recorded so a finished run can be replayed and re-verified
-from its trace alone.
+from its trace alone.  Each way a run ends is named once, for the loop and for
+replay: `MASTER_EXITS` for a master with no optimum, `converged_exit` for a
+master point inside epi(z).  The loop only makes cuts; the oracles of `verify`
+that judge them stay independent of it.
 """
 
 from __future__ import annotations
@@ -26,15 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .cglp import Custom, Directional, MisOnes, ObjectiveSpec
 from .errors import PreconditionViolated, StrategyUnbounded, EmptyEpigraph
 from .linalg import Vector, as_fraction, dot, sized
-from .model import EpiPoint, Instance, PolyhedralDomain, _subproblem
+from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _subproblem
 from .separation import IN_EPIGRAPH, Certificate, Cut, separate
 from .simplex import LE, LinearProgram, LpStatus, solve as solve_lp
-from .verify import FaceReport, face_report
 
 _ONE = Fraction(1)
 
@@ -71,7 +73,6 @@ class SolverConfig:
     strategy: ObjectiveSpec = MisOnes()
     max_iterations: int = 50
     core_point_mode: Optional[CoreMode] = None
-    verify_each_cut: bool = False
 
     def __post_init__(self):
         limit, mode = self.max_iterations, self.core_point_mode
@@ -83,8 +84,6 @@ class SolverConfig:
             raise PreconditionViolated("core_point_mode must be None, FixedCore or TrackIncumbent")
         if mode is not None and not isinstance(self.strategy, Directional):
             raise PreconditionViolated("core point modes only steer directional strategies")
-        if not isinstance(self.verify_each_cut, bool):
-            raise PreconditionViolated("verify_each_cut must be True or False")
 
 
 CONVERGED = "converged"
@@ -102,7 +101,6 @@ class IterationRecord:
     cut: Optional[Cut] = None
     certificate: Optional[Certificate] = None
     cglp_value: Optional[Fraction] = None
-    face: Optional[FaceReport] = None
     fallback: bool = False
 
 
@@ -118,10 +116,10 @@ NO_RECOURSE = "no master point has a feasible subproblem"
 MASTER_UNBOUNDED = "master relaxation unbounded"
 SUBPROBLEM_UNBOUNDED = "subproblem unbounded below at the converged point"
 FLOOR_BINDS = "eta converged onto its lower bound; the bound may be hiding the true optimum"
-REASONS = {SolveStatus.OPTIMAL: (None,), SolveStatus.ITERATION_LIMIT: (None,),
-           SolveStatus.INFEASIBLE: (MASTER_INFEASIBLE, NO_RECOURSE),
-           SolveStatus.ILL_POSED: (MASTER_UNBOUNDED, SUBPROBLEM_UNBOUNDED, FLOOR_BINDS)}
-"""The reasons `solve` gives with each status, and no others: replay refuses the rest."""
+HIDDEN_POINT = "the eta lower bound hides a master point below the converged value"
+MASTER_EXITS = {"infeasible": (SolveStatus.INFEASIBLE, MASTER_INFEASIBLE),
+                "unbounded": (SolveStatus.ILL_POSED, MASTER_UNBOUNDED)}
+"""The (status, reason) a run ends with when `_solve_master` finds no optimum."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,7 +135,7 @@ class SolveResult:
 def subproblem_check(instance: Instance, point: EpiPoint) -> Optional[Vector]:
     """The d-minimizing y at a point of epi(z), or None when d.y is unbounded below.
 
-    The loop calls it once, at a point that converged onto the eta floor;
+    `converged_exit` calls it at a point that converged onto the eta floor;
     outside epi(z), where z(x) > eta, it raises.
     """
     z, y = _subproblem(instance, point.x)
@@ -173,6 +171,22 @@ def _master_lp(instance: Instance, dom: PolyhedralDomain, cuts, floor: Optional[
     return LinearProgram("min", instance.c + (_ONE,), rows, lower=(None,) * instance.n + (floor,))
 
 
+def _eta_bounds(dom: FiniteDomain, cuts, floor: Optional[Fraction]
+                ) -> Iterator[tuple[Vector, Optional[Fraction]]]:
+    """Each point of a finite master set that no feasibility cut removes, with
+    the largest of floor and its cut bounds on eta: None when neither bounds eta.
+
+    A cut reads coef_x.x + coef_eta eta <= rhs with coef_eta <= 0, so at x = p
+    it bounds eta below by gap / -coef_eta, gap = coef_x.p - rhs, or, with
+    coef_eta = 0, removes p when gap > 0.
+    """
+    for p in dom.points:
+        gaps = [(dot(cut.coef_x, p) - cut.rhs, cut.coef_eta) for cut in cuts]
+        if all(gap <= 0 for gap, coef in gaps if coef == 0):
+            bounds = [gap / -coef for gap, coef in gaps if coef != 0]
+            yield p, max(bounds if floor is None else bounds + [floor], default=None)
+
+
 def _solve_master(instance: Instance, cuts, floored: bool = True
                   ) -> Union[str, tuple[EpiPoint, Fraction]]:
     """Master optimum as (point, value), or 'infeasible' / 'unbounded'.
@@ -189,21 +203,7 @@ def _solve_master(instance: Instance, cuts, floored: bool = True
         point = EpiPoint(x=out.primal[:instance.n], eta=out.primal[instance.n])
         return point, out.objective_value
     best = None
-    for p in dom.points:
-        eta = floor
-        ok = True
-        for cut in cuts:
-            level = dot(cut.coef_x, p)
-            if cut.coef_eta == 0:
-                if level > cut.rhs:
-                    ok = False
-                    break
-            else:
-                bound = (level - cut.rhs) / (-cut.coef_eta)
-                if eta is None or bound > eta:
-                    eta = bound
-        if not ok:
-            continue
+    for p, eta in _eta_bounds(dom, cuts, floor):
         if eta is None:  # no cut bounds eta at this point
             return "unbounded"
         value = dot(instance.c, p) + eta
@@ -216,20 +216,10 @@ def _record(trace, **kw):
     trace.append(IterationRecord(**kw))
 
 
-def _floor_binds(instance: Instance, cuts, master_value: Fraction) -> Optional[str]:
-    """Why a master point with eta on its lower bound is not proven optimal, or None.
-
-    It is proven when the master over the same cuts without the eta floor has
-    the same value; the lemma is in `_converged`.
-    """
-    free = _solve_master(instance, cuts, floored=False)
-    # a relaxation of a feasible master is feasible, so free is not 'infeasible'
-    return FLOOR_BINDS if free == "unbounded" or free[1] != master_value else None
-
-
-def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
-               master_value: Fraction, cuts, y: Optional[Vector]) -> SolveResult:
-    """The one exit for a master point inside epi(z); y is its membership LP's y.
+def converged_exit(instance: Instance, cuts, point: EpiPoint, master_value: Fraction,
+                   y: Optional[Vector] = None) -> tuple[Optional[str], Optional[Vector]]:
+    """Why a master point inside epi(z) is not proven optimal, or None with its
+    d-minimizing y; y is its membership LP's y, if it has one.
 
     Off the eta floor that y is d-minimizing.  Lemma: for fixed x*, the master
     optimum sets eta* to the largest of the floor and the cut bounds at x*
@@ -238,6 +228,22 @@ def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
     floor is one of them, so eta* <= z(x*), and membership gives z(x*) <= eta*.
     So eta* = z(x*), and any y with A y <= b - H x* and d.y <= eta* has
     d.y = z(x*).
+
+    That makes V = c.x* + eta* a value the problem attains; it is the optimum
+    when no x in the master set has c.x + z(x) < V.
+    - Polyhedral master: the master is an LP, and its optimum (x*, eta*)
+      leaves the floor row slack.  Were a point q of the floor-free master
+      cheaper, the points of the segment from (x*, eta*) towards q close
+      enough to (x*, eta*) would meet the floor row and be cheaper too.  So V
+      is the floor-free master optimum, at most c.x + z(x) for every x with
+      z(x) finite, since (x, z(x)) meets every valid cut.  Nothing more runs.
+    - Finite master: no convexity, so the floor can price a point p at
+      c.p + floor >= V while c.p + z(p) < V.  Take p's floor-free cut bound
+      e(p) (None when no cut bounds eta at p); e(p) <= z(p).  A feasibility
+      cut removes only points with z(p) = +inf, and a point with
+      c.p + e(p) >= V has c.p + z(p) >= V.  Each other point gets its
+      subproblem LP.  One with c.p + z(p) < V ends the run ill_posed; when
+      there is none, V is the optimum.
 
     A point with eta on its lower bound gets y from `subproblem_check`, and is
     proven optimal only by one more master LP, over the same cuts without the
@@ -250,15 +256,36 @@ def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
     equality throughout: z(x*) = eta*, and (x*, y) is optimal at V.  When
     V' < V, or the floor-free master is unbounded, the floor may be binding and
     the run stays ill_posed (which can also happen at a true optimum V: the
-    rule is sound, not complete).
+    rule is sound, not complete).  The rule holds on both domains.
+
+    Replay calls it without y; outside epi(z) on the floor it raises, as
+    `subproblem_check` does.
     """
-    _record(trace, index=index, master_point=point, master_value=master_value,
-            outcome=CONVERGED)
     if point.eta == instance.eta_lower_bound:
         y = subproblem_check(instance, point)
-        reason = SUBPROBLEM_UNBOUNDED if y is None else _floor_binds(instance, cuts, master_value)
-        if reason is not None:
-            return SolveResult(status=SolveStatus.ILL_POSED, reason=reason, trace=tuple(trace))
+        if y is None:
+            return SUBPROBLEM_UNBOUNDED, None
+        free = _solve_master(instance, cuts, floored=False)
+        # a relaxation of a feasible master is feasible, so free is not 'infeasible'
+        return (FLOOR_BINDS if free == "unbounded" or free[1] != master_value else None), y
+    dom = instance.master_domain
+    if isinstance(dom, FiniteDomain):
+        for p, eta in _eta_bounds(dom, cuts, None):
+            base = dot(instance.c, p)
+            if ((eta is None or base + eta < master_value)
+                    and base + _subproblem(instance, p)[0] < master_value):
+                return HIDDEN_POINT, None
+    return None, y
+
+
+def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
+               master_value: Fraction, cuts, y: Optional[Vector]) -> SolveResult:
+    """The one exit for a master point inside epi(z); y is its membership LP's y."""
+    _record(trace, index=index, master_point=point, master_value=master_value,
+            outcome=CONVERGED)
+    reason, y = converged_exit(instance, cuts, point, master_value, y)
+    if reason is not None:
+        return SolveResult(status=SolveStatus.ILL_POSED, reason=reason, trace=tuple(trace))
     value = dot(instance.c, point.x) + dot(instance.d, y)
     return SolveResult(status=SolveStatus.OPTIMAL, x=point.x, y=y, value=value,
                        trace=tuple(trace))
@@ -281,10 +308,9 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
 
     for index in range(1, config.max_iterations + 1):
         master = _solve_master(instance, cuts)
-        if master == "infeasible":
-            return SolveResult(SolveStatus.INFEASIBLE, reason=MASTER_INFEASIBLE, trace=tuple(trace))
-        if master == "unbounded":
-            return SolveResult(SolveStatus.ILL_POSED, reason=MASTER_UNBOUNDED, trace=tuple(trace))
+        if isinstance(master, str):
+            status, reason = MASTER_EXITS[master]
+            return SolveResult(status, reason=reason, trace=tuple(trace))
         point, master_value = master
 
         if isinstance(mode, TrackIncumbent):
@@ -310,10 +336,9 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
 
         if result.kind == IN_EPIGRAPH:
             return _converged(instance, trace, index, point, master_value, cuts, result.y)
-        face = face_report(instance, result.cut) if config.verify_each_cut else None
         cuts.append(result.cut)
         _record(trace, index=index, master_point=point, master_value=master_value,
                 outcome=CUT_ADDED, cut=result.cut, certificate=result.certificate,
-                cglp_value=result.cglp_value, face=face, fallback=fallback)
+                cglp_value=result.cglp_value, fallback=fallback)
 
     return SolveResult(status=SolveStatus.ITERATION_LIMIT, trace=tuple(trace))

@@ -142,8 +142,11 @@ def _cmd_solve(args) -> int:
         mode = TrackIncumbent(args.blend)
     strategy = _build_strategy(args, instance, mode is not None)
     config = SolverConfig(strategy=strategy, max_iterations=args.max_iter,
-                          core_point_mode=mode, verify_each_cut=args.verify)
+                          core_point_mode=mode)
     result = solve(instance, config)
+    # classified before anything is written: an empty epi(z) raises here
+    faces = [face_report(instance, rec.cut) for rec in result.trace
+             if args.verify and rec.cut is not None]
     if args.trace is not None:
         Path(args.trace).write_text(trace_to_json(instance, config, result), encoding="utf-8")
     print(f"status={result.status.value}")
@@ -154,10 +157,8 @@ def _cmd_solve(args) -> int:
         print(f"y={_vec_str(result.y)}")
     if result.reason is not None:
         print(f"reason={result.reason}")
-    if args.verify:
-        for rec in result.trace:
-            if rec.face is not None:
-                print(f"cut_classification={rec.face.classification.value}")
+    for face in faces:
+        print(f"cut_classification={face.classification.value}")
     return _STATUS_EXIT[result.status]
 
 
@@ -268,7 +269,7 @@ def _build_parser() -> _Parser:
     common_strategy(p)
     p.add_argument("--max-iter", type=_whole, default=50)
     p.add_argument("--verify", action="store_true",
-                   help="classify every emitted cut and record it in the trace")
+                   help="classify every emitted cut with the face oracle")
     p.add_argument("--trace", default=None, help="write a replayable trace file")
     p.add_argument("--core-point", nargs="+", type=_rational, default=None,
                    help="fixed core point (n+1 rationals); aims each cut at it")

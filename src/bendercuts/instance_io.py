@@ -9,8 +9,8 @@ here) with ParseError; the CLI reads every number argument, integer options
 included, with the same `_num`.  Sizes are checked by the constructors.
 Traces record every iteration of a solve in enough detail to be replayed:
 feeding the recorded cuts back into fresh master solves must reproduce the
-recorded master values, and re-running the face classification must
-reproduce the recorded reports.
+recorded master points and values, and the run must end as `solve` ends it
+from the replayed state.
 """
 
 from __future__ import annotations
@@ -19,17 +19,16 @@ import json
 from fractions import Fraction
 from typing import Any, Optional, Union
 
-from .benders import (CONVERGED, REASONS, CoreMode, FixedCore, IterationRecord, SolveResult,
-                      SolveStatus, SolverConfig, TrackIncumbent, _floor_binds, _solve_master,
-                      round_strategy)
+from .benders import (CONVERGED, MASTER_EXITS, NO_RECOURSE, CoreMode, FixedCore,
+                      IterationRecord, SolveResult, SolveStatus, SolverConfig, TrackIncumbent,
+                      _solve_master, converged_exit, round_strategy)
 from .cglp import Custom, Directional, MisOnes, ObjectiveSpec, certificate_rows, strategy_weights
-from .errors import (DimensionError, EmptyEpigraph, ParseError, PreconditionViolated,
-                     TooLarge, ZeroCertificate)
+from .errors import DimensionError, ParseError, PreconditionViolated, TooLarge, ZeroCertificate
 from .linalg import MAX_DIGITS, Vector, as_fraction, dot, sized, too_long
-from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, feasibility_rows, level
+from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, epi_is_empty,
+                    feasibility_rows, level)
 from .separation import Certificate, Cut, canonical_cut, certificate_to_cut
 from .simplex import violated_row
-from .verify import FaceReport, face_report
 
 # The interpreter's builtin SHA-256, as the stdlib's random takes _sha512:
 # hashlib would map OpenSSL's libcrypto, about 3 MB resident, for one digest.
@@ -41,7 +40,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-_TRACE_FORMAT = "bendercuts-trace/1"
+_TRACE_FORMAT = "bendercuts-trace/2"
 
 _INSTANCE_KEYS = ("n", "k", "m", "c", "d", "H", "A", "b", "master", "eta_lower_bound")
 
@@ -215,13 +214,6 @@ def _cut_document(cut: Cut) -> dict:
             "rhs": _enc(canon.rhs)}
 
 
-def _face_document(face: Optional[FaceReport]) -> Optional[dict]:
-    if face is None:
-        return None
-    return {"face_dimension": face.face_dimension, "epi_dimension": face.epi_dimension,
-            "classification": face.classification.value}
-
-
 def _record_document(rec: IterationRecord) -> dict:
     doc: dict = {
         "index": rec.index,
@@ -234,7 +226,6 @@ def _record_document(rec: IterationRecord) -> dict:
         doc["certificate"] = {"row_multipliers": _enc_vec(rec.certificate.row_multipliers),
                               "eta_multiplier": _enc(rec.certificate.eta_multiplier)}
         doc["cglp_value"] = _enc(rec.cglp_value)
-        doc["face"] = _face_document(rec.face)
         doc["fallback"] = rec.fallback
     return doc
 
@@ -247,7 +238,6 @@ def trace_document(instance: Instance, config: SolverConfig, result: SolveResult
             "strategy": _strategy_document(config.strategy),
             "max_iterations": config.max_iterations,
             "core_point_mode": _core_mode_document(config.core_point_mode),
-            "verify_each_cut": config.verify_each_cut,
         },
         "iterations": [_record_document(r) for r in result.trace],
         "status": result.status.value,
@@ -308,8 +298,7 @@ def _config_from_document(doc: Any, instance: Instance) -> SolverConfig:
             strategy=_strategy_from_document(_field(doc, "strategy", "config"), instance),
             max_iterations=_int(_field(doc, "max_iterations", "config"), "config.max_iterations"),
             core_point_mode=_core_mode_from_document(_field(doc, "core_point_mode", "config"),
-                                                     instance),
-            verify_each_cut=_field(doc, "verify_each_cut", "config"))
+                                                     instance))
     except PreconditionViolated as exc:
         raise ParseError(f"config: {exc}") from None
 
@@ -353,12 +342,30 @@ def _point_text(point: EpiPoint) -> str:
     return f"({', '.join(map(str, point.x + (point.eta,)))})"
 
 
+def _replayed_ending(instance: Instance, cuts, converged: Optional[tuple[EpiPoint, Fraction]],
+                     at_limit: bool) -> Optional[tuple[SolveStatus, Optional[str]]]:
+    """The (status, reason) `solve` ends with in the replayed state, or None
+    when none of its exits fits; converged is the replayed master point and
+    value of a converged last record.  Raises PreconditionViolated, as
+    `converged_exit` does, for a converged point on the floor outside epi(z)."""
+    if converged is not None:
+        reason, _ = converged_exit(instance, cuts, *converged)
+        return (SolveStatus.OPTIMAL, None) if reason is None else (SolveStatus.ILL_POSED, reason)
+    if at_limit:
+        return SolveStatus.ITERATION_LIMIT, None
+    master = _solve_master(instance, cuts)
+    if isinstance(master, str):
+        return MASTER_EXITS[master]
+    if epi_is_empty(instance):
+        return SolveStatus.INFEASIBLE, NO_RECOURSE
+    return None
+
+
 def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     """Check a trace against fresh computation; the mismatch list is empty iff it replays.
 
-    Master points and values are recomputed with the recorded cut prefixes,
-    and recorded face reports are recomputed from the recorded cuts.  Each
-    record's index must be its position.  Every cut record must carry a
+    Master points and values are recomputed with the recorded cut prefixes.
+    Each record's index must be its position.  Every cut record must carry a
     negative CGLP value and a certificate, which must be nonnegative, cancel y
     (u'A + u_eta d' = 0), map to the recorded cut up to scale and price the
     replayed master point at -1 (u'(b - Hx*) + u_eta eta* = -1), checked by
@@ -370,15 +377,18 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     that are not fallbacks keep only the sign check: that core blends the
     incumbents of the earlier rounds, each from a subproblem LP, and replay
     does not rebuild it.  MisOnes never falls back, so a fallback record
-    under it is refused.  A cut record has a face report exactly under
-    verify_each_cut, and a run has at most max_iterations records, exactly
-    that many when it hit the limit.  The status must be a `SolveStatus` value, and the reason
-    one that `solve` gives with it (`benders.REASONS`).  A converged record
-    must be the last one and comes only with status optimal or ill_posed; an
-    optimum must have one and is checked by arithmetic against it, and, with
-    eta on its lower bound there, by the master without that bound, as
-    `solve` checks it.  A malformed document comes back as messages too,
-    never as an exception.
+    under it is refused.
+
+    Only the last record may be converged, and a run has at most
+    max_iterations records.  The status must be a `SolveStatus` value, and
+    the status and reason those `solve` ends with, derived from the replayed
+    state in the loop's order: a converged last record gets
+    `benders.converged_exit`; else max_iterations records mean
+    iteration_limit; else the master over all recorded cuts, when it has no
+    optimum, gives its `benders.MASTER_EXITS` entry; else an empty epi(z)
+    means infeasible.  Any other ending is refused.  An optimum is checked by
+    arithmetic against its converged record.  A malformed document comes back
+    as messages too, never as an exception.
     """
     try:
         doc = _decode(trace) if isinstance(trace, str) else trace
@@ -398,11 +408,11 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
         return problems + [str(exc)]
     mode = config.core_point_mode
     core = mode.point if isinstance(mode, FixedCore) else None
-    iterations = doc.get("iterations", [])
+    iterations = doc.get("iterations")
     if not isinstance(iterations, list):
         return problems + ["iterations: expected a list"]
     cuts: list[Cut] = []
-    converged_at: list[int] = []
+    converged_last: Optional[tuple[EpiPoint, Fraction]] = None
     for position, rec in enumerate(iterations, start=1):
         where = f"iteration {rec.get('index') if isinstance(rec, dict) else position}"
         try:
@@ -434,7 +444,10 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
         if value != recorded_value:
             problems.append(f"{where}: master value {value} != recorded {recorded_value}")
         if cut is None:
-            converged_at.append(position)
+            if position < len(iterations):
+                problems.append(f"{where}: a converged record before the last")
+            else:
+                converged_last = master
             continue
         if cut.holds_at(recorded):
             problems.append(f"{where}: recorded cut does not cut off its master point")
@@ -452,32 +465,23 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
                 wrong = f"recorded cglp_value {cglp_value} is not weights . certificate {priced}"
         if wrong is not None:
             problems.append(f"{where}: {wrong}")
-        if (rec.get("face") is not None) != config.verify_each_cut:
-            problems.append(f"{where}: {'a' if rec.get('face') is not None else 'no'} face"
-                            f" report under verify_each_cut {config.verify_each_cut}")
-        elif rec.get("face") is not None:
-            try:
-                fresh = _face_document(face_report(instance, cut))
-            except EmptyEpigraph as exc:
-                return problems + [f"{where}: no face report on replay: {exc}"]
-            if fresh != rec["face"]:
-                problems.append(f"{where}: face report changed on replay: {fresh} != {rec['face']}")
         cuts.append(cut)
-    # solve writes a converged record only last, and only under optimal (which
-    # needs it) or ill_posed (which may end without one)
     status, reason = doc.get("status"), doc.get("reason")
     if status not in list(SolveStatus):
         return problems + [f"unknown status {status!r}"]
-    last = [len(iterations)]
-    allowed = ([last] if status == "optimal" else [[], last] if status == "ill_posed" else [[]])
-    if converged_at not in allowed:
-        return problems + [f"status {status}: converged records at {converged_at},"
-                           f" expected {' or '.join(map(str, allowed))}"]
-    if reason not in REASONS[SolveStatus(status)]:
-        problems.append(f"status {status}: solve gives no reason {reason!r} with it")
     limit = config.max_iterations
-    if len(iterations) > limit or (status == "iteration_limit" and len(iterations) != limit):
-        problems.append(f"status {status}: {len(iterations)} records under max_iterations {limit}")
+    if len(iterations) > limit:
+        return problems + [f"status {status}: {len(iterations)} records under"
+                           f" max_iterations {limit}"]
+    try:
+        ending = _replayed_ending(instance, cuts, converged_last, len(iterations) == limit)
+    except PreconditionViolated:
+        return problems + [f"status {status}: the converged point lies outside epi(z)"]
+    if ending is None:
+        return problems + [f"status {status}: solve goes on after {len(iterations)} records:"
+                           " the master over their cuts has an optimum, and epi(z) is not empty"]
+    if (status, reason) != ending:
+        return problems + [f"status {status}: replay ends {ending[0].value}, reason {ending[1]!r}"]
     if status != "optimal":
         return problems
     try:
@@ -485,14 +489,11 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
         reported = _num(doc.get("value"), "value")
     except (ParseError, DimensionError) as exc:
         return problems + [f"status optimal: {exc}"]
-    # the last record converged: recorded and value are its point and replayed master value
-    if x != recorded.x or violated_row(feasibility_rows(instance, recorded), y) is not None:
+    point, value = converged_last
+    if x != point.x or violated_row(feasibility_rows(instance, point), y) is not None:
         problems.append("status optimal: (x, y) does not solve the converged subproblem")
     objective = dot(instance.c, x) + dot(instance.d, y)
     if not reported == objective == value:
         problems.append(f"status optimal: value {reported}, c.x + d.y {objective} and"
                         f" master value {value} differ")
-    unproven = recorded.eta == instance.eta_lower_bound and _floor_binds(instance, cuts, value)
-    if unproven:
-        problems.append(f"status optimal: {unproven}")
     return problems

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -17,7 +19,7 @@ from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain
                               subproblem_value, undecomposed_value)
 from bendercuts.randgen import random_instance
 from bendercuts.separation import Cut, canonical_cut
-from bendercuts.verify import FaceClass
+from bendercuts.verify import FaceClass, face_report
 
 from conftest import EX1_KW, P1_CUT, P2_CUT, P3_CUT, same_cut
 
@@ -37,22 +39,22 @@ def test_mis_run(ex1):
 
 
 def test_directional_run(ex1):
-    config = SolverConfig(strategy=Directional((F(2),), F(3)), verify_each_cut=True)
+    config = SolverConfig(strategy=Directional((F(2),), F(3)))
     result = solve(ex1, config)
     assert result.status == SolveStatus.OPTIMAL
     assert result.value == F(11, 3)
     assert len(result.trace) == 3
     assert same_cut(result.trace[0].cut, P2_CUT)
     assert result.trace[0].cglp_value == F(-4, 3)
-    assert result.trace[0].face.classification == FaceClass.FACET_DEFINING
+    assert face_report(ex1, result.trace[0].cut).classification == FaceClass.FACET_DEFINING
     assert same_cut(result.trace[1].cut, P1_CUT)
     assert result.trace[-1].master_point == EpiPoint((F(4, 3),), F(7, 3))
     assert result.trace[-1].master_value == result.value
 
 
 def test_mis_first_cut_misses_the_epigraph(ex1):
-    result = solve(ex1, SolverConfig(strategy=MisOnes(), verify_each_cut=True))
-    assert result.trace[0].face.classification == FaceClass.NON_SUPPORTING
+    result = solve(ex1, SolverConfig(strategy=MisOnes()))
+    assert face_report(ex1, result.trace[0].cut).classification == FaceClass.NON_SUPPORTING
 
 
 def test_finite_run(ex1_finite):
@@ -157,6 +159,64 @@ def test_finite_master_feasibility_cut(strategy):
     assert replay_trace(inst, trace_document(inst, config, result)) == []
 
 
+def _hidden_point_instance():
+    """z(x) = -45 - 20x on the master set {0, 1}, with c = 8: the optimum is
+    -57 at x = 1.  Every run's one cut is eta >= -45 - 20x, but the floor -50
+    lifts its bound -65 at x = 1, so the master prices x = 1 at 8 - 50 = -42
+    and stops at x = 0."""
+    return Instance(n=1, k=1, m=1, c=(F(8),), d=(F(1),), H=((F(-20),),), A=((F(-1),),),
+                    b=(F(45),), master_domain=FiniteDomain(points=((F(0),), (F(1),))),
+                    eta_lower_bound=F(-50))
+
+
+_UP = Directional((F(0),), F(1))
+
+
+@pytest.mark.parametrize("config", [
+    SolverConfig(strategy=MisOnes()), SolverConfig(strategy=_UP),
+    SolverConfig(strategy=_UP, core_point_mode=TrackIncumbent(F(1, 2)))],
+    ids=["mis", "directional_up", "track"])
+def test_finite_master_floor_hides_a_point(config):
+    """The run converges at (0, -45), above the floor, with master value -45;
+    z(0) = -45 proves the point, not its optimality: the floor-free cut bound
+    prices x = 1 at -57 < -45, its subproblem LP confirms c.1 + z(1) = -57, so
+    the run is ill_posed, and replays clean."""
+    inst = _hidden_point_instance()
+    assert undecomposed_value(inst) == F(-57)
+    result = solve(inst, config)
+    assert result.trace[-1].outcome == CONVERGED
+    assert result.trace[-1].master_point == EpiPoint((F(0),), F(-45))
+    assert result.status == SolveStatus.ILL_POSED and result.reason == benders.HIDDEN_POINT
+    doc = trace_document(inst, config, result)
+    assert replay_trace(inst, doc) == []
+    # relabelled optimal, (x, y) = (0, -45) passes every arithmetic check
+    forged = dict(doc, status="optimal", reason=None, x=[0], y=[-45], value=-45)
+    assert replay_trace(inst, forged) == [
+        f"status optimal: replay ends ill_posed, reason {benders.HIDDEN_POINT!r}"]
+
+
+def test_finite_masters_that_reach_infeasible():
+    """Finite master sets of three random points, drawn after each instance
+    from its own rng, need not meet dom z: some runs end infeasible.  Every
+    ending agrees with the undecomposed model, and every trace replays."""
+    ends = Counter()
+    for seed in range(60):
+        rng = random.Random(seed)
+        inst = random_instance(rng, finite=True)
+        points = tuple(tuple(F(rng.randint(0, 4)) for _ in range(inst.n)) for _ in range(3))
+        inst = replace(inst, master_domain=FiniteDomain(points=points))
+        for strategy in (MisOnes(), Directional((F(0),) * inst.n, F(1))):
+            config = SolverConfig(strategy=strategy)
+            result = solve(inst, config)
+            ends[result.status] += 1
+            if result.status == SolveStatus.INFEASIBLE:
+                assert undecomposed_value(inst) == math.inf, seed
+            if result.status == SolveStatus.OPTIMAL:
+                assert result.value == undecomposed_value(inst), seed
+            assert replay_trace(inst, trace_document(inst, config, result)) == [], seed
+    assert ends[SolveStatus.INFEASIBLE] > 0
+
+
 def test_subproblem_unbounded_below():
     inst = Instance(n=1, k=1, m=1, c=(F(1),), d=(F(1),),
                     H=((F(-1),),), A=((F(1),),), b=(F(0),),
@@ -216,14 +276,13 @@ def test_unbounded_direction_falls_back_to_mis():
 
 def test_track_incumbent_on_ex1(ex1):
     config = SolverConfig(strategy=Directional((F(0),), F(1)),
-                          core_point_mode=TrackIncumbent(F(1, 2)),
-                          verify_each_cut=True)
+                          core_point_mode=TrackIncumbent(F(1, 2)))
     result = solve(ex1, config)
     assert result.status == SolveStatus.OPTIMAL
     assert result.value == F(11, 3)
     assert not any(r.fallback for r in result.trace)
     for record in result.trace[:-1]:
-        assert record.face.classification == FaceClass.FACET_DEFINING
+        assert face_report(ex1, record.cut).classification == FaceClass.FACET_DEFINING
 
 
 def test_subproblem_check_payloads(ex1, origin):

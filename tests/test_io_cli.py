@@ -214,7 +214,6 @@ _MALFORMED_CONFIGS = {
     "max_iterations_a_bool": lambda: SolverConfig(max_iterations=True),
     "mode_a_string": lambda: SolverConfig(strategy=_UP, core_point_mode="track"),
     "fixed_core_a_tuple": lambda: FixedCore(point=(1, 2)),
-    "verify_each_cut_a_string": lambda: SolverConfig(verify_each_cut="no"),
 }
 
 
@@ -317,14 +316,14 @@ def test_parse_error_reports_position():
 
 
 def _directional_result(ex1):
-    config = SolverConfig(strategy=Directional((F(2),), F(3)), verify_each_cut=True)
+    config = SolverConfig(strategy=Directional((F(2),), F(3)))
     return config, solve(ex1, config)
 
 
 def test_trace_document_shape(ex1):
     config, result = _directional_result(ex1)
     doc = trace_document(ex1, config, result)
-    assert doc["format"] == "bendercuts-trace/1"
+    assert doc["format"] == "bendercuts-trace/2"
     assert doc["instance_digest"] == instance_digest(ex1)
     assert doc["status"] == "optimal"
     assert doc["value"] == "11/3"
@@ -333,7 +332,8 @@ def test_trace_document_shape(ex1):
     assert len(doc["iterations"]) == 3
     first, last = doc["iterations"][0], doc["iterations"][-1]
     assert first["outcome"] == "cut_added"
-    assert first["face"]["classification"] == "facet_defining"
+    assert "face" not in first and set(doc["config"]) == {
+        "strategy", "max_iterations", "core_point_mode"}
     assert last["outcome"] == "converged"
     assert "cut" not in last
 
@@ -359,13 +359,9 @@ def test_trace_detects_tampering(ex1):
     doc["iterations"][0]["master_value"] = "99"
     assert any("master value" in p for p in replay_trace(ex1, doc))
 
-    doc = trace_document(ex1, config, result)
-    doc["iterations"][0]["face"]["classification"] = "supporting"
-    assert any("face report" in p for p in replay_trace(ex1, doc))
-
-    doc = trace_document(ex1, config, result)
-    doc["format"] = "nope"
-    assert replay_trace(ex1, doc) == ["unknown trace format 'nope'"]
+    for old in ("nope", "bendercuts-trace/1"):
+        doc = dict(trace_document(ex1, config, result), format=old)
+        assert replay_trace(ex1, doc) == [f"unknown trace format {old!r}"]
 
 
 def _edit_first_record(doc, edit):
@@ -382,9 +378,8 @@ _MALFORMED_TRACES = {
     "not_json": lambda doc: "{not json",
     "nested_too_deeply": lambda doc: "[" * 200_000 + "]" * 200_000,
     "integer_too_long": lambda doc: json.dumps(dict(doc, value="BIG")).replace('"BIG"', "1" * 5000),
-    # ex1's first cut record, recorded face included, replayed on an instance
-    # whose epi(z) is empty: there is no face to report
-    "face_on_empty_epigraph": lambda doc: dict(
+    # ex1's first cut record replayed on an instance whose epi(z) is empty
+    "cut_record_on_empty_epigraph": lambda doc: dict(
         doc, instance_digest=instance_digest(empty_epigraph()), iterations=doc["iterations"][:1]),
 }
 
@@ -392,7 +387,7 @@ _MALFORMED_TRACES = {
 @pytest.mark.parametrize("name", list(_MALFORMED_TRACES))
 def test_replay_reports_malformed_traces(ex1, name):
     config, result = _directional_result(ex1)
-    instance = empty_epigraph() if name == "face_on_empty_epigraph" else ex1
+    instance = empty_epigraph() if name == "cut_record_on_empty_epigraph" else ex1
     problems = replay_trace(instance, _MALFORMED_TRACES[name](trace_document(ex1, config, result)))
     assert problems and all(isinstance(p, str) for p in problems)
 
@@ -426,8 +421,16 @@ def test_replay_rejects_converged_record_under_other_status(ex1, status):
     config = SolverConfig(strategy=MisOnes())
     doc = trace_document(ex1, config, solve(ex1, config))
     relabelled = dict(doc, status=status, value=None, x=None, y=None)
-    assert replay_trace(ex1, relabelled) == [
-        f"status {status}: converged records at [4], expected []"]
+    assert replay_trace(ex1, relabelled) == [f"status {status}: replay ends optimal, reason None"]
+
+
+def test_replay_rejects_a_converged_record_before_the_last(ex1):
+    config = SolverConfig(strategy=MisOnes())
+    doc = trace_document(ex1, config, solve(ex1, config))
+    first = doc["iterations"][0]
+    doc["iterations"][0] = {key: first[key] for key in ("index", "master_point", "master_value")}
+    doc["iterations"][0]["outcome"] = "converged"
+    assert "iteration 1: a converged record before the last" in replay_trace(ex1, doc)
 
 
 def test_replay_accepts_each_status_as_solve_ends_it(ex1):
@@ -453,17 +456,33 @@ _FORGED_ENDINGS = {
     "unknown_status": (lambda doc: dict(doc, status="banana", iterations=doc["iterations"][:2]),
                        "unknown status 'banana'"),
     "optimal_with_a_reason": (lambda doc: dict(doc, reason="hello"),
-                              "status optimal: solve gives no reason 'hello' with it"),
+                              "status optimal: replay ends optimal, reason None"),
     "ill_posed_with_any_reason": (
         lambda doc: dict(doc, status="ill_posed", reason="anything at all"),
-        "status ill_posed: solve gives no reason 'anything at all' with it"),
+        "status ill_posed: replay ends optimal, reason None"),
+    "no_iterations": (lambda doc: {k: v for k, v in doc.items() if k != "iterations"}
+                      | {"status": "infeasible", "reason": "master problem infeasible"},
+                      "iterations: expected a list"),
+    # cut short after two or three of its four records: the master over
+    # those cuts has an optimum, and epi(z) is not empty
+    **{f"first_{count}_{status}_{tag}": (
+        lambda doc, count=count, status=status, reason=reason: dict(
+            doc, iterations=doc["iterations"][:count], status=status, reason=reason,
+            value=None, x=None, y=None),
+        f"status {status}: solve goes on after {count} records: the master over their"
+        " cuts has an optimum, and epi(z) is not empty")
+        for count in (2, 3)
+        for status, tag, reason in (
+            ("infeasible", "master", "master problem infeasible"),
+            ("infeasible", "no_recourse", "no master point has a feasible subproblem"),
+            ("ill_posed", "master_unbounded", "master relaxation unbounded"))},
 }
 
 
 @pytest.mark.parametrize("name", list(_FORGED_ENDINGS))
 def test_replay_checks_status_and_reason(ex1, name):
-    """The status must be a SolveStatus value, and the reason one that solve
-    gives with that status."""
+    """The status must be a SolveStatus value, and the status and reason those
+    solve ends with from the replayed state."""
     config = SolverConfig(strategy=MisOnes())
     forge, problem = _FORGED_ENDINGS[name]
     assert replay_trace(ex1, forge(trace_document(ex1, config, solve(ex1, config)))) == [problem]
@@ -570,8 +589,6 @@ _MALFORMED_CONFIG_ECHOES = {
                           "config.core_point_mode: unknown kind 'moving'"),
     "max_iterations_a_string": (lambda cfg: dict(cfg, max_iterations="50"),
                                 "config.max_iterations: expected an integer"),
-    "verify_each_cut_a_string": (lambda cfg: dict(cfg, verify_each_cut="yes"),
-                                 "config: verify_each_cut must be True or False"),
 }
 
 
@@ -584,23 +601,18 @@ def test_replay_reads_the_config_back(ex1, name):
 
 
 def test_replay_checks_the_run_against_its_config(ex1):
-    """Face reports come exactly under verify_each_cut, and the record count
-    is bounded by max_iterations, which an iteration_limit run reached."""
+    """The record count is bounded by max_iterations, which an
+    iteration_limit run reached."""
     config = SolverConfig(strategy=MisOnes())
     doc = trace_document(ex1, config, solve(ex1, config))
-    assert replay_trace(ex1, dict(doc, config=dict(doc["config"], verify_each_cut=True))) == [
-        f"iteration {i}: no face report under verify_each_cut True" for i in (1, 2, 3)]
     assert replay_trace(ex1, dict(doc, config=dict(doc["config"], max_iterations=3))) == [
         "status optimal: 4 records under max_iterations 3"]
     config = SolverConfig(strategy=MisOnes(), max_iterations=2)
     doc = trace_document(ex1, config, solve(ex1, config))
     assert replay_trace(ex1, doc) == []
     assert replay_trace(ex1, dict(doc, config=dict(doc["config"], max_iterations=50))) == [
-        "status iteration_limit: 2 records under max_iterations 50"]
-    config, result = _directional_result(ex1)
-    doc = trace_document(ex1, config, result)
-    assert replay_trace(ex1, dict(doc, config=dict(doc["config"], verify_each_cut=False))) == [
-        f"iteration {i}: a face report under verify_each_cut False" for i in (1, 2)]
+        "status iteration_limit: solve goes on after 2 records: the master over their cuts"
+        " has an optimum, and epi(z) is not empty"]
 
 
 def _flip_fallback(doc, position):
@@ -709,7 +721,8 @@ def test_replay_checks_an_optimum_on_the_eta_floor(name):
     forged = dict(trace_document(instance, config, result), status="optimal", reason=None,
                   x=[str(v) for v in point.x], y=[str(v) for v in y],
                   value=str(result.trace[-1].master_value))
-    assert replay_trace(instance, forged) == [f"status optimal: {result.reason}"]
+    assert replay_trace(instance, forged) == [
+        f"status optimal: replay ends ill_posed, reason {result.reason!r}"]
 
 
 _CONFIG_DOCUMENTS = {
@@ -717,18 +730,16 @@ _CONFIG_DOCUMENTS = {
         SolverConfig(strategy=Directional((F(0),), F(1)),
                      core_point_mode=FixedCore(EpiPoint((F(2),), F(7, 2)))),
         {"strategy": {"kind": "directional", "direction": [0], "direction_eta": 1},
-         "max_iterations": 50, "core_point_mode": {"kind": "fixed_core", "x": [2], "eta": "7/2"},
-         "verify_each_cut": False}),
+         "max_iterations": 50, "core_point_mode": {"kind": "fixed_core", "x": [2], "eta": "7/2"}}),
     "track_incumbent": (
         SolverConfig(strategy=Directional((F(0),), F(1)),
-                     core_point_mode=TrackIncumbent(F(1, 3)), verify_each_cut=True),
+                     core_point_mode=TrackIncumbent(F(1, 3))),
         {"strategy": {"kind": "directional", "direction": [0], "direction_eta": 1},
-         "max_iterations": 50, "core_point_mode": {"kind": "track_incumbent", "blend": "1/3"},
-         "verify_each_cut": True}),
+         "max_iterations": 50, "core_point_mode": {"kind": "track_incumbent", "blend": "1/3"}}),
     "custom": (
         SolverConfig(strategy=Custom((F(-1), F(0), F(-1, 2)), F(-1)), max_iterations=20),
         {"strategy": {"kind": "custom", "weights": [-1, 0, "-1/2"], "weight_eta": -1},
-         "max_iterations": 20, "core_point_mode": None, "verify_each_cut": False}),
+         "max_iterations": 20, "core_point_mode": None}),
 }
 
 
@@ -767,6 +778,21 @@ def test_cli_solve_default_and_verify(capsys):
     assert code == 0
     assert "status=optimal" in out and "value=11/3" in out
     assert out.count("cut_classification=non_supporting") >= 1
+
+
+def test_cli_solve_verify_on_an_empty_epigraph(tmp_path, capsys):
+    """x <= -1 and x >= 0 in the linking rows: epi(z) is empty, yet MIS cuts
+    x <= -1 off before the master runs dry, so the run has a cut to classify.
+    The face oracle refuses it before any line or trace is written."""
+    empty = _write_instance(tmp_path, "empty.json", m=2, H=((F(1),), (F(-1),)),
+                            A=((F(0),), (F(0),)), b=(F(-1), F(0)))
+    trace = tmp_path / "t.json"
+    assert run(["solve", str(empty)]) == 2
+    assert "reason=master problem infeasible" in capsys.readouterr().out.splitlines()
+    assert run(["solve", str(empty), "--verify", "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error=the epigraph is empty\n"
+    assert not trace.exists()
 
 
 def test_cli_solve_core_modes(capsys):

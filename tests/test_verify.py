@@ -1,7 +1,9 @@
+import ast
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -441,3 +443,30 @@ def test_face_report_matches_the_two_lp_reference():
                 assert report == _two_lp_face_report(inst, moved), (inst, moved)
                 seen.add(report.classification)
     assert seen == set(FaceClass)
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bendercuts"
+
+
+def _imports_verify(tree: ast.Module) -> bool:
+    """Does the module import bendercuts.verify, or a name from it, in any spelling?"""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "bendercuts.verify" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            package = node.module in (None, "") if node.level else node.module == "bendercuts"
+            if (node.module == ("verify" if node.level else "bendercuts.verify")
+                    or (package and any(alias.name == "verify" for alias in node.names))):
+                return True
+    return False
+
+
+def test_only_the_cli_and_the_package_import_verify():
+    """The oracles judge what the loop makes, so the loop, replay and the
+    layers below them never import them: verify is a leaf of the package."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert {path.stem for path in modules} >= {"benders", "cli", "instance_io", "verify"}
+    importers = {path.stem for path in modules
+                 if _imports_verify(ast.parse(path.read_text(encoding="utf-8")))}
+    assert importers == {"__init__", "cli"}
