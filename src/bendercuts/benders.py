@@ -5,8 +5,8 @@ decides whether the master point already sits in epi(z): the strategy's
 relaxed-subproblem CGLP, whose optimum t* = 0 means membership and t* > 0
 yields the cut, or, under TrackIncumbent, the subproblem LP z(x) that also
 feeds the incumbent, with z(x) <= eta meaning membership. That LP also holds
-the d-minimizing y of a converged point (see `_converged`); only a point on
-the eta floor pays more LPs.
+the d-minimizing y of a converged point (see `converged_exit`); only a point
+on the eta floor pays more LPs.
 
 A core-point mode steers a directional strategy (Magnanti-Wong; Papadakos
 moves the core toward the incumbent). The loop keeps the core point itself:
@@ -18,10 +18,11 @@ separates with MisOnes and is marked as a fallback.  `round_strategy` states
 that rule once, for the loop and for trace replay.
 
 Every iteration is recorded so a finished run can be replayed and re-verified
-from its trace alone.  Each way a run ends is named once, for the loop and for
-replay: `MASTER_EXITS` for a master with no optimum, `converged_exit` for a
-master point inside epi(z).  The loop only makes cuts; the oracles of `verify`
-that judge them stay independent of it.
+from its trace alone.  `run_ending` is the one rule for how a run ends, which
+`solve` and replay both apply to their records: `converged_exit` for a master
+point inside epi(z), `MASTER_EXITS` for a master with no optimum.  The loop
+only makes cuts; the oracles of `verify` that judge them stay independent of
+it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterator, Optional, Union
 from .cglp import Custom, Directional, MisOnes, ObjectiveSpec
 from .errors import PreconditionViolated, StrategyUnbounded, EmptyEpigraph
 from .linalg import Vector, as_fraction, dot, sized
-from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _subproblem
+from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _subproblem, epi_is_empty
 from .separation import IN_EPIGRAPH, Certificate, Cut, separate
 from .simplex import LE, LinearProgram, LpStatus, solve as solve_lp
 
@@ -212,10 +213,6 @@ def _solve_master(instance: Instance, cuts, floored: bool = True
     return best if best is not None else "infeasible"
 
 
-def _record(trace, **kw):
-    trace.append(IterationRecord(**kw))
-
-
 def converged_exit(instance: Instance, cuts, point: EpiPoint, master_value: Fraction,
                    y: Optional[Vector] = None) -> tuple[Optional[str], Optional[Vector]]:
     """Why a master point inside epi(z) is not proven optimal, or None with its
@@ -278,17 +275,34 @@ def converged_exit(instance: Instance, cuts, point: EpiPoint, master_value: Frac
     return None, y
 
 
-def _converged(instance: Instance, trace: list, index: int, point: EpiPoint,
-               master_value: Fraction, cuts, y: Optional[Vector]) -> SolveResult:
-    """The one exit for a master point inside epi(z); y is its membership LP's y."""
-    _record(trace, index=index, master_point=point, master_value=master_value,
-            outcome=CONVERGED)
-    reason, y = converged_exit(instance, cuts, point, master_value, y)
-    if reason is not None:
-        return SolveResult(status=SolveStatus.ILL_POSED, reason=reason, trace=tuple(trace))
-    value = dot(instance.c, point.x) + dot(instance.d, y)
-    return SolveResult(status=SolveStatus.OPTIMAL, x=point.x, y=y, value=value,
-                       trace=tuple(trace))
+def run_ending(instance: Instance, config: SolverConfig, trace, master=None,
+               y: Optional[Vector] = None
+               ) -> Optional[tuple[SolveStatus, Optional[str], Optional[Vector]]]:
+    """How a run whose rounds left these records ends, as (status, reason, y),
+    with y only on `optimal`; None when `solve` would go on.
+
+    In the loop's order: a converged last record gets `converged_exit`, with
+    y its membership LP's y if it has one; else max_iterations records mean
+    iteration_limit; else a master over the recorded cuts with no optimum
+    gives its `MASTER_EXITS` entry; else an empty epi(z) means NO_RECOURSE.
+    master is that master's `_solve_master` outcome, solved here when None.
+    Raises PreconditionViolated, as `converged_exit` does, for a converged
+    point on the floor outside epi(z).
+    """
+    cuts = [r.cut for r in trace if r.cut is not None]
+    if trace and trace[-1].outcome == CONVERGED:
+        last = trace[-1]
+        reason, y = converged_exit(instance, cuts, last.master_point, last.master_value, y)
+        return (SolveStatus.ILL_POSED, reason, None) if reason else (SolveStatus.OPTIMAL, None, y)
+    if len(trace) == config.max_iterations:
+        return SolveStatus.ITERATION_LIMIT, None, None
+    if master is None:
+        master = _solve_master(instance, cuts)
+    if isinstance(master, str):
+        return *MASTER_EXITS[master], None
+    if epi_is_empty(instance):
+        return SolveStatus.INFEASIBLE, NO_RECOURSE, None
+    return None
 
 
 def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveResult:
@@ -306,17 +320,18 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
         sized(core.x, instance.n, "core point x")
     best: Optional[tuple[EpiPoint, Fraction]] = None  # the incumbent and its value
 
+    y: Optional[Vector] = None  # the membership LP's y of a converged point
     for index in range(1, config.max_iterations + 1):
         master = _solve_master(instance, cuts)
         if isinstance(master, str):
-            status, reason = MASTER_EXITS[master]
-            return SolveResult(status, reason=reason, trace=tuple(trace))
+            break
         point, master_value = master
 
         if isinstance(mode, TrackIncumbent):
             z, y = _subproblem(instance, point.x)
             if z <= point.eta:
-                return _converged(instance, trace, index, point, master_value, cuts, y)
+                trace.append(IterationRecord(index, point, master_value, CONVERGED))
+                break
             if isinstance(z, Fraction):
                 value = dot(instance.c, point.x) + z
                 if best is None or value < best[1]:
@@ -332,13 +347,18 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
             fallback = True
             result = separate(instance, point, round_strategy(config, core, point, fallback))
         except EmptyEpigraph:
-            return SolveResult(SolveStatus.INFEASIBLE, reason=NO_RECOURSE, trace=tuple(trace))
+            break  # separate has read epi_is_empty, so run_ending reads it for free
 
         if result.kind == IN_EPIGRAPH:
-            return _converged(instance, trace, index, point, master_value, cuts, result.y)
+            y = result.y
+            trace.append(IterationRecord(index, point, master_value, CONVERGED))
+            break
         cuts.append(result.cut)
-        _record(trace, index=index, master_point=point, master_value=master_value,
-                outcome=CUT_ADDED, cut=result.cut, certificate=result.certificate,
-                cglp_value=result.cglp_value, fallback=fallback)
+        trace.append(IterationRecord(index, point, master_value, CUT_ADDED, result.cut,
+                                     result.certificate, result.cglp_value, fallback))
 
-    return SolveResult(status=SolveStatus.ITERATION_LIMIT, trace=tuple(trace))
+    status, reason, y = run_ending(instance, config, trace, master, y)
+    if status != SolveStatus.OPTIMAL:
+        return SolveResult(status, reason=reason, trace=tuple(trace))
+    x = trace[-1].master_point.x
+    return SolveResult(status, x, y, dot(instance.c, x) + dot(instance.d, y), trace=tuple(trace))

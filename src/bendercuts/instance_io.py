@@ -19,14 +19,13 @@ import json
 from fractions import Fraction
 from typing import Any, Optional, Union
 
-from .benders import (CONVERGED, MASTER_EXITS, NO_RECOURSE, CoreMode, FixedCore,
-                      IterationRecord, SolveResult, SolveStatus, SolverConfig, TrackIncumbent,
-                      _solve_master, converged_exit, round_strategy)
+from .benders import (CONVERGED, CUT_ADDED, CoreMode, FixedCore, IterationRecord, SolveResult,
+                      SolveStatus, SolverConfig, TrackIncumbent, _solve_master, round_strategy,
+                      run_ending)
 from .cglp import Custom, Directional, MisOnes, ObjectiveSpec, certificate_rows, strategy_weights
 from .errors import DimensionError, ParseError, PreconditionViolated, TooLarge, ZeroCertificate
 from .linalg import MAX_DIGITS, Vector, as_fraction, dot, sized, too_long
-from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, epi_is_empty,
-                    feasibility_rows, level)
+from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, feasibility_rows, level
 from .separation import Certificate, Cut, canonical_cut, certificate_to_cut
 from .simplex import violated_row
 
@@ -342,25 +341,6 @@ def _point_text(point: EpiPoint) -> str:
     return f"({', '.join(map(str, point.x + (point.eta,)))})"
 
 
-def _replayed_ending(instance: Instance, cuts, converged: Optional[tuple[EpiPoint, Fraction]],
-                     at_limit: bool) -> Optional[tuple[SolveStatus, Optional[str]]]:
-    """The (status, reason) `solve` ends with in the replayed state, or None
-    when none of its exits fits; converged is the replayed master point and
-    value of a converged last record.  Raises PreconditionViolated, as
-    `converged_exit` does, for a converged point on the floor outside epi(z)."""
-    if converged is not None:
-        reason, _ = converged_exit(instance, cuts, *converged)
-        return (SolveStatus.OPTIMAL, None) if reason is None else (SolveStatus.ILL_POSED, reason)
-    if at_limit:
-        return SolveStatus.ITERATION_LIMIT, None
-    master = _solve_master(instance, cuts)
-    if isinstance(master, str):
-        return MASTER_EXITS[master]
-    if epi_is_empty(instance):
-        return SolveStatus.INFEASIBLE, NO_RECOURSE
-    return None
-
-
 def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     """Check a trace against fresh computation; the mismatch list is empty iff it replays.
 
@@ -381,12 +361,9 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
 
     Only the last record may be converged, and a run has at most
     max_iterations records.  The status must be a `SolveStatus` value, and
-    the status and reason those `solve` ends with, derived from the replayed
-    state in the loop's order: a converged last record gets
-    `benders.converged_exit`; else max_iterations records mean
-    iteration_limit; else the master over all recorded cuts, when it has no
-    optimum, gives its `benders.MASTER_EXITS` entry; else an empty epi(z)
-    means infeasible.  Any other ending is refused.  An optimum is checked by
+    the status and reason those `solve` ends with: `benders.run_ending`, the
+    loop's own exit rule, applied to the replayed records.  An ending it
+    does not give is refused.  An optimum is checked by
     arithmetic against its converged record.  A malformed document comes back
     as messages too, never as an exception.
     """
@@ -412,7 +389,7 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     if not isinstance(iterations, list):
         return problems + ["iterations: expected a list"]
     cuts: list[Cut] = []
-    converged_last: Optional[tuple[EpiPoint, Fraction]] = None
+    records: list[IterationRecord] = []  # the replayed master points and values
     for position, rec in enumerate(iterations, start=1):
         where = f"iteration {rec.get('index') if isinstance(rec, dict) else position}"
         try:
@@ -443,11 +420,11 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
                             f" != recorded {_point_text(recorded)}")
         if value != recorded_value:
             problems.append(f"{where}: master value {value} != recorded {recorded_value}")
+        records.append(IterationRecord(position, replayed, value,
+                                       CONVERGED if cut is None else CUT_ADDED, cut))
         if cut is None:
             if position < len(iterations):
                 problems.append(f"{where}: a converged record before the last")
-            else:
-                converged_last = master
             continue
         if cut.holds_at(recorded):
             problems.append(f"{where}: recorded cut does not cut off its master point")
@@ -474,13 +451,13 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
         return problems + [f"status {status}: {len(iterations)} records under"
                            f" max_iterations {limit}"]
     try:
-        ending = _replayed_ending(instance, cuts, converged_last, len(iterations) == limit)
+        ending = run_ending(instance, config, records)
     except PreconditionViolated:
         return problems + [f"status {status}: the converged point lies outside epi(z)"]
     if ending is None:
         return problems + [f"status {status}: solve goes on after {len(iterations)} records:"
                            " the master over their cuts has an optimum, and epi(z) is not empty"]
-    if (status, reason) != ending:
+    if (status, reason) != ending[:2]:
         return problems + [f"status {status}: replay ends {ending[0].value}, reason {ending[1]!r}"]
     if status != "optimal":
         return problems
@@ -489,7 +466,7 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
         reported = _num(doc.get("value"), "value")
     except (ParseError, DimensionError) as exc:
         return problems + [f"status optimal: {exc}"]
-    point, value = converged_last
+    point, value = records[-1].master_point, records[-1].master_value
     if x != point.x or violated_row(feasibility_rows(instance, point), y) is not None:
         problems.append("status optimal: (x, y) does not solve the converged subproblem")
     objective = dot(instance.c, x) + dot(instance.d, y)
