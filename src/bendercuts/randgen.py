@@ -16,24 +16,29 @@ from .linalg import dot
 from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain,
                     subproblem_value)
 
+N_MAX, K_MAX, M_MAX = 3, 3, 5
+"""The largest n, k and m a random instance draws."""
+LO, HI = -5, 5
+"""The range of every drawn entry of H, A, c and d."""
+TRIES = 40
+"""How many master points a point search draws before it gives up."""
 
-def _coeff(rng: random.Random, lo: int, hi: int) -> Fraction:
-    return Fraction(rng.randint(lo, hi))
+
+def _coeff(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(LO, HI))
 
 
-def random_instance(rng: random.Random, *, n_max: int = 3, k_max: int = 3,
-                    m_max: int = 5, lo: int = -5, hi: int = 5,
-                    finite: bool = False) -> Instance:
-    n = rng.randint(1, n_max)
-    k = rng.randint(1, k_max)
-    m = rng.randint(1, m_max)
-    H = tuple(tuple(_coeff(rng, lo, hi) for _ in range(n)) for _ in range(m))
-    A = tuple(tuple(_coeff(rng, lo, hi) for _ in range(k)) for _ in range(m))
+def random_instance(rng: random.Random, *, finite: bool = False) -> Instance:
+    n = rng.randint(1, N_MAX)
+    k = rng.randint(1, K_MAX)
+    m = rng.randint(1, M_MAX)
+    H = tuple(tuple(_coeff(rng) for _ in range(n)) for _ in range(m))
+    A = tuple(tuple(_coeff(rng) for _ in range(k)) for _ in range(m))
     x0 = tuple(Fraction(rng.randint(0, 3)) for _ in range(n))
     y0 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(k))
     b = tuple(dot(H[i], x0) + dot(A[i], y0) + rng.randint(0, 3) for i in range(m))
-    c = tuple(_coeff(rng, lo, hi) for _ in range(n))
-    d = tuple(_coeff(rng, lo, hi) for _ in range(k))
+    c = tuple(_coeff(rng) for _ in range(n))
+    d = tuple(_coeff(rng) for _ in range(k))
     if finite:
         points = {x0}
         while len(points) < rng.randint(2, 4):
@@ -47,10 +52,9 @@ def random_instance(rng: random.Random, *, n_max: int = 3, k_max: int = 3,
                     master_domain=master, eta_lower_bound=Fraction(-50))
 
 
-def separable_point(rng: random.Random, instance: Instance, *,
-                    tries: int = 40) -> Optional[EpiPoint]:
+def separable_point(rng: random.Random, instance: Instance) -> Optional[EpiPoint]:
     """A point strictly outside epi(z), or None if none was found."""
-    for _ in range(tries):
+    for _ in range(TRIES):
         x = tuple(Fraction(rng.randint(0, 4)) for _ in range(instance.n))
         z = subproblem_value(instance, x)
         if z == math.inf:
@@ -61,10 +65,9 @@ def separable_point(rng: random.Random, instance: Instance, *,
     return None
 
 
-def interior_epi_point(rng: random.Random, instance: Instance, *,
-                       tries: int = 40) -> Optional[EpiPoint]:
+def interior_epi_point(rng: random.Random, instance: Instance) -> Optional[EpiPoint]:
     """A point strictly above the value function, or None."""
-    for _ in range(tries):
+    for _ in range(TRIES):
         x = tuple(Fraction(rng.randint(0, 4)) for _ in range(instance.n))
         z = subproblem_value(instance, x)
         if isinstance(z, Fraction):
