@@ -3,9 +3,9 @@
 As a pytest plugin it routes `bendercuts.simplex.solve`, under every name a
 loaded module imported it as, through a recorder while each test runs, and
 counts `_Tableau._pivot` calls in three buckets: a pivot made inside
-`_Tableau.__init__` (the one-column start's pivot, or the free-column start's
-eliminations) counts for the start, one made later while the tableau's
-`art_cost` is 1 for phase one, and any other for phase two.  For each test id
+`_Tableau.__init__` (the free-column start's eliminations) counts for the
+start, one made later while the tableau's `art_cost` is 1 for phase one, and
+any other for phase two.  For each test id
 it keeps the ordered list of (LP digest, outcome digest, start pivots,
 phase-one pivots, phase-two pivots, caller), the caller being the name of the
 function that called `solve`, and it notes which ids are Hypothesis tests; it

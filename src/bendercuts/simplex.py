@@ -26,27 +26,26 @@ l back, and a ray is a direction, which the shift leaves as it is.
 
 Columns.  The tableau reads ``M = [sigma A, -sigma A, sigma S, I]`` over the
 built rows, where sigma_i = -1 flips a row that the free-column start below
-puts onto its artificial (the one-column start flips none), ``S``
-puts a slack on each "<=" row and ``I`` an artificial on every row.  Bland's
-rule, the basis and every readout use these *virtual* columns in this order:
-x_j+ at 2j, x_j- at 2j+1, then the slacks in row order, then the artificials
-at ``art0 + i``.  x_j- of a shifted column is never offered to enter, and that
-is x'_j >= 0.  The tableau column of virtual column v is B^-1 M_v, which is
-linear in M_v, and M of x_j- is minus M of x_j+; so the tableau stores only
-x_j+, and reads x_j- as minus x_j+ with reduced cost -d(x_j+) (both phases cost
-x_j- minus x_j+).  A pivot is a row operation, which keeps that identity.
+puts onto its artificial, ``S`` puts a slack on each "<=" row and ``I`` an
+artificial on every row.  Bland's rule, the basis and every readout use these
+*virtual* columns in this order: x_j+ at 2j, x_j- at 2j+1, then the slacks
+in row order, then the artificials at ``art0 + i``.  x_j- of a shifted column
+is never offered to enter, and that is x'_j >= 0.  The tableau column of
+virtual column v is B^-1 M_v, which is linear in M_v, and M of x_j- is minus
+M of x_j+; so the tableau stores only x_j+, and reads x_j- as minus x_j+ with
+reduced cost -d(x_j+) (both phases cost x_j- minus x_j+).  A pivot is a row
+operation, which keeps that identity.
 
 Artificials.  Phase one starts from the slack basis (Bixby 1992), after the
-free-column start below has placed the sign-free columns, unless the
-one-column start below applies: a row that holds no free basic and is a "<="
-row with a nonnegative right side (sigma_i = 1) starts with its slack basic,
-whose column is e_i as an artificial's is, and every other such row with its
-artificial basic.  Both phases enter only x_j+, x_j- and the slacks: an
-artificial that leaves the basis never comes back, as in the textbook
-two-phase method.  A row that starts with its slack basic is then a row whose
-artificial has already left, and so is a row that a sign-free column holds.
-So the tableau stores the artificials of "=" rows only, and no readout
-needs the artificial of a "<=" row.  Let pi = c_B B^-1, the multipliers of the
+free-column start below has placed the sign-free columns: a row that holds
+no free basic and is a "<=" row with a nonnegative right side (sigma_i = 1)
+starts with its slack basic, whose column is e_i as an artificial's is, and
+every other such row with its artificial basic.  Both phases enter only
+x_j+, x_j- and the slacks: an artificial that leaves the basis never comes
+back, as in the textbook two-phase method.  A row that starts with its slack
+basic is then a row whose artificial has already left, and so is a row that
+a sign-free column holds.  So the tableau stores the artificials of "=" rows
+only, and no readout needs the artificial of a "<=" row.  Let pi = c_B B^-1, the multipliers of the
 flipped rows under the phase's costs (the objective on x, 0 on the slacks,
 ``art_cost`` on the artificials: 1 in phase one, 0 in phase two).  The slack
 of "<=" row i has reduced cost -sigma_i pi_i and the artificial of "=" row i
@@ -79,36 +78,17 @@ no artificial's, whichever rows started with a basic artificial:
   y . b + sum d_j l_j = y . (b - A l) + c . l = c . x'* + c . l = c . x*,
   since y . (b - A l) = c_B B^-1 (sigma o (b - A l)) is the optimum over x'.
 
-The one-column start.  When every built row is "<=" and some right side
-r_i = (b - A l)_i is negative, the start repairs those rows with one column,
-as the first pivot of Chvatal's auxiliary problem does with its x_0
-(*Linear Programming*, 1983, ch. 3).  It takes the first x_j+ in Bland order
-that is negative on every row with r_i < 0 and that keeps r_i - a_ij t0 >= 0
-on every row, where t0 > 0 is the largest r_i / a_ij over the rows with
-r_i < 0.  It flips no row (sigma = 1 on every row) and pivots x_j+ into the
-smallest-index row i* that reaches t0, before phase one prices.  With no such
-column, or a "=" row, the free-column start below runs; with no r_i < 0 and
-no "=" row the tableau starts at the slack basis, which needs no repair and
-makes no pivot.  The start is sound:
-
-* its basis is feasible: x_j+ = r_i* / a_i*j = t0 and each other row's slack
-  is r_i - a_ij t0 >= 0, as the condition asks.  No artificial is basic, so
-  phase one prices every column at 0, sees w = 0 and makes no pivot;
-* Bland's rule terminates from any feasible basis, so phase two ends as it
-  does from the basis phase one leaves;
-* the readouts above hold for any basis phase two ends at, and with sigma = 1
-  on every row the dual is pi on the built rows and -d_j on the lower-bound
-  rows, as already proved.  No Farkas vector is read: w = 0.
-
-The free-column start.  Where phase one would run, that is with a "=" row or
-with a negative r_i that no one column repairs, the tableau places the
-sign-free columns first (Maros, *Computational Techniques of the Simplex
-Method*, 2003; Bixby 1992).  It builds every row unflipped, each with its own
-slack or artificial basic.  For each sign-free x_j in index order it pivots
-x_j+ into the first row that holds no free basic and has a nonzero entry in
-column j; that row is *held* from then on.  Then it flips each row that is
-not held and whose right side is now negative onto its artificial: the row
-is negated, a "<=" row's basic becomes its artificial and a "=" row keeps its
+The free-column start.  With every built row "<=" and every right side
+r_i = (b - A l)_i >= 0, the tableau starts at the slack basis, which is
+feasible and makes no pivot.  Everywhere else, that is with a "=" row or a
+negative r_i, phase one runs, and the tableau places the sign-free columns
+first (Maros, *Computational Techniques of the Simplex Method*, 2003; Bixby
+1992).  It builds every row unflipped, each with its own slack or
+artificial basic.  For each sign-free x_j in index order it pivots x_j+ into
+the first row that holds no free basic and has a nonzero entry in column j;
+that row is *held* from then on.  Then it flips each row that is not held
+and whose right side is now negative onto its artificial: the row is
+negated, a "<=" row's basic becomes its artificial and a "=" row keeps its
 artificial's entry at +1.  With no sign-free column this is the slack start.
 The start is sound:
 
@@ -250,24 +230,6 @@ class LpOutcome:
     ray: Optional[Vector] = None
 
 
-def _one_column_start(rows, rhs: list[Fraction], n: int) -> Optional[tuple[int, int]]:
-    """(row i*, virtual column 2j) of the one-column start, or None where it
-    does not apply: every row "<=", and x_j+ the first column in Bland order
-    that is negative on every row with a negative right side and breaks no
-    row at x_j+ = t0."""
-    short = [i for i, r in enumerate(rhs) if r < 0]
-    if not short or any(rel != LE for _, rel, _ in rows):
-        return None
-    for j in range(n):
-        if any(rows[i][0][j] >= 0 for i in short):
-            continue
-        # the largest ratio, and the smallest row index among its ties
-        t0, minus_row = max((rhs[i] / rows[i][0][j], -i) for i in short)
-        if all(r >= coeffs[j] * t0 for (coeffs, _, _), r in zip(rows, rhs) if coeffs[j] > 0):
-            return -minus_row, 2 * j
-    return None
-
-
 class _Tableau:
     """Dense simplex tableau that stores one column per twin pair.
 
@@ -281,11 +243,10 @@ class _Tableau:
     x_j- is minus x_j+.  ``own[i]`` is the stored slack or artificial of built
     row i, ``free[j]`` whether x_j has no lower bound, and ``lower_at`` maps the
     ``normalized_rows`` index of each lower bound to its variable.  The
-    tableau is built at the start basis: the one-column start of the module
-    docstring where it applies, the free-column start where phase one would
-    otherwise run, and the slack basis where it would not.  ``held[i]`` says
-    that the free-column start put a sign-free column in row i, which the
-    ratio test then skips.
+    tableau is built at the start basis: the free-column start of the module
+    docstring where phase one runs, and the slack basis where it does not.
+    ``held[i]`` says that the free-column start put a sign-free column in
+    row i, which the ratio test then skips.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -302,7 +263,6 @@ class _Tableau:
         norm = [r for i, r in enumerate(lp.normalized_rows) if i not in self.lower_at]
         rhs_of = [rhs - sum(coeffs[j] * lo for j, lo in shifts if coeffs[j])
                   for coeffs, _, rhs in norm]
-        start = _one_column_start(norm, rhs_of, n)
         n_le = sum(rel == LE for _, rel, _ in norm)
         self.art0 = 2 * n + n_le
         self.ncols = self.art0 + len(norm)
@@ -332,9 +292,7 @@ class _Tableau:
             self.tab.append(row)
         self.obj: list[Fraction] = [_ZERO] * (n + len(norm) + 1)
         self.art_cost = _ZERO
-        if start is not None:
-            self._pivot(*start)
-        elif n_le < len(norm) or any(r < 0 for r in rhs_of):
+        if n_le < len(norm) or any(r < 0 for r in rhs_of):
             self._free_column_start()
 
     # -- internals --------------------------------------------------------

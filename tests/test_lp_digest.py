@@ -165,10 +165,10 @@ STARTS_RUN = textwrap.dedent("""
     from bendercuts import simplex
     from bendercuts.simplex import LE, LinearProgram
 
-    def test_one_column_start():
-        # x1 >= 1 and x1 >= 2 over x1, x2 >= 0: x1 enters at 2 before phase one
-        lp = LinearProgram("min", (F(1), F(1)), (((F(-1), F(0)), LE, F(-1)),
-                                                 ((F(-1), F(0)), LE, F(-2))), lower=(F(0), F(0)))
+    def test_free_column_repairs_a_short_row():
+        # x1 + x2 >= 2 with x1 free: x1 is pivoted into the row, which holds it
+        lp = LinearProgram("min", (F(1), F(1)), (((F(-1), F(-1)), LE, F(-2)),),
+                           lower=(None, F(0)))
         assert simplex.solve(lp).objective_value == F(2)
 
     def test_free_column_start():
@@ -181,15 +181,16 @@ STARTS_RUN = textwrap.dedent("""
 
 def test_start_pivots_count_on_their_own(tmp_path):
     """The pivots made inside _Tableau.__init__ count for the start, in their
-    own bucket: one for the one-column start, one per free column the
-    free-column start places; neither LP then pivots in phase one."""
+    own bucket: one per free column the free-column start places, here one
+    for a short "<=" row and one for an equality row; neither LP then pivots
+    in phase one."""
     run, tests = _run_inner(tmp_path, STARTS_RUN)
     assert run.returncode == 0, run.stdout
     assert "2 passed" in run.stdout
     assert "lp_digest: 2 test ids, 2 solves, 2 pivots (2 at the start, 0 in phase one, " \
         "0 in phase two)" in run.stdout
     # each solve also records the function that called it
-    assert tests["test_inner.py::test_one_column_start"][0][2:] == [1, 0, 0,
-                                                                    "test_one_column_start"]
+    assert tests["test_inner.py::test_free_column_repairs_a_short_row"][0][2:] == [
+        1, 0, 0, "test_free_column_repairs_a_short_row"]
     assert tests["test_inner.py::test_free_column_start"][0][2:] == [1, 0, 0,
                                                                      "test_free_column_start"]

@@ -152,7 +152,7 @@ def _feasible(lp, x):
 
 def _phases(run, *args):
     """run(*args)'s result, and the art_cost of each pivot it made: 1 in
-    phase one, 0 in phase two and at the start (one-column or free-column)."""
+    phase one, 0 in phase two and at the free-column start."""
     phases = []
     pivot = _Tableau._pivot
 
@@ -174,32 +174,33 @@ def test_slack_feasible_rows_need_no_phase_one_pivot():
     assert phases and F(1) not in phases
 
 
-@pytest.mark.parametrize("run, expected", [
-    # MIS weights put -1 on every row of the relaxed CGLP's t column
+@pytest.mark.parametrize("run, expected, feasible_start", [
     pytest.param(lambda ex1: solve(build_cglp_relaxed_subproblem(
         ex1, EpiPoint((F(0),), F(0)), *mis_objective(ex1))),
         LpOutcome(LpStatus.OPTIMAL, primal=(F(14, 5), F(14, 5)), objective_value=F(14, 5),
                   dual=(F(0), F(0), F(-1, 5), F(-4, 5), F(0))),
-        id="mis_cglp_at_the_origin"),
-    # eta, on its floor, is -1 on the cut row 2x + eta >= 5
+        False, id="mis_cglp_at_the_origin"),
     pytest.param(lambda ex1: benders._solve_master(ex1, [P1_CUT]),
-                 (EpiPoint((F(5, 2),), F(0)), F(5, 2)), id="master_after_one_cut"),
+                 (EpiPoint((F(5, 2),), F(0)), F(5, 2)), False, id="master_after_one_cut"),
     # y is -1, -1 and -4 on the rows, whose right sides are all negative at x = 0
-    pytest.param(lambda ex1: _subproblem(ex1, (F(0),)), (F(5), (F(5),)), id="subproblem_at_x_0"),
+    pytest.param(lambda ex1: _subproblem(ex1, (F(0),)), (F(5), (F(5),)), True,
+                 id="subproblem_at_x_0"),
 ])
-def test_one_column_start_makes_no_phase_one_pivot(ex1, run, expected):
-    """One column is negative on every row with a negative right side, so it
-    enters first and the start is feasible: phase one makes no pivot.  The
-    results are the ones the slack start's two phases gave."""
+def test_loop_lps_keep_their_pinned_results(ex1, run, expected, feasible_start):
+    """The relaxed CGLP under MIS weights, the master after one cut and the
+    subproblem give the results the slack start's two phases gave.  The
+    subproblem's free y enters its first row, y >= 5, which binds, so the
+    other rows start feasible and phase one makes no pivot."""
     result, phases = _phases(run, ex1)
-    assert phases and F(1) not in phases
     assert result == expected
+    if feasible_start:
+        assert phases and F(1) not in phases
 
 
-def test_one_column_start_refused_by_a_broken_row():
-    """min x1 + x2 over x1 >= 4, x1 - x2 <= 1, x >= 0: x1 is the one column
-    negative on the short row, but x1 = 4 breaks the second row (1 - 4 < 0),
-    so the slack start runs, with phase one, and finds the optimum."""
+def test_phase_one_repairs_a_short_row_without_free_columns():
+    """min x1 + x2 over x1 >= 4, x1 - x2 <= 1, x >= 0: no column is free, so
+    the short row starts on its artificial, and phase one pivots to a
+    feasible basis, from which phase two finds the optimum."""
     lp = LinearProgram("min", (F(1), F(1)), (((F(-1), F(0)), LE, F(-4)),
                                              ((F(1), F(-1)), LE, F(1))),
                        lower=(F(0), F(0)))
@@ -362,25 +363,23 @@ def test_lower_bounds_as_shifts_agree_with_bounds_as_rows(rows, obj, sense, lowe
        st.integers(0, 2), st.lists(ints.map(F), min_size=3, max_size=3),
        st.sampled_from(["min", "max"]), st.lists(st.booleans(), min_size=3, max_size=3),
        st.lists(st.one_of(st.none(), st.integers(0, 5).map(F)), min_size=3, max_size=3))
-def test_one_column_start_agrees_with_the_slack_start(rows, j, obj, sense, free, upper):
+def test_a_zero_equality_row_changes_no_outcome(rows, j, obj, sense, free, upper):
     """Column j is negative on every "<=" row with a negative right side and
-    at most 0 on the others, so the one-column start applies and phase one
-    makes no pivot.  A redundant 0 = 0 row rules that start out: the same LP
-    then takes the free-column start whenever a column is free, and the slack
-    start when none is.  Both give the same status and optimum, with valid
-    certificates."""
+    at most 0 on the others, so one column could repair every short row.  A
+    redundant 0 = 0 row sends the same LP through phase one even when every
+    right side is nonnegative.  Both give the same status and optimum, with
+    valid certificates."""
     rows = tuple((tuple(-1 - abs(a) if i == j and (rhs < 0 or a > 0) else a
                         for i, a in enumerate(coeffs)), LE, rhs) for coeffs, rhs in rows)
     upper = [None if i == j else u for i, u in enumerate(upper)]
     lower = [None if f else F(0) for f in free]
     lp = LinearProgram(sense, obj, rows, lower=lower, upper=upper)
-    one_column, phases = _phases(solve, lp)
-    assert F(1) not in phases
+    out = solve(lp)
     padded = replace(lp, rows=rows + (((F(0),) * 3, EQ, F(0)),))
-    slack = solve(padded)
-    assert check_outcome(lp, one_column) is None and check_outcome(padded, slack) is None
-    assert one_column.status == slack.status
-    assert one_column.objective_value == slack.objective_value
+    twin = solve(padded)
+    assert check_outcome(lp, out) is None and check_outcome(padded, twin) is None
+    assert out.status == twin.status
+    assert out.objective_value == twin.objective_value
 
 
 @given(st.lists(st.tuples(st.lists(ints.map(F), min_size=3, max_size=3),
