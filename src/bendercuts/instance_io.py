@@ -363,9 +363,9 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     max_iterations records.  The status must be a `SolveStatus` value, and
     the status and reason those `solve` ends with: `benders.run_ending`, the
     loop's own exit rule, applied to the replayed records.  An ending it
-    does not give is refused.  An optimum is checked by
-    arithmetic against its converged record.  A malformed document comes back
-    as messages too, never as an exception.
+    does not give is refused.  An optimum is checked by arithmetic against
+    its converged record.  A malformed document comes back as messages too,
+    never as an exception.
     """
     try:
         doc = _decode(trace) if isinstance(trace, str) else trace
