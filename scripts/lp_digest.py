@@ -5,11 +5,16 @@ loaded module imported it as, through a recorder while each test runs, and
 counts `_Tableau._pivot` calls in three buckets: a pivot made inside
 `_Tableau.__init__` (the free-column start's eliminations) counts for the
 start, one made later while the tableau's `art_cost` is 1 for phase one, and
-any other for phase two.  For each test id
+any other for phase two.  In the same buckets it counts the tableau rows each
+pivot rewrites: the pivot row, and every other row whose entry in the
+entering column the pivot turns from nonzero to zero, which is every row it
+eliminates that column from.  A row the pivot leaves as it is, such as a
+held row, does not count.  For each test id
 it keeps the ordered list of (LP digest, outcome digest, start pivots,
-phase-one pivots, phase-two pivots, caller), the caller being the name of the
-function that called `solve`, and it notes which ids are Hypothesis tests; it
-writes both to a JSON file:
+phase-one pivots, phase-two pivots, caller, start rows, phase-one rows,
+phase-two rows), the caller being the name of the function that called
+`solve`, and it notes which ids are Hypothesis tests; it writes both to a
+JSON file:
 
     python -m pytest -q -p lp_digest --hypothesis-seed=0 --lp-digest-out=before.json
 
@@ -25,16 +30,18 @@ that must hand the simplex the same LPs, are compared with
     python scripts/lp_digest.py before.json after.json
 
 which prints the totals of each (solves, pivots, and the pivots of the start
-and of each phase)
+and of each phase; then the rows those pivots rewrote, split the same way)
 and then names every test id present in both:
 `equal` when its sequences are identical, `outcomes equal` when its LP and
 outcome sequences are identical and only pivot counts differ (a new start or
 pivot rule that reaches the same optima), `subset` when the after multiset of
 (LP, outcome, pivots) is contained in the before one (LPs dropped or moved,
 none added or changed), and `differs` otherwise.  Verdicts ignore the
-callers.  Under each verdict other than `equal` it prints the callers of the
-id's unmatched solves: those whose (LP, outcome, pivots) the other side has no
-unused copy of, as `  before: name xN, ...` and
+callers and the row counts, so a change that only spares pivots some row
+updates reads `equal` while its row totals fall.  Under each verdict other
+than `equal` it prints the callers of the id's unmatched solves: those whose
+(LP, outcome, pivots) the other side has no unused copy of, as
+`  before: name xN, ...` and
 `  after: ...`.  So a refactor that moves a solve from one function to another
 shows as the two names.  It exits 1 only when some id differs.
 
@@ -56,9 +63,10 @@ Digests hash a text in which every `Fraction` is its hexadecimal numerator
 and denominator: `repr` would write decimal digits, which Python refuses past
 4300 of them.  So compare only two recordings made by the same version of
 this script.  In particular a recording from before the phase split holds one
-pivot count per solve, and one from before the start bucket two (its phase
-two counts the start's pivots), where this version holds three and the
-caller; none of them can be compared with one made now: record the older
+pivot count per solve, one from before the start bucket two (its phase
+two counts the start's pivots), and one from before the row counts three
+pivot counts and the caller, where this version also holds three row
+counts; none of them can be compared with one made now: record the older
 commit again with this script.
 """
 
@@ -101,7 +109,8 @@ class Recorder:
         self.simplex = simplex
         self.solve = simplex.solve
         self.pivot = simplex._Tableau._pivot
-        self.pivots = [0, 0, 0]  # start, phase one, phase two
+        # pivots, then rewritten rows, each at the start, in phase one, in phase two
+        self.counts = [0] * 6
         self.starting = False
         self.current: list | None = None
         self.by_test: dict[str, list] = {}
@@ -110,12 +119,12 @@ class Recorder:
         self.problem_total = 0
 
     def _recording_solve(self, lp):
-        before = list(self.pivots)
+        before = list(self.counts)
         out = self.solve(lp)
         if self.current is not None:
-            self.current.append([lp_digest(lp), outcome_digest(out),
-                                 *(now - then for now, then in zip(self.pivots, before)),
-                                 sys._getframe(1).f_code.co_name])
+            made = [now - then for now, then in zip(self.counts, before)]
+            self.current.append([lp_digest(lp), outcome_digest(out), *made[:3],
+                                 sys._getframe(1).f_code.co_name, *made[3:]])
         problem = self.simplex.check_outcome(lp, out)
         if problem is not None:
             self.problems.append(f"check_outcome: {out.status.value} solve of LP "
@@ -144,8 +153,14 @@ class Recorder:
                 recorder.starting = False
 
         def counting_pivot(tableau, r, c):
-            recorder.pivots[0 if recorder.starting else 1 + (tableau.art_cost != 1)] += 1
-            return original_pivot(tableau, r, c)
+            bucket = 0 if recorder.starting else 1 + (tableau.art_cost != 1)
+            s = tableau.where[c][0]
+            entries = [row[s] for row in tableau.tab]
+            original_pivot(tableau, r, c)
+            recorder.counts[bucket] += 1
+            recorder.counts[3 + bucket] += 1 + sum(
+                1 for i, (was, row) in enumerate(zip(entries, tableau.tab))
+                if was and not row[s] and i != r)
 
         patched = list(self._aliases())
         for module, name in patched:
@@ -200,10 +215,12 @@ def pytest_configure(config):
 
 def _totals(recording: dict) -> str:
     solves = sum(len(seq) for seq in recording.values())
-    start, one, two = (sum(step[k] for seq in recording.values() for step in seq)
-                       for k in (2, 3, 4))
+    start, one, two, rows_start, rows_one, rows_two = (
+        sum(step[k] for seq in recording.values() for step in seq) for k in (2, 3, 4, 6, 7, 8))
     return (f"{len(recording)} test ids, {solves} solves, {start + one + two} pivots "
-            f"({start} at the start, {one} in phase one, {two} in phase two)")
+            f"({start} at the start, {one} in phase one, {two} in phase two), "
+            f"{rows_start + rows_one + rows_two} rows rewritten ({rows_start} at the start, "
+            f"{rows_one} in phase one, {rows_two} in phase two)")
 
 
 def _solves(sequence: list) -> list[tuple]:

@@ -172,10 +172,9 @@ def _master_lp(instance: Instance, dom: PolyhedralDomain, cuts, floor: Optional[
     return LinearProgram("min", instance.c + (_ONE,), rows, lower=(None,) * instance.n + (floor,))
 
 
-def _eta_bounds(dom: FiniteDomain, cuts, floor: Optional[Fraction]
-                ) -> Iterator[tuple[Vector, Optional[Fraction]]]:
+def _eta_bounds(dom: FiniteDomain, cuts) -> Iterator[tuple[Vector, Optional[Fraction]]]:
     """Each point of a finite master set that no feasibility cut removes, with
-    the largest of floor and its cut bounds on eta: None when neither bounds eta.
+    the largest of its cut bounds on eta: None when no cut bounds eta there.
 
     A cut reads coef_x.x + coef_eta eta <= rhs with coef_eta <= 0, so at x = p
     it bounds eta below by gap / -coef_eta, gap = coef_x.p - rhs, or, with
@@ -184,16 +183,17 @@ def _eta_bounds(dom: FiniteDomain, cuts, floor: Optional[Fraction]
     for p in dom.points:
         gaps = [(dot(cut.coef_x, p) - cut.rhs, cut.coef_eta) for cut in cuts]
         if all(gap <= 0 for gap, coef in gaps if coef == 0):
-            bounds = [gap / -coef for gap, coef in gaps if coef != 0]
-            yield p, max(bounds if floor is None else bounds + [floor], default=None)
+            yield p, max((gap / -coef for gap, coef in gaps if coef != 0), default=None)
 
 
 def _solve_master(instance: Instance, cuts, floored: bool = True
-                  ) -> Union[str, tuple[EpiPoint, Fraction]]:
-    """Master optimum as (point, value), or 'infeasible' / 'unbounded'.
+                  ) -> Union[str, tuple[EpiPoint, Fraction, tuple]]:
+    """Master optimum as (point, value, on_floor), or 'infeasible' / 'unbounded'.
 
     eta is bounded below by the instance's eta_lower_bound, or not at all
-    when floored is False.
+    when floored is False.  on_floor is empty for a polyhedral master; a
+    finite one lists each point whose eta the floor sets, with its cut bound
+    (None when no cut bounds eta there), which `converged_exit` reads.
     """
     floor = instance.eta_lower_bound if floored else None
     dom = instance.master_domain
@@ -202,21 +202,25 @@ def _solve_master(instance: Instance, cuts, floored: bool = True
         if out.status != LpStatus.OPTIMAL:
             return "infeasible" if out.status == LpStatus.INFEASIBLE else "unbounded"
         point = EpiPoint(x=out.primal[:instance.n], eta=out.primal[instance.n])
-        return point, out.objective_value
-    best = None
-    for p, eta in _eta_bounds(dom, cuts, floor):
-        if eta is None:  # no cut bounds eta at this point
+        return point, out.objective_value, ()
+    best, on_floor = None, []
+    for p, bound in _eta_bounds(dom, cuts):
+        eta = floor if bound is None or (floor is not None and bound < floor) else bound
+        if eta is None:  # neither a cut nor the floor bounds eta at this point
             return "unbounded"
+        if eta == floor:
+            on_floor.append((p, bound))
         value = dot(instance.c, p) + eta
         if best is None or value < best[1]:
             best = (EpiPoint(x=p, eta=eta), value)
-    return best if best is not None else "infeasible"
+    return best + (tuple(on_floor),) if best is not None else "infeasible"
 
 
-def converged_exit(instance: Instance, cuts, point: EpiPoint, master_value: Fraction,
-                   y: Optional[Vector] = None) -> tuple[Optional[str], Optional[Vector]]:
-    """Why a master point inside epi(z) is not proven optimal, or None with its
-    d-minimizing y; y is its membership LP's y, if it has one.
+def converged_exit(instance: Instance, cuts, master, y: Optional[Vector] = None
+                   ) -> tuple[Optional[str], Optional[Vector]]:
+    """Why a master optimum over cuts, whose point lies inside epi(z), is not
+    proven optimal, or None with its d-minimizing y; master is the
+    `_solve_master` outcome and y its point's membership LP's y, if it has one.
 
     Off the eta floor that y is d-minimizing.  Lemma: for fixed x*, the master
     optimum sets eta* to the largest of the floor and the cut bounds at x*
@@ -240,7 +244,10 @@ def converged_exit(instance: Instance, cuts, point: EpiPoint, master_value: Frac
       cut removes only points with z(p) = +inf, and a point with
       c.p + e(p) >= V has c.p + z(p) >= V.  Each other point gets its
       subproblem LP.  One with c.p + z(p) < V ends the run ill_posed; when
-      there is none, V is the optimum.
+      there is none, V is the optimum.  Only points whose eta the floor sets
+      can be such points: elsewhere the master prices p at c.p + e(p), which
+      is at least its minimum V.  So the master hands over those points with
+      e(p), and no cut is read again here.
 
     A point with eta on its lower bound gets y from `subproblem_check`, and is
     proven optimal only by one more master LP, over the same cuts without the
@@ -258,6 +265,7 @@ def converged_exit(instance: Instance, cuts, point: EpiPoint, master_value: Frac
     Replay calls it without y; outside epi(z) on the floor it raises, as
     `subproblem_check` does.
     """
+    point, master_value, on_floor = master
     if point.eta == instance.eta_lower_bound:
         y = subproblem_check(instance, point)
         if y is None:
@@ -265,13 +273,11 @@ def converged_exit(instance: Instance, cuts, point: EpiPoint, master_value: Frac
         free = _solve_master(instance, cuts, floored=False)
         # a relaxation of a feasible master is feasible, so free is not 'infeasible'
         return (FLOOR_BINDS if free == "unbounded" or free[1] != master_value else None), y
-    dom = instance.master_domain
-    if isinstance(dom, FiniteDomain):
-        for p, eta in _eta_bounds(dom, cuts, None):
-            base = dot(instance.c, p)
-            if ((eta is None or base + eta < master_value)
-                    and base + _subproblem(instance, p)[0] < master_value):
-                return HIDDEN_POINT, None
+    for p, eta in on_floor:
+        base = dot(instance.c, p)
+        if ((eta is None or base + eta < master_value)
+                and base + _subproblem(instance, p)[0] < master_value):
+            return HIDDEN_POINT, None
     return None, y
 
 
@@ -285,14 +291,14 @@ def run_ending(instance: Instance, config: SolverConfig, trace, master=None,
     y its membership LP's y if it has one; else max_iterations records mean
     iteration_limit; else a master over the recorded cuts with no optimum
     gives its `MASTER_EXITS` entry; else an empty epi(z) means NO_RECOURSE.
-    master is that master's `_solve_master` outcome, solved here when None.
+    master is the `_solve_master` outcome over the recorded cuts, solved here
+    when None; a converged last record's point and value are that master's.
     Raises PreconditionViolated, as `converged_exit` does, for a converged
     point on the floor outside epi(z).
     """
     cuts = [r.cut for r in trace if r.cut is not None]
     if trace and trace[-1].outcome == CONVERGED:
-        last = trace[-1]
-        reason, y = converged_exit(instance, cuts, last.master_point, last.master_value, y)
+        reason, y = converged_exit(instance, cuts, master or _solve_master(instance, cuts), y)
         return (SolveStatus.ILL_POSED, reason, None) if reason else (SolveStatus.OPTIMAL, None, y)
     if len(trace) == config.max_iterations:
         return SolveStatus.ITERATION_LIMIT, None, None
@@ -325,7 +331,7 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveRes
         master = _solve_master(instance, cuts)
         if isinstance(master, str):
             break
-        point, master_value = master
+        point, master_value, _ = master
 
         if isinstance(mode, TrackIncumbent):
             z, y = _subproblem(instance, point.x)

@@ -390,6 +390,7 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
         return problems + ["iterations: expected a list"]
     cuts: list[Cut] = []
     records: list[IterationRecord] = []  # the replayed master points and values
+    master = None
     for position, rec in enumerate(iterations, start=1):
         where = f"iteration {rec.get('index') if isinstance(rec, dict) else position}"
         try:
@@ -414,7 +415,7 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
         master = _solve_master(instance, cuts)
         if isinstance(master, str):
             return problems + [f"{where}: master became {master} on replay"]
-        replayed, value = master
+        replayed, value, _ = master
         if replayed != recorded:
             problems.append(f"{where}: master point {_point_text(replayed)}"
                             f" != recorded {_point_text(recorded)}")
@@ -451,7 +452,9 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
         return problems + [f"status {status}: {len(iterations)} records under"
                            f" max_iterations {limit}"]
     try:
-        ending = run_ending(instance, config, records)
+        # a converged last record's master is the master over every recorded cut
+        ending = run_ending(instance, config, records,
+                            master if records and records[-1].outcome == CONVERGED else None)
     except PreconditionViolated:
         return problems + [f"status {status}: the converged point lies outside epi(z)"]
     if ending is None:

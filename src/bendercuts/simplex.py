@@ -86,15 +86,17 @@ first (Maros, *Computational Techniques of the Simplex Method*, 2003; Bixby
 1992).  It builds every row unflipped, each with its own slack or
 artificial basic.  For each sign-free x_j in index order it pivots x_j+ into
 the first row that holds no free basic and has a nonzero entry in column j;
-that row is *held* from then on.  Then it flips each row that is not held
+that row holds x_j from then on, and once every such pivot is made it is
+*held*.  Then it flips each row that is not held
 and whose right side is now negative onto its artificial: the row is
 negated, a "<=" row's basic becomes its artificial and a "=" row keeps its
 artificial's entry at +1.  With no sign-free column this is the slack start.
 The start is sound:
 
-* a basic free variable needs no sign, so a held row leaves the ratio test
-  and its basic never leaves the basis; its value may be negative, which
-  ``_fold`` reads as x_j;
+* a basic free variable needs no sign, so a held row is set aside: it leaves
+  the ratio test, its basic never leaves the basis, and no pivot after the
+  start rewrites it (frozen rows, below); its value may be negative, which
+  the readouts take as x_j;
 * flipping a row whose basic is its own slack or artificial after the
   elimination is sigma_i = -1 in M.  Let B be the start basis over the
   unflipped M, so the tableau is B^-1 M.  Over M with sigma, the basis that
@@ -117,6 +119,52 @@ The start is sound:
   pivot in such a row keeps it so.  Phase one prices it at 0; when it enters
   phase two, no row bounds it, so the LP is unbounded along a ray that moves
   only it and the free basics.
+
+Frozen rows.  The start's pivots rewrite every row, the held ones too, and
+the rows are held once the last of them is made.  From then on a held row
+is frozen: no pivot of phase one, ``_drive_out_artificials`` or phase two
+rewrites it.  Every other row is rewritten by every pivot as before, and no
+pivot row is held, so those rows are unchanged; a pivot moves the objective
+row by its pivot row alone, and ``_price`` below gives the same objective
+row, so every ratio test and every Bland choice is unchanged too.  Only the
+pricing and the readouts see the frozen rows, and three facts carry them:
+
+* the held and the other rows are together an invertible row transform of
+  the system, for a pivot replaces rows by invertible combinations of rows
+  and a frozen row is one such combination kept as it was;
+* a held row is 1 on its own free basic and 0 on every other one: each
+  free pivot eliminated its column from every other row, and no later pivot
+  changes a held row or makes a free basic leave.  Every row that is not
+  held is 0 on every free basic too, and is reduced against the other such
+  rows' basics, as a tableau row is;
+* a held row is 0 on the own slack and artificial of every row that is not
+  held.  Each row starts with its own column alone, and a pivot on row r
+  adds multiples of r's row to the rows it rewrites.  The start pivots on
+  held rows only, so a held row holds the own columns of held rows alone.
+  A "<=" row's artificial is sigma_i times its slack in M, so a held row, a
+  combination of rows of M, is 0 on it too.
+
+``_price`` takes from the costs, for each held row, the current objective
+entry of its free basic times the row, which sets that entry to 0 and keeps
+the other free basics' at 0 (second fact); then, for each row that is not
+held, the current entry of its basic times the row, which zeroes that entry
+and no other basic's.  The result is the costs minus a combination of rows
+that is 0 on the basis, and by the first fact it is c - mu'M for some mu; 0
+on the basis forces mu = c_B B^-1, so these are the reduced costs of the
+module's other sections, entry for entry.  A basic artificial is priced at
+``art_cost``: by the third fact no held row moves its entry, and a "<="
+row's artificial, which is not stored, has no entry to move.
+
+``_primal`` and ``_ray`` know every value but the free basics': 0 on a
+nonbasic column (1 on the entering column of a ray), and the right side
+(minus the entering column's entry, along a ray) on the basic of a row that
+is not held.  Every row is an equation of the system (first fact), so a
+held row times the values is its right side at the basic solution and 0
+along the ray, and by the second fact its only unknown is its own free
+basic, with coefficient 1.  No artificial's value is needed: by the third
+fact a held row is 0 on those of the rows that are not held, and every
+other artificial is nonbasic.  So the readouts give the same basic solution
+and ray.
 
 ``check_outcome`` checks each of these certificates by arithmetic alone.
 """
@@ -246,7 +294,9 @@ class _Tableau:
     tableau is built at the start basis: the free-column start of the module
     docstring where phase one runs, and the slack basis where it does not.
     ``held[i]`` says that the free-column start put a sign-free column in
-    row i, which the ratio test then skips.
+    row i.  Such a row is frozen: the ratio test skips it and no pivot after
+    the start rewrites it, so ``_price``, ``_primal`` and ``_ray`` solve
+    through the held rows.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -265,7 +315,6 @@ class _Tableau:
                   for coeffs, _, rhs in norm]
         n_le = sum(rel == LE for _, rel, _ in norm)
         self.art0 = 2 * n + n_le
-        self.ncols = self.art0 + len(norm)
         self.where: list[tuple[int, bool]] = [(j // 2, j % 2 == 1) for j in range(2 * n)]
         self.where += [(n + k, False) for k in range(n_le)]
         self.own: list[int] = []
@@ -299,16 +348,20 @@ class _Tableau:
 
     def _free_column_start(self):
         """Pivot each sign-free x_j+, in index order, into the first row with no
-        free basic and a nonzero entry in column j; then flip each row whose
-        own slack or artificial is basic at a negative value onto its
-        artificial (sigma_i = -1)."""
+        free basic and a nonzero entry in column j, and hold those rows once
+        every such pivot is made; then flip each row whose own slack or
+        artificial is basic at a negative value onto its artificial
+        (sigma_i = -1)."""
         n, held = self.lp.num_vars, self.held
+        placed: list[int] = []
         for j in range(n):
             if self.free[j]:
-                r = next((i for i, row in enumerate(self.tab) if row[j] and not held[i]), None)
+                r = next((i for i, row in enumerate(self.tab) if row[j] and i not in placed), None)
                 if r is not None:
                     self._pivot(r, 2 * j)
-                    held[r] = True
+                    placed.append(r)
+        for r in placed:
+            held[r] = True
         eq0 = self.art0 - n
         for i, row in enumerate(self.tab):
             if row[-1] < 0 and not held[i]:
@@ -332,9 +385,9 @@ class _Tableau:
         nz = [(j, v * inv) for j, v in enumerate(prow) if v]
         for j, v in nz:
             prow[j] = v
-        for row in self.tab:
+        for row, held in zip(self.tab, self.held):
             f = row[s]
-            if f and row is not prow:
+            if f and not held and row is not prow:
                 if neg:
                     f = -f
                 for j, v in nz:
@@ -386,21 +439,19 @@ class _Tableau:
     def _price(self, costs: Vector, art_cost: Fraction):
         """Reduced costs of the stored columns (and minus the objective value, last).
 
-        x_j+ costs costs[j], x_j- minus that, a slack 0 and an artificial art_cost.
+        x_j+ costs costs[j], x_j- minus that, a slack 0 and an artificial
+        art_cost.  The held rows fold their free basics' costs in first, then
+        every other row prices its basic at its folded cost.
         """
         n = self.lp.num_vars
         n_le = self.art0 - 2 * n
         self.art_cost = art_cost
         obj = [*costs, *[_ZERO] * n_le, *[art_cost] * (len(self.tab) - n_le), _ZERO]
-        for row, b in zip(self.tab, self.basis):
-            if b >= self.art0:
-                cb = art_cost
-            elif b >= 2 * n:
-                continue
-            else:
-                cb = -costs[b // 2] if b % 2 else costs[b // 2]
+        for i in sorted(range(len(self.tab)), key=lambda i: not self.held[i]):
+            b = self.basis[i]
+            cb = art_cost if b >= self.art0 else self._entry(obj, b)
             if cb:
-                for j, v in enumerate(row):
+                for j, v in enumerate(self.tab[i]):
                     if v:
                         # a unit cost, as all of phase one's are, needs no product
                         obj[j] -= v if cb == 1 else cb * v
@@ -433,28 +484,36 @@ class _Tableau:
         return tuple(-obj[lower_at[i]] if i in lower_at else next(built)
                      for i in range(len(self.tab) + len(lower_at)))
 
-    def _fold(self, vals: list[Fraction]) -> Vector:
-        """Column values back to variables: x_j = x_j+ - x_j-.
+    def _values(self, value, enter: Optional[int] = None) -> Vector:
+        """x' where the basic of each row that is not held takes value(row),
+        the column enter (if given) 1 and every other nonbasic column 0.
 
-        At most one twin is nonzero, and that value is returned as is, so a
-        kept solution holds no fresh Fraction per coordinate.
+        Each free basic comes off its frozen row, with the row's right side,
+        or with 0 along the ray that enter starts.  x_j- at t is x_j+ at -t,
+        and an artificial's stored column, if any, is zero on every held row,
+        so it is left at 0.
         """
-        n2 = 2 * self.lp.num_vars
-        return tuple(p - m if m else p for p, m in zip(vals[:n2:2], vals[1:n2:2]))
+        vals = [_ZERO] * (len(self.obj) - 1)
+        for row, b, held in zip(self.tab, self.basis, self.held):
+            if b < self.art0 and not held:
+                s, neg = self.where[b]
+                vals[s] = -value(row) if neg else value(row)
+        if enter is not None:
+            s, neg = self.where[enter]
+            vals[s] = -_ONE if neg else _ONE
+        for row, b, held in zip(self.tab, self.basis, self.held):
+            if held:
+                total = sum((v * u for v, u in zip(row, vals) if v and u), _ZERO)
+                vals[b // 2] = (row[-1] if enter is None else _ZERO) - total
+        return tuple(vals[:self.lp.num_vars])
 
     def _primal(self) -> Vector:
-        """x = l + x', with x' folded from the basic values."""
-        vals = [_ZERO] * self.ncols
-        for i, b in enumerate(self.basis):
-            vals[b] = self.tab[i][-1]
-        return tuple(v + lo if lo else v for v, lo in zip(self._fold(vals), self.lp.lower))
+        """x = l + x'."""
+        x = self._values(lambda row: row[-1])
+        return tuple(v + lo if lo else v for v, lo in zip(x, self.lp.lower))
 
     def _ray(self, enter: int) -> Vector:
-        d = [_ZERO] * self.ncols
-        d[enter] = _ONE
-        for i, b in enumerate(self.basis):
-            d[b] = -self._entry(self.tab[i], enter)
-        return self._fold(d)
+        return self._values(lambda row: -self._entry(row, enter), enter)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:

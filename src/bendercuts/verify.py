@@ -63,7 +63,7 @@ class ParetoKind(str, Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParetoVerdict:
     kind: ParetoKind
     witness: Optional[EpiPoint] = None

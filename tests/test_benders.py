@@ -130,7 +130,7 @@ def test_floor_free_finite_master(ex1_finite):
     master unbounded; once every point is bounded it has an optimum."""
     assert benders._solve_master(ex1_finite, [], floored=False) == "unbounded"
     assert benders._solve_master(ex1_finite, [P2_CUT], floored=False) == (
-        EpiPoint(x=(F(0),), eta=F(3)), F(3))
+        EpiPoint(x=(F(0),), eta=F(3)), F(3), ())
     # with eta_lower_bound 3 the run converges at (1, 3), on the floor, at the
     # true optimum 4; the floor-free master leaves eta unbounded at x = 3, so
     # the run cannot be proven optimal
@@ -180,12 +180,16 @@ def test_finite_master_floor_hides_a_point(config):
     """The run converges at (0, -45), above the floor, with master value -45;
     z(0) = -45 proves the point, not its optimality: the floor-free cut bound
     prices x = 1 at -57 < -45, its subproblem LP confirms c.1 + z(1) = -57, so
-    the run is ill_posed, and replays clean."""
+    the run is ill_posed, and replays clean.  The master hands x = 1 over
+    with its cut bound, because the floor sets its eta, and not x = 0."""
     inst = _hidden_point_instance()
     assert undecomposed_value(inst) == F(-57)
     result = solve(inst, config)
     assert result.trace[-1].outcome == CONVERGED
     assert result.trace[-1].master_point == EpiPoint((F(0),), F(-45))
+    cuts = [r.cut for r in result.trace if r.cut is not None]
+    assert benders._solve_master(inst, cuts) == (EpiPoint((F(0),), F(-45)), F(-45),
+                                                 (((F(1),), F(-65)),))
     assert result.status == SolveStatus.ILL_POSED and result.reason == benders.HIDDEN_POINT
     doc = trace_document(inst, config, result)
     assert replay_trace(inst, doc) == []

@@ -19,7 +19,7 @@ def test_records_numbers_past_4300_digits():
     recorder.current = []
     out = recorder._recording_solve(lp)
     assert out.status == LpStatus.OPTIMAL and out.primal == (huge,)
-    [(lp_hash, out_hash, _, _, _, caller)] = recorder.current
+    [(lp_hash, out_hash, _, _, _, caller, _, _, _)] = recorder.current
     assert caller == "test_records_numbers_past_4300_digits"
     assert lp_hash == lp_digest.lp_digest(lp) != lp_digest.lp_digest(
         LinearProgram("min", (F(1),), (((F(1),), GE, huge - 1),)))
@@ -27,7 +27,7 @@ def test_records_numbers_past_4300_digits():
 
 
 def test_differences_in_hypothesis_tests_are_named(tmp_path, capsys):
-    step = ["lp", "out", 0, 0, 1, "f"]
+    step = ["lp", "out", 0, 0, 1, "f", 0, 0, 2]
     before = {"tests": {"t::plain": [step], "t::drawn": [step], "t::same": [step]},
               "hypothesis": ["t::drawn", "t::same"]}
     after = {"tests": {"t::plain": [step, step], "t::drawn": [step, step], "t::same": [step]},
@@ -46,28 +46,39 @@ def test_differences_in_hypothesis_tests_are_named(tmp_path, capsys):
 
 def test_pivot_counts_alone_read_outcomes_equal(tmp_path, capsys):
     """Same LPs and outcomes in the same order with other pivot counts is the
-    split a pivot-rule change makes; a changed outcome or order still differs."""
-    before = {"t::pivots": [["lp", "out", 0, 2, 1, "f"], ["lp2", "out2", 0, 1, 0, "g"]],
-              "t::outcome": [["lp", "out", 0, 2, 1, "f"]],
-              "t::order": [["lp", "out", 0, 2, 1, "f"], ["lp2", "out2", 0, 1, 0, "g"]]}
-    after = {"t::pivots": [["lp", "out", 1, 0, 1, "f"], ["lp2", "out2", 0, 0, 0, "g"]],
-             "t::outcome": [["lp", "other", 1, 0, 1, "f"]],
-             "t::order": [["lp2", "out2", 0, 0, 0, "g"], ["lp", "out", 1, 0, 1, "f"]]}
+    split a pivot-rule change makes; a changed outcome or order still differs.
+    Row counts alone change no verdict."""
+    before = {"t::pivots": [["lp", "out", 0, 2, 1, "f", 0, 4, 2],
+                            ["lp2", "out2", 0, 1, 0, "g", 0, 3, 0]],
+              "t::outcome": [["lp", "out", 0, 2, 1, "f", 0, 4, 2]],
+              "t::order": [["lp", "out", 0, 2, 1, "f", 0, 4, 2],
+                           ["lp2", "out2", 0, 1, 0, "g", 0, 3, 0]],
+              "t::rows": [["lp", "out", 1, 0, 1, "f", 3, 0, 2]]}
+    after = {"t::pivots": [["lp", "out", 1, 0, 1, "f", 2, 0, 2],
+                           ["lp2", "out2", 0, 0, 0, "g", 0, 0, 0]],
+             "t::outcome": [["lp", "other", 1, 0, 1, "f", 2, 0, 2]],
+             "t::order": [["lp2", "out2", 0, 0, 0, "g", 0, 0, 0],
+                          ["lp", "out", 1, 0, 1, "f", 2, 0, 2]],
+             "t::rows": [["lp", "out", 1, 0, 1, "f", 1, 0, 1]]}
     paths = []
     for name, tests in (("before", before), ("after", after)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps({"tests": tests, "hypothesis": []}), encoding="utf-8")
     assert lp_digest.main([str(p) for p in paths]) == 1
     lines = capsys.readouterr().out.splitlines()
-    # each recording's totals split its pivots into the start and each phase
+    # each recording's totals split its pivots, and the rows they rewrote,
+    # into the start and each phase
     assert lines[:2] == [
-        "before: 3 test ids, 5 solves, 11 pivots (0 at the start, 8 in phase one, "
-        "3 in phase two)",
-        "after:  3 test ids, 5 solves, 6 pivots (3 at the start, 0 in phase one, "
-        "3 in phase two)"]
+        "before: 4 test ids, 6 solves, 13 pivots (1 at the start, 8 in phase one, "
+        "4 in phase two), 29 rows rewritten (3 at the start, 18 in phase one, "
+        "8 in phase two)",
+        "after:  4 test ids, 6 solves, 8 pivots (4 at the start, 0 in phase one, "
+        "4 in phase two), 14 rows rewritten (7 at the start, 0 in phase one, "
+        "7 in phase two)"]
     assert "outcomes equal: t::pivots" in lines
     assert "differs: t::outcome" in lines and "differs: t::order" in lines
-    assert lines[-1] == "0 equal, 1 outcomes equal, 0 subset, 2 differs"
+    assert "equal: t::rows" in lines
+    assert lines[-1] == "1 equal, 1 outcomes equal, 0 subset, 2 differs"
     # a solve whose pivots changed has no match on the other side
     at = lines.index("outcomes equal: t::pivots")
     assert lines[at + 1:at + 3] == ["  before: f x1, g x1", "  after: f x1, g x1"]
@@ -80,15 +91,17 @@ def test_pivot_counts_alone_read_outcomes_equal(tmp_path, capsys):
 def test_unmatched_solves_name_their_callers(tmp_path, capsys):
     """Verdicts ignore callers; a verdict other than equal lists the callers of
     the solves the other side cannot match, in order and with multiplicity."""
-    before = {"t::moved": [["lp", "out", 0, 0, 1, "epi_contains"], ["lp2", "out2", 0, 1, 0, "f"],
-                           ["lp3", "out3", 0, 0, 0, "epi_contains"]],
-              "t::renamed": [["lp", "out", 0, 0, 1, "f"]],
-              "t::dropped": [["lp", "out", 0, 0, 1, "f"], ["lp", "out", 0, 0, 1, "g"]]}
-    after = {"t::moved": [["lp4", "out4", 0, 0, 2, "_subproblem"],
-                          ["lp2", "out2", 0, 1, 0, "f"],
-                          ["lp5", "out5", 0, 0, 2, "_subproblem"]],
-             "t::renamed": [["lp", "out", 0, 0, 1, "h"]],
-             "t::dropped": [["lp", "out", 0, 0, 1, "f"]]}
+    before = {"t::moved": [["lp", "out", 0, 0, 1, "epi_contains", 0, 0, 1],
+                           ["lp2", "out2", 0, 1, 0, "f", 0, 1, 0],
+                           ["lp3", "out3", 0, 0, 0, "epi_contains", 0, 0, 0]],
+              "t::renamed": [["lp", "out", 0, 0, 1, "f", 0, 0, 1]],
+              "t::dropped": [["lp", "out", 0, 0, 1, "f", 0, 0, 1],
+                             ["lp", "out", 0, 0, 1, "g", 0, 0, 1]]}
+    after = {"t::moved": [["lp4", "out4", 0, 0, 2, "_subproblem", 0, 0, 2],
+                          ["lp2", "out2", 0, 1, 0, "f", 0, 1, 0],
+                          ["lp5", "out5", 0, 0, 2, "_subproblem", 0, 0, 2]],
+             "t::renamed": [["lp", "out", 0, 0, 1, "h", 0, 0, 1]],
+             "t::dropped": [["lp", "out", 0, 0, 1, "f", 0, 0, 1]]}
     paths = []
     for name, tests in (("before", before), ("after", after)):
         paths.append(tmp_path / f"{name}.json")
@@ -153,9 +166,9 @@ def test_a_corrupted_outcome_fails_its_test_id(tmp_path):
     assert "lp_digest: check_outcome found 1 problems" in out
     # every row of LP starts feasible at the slack basis, so only phase two
     # pivots; the equality row's artificial starts basic, so phase one pivots
-    [[_, _, start, one, two, _]] = tests["test_inner.py::test_clean"]
+    [[_, _, start, one, two, _, _, _, _]] = tests["test_inner.py::test_clean"]
     assert start == one == 0 and two > 0
-    [[_, _, start, one, _, _]] = tests["test_inner.py::test_equality_row"]
+    [[_, _, start, one, _, _, _, _, _]] = tests["test_inner.py::test_equality_row"]
     assert start == 0 and one > 0
 
 
@@ -176,21 +189,34 @@ STARTS_RUN = textwrap.dedent("""
         lp = LinearProgram("min", (F(1), F(1)), (((F(1), F(1)), "=", F(2)),),
                            lower=(None, F(0)))
         assert simplex.solve(lp).objective_value == F(2)
+
+    def test_held_row_is_not_rewritten():
+        # x1 holds the "=" row; x2 >= 1 starts on its artificial, and phase
+        # one pivots x2 into it, which leaves the held row's x2 entry as it is
+        lp = LinearProgram("min", (F(1), F(2)), (((F(1), F(1)), "=", F(2)),
+                                                 ((F(0), F(1)), ">=", F(1))),
+                           lower=(None, F(0)))
+        assert simplex.solve(lp).objective_value == F(3)
 """)
 
 
 def test_start_pivots_count_on_their_own(tmp_path):
     """The pivots made inside _Tableau.__init__ count for the start, in their
     own bucket: one per free column the free-column start places, here one
-    for a short "<=" row and one for an equality row; neither LP then pivots
-    in phase one."""
+    for a short "<=" row and one for each equality row; only the row x2 >= 1
+    then needs a phase-one pivot.  A pivot's rows are its own and each row
+    it eliminates the entering column from, and a held row is not one of
+    them: x2's pivot leaves the held row's x2 entry as it is."""
     run, tests = _run_inner(tmp_path, STARTS_RUN)
     assert run.returncode == 0, run.stdout
-    assert "2 passed" in run.stdout
-    assert "lp_digest: 2 test ids, 2 solves, 2 pivots (2 at the start, 0 in phase one, " \
+    assert "3 passed" in run.stdout
+    assert "lp_digest: 3 test ids, 3 solves, 4 pivots (3 at the start, 1 in phase one, " \
+        "0 in phase two), 4 rows rewritten (3 at the start, 1 in phase one, " \
         "0 in phase two)" in run.stdout
     # each solve also records the function that called it
     assert tests["test_inner.py::test_free_column_repairs_a_short_row"][0][2:] == [
-        1, 0, 0, "test_free_column_repairs_a_short_row"]
-    assert tests["test_inner.py::test_free_column_start"][0][2:] == [1, 0, 0,
-                                                                     "test_free_column_start"]
+        1, 0, 0, "test_free_column_repairs_a_short_row", 1, 0, 0]
+    assert tests["test_inner.py::test_free_column_start"][0][2:] == [
+        1, 0, 0, "test_free_column_start", 1, 0, 0]
+    assert tests["test_inner.py::test_held_row_is_not_rewritten"][0][2:] == [
+        1, 1, 0, "test_held_row_is_not_rewritten", 1, 1, 0]

@@ -181,7 +181,7 @@ def test_slack_feasible_rows_need_no_phase_one_pivot():
                   dual=(F(0), F(0), F(-1, 5), F(-4, 5), F(0))),
         False, id="mis_cglp_at_the_origin"),
     pytest.param(lambda ex1: benders._solve_master(ex1, [P1_CUT]),
-                 (EpiPoint((F(5, 2),), F(0)), F(5, 2)), False, id="master_after_one_cut"),
+                 (EpiPoint((F(5, 2),), F(0)), F(5, 2), ()), False, id="master_after_one_cut"),
     # y is -1, -1 and -4 on the rows, whose right sides are all negative at x = 0
     pytest.param(lambda ex1: _subproblem(ex1, (F(0),)), (F(5), (F(5),)), True,
                  id="subproblem_at_x_0"),
@@ -390,7 +390,8 @@ def test_a_zero_equality_row_changes_no_outcome(rows, j, obj, sense, free, upper
 def test_free_column_start_agrees_with_split_columns(rows, obj, sense, free, upper):
     """The first row is "=", so phase one would run and the free-column start
     pivots the free columns (x1 always, x2 and x3 when drawn free) into the
-    basis, where they stay: no held row ever leaves.  Writing each free x_j as
+    basis, where they stay: no held row ever leaves, and no pivot after the
+    start rewrites a held row.  Writing each free x_j as
     p_j - q_j with p_j, q_j >= 0 gives an LP with no free column, which takes
     the slack start; both have the same status and optimum, and both
     outcomes carry valid certificates."""
@@ -410,10 +411,15 @@ def test_free_column_start_agrees_with_split_columns(rows, obj, sense, free, upp
                              upper=tuple(v for f, u in zip(free, upper)
                                          for v in ((None, None) if f else (u,))))
     pivot = _Tableau._pivot
+    frozen = {}  # each held row as the first pivot after the start found it
 
     def held_rows_stay(self, r, c):
         assert not self.held[r], "a pivot left from a held row"
-        return pivot(self, r, c)
+        for i, held in enumerate(self.held):
+            if held:
+                frozen.setdefault(i, list(self.tab[i]))
+        pivot(self, r, c)
+        assert all(self.tab[i] == row for i, row in frozen.items()), "a pivot rewrote a held row"
 
     with mock.patch.object(_Tableau, "_pivot", held_rows_stay):
         out = solve(lp)
@@ -421,6 +427,57 @@ def test_free_column_start_agrees_with_split_columns(rows, obj, sense, free, upp
     assert check_outcome(lp, out) is None and check_outcome(split_lp, as_split) is None
     assert out.status == as_split.status
     assert out.objective_value == as_split.objective_value
+
+
+# x2 - 2 x3 = 1 and x1 + x2 - x3 = 0: x1 enters the second row and then x2
+# the first, which eliminates x2 from the second
+_TRIANGLE = ((((F(0), F(1), F(-2)), EQ, F(1)), ((F(1), F(1), F(-1)), EQ, F(0))),
+             (None, None, F(0)))
+
+
+@pytest.mark.parametrize("lp, expected, phases, held, artificial", [
+    pytest.param(LinearProgram("min", (F(0), F(0), F(-1)), *_TRIANGLE),
+                 LpOutcome(LpStatus.UNBOUNDED, primal=(F(-1), F(1), F(0)),
+                           ray=(F(-1), F(2), F(1))),
+                 [0, 0], [True, True], [], id="ray_moves_two_held_basics"),
+    pytest.param(LinearProgram("min", (F(1), F(3), F(1)), *_TRIANGLE),
+                 LpOutcome(LpStatus.OPTIMAL, primal=(F(-1), F(1), F(0)), objective_value=F(2),
+                           dual=(F(2), F(1), F(-6))),
+                 [0, 0], [True, True], [], id="negative_basic_reads_a_later_held_one"),
+    pytest.param(LinearProgram("min", (F(3), F(1)), (((F(0), F(1)), GE, F(1)),
+                                                     ((F(1), F(1)), EQ, F(2)),
+                                                     ((F(2), F(2)), EQ, F(4))),
+                               lower=(None, F(0)), upper=(None, F(3))),
+                 LpOutcome(LpStatus.OPTIMAL, primal=(F(-1), F(3)), objective_value=F(0),
+                           dual=(F(0), F(3), F(0), F(0), F(-2))),
+                 [0, 1, 0], [False, True, False, False], [2],
+                 id="redundant_row_keeps_its_artificial"),
+])
+def test_frozen_rows_read_back(lp, expected, phases, held, artificial):
+    """The pricing and the readouts solve the held rows as the start left
+    them.  An unbounded ray: x3 enters, no row that is not held bounds it,
+    and the rows give x2 = 2 and x1 = -1 per unit of x3.  An optimum: x1 =
+    -1 and x2 = 1, with the duals of both held rows.  A redundant "=" row:
+    x1 (cost 3) holds the second row, and the third becomes 0 = 0 with its
+    artificial basic at 0 in phase two; phase one puts x2 in the first row,
+    x2 >= 1, which comes before the held row but is priced after it, at
+    x2's folded cost 1 - 3; x2 then rises to its upper bound.  Each LP makes
+    the pivots the slack start's conventions make: the start's (art_cost 0),
+    then phase one's and phase two's."""
+    tableaux = []
+    init = _Tableau.__init__
+
+    def kept(self, lp):
+        init(self, lp)
+        tableaux.append(self)
+
+    with mock.patch.object(_Tableau, "__init__", kept):
+        out, made = _phases(solve, lp)
+    assert out == expected and check_outcome(lp, out) is None
+    assert made == phases
+    [t] = tableaux
+    assert t.held == held
+    assert [i for i, b in enumerate(t.basis) if b >= t.art0] == artificial
 
 
 def random_lp(draw_rows, draw_obj):
