@@ -16,7 +16,7 @@ digest), then one line per config: its status tally, the mean and largest
 iteration count of its optimal runs, and its fallback records. Two commits that print the same first line returned the
 same results:
 
-    python scripts/result_digest.py --count 100
+    PYTHONPATH=src python scripts/result_digest.py --count 100
 """
 
 import argparse

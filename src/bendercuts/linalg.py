@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionError, ParseError
@@ -80,32 +81,49 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form. Returns (reduced rows, pivot column indices)."""
-    mat = [list(r) for r in rows]
-    if not mat:
+    """Reduced row echelon form. Returns (reduced rows, pivot column indices).
+
+    The elimination runs in integers (fraction-free Gauss-Jordan; Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", 1968).  Each row is first multiplied by the lcm of its
+    entries' denominators, a positive scale.  A pivot p in row prow turns
+    each other row with entry f in its column into p*row - f*prow, divided
+    by the gcd of its entries.  At every step each row is a nonzero multiple
+    of the row that Gauss-Jordan over Fractions, which scales each pivot to
+    1 at once, holds at the same step.  So the zeros fall in the same places
+    and the same pivots are chosen.  Dividing each final row by its pivot
+    entry gives Fractions and a reduced row echelon form of the matrix.  That
+    form is unique, so the result equals the Fraction elimination's, entry
+    for entry."""
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    for r in mat:
+    ncols = len(rows[0])
+    mat = []
+    for r in rows:
         if len(r) != ncols:
             raise DimensionError("ragged matrix")
+        scale = lcm(*(v.denominator for v in r))
+        mat.append([v.numerator * (scale // v.denominator) for v in r])
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
-        pivot_row = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
+        pivot_row = next((i for i in range(row, len(mat)) if mat[i][col]), None)
         if pivot_row is None:
             continue
         mat[row], mat[pivot_row] = mat[pivot_row], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        for i in range(len(mat)):
-            if i != row and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [v - f * p for v, p in zip(mat[i], mat[row])]
+        prow = mat[row]
+        p = prow[col]
+        for i, r in enumerate(mat):
+            f = r[col]
+            if f and i != row:
+                r = [p * v - f * u for v, u in zip(r, prow)]
+                g = gcd(*r)
+                mat[i] = [v // g for v in r] if g > 1 else r
         pivots.append(col)
         row += 1
         if row == len(mat):
             break
-    return mat[:row], pivots
+    return [[Fraction(v, r[c]) for v in r] for r, c in zip(mat, pivots)], pivots
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -86,29 +86,30 @@ first (Maros, *Computational Techniques of the Simplex Method*, 2003; Bixby
 1992).  It builds every row unflipped, each with its own slack or
 artificial basic.  For each sign-free x_j in index order it pivots x_j+ into
 the first row that holds no free basic and has a nonzero entry in column j;
-that row holds x_j from then on, and once every such pivot is made it is
-*held*.  Then it flips each row that is not held
-and whose right side is now negative onto its artificial: the row is
-negated, a "<=" row's basic becomes its artificial and a "=" row keeps its
-artificial's entry at +1.  With no sign-free column this is the slack start.
+that row holds x_j, and is *held*, from that pivot on.  Then it flips each
+row that is not held and whose right side is now negative onto its
+artificial: the row is negated, a "<=" row's basic becomes its artificial
+and a "=" row keeps its artificial's entry at +1.  With no sign-free column
+this is the slack start.
 The start is sound:
 
 * a basic free variable needs no sign, so a held row is set aside: it leaves
-  the ratio test, its basic never leaves the basis, and no pivot after the
-  start rewrites it (frozen rows, below); its value may be negative, which
+  the ratio test, its basic never leaves the basis, and no pivot after its
+  own rewrites it (frozen rows, below); its value may be negative, which
   the readouts take as x_j;
 * flipping a row whose basic is its own slack or artificial after the
   elimination is sigma_i = -1 in M.  Let B be the start basis over the
-  unflipped M, so the tableau is B^-1 M.  Over M with sigma, the basis that
-  puts the flipped rows' artificials where their own columns were is
-  sigma B D, with D = -1 at those rows' basis positions and 1 elsewhere.  Its
-  inverse times the new M is D B^-1 M, which negates exactly the flipped
-  rows, on the x columns, the slacks and the artificials of unflipped "="
-  rows; a flipped "=" row's own artificial, which is basic, stays the unit
-  column, so its entry is set back to +1.  So the tableau is the one the
-  slack start's conventions read at that basis, every row that is not held
-  starts at a right side >= 0, and ``_row_duals`` and the Farkas readout
-  hold unchanged: they hold at whatever basis a phase ends;
+  unflipped M; the rows that are not held are those of B^-1 M (frozen rows,
+  below), and no flip touches a held row.  Over M with sigma, the basis
+  that puts the flipped rows' artificials where their own columns were is
+  sigma B D, with D = -1 at those rows' basis positions and 1 elsewhere.
+  Its inverse times the new M is D B^-1 M, which negates exactly the
+  flipped rows, on the x columns, the slacks and the artificials of
+  unflipped "=" rows; a flipped "=" row's own artificial, which is basic,
+  stays the unit column, so its entry is set back to +1.  So the rows that
+  are not held are the ones the slack start's conventions read at that
+  basis, each starts at a right side >= 0, and ``_row_duals`` and the
+  Farkas readout hold unchanged: they hold at whatever basis a phase ends;
 * Bland's rule terminates, because the rows without a free basic form an
   ordinary LP: the held rows only define the free basics, no pivot leaves
   from them, and the reduced costs are those of the other rows with the free
@@ -120,51 +121,65 @@ The start is sound:
   phase two, no row bounds it, so the LP is unbounded along a ray that moves
   only it and the free basics.
 
-Frozen rows.  The start's pivots rewrite every row, the held ones too, and
-the rows are held once the last of them is made.  From then on a held row
-is frozen: no pivot of phase one, ``_drive_out_artificials`` or phase two
-rewrites it.  Every other row is rewritten by every pivot as before, and no
-pivot row is held, so those rows are unchanged; a pivot moves the objective
-row by its pivot row alone, and ``_price`` below gives the same objective
-row, so every ratio test and every Bland choice is unchanged too.  Only the
-pricing and the readouts see the frozen rows, and three facts carry them:
+Frozen rows.  A row is held from its own free-column pivot on, and from then
+on it is frozen: no pivot rewrites it, neither the start's later free-column
+pivots nor any pivot of phase one, ``_drive_out_artificials`` or phase two.
+The tableau keeps the held rows in pivot order.  A pivot rewrites a row
+from that row's entry in the entering column and the pivot row alone, and
+no pivot row is held when it pivots, so every row that is not held is
+rewritten exactly as it would be if no row were; the start reads only such
+rows to choose where a free column goes.  So those rows are unchanged; a
+pivot moves the objective row by its pivot row alone, and ``_price`` below
+gives the same objective row, so every choice of the start, every ratio
+test and every Bland choice is unchanged too.  Only the pricing and the
+readouts see the frozen rows, and three facts carry them:
 
 * the held and the other rows are together an invertible row transform of
   the system, for a pivot replaces rows by invertible combinations of rows
   and a frozen row is one such combination kept as it was;
-* a held row is 1 on its own free basic and 0 on every other one: each
-  free pivot eliminated its column from every other row, and no later pivot
-  changes a held row or makes a free basic leave.  Every row that is not
-  held is 0 on every free basic too, and is reduced against the other such
-  rows' basics, as a tableau row is;
+* a held row is 1 on its own free basic and 0 on the free basics held
+  before it: until its own pivot it was rewritten by each earlier free
+  pivot, which eliminated that pivot's column from it, and its own pivot
+  only scaled it.  It may be nonzero on the free basics held after it, so
+  in pivot order the held rows are triangular on the free basics.  Every
+  row that is not held is 0 on every free basic, for each free pivot
+  eliminated its column from the row and every later pivot row is 0 there
+  too, and is reduced against the other such rows' basics, as a tableau
+  row is;
 * a held row is 0 on the own slack and artificial of every row that is not
   held.  Each row starts with its own column alone, and a pivot on row r
-  adds multiples of r's row to the rows it rewrites.  The start pivots on
-  held rows only, so a held row holds the own columns of held rows alone.
-  A "<=" row's artificial is sigma_i times its slack in M, so a held row, a
-  combination of rows of M, is 0 on it too.
+  adds multiples of r's row to the rows it rewrites.  Until a row is held
+  only the start's pivots rewrite it, and they pivot on rows held from then
+  on, so a held row holds the own columns of held rows alone.  A "<=" row's
+  artificial is sigma_i times its slack in M, so a held row, a combination
+  of rows of M, is 0 on it too.
 
-``_price`` takes from the costs, for each held row, the current objective
-entry of its free basic times the row, which sets that entry to 0 and keeps
-the other free basics' at 0 (second fact); then, for each row that is not
-held, the current entry of its basic times the row, which zeroes that entry
-and no other basic's.  The result is the costs minus a combination of rows
-that is 0 on the basis, and by the first fact it is c - mu'M for some mu; 0
-on the basis forces mu = c_B B^-1, so these are the reduced costs of the
-module's other sections, entry for entry.  A basic artificial is priced at
-``art_cost``: by the third fact no held row moves its entry, and a "<="
-row's artificial, which is not stored, has no entry to move.
+``_price`` takes from the costs, for each held row in pivot order, the
+current objective entry of its free basic times the row.  That sets the
+entry to 0, and by the second fact keeps at 0 the entries of the free
+basics held before it, which the earlier steps set; so once the last held
+row is folded, every free basic's entry is 0.  Then, for each row that is
+not held, it takes the current entry of its basic times the row, which
+zeroes that entry and no other basic's.  The result is the costs minus a
+combination of rows that is 0 on the basis, and by the first fact it is
+c - mu'M for some mu; 0 on the basis forces mu = c_B B^-1, so these are the
+reduced costs of the module's other sections, entry for entry.  A basic
+artificial is priced at ``art_cost``: by the third fact no held row moves
+its entry, and a "<=" row's artificial, which is not stored, has no entry
+to move.
 
 ``_primal`` and ``_ray`` know every value but the free basics': 0 on a
 nonbasic column (1 on the entering column of a ray), and the right side
 (minus the entering column's entry, along a ray) on the basic of a row that
 is not held.  Every row is an equation of the system (first fact), so a
 held row times the values is its right side at the basic solution and 0
-along the ray, and by the second fact its only unknown is its own free
-basic, with coefficient 1.  No artificial's value is needed: by the third
-fact a held row is 0 on those of the rows that are not held, and every
-other artificial is nonbasic.  So the readouts give the same basic solution
-and ray.
+along the ray, and by the second fact its unknowns are its own free basic,
+with coefficient 1, and the free basics held after it.  So the readouts
+take the held rows in reverse pivot order: the last held row has no later
+one, and each row before it finds the values it needs already read.  No
+artificial's value is needed: by the third fact a held row is 0 on those of
+the rows that are not held, and every other artificial is nonbasic.  So the
+readouts give the same basic solution and ray.
 
 ``check_outcome`` checks each of these certificates by arithmetic alone.
 """
@@ -294,9 +309,11 @@ class _Tableau:
     tableau is built at the start basis: the free-column start of the module
     docstring where phase one runs, and the slack basis where it does not.
     ``held[i]`` says that the free-column start put a sign-free column in
-    row i.  Such a row is frozen: the ratio test skips it and no pivot after
-    the start rewrites it, so ``_price``, ``_primal`` and ``_ray`` solve
-    through the held rows.
+    row i, and ``placed`` lists those rows in pivot order.  Such a row is
+    frozen from its own pivot on: the ratio test skips it and no later pivot
+    rewrites it.  So the held rows are triangular in pivot order, and
+    ``_price`` folds them in that order while ``_values`` reads them back in
+    reverse.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -320,6 +337,7 @@ class _Tableau:
         self.own: list[int] = []
         self.flip = [False] * len(norm)
         self.held = [False] * len(norm)
+        self.placed: list[int] = []
         self.tab: list[list[Fraction]] = []
         self.basis: list[int] = []
         slack, art = n, n + n_le
@@ -348,20 +366,17 @@ class _Tableau:
 
     def _free_column_start(self):
         """Pivot each sign-free x_j+, in index order, into the first row with no
-        free basic and a nonzero entry in column j, and hold those rows once
-        every such pivot is made; then flip each row whose own slack or
-        artificial is basic at a negative value onto its artificial
-        (sigma_i = -1)."""
+        free basic and a nonzero entry in column j, and hold that row from its
+        pivot on; then flip each row whose own slack or artificial is basic at
+        a negative value onto its artificial (sigma_i = -1)."""
         n, held = self.lp.num_vars, self.held
-        placed: list[int] = []
         for j in range(n):
             if self.free[j]:
-                r = next((i for i, row in enumerate(self.tab) if row[j] and i not in placed), None)
+                r = next((i for i, row in enumerate(self.tab) if row[j] and not held[i]), None)
                 if r is not None:
                     self._pivot(r, 2 * j)
-                    placed.append(r)
-        for r in placed:
-            held[r] = True
+                    held[r] = True
+                    self.placed.append(r)
         eq0 = self.art0 - n
         for i, row in enumerate(self.tab):
             if row[-1] < 0 and not held[i]:
@@ -440,14 +455,14 @@ class _Tableau:
         """Reduced costs of the stored columns (and minus the objective value, last).
 
         x_j+ costs costs[j], x_j- minus that, a slack 0 and an artificial
-        art_cost.  The held rows fold their free basics' costs in first, then
-        every other row prices its basic at its folded cost.
+        art_cost.  The held rows fold their free basics' costs in first, in
+        pivot order, then every other row prices its basic at its folded cost.
         """
         n = self.lp.num_vars
         n_le = self.art0 - 2 * n
         self.art_cost = art_cost
         obj = [*costs, *[_ZERO] * n_le, *[art_cost] * (len(self.tab) - n_le), _ZERO]
-        for i in sorted(range(len(self.tab)), key=lambda i: not self.held[i]):
+        for i in [*self.placed, *(i for i, held in enumerate(self.held) if not held)]:
             b = self.basis[i]
             cb = art_cost if b >= self.art0 else self._entry(obj, b)
             if cb:
@@ -489,9 +504,9 @@ class _Tableau:
         the column enter (if given) 1 and every other nonbasic column 0.
 
         Each free basic comes off its frozen row, with the row's right side,
-        or with 0 along the ray that enter starts.  x_j- at t is x_j+ at -t,
-        and an artificial's stored column, if any, is zero on every held row,
-        so it is left at 0.
+        or with 0 along the ray that enter starts, last held row first.  x_j-
+        at t is x_j+ at -t, and an artificial's stored column, if any, is zero
+        on every held row, so it is left at 0.
         """
         vals = [_ZERO] * (len(self.obj) - 1)
         for row, b, held in zip(self.tab, self.basis, self.held):
@@ -501,10 +516,10 @@ class _Tableau:
         if enter is not None:
             s, neg = self.where[enter]
             vals[s] = -_ONE if neg else _ONE
-        for row, b, held in zip(self.tab, self.basis, self.held):
-            if held:
-                total = sum((v * u for v, u in zip(row, vals) if v and u), _ZERO)
-                vals[b // 2] = (row[-1] if enter is None else _ZERO) - total
+        for r in reversed(self.placed):
+            row = self.tab[r]
+            total = sum((v * u for v, u in zip(row, vals) if v and u), _ZERO)
+            vals[self.basis[r] // 2] = (row[-1] if enter is None else _ZERO) - total
         return tuple(vals[:self.lp.num_vars])
 
     def _primal(self) -> Vector:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from bendercuts.errors import DimensionError, ParseError
 from bendercuts.linalg import (MAX_DIGITS, affine_rank, as_fraction, as_vector, dot,
-                               matrix_rank, nullspace_basis, solve_square)
+                               matrix_rank, nullspace_basis, rref, solve_square)
 
 ints = st.integers(-6, 6)
 
@@ -100,3 +101,74 @@ def test_nullspace_annihilates(rows):
 def test_rank_bounded(rows):
     r = matrix_rank(rows)
     assert 0 <= r <= 2
+
+
+def _fraction_rref(rows):
+    """Gauss-Jordan over Fractions that makes each pivot 1 at once: the
+    reference the integer elimination of `rref` must match."""
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(mat[0]) if mat else 0):
+        at = len(pivots)
+        pivot_row = next((i for i in range(at, len(mat)) if mat[i][col]), None)
+        if pivot_row is None:
+            continue
+        mat[at], mat[pivot_row] = mat[pivot_row], mat[at]
+        p = mat[at][col]
+        mat[at] = [v / p for v in mat[at]]
+        for i, r in enumerate(mat):
+            if i != at and r[col]:
+                mat[i] = [v - r[col] * u for v, u in zip(r, mat[at])]
+        pivots.append(col)
+    return mat[:len(pivots)], pivots
+
+
+def _random_matrix(rng, rows, cols):
+    """Entries in [-9, 9] over denominators 1, 2, 3 or 7, a third of them 0;
+    then, by chance, a duplicate row, a multiple of a row, a zero row and a
+    zero column."""
+    def entry():
+        return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7))) if rng.random() < 0.67 else F(0)
+    mat = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.3:
+        mat[rng.randrange(rows)] = list(mat[rng.randrange(rows)])
+    if rows > 1 and rng.random() < 0.3:
+        scale = F(rng.choice((-3, -1, 2)), rng.choice((1, 5)))
+        mat[rng.randrange(rows)] = [scale * v for v in mat[rng.randrange(rows)]]
+    if rows and rng.random() < 0.2:
+        mat[rng.randrange(rows)] = [F(0)] * cols
+    if cols and rng.random() < 0.2:
+        j = rng.randrange(cols)
+        for r in mat:
+            r[j] = F(0)
+    return mat
+
+
+def test_rref_matches_fraction_gauss_jordan():
+    """Seeded matrices of every shape up to 6 x 6, tall and wide, one row or
+    one column, and empty: the integer elimination gives the reference's
+    reduced rows and pivots, entry for entry, all Fractions; `matrix_rank`
+    and `solve_square` agree with it too."""
+    rng = random.Random(26)
+    for rows in range(7):
+        for cols in range(7):
+            for _ in range(12):
+                mat = _random_matrix(rng, rows, cols)
+                reduced, pivots = rref(mat)
+                assert (reduced, pivots) == _fraction_rref(mat)
+                assert all(type(v) is F for r in reduced for v in r)
+                assert matrix_rank(mat) == len(pivots)
+                if rows == cols:
+                    rhs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rows)]
+                    ref, ref_pivots = _fraction_rref([r + [b] for r, b in zip(mat, rhs)])
+                    expected = (tuple(r[rows] for r in ref)
+                                if ref_pivots == list(range(rows)) else None)
+                    assert solve_square(mat, rhs) == expected
+
+
+def test_rref_refuses_a_ragged_matrix():
+    for ragged in ([[F(1), F(2)], [F(3)]], [[F(1)], [F(2), F(3)]], [[], [F(1)]]):
+        with pytest.raises(DimensionError, match="ragged matrix"):
+            rref(ragged)
+        with pytest.raises(DimensionError):
+            matrix_rank(ragged)

@@ -197,6 +197,14 @@ STARTS_RUN = textwrap.dedent("""
                                                  ((F(0), F(1)), ">=", F(1))),
                            lower=(None, F(0)))
         assert simplex.solve(lp).objective_value == F(3)
+
+    def test_later_free_pivot_leaves_a_held_row():
+        # x1 is pivoted into the second row, which holds it from then on; x2
+        # is then pivoted into the first, which leaves the second's x2 entry
+        lp = LinearProgram("min", (F(1), F(3), F(1)), (((F(0), F(1), F(-2)), "=", F(1)),
+                                                       ((F(1), F(1), F(-1)), "=", F(0))),
+                           lower=(None, None, F(0)))
+        assert simplex.solve(lp).objective_value == F(2)
 """)
 
 
@@ -206,12 +214,13 @@ def test_start_pivots_count_on_their_own(tmp_path):
     for a short "<=" row and one for each equality row; only the row x2 >= 1
     then needs a phase-one pivot.  A pivot's rows are its own and each row
     it eliminates the entering column from, and a held row is not one of
-    them: x2's pivot leaves the held row's x2 entry as it is."""
+    them: x2's pivot leaves the held row's x2 entry as it is, in phase one
+    and at the start alike."""
     run, tests = _run_inner(tmp_path, STARTS_RUN)
     assert run.returncode == 0, run.stdout
-    assert "3 passed" in run.stdout
-    assert "lp_digest: 3 test ids, 3 solves, 4 pivots (3 at the start, 1 in phase one, " \
-        "0 in phase two), 4 rows rewritten (3 at the start, 1 in phase one, " \
+    assert "4 passed" in run.stdout
+    assert "lp_digest: 4 test ids, 4 solves, 6 pivots (5 at the start, 1 in phase one, " \
+        "0 in phase two), 6 rows rewritten (5 at the start, 1 in phase one, " \
         "0 in phase two)" in run.stdout
     # each solve also records the function that called it
     assert tests["test_inner.py::test_free_column_repairs_a_short_row"][0][2:] == [
@@ -220,3 +229,6 @@ def test_start_pivots_count_on_their_own(tmp_path):
         1, 0, 0, "test_free_column_start", 1, 0, 0]
     assert tests["test_inner.py::test_held_row_is_not_rewritten"][0][2:] == [
         1, 1, 0, "test_held_row_is_not_rewritten", 1, 1, 0]
+    # two start pivots, each of which rewrites its own row alone
+    assert tests["test_inner.py::test_later_free_pivot_leaves_a_held_row"][0][2:] == [
+        2, 0, 0, "test_later_free_pivot_leaves_a_held_row", 2, 0, 0]

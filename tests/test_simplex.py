@@ -390,11 +390,11 @@ def test_a_zero_equality_row_changes_no_outcome(rows, j, obj, sense, free, upper
 def test_free_column_start_agrees_with_split_columns(rows, obj, sense, free, upper):
     """The first row is "=", so phase one would run and the free-column start
     pivots the free columns (x1 always, x2 and x3 when drawn free) into the
-    basis, where they stay: no held row ever leaves, and no pivot after the
-    start rewrites a held row.  Writing each free x_j as
-    p_j - q_j with p_j, q_j >= 0 gives an LP with no free column, which takes
-    the slack start; both have the same status and optimum, and both
-    outcomes carry valid certificates."""
+    basis, where they stay: no held row ever leaves, and no pivot after a
+    row's own pivot rewrites it, not even the start's later ones.  Writing
+    each free x_j as p_j - q_j with p_j, q_j >= 0 gives an LP with no free
+    column, which takes the slack start; both have the same status and
+    optimum, and both outcomes carry valid certificates."""
     rows = [(coeffs, EQ if i == 0 else rel, rhs) for i, (coeffs, rel, rhs) in enumerate(rows)]
     free = [True, *free]
     lower = [None if f else F(0) for f in free]
@@ -411,15 +411,14 @@ def test_free_column_start_agrees_with_split_columns(rows, obj, sense, free, upp
                              upper=tuple(v for f, u in zip(free, upper)
                                          for v in ((None, None) if f else (u,))))
     pivot = _Tableau._pivot
-    frozen = {}  # each held row as the first pivot after the start found it
+    own = {}  # each row as the last pivot on it left it
 
     def held_rows_stay(self, r, c):
         assert not self.held[r], "a pivot left from a held row"
-        for i, held in enumerate(self.held):
-            if held:
-                frozen.setdefault(i, list(self.tab[i]))
         pivot(self, r, c)
-        assert all(self.tab[i] == row for i, row in frozen.items()), "a pivot rewrote a held row"
+        own[r] = list(self.tab[r])
+        assert all(row == own[i] for i, row in enumerate(self.tab) if self.held[i]), \
+            "a pivot rewrote a held row"
 
     with mock.patch.object(_Tableau, "_pivot", held_rows_stay):
         out = solve(lp)
@@ -430,9 +429,14 @@ def test_free_column_start_agrees_with_split_columns(rows, obj, sense, free, upp
 
 
 # x2 - 2 x3 = 1 and x1 + x2 - x3 = 0: x1 enters the second row and then x2
-# the first, which eliminates x2 from the second
+# the first, which leaves the second, held, with its x2 entry
 _TRIANGLE = ((((F(0), F(1), F(-2)), EQ, F(1)), ((F(1), F(1), F(-1)), EQ, F(0))),
              (None, None, F(0)))
+# x1, x2 and x3 enter the third, first and second rows in turn; the third row
+# keeps its x2 and x3 entries and the first its x3 entry
+_STAIRS = ((((F(0), F(1), F(1), F(-1)), EQ, F(1)), ((F(0), F(1), F(2), F(1)), EQ, F(0)),
+            ((F(1), F(1), F(1), F(1)), EQ, F(0))),
+           (None, None, None, F(0)))
 
 
 @pytest.mark.parametrize("lp, expected, phases, held, artificial", [
@@ -444,6 +448,14 @@ _TRIANGLE = ((((F(0), F(1), F(-2)), EQ, F(1)), ((F(1), F(1), F(-1)), EQ, F(0))),
                  LpOutcome(LpStatus.OPTIMAL, primal=(F(-1), F(1), F(0)), objective_value=F(2),
                            dual=(F(2), F(1), F(-6))),
                  [0, 0], [True, True], [], id="negative_basic_reads_a_later_held_one"),
+    pytest.param(LinearProgram("min", (F(-1), F(2), F(4), F(-1)), *_STAIRS),
+                 LpOutcome(LpStatus.UNBOUNDED, primal=(F(-1), F(2), F(-1), F(0)),
+                           ray=(F(-2), F(3), F(-2), F(1))),
+                 [0, 0, 0], [True, True, True], [], id="ray_moves_three_stairs"),
+    pytest.param(LinearProgram("min", (F(-1), F(2), F(4), F(3)), *_STAIRS),
+                 LpOutcome(LpStatus.OPTIMAL, primal=(F(-1), F(2), F(-1), F(0)),
+                           objective_value=F(1), dual=(F(1), F(2), F(-1), F(-3))),
+                 [0, 0, 0], [True, True, True], [], id="negative_basics_read_down_the_stairs"),
     pytest.param(LinearProgram("min", (F(3), F(1)), (((F(0), F(1)), GE, F(1)),
                                                      ((F(1), F(1)), EQ, F(2)),
                                                      ((F(2), F(2)), EQ, F(4))),
@@ -455,9 +467,15 @@ _TRIANGLE = ((((F(0), F(1), F(-2)), EQ, F(1)), ((F(1), F(1), F(-1)), EQ, F(0))),
 ])
 def test_frozen_rows_read_back(lp, expected, phases, held, artificial):
     """The pricing and the readouts solve the held rows as the start left
-    them.  An unbounded ray: x3 enters, no row that is not held bounds it,
-    and the rows give x2 = 2 and x1 = -1 per unit of x3.  An optimum: x1 =
-    -1 and x2 = 1, with the duals of both held rows.  A redundant "=" row:
+    them: each is held from its own pivot, so a row held earlier keeps its
+    entries in the free columns pivoted after it.  An unbounded ray: x3
+    enters, no row that is not held bounds it, and the rows give x2 = 2 and
+    then x1 = -1 per unit of x3.  An optimum: x1 = -1 and x2 = 1, with the
+    duals of both held rows.  On the stairs the third row, held first, reads
+    x1 through x2 and x3, and the first reads x2 through x3: along the ray
+    x4 = 1 gives x3 = -2, x2 = 3 and x1 = -2, and at the optimum, with the
+    costs y'A for y = (1, 2, -1) plus 3 on x4, x3 = -1, x2 = 2 and x1 = -1,
+    and the dual is y with -3 on the bound of x4.  A redundant "=" row:
     x1 (cost 3) holds the second row, and the third becomes 0 = 0 with its
     artificial basic at 0 in phase two; phase one puts x2 in the first row,
     x2 >= 1, which comes before the held row but is priced after it, at
