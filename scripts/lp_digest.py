@@ -154,13 +154,12 @@ class Recorder:
 
         def counting_pivot(tableau, r, c):
             bucket = 0 if recorder.starting else 1 + (tableau.art_cost != 1)
-            s = tableau.where[c][0]
-            entries = [row[s] for row in tableau.tab]
+            entries = [row[c] for row in tableau.tab]
             original_pivot(tableau, r, c)
             recorder.counts[bucket] += 1
             recorder.counts[3 + bucket] += 1 + sum(
                 1 for i, (was, row) in enumerate(zip(entries, tableau.tab))
-                if was and not row[s] and i != r)
+                if was and not row[c] and i != r)
 
         patched = list(self._aliases())
         for module, name in patched:

@@ -24,35 +24,35 @@ builds are the others of ``normalized_rows``, the upper bounds included, each
 with its own coefficients and the right side b_i - a_i . l.  ``_primal`` adds
 l back, and a ray is a direction, which the shift leaves as it is.
 
-Columns.  The tableau reads ``M = [sigma A, -sigma A, sigma S, I]`` over the
-built rows, where sigma_i = -1 flips a row that the free-column start below
-puts onto its artificial, ``S`` puts a slack on each "<=" row and ``I`` an
+Columns.  The tableau reads ``M = [sigma A, sigma S, I]`` over the built
+rows, where sigma_i = -1 flips a row that the free-column start below puts
+onto its artificial, ``S`` puts a slack on each "<=" row and ``I`` an
 artificial on every row.  Bland's rule, the basis and every readout use these
-*virtual* columns in this order: x_j+ at 2j, x_j- at 2j+1, then the slacks
-in row order, then the artificials at ``art0 + i``.  x_j- of a shifted column
-is never offered to enter, and that is x'_j >= 0.  The tableau column of
-virtual column v is B^-1 M_v, which is linear in M_v, and M of x_j- is minus
-M of x_j+; so the tableau stores only x_j+, and reads x_j- as minus x_j+ with
-reduced cost -d(x_j+) (both phases cost x_j- minus x_j+).  A pivot is a row
-operation, which keeps that identity.
+columns in this order: x_j at j, then the slacks in row order, then the
+artificials at ``art0 + i``, ``art0`` being n plus the number of slacks.  A
+shifted x'_j >= 0 enters only at a negative reduced cost.  A sign-free x_j
+enters at any nonzero one, downwards where it is positive; after the
+free-column start below, such a column is basic for good or zero on every
+row that is not held, so it enters only to end phase two unbounded.
 
 Artificials.  Phase one starts from the slack basis (Bixby 1992), after the
 free-column start below has placed the sign-free columns: a row that holds
 no free basic and is a "<=" row with a nonnegative right side (sigma_i = 1)
 starts with its slack basic, whose column is e_i as an artificial's is, and
-every other such row with its artificial basic.  Both phases enter only
-x_j+, x_j- and the slacks: an artificial that leaves the basis never comes
-back, as in the textbook two-phase method.  A row that starts with its slack
-basic is then a row whose artificial has already left, and so is a row that
-a sign-free column holds.  So the tableau stores the artificials of "=" rows
-only, and no readout needs the artificial of a "<=" row.  Let pi = c_B B^-1, the multipliers of the
-flipped rows under the phase's costs (the objective on x, 0 on the slacks,
-``art_cost`` on the artificials: 1 in phase one, 0 in phase two).  The slack
+every other such row with its artificial basic.  Both phases enter only x
+and the slacks: an artificial that leaves the basis never comes back, as in
+the textbook two-phase method.  A row that starts with its slack basic is
+then a row whose artificial has already left, and so is a row that a
+sign-free column holds.  So the tableau stores the artificials of "=" rows
+only, and no readout needs the artificial of a "<=" row.  Let
+pi = c_B B^-1, the multipliers of the flipped rows under the phase's costs
+(the objective on x, 0 on the slacks, ``art_cost`` on the artificials: 1 in
+phase one, 0 in phase two).  The slack
 of "<=" row i has reduced cost -sigma_i pi_i and the artificial of "=" row i
 has art_cost - pi_i, so sigma o pi is read off the rows' own columns, and
-d_j = d(x_j+) = c_j - (sigma o pi)'A_j off column j.  At the end of either
-phase no column that may enter has a negative reduced cost: d_j = 0 on a
-sign-free column (d(x_j-) = -d_j >= 0 too) and d_j >= 0 on a shifted one.
+d_j = c_j - (sigma o pi)'A_j off column j.  At the end of either phase no
+column may enter: d_j = 0 on a sign-free column, d_j >= 0 on a shifted one
+and d >= 0 on every slack.
 Three facts rest on the reduced costs of the columns that may enter, and on
 no artificial's, whichever rows started with a basic artificial:
 
@@ -78,20 +78,19 @@ no artificial's, whichever rows started with a basic artificial:
   y . b + sum d_j l_j = y . (b - A l) + c . l = c . x'* + c . l = c . x*,
   since y . (b - A l) = c_B B^-1 (sigma o (b - A l)) is the optimum over x'.
 
-The free-column start.  With every built row "<=" and every right side
-r_i = (b - A l)_i >= 0, the tableau starts at the slack basis, which is
-feasible and makes no pivot.  Everywhere else, that is with a "=" row or a
-negative r_i, phase one runs, and the tableau places the sign-free columns
-first (Maros, *Computational Techniques of the Simplex Method*, 2003; Bixby
-1992).  It builds every row unflipped, each with its own slack or
-artificial basic.  For each sign-free x_j in index order it pivots x_j+ into
-the first row that holds no free basic and has a nonzero entry in column j;
-that row holds x_j, and is *held*, from that pivot on.  Then it flips each
-row that is not held and whose right side is now negative onto its
-artificial: the row is negated, a "<=" row's basic becomes its artificial
-and a "=" row keeps its artificial's entry at +1.  With no sign-free column
-this is the slack start.
-The start is sound:
+The free-column start.  Every LP places its sign-free columns first (Maros,
+*Computational Techniques of the Simplex Method*, 2003; Bixby 1992).  The
+tableau builds every row unflipped, each with its own slack or artificial
+basic and the right side r_i = (b - A l)_i.  For each sign-free x_j in index
+order it pivots x_j into the first row that holds no free basic and has a
+nonzero entry in column j; that row holds x_j, and is *held*, from that
+pivot on.  Then it flips each row that is not held and whose right side is
+now negative onto its artificial: the row is negated, a "<=" row's basic
+becomes its artificial and a "=" row keeps its artificial's entry at +1.
+With no sign-free column this is the slack start with the negative rows
+flipped; with no negative r_i either, it pivots and flips nothing, and
+where every built row is also "<=" that basis is feasible and phase one
+makes no pivot.  The start is sound:
 
 * a basic free variable needs no sign, so a held row is set aside: it leaves
   the ratio test, its basic never leaves the basis, and no pivot after its
@@ -118,8 +117,9 @@ The start is sound:
   positive on the row of some basic artificial, which is not held;
 * a free column left nonbasic is zero on every row that is not held, and a
   pivot in such a row keeps it so.  Phase one prices it at 0; when it enters
-  phase two, no row bounds it, so the LP is unbounded along a ray that moves
-  only it and the free basics.
+  phase two, upwards at a negative reduced cost or downwards at a positive
+  one, no row bounds it, so the LP is unbounded along a ray that moves only
+  it and the free basics.
 
 Frozen rows.  A row is held from its own free-column pivot on, and from then
 on it is frozen: no pivot rewrites it, neither the start's later free-column
@@ -169,17 +169,17 @@ its entry, and a "<=" row's artificial, which is not stored, has no entry
 to move.
 
 ``_primal`` and ``_ray`` know every value but the free basics': 0 on a
-nonbasic column (1 on the entering column of a ray), and the right side
-(minus the entering column's entry, along a ray) on the basic of a row that
-is not held.  Every row is an equation of the system (first fact), so a
-held row times the values is its right side at the basic solution and 0
-along the ray, and by the second fact its unknowns are its own free basic,
-with coefficient 1, and the free basics held after it.  So the readouts
-take the held rows in reverse pivot order: the last held row has no later
-one, and each row before it finds the values it needs already read.  No
-artificial's value is needed: by the third fact a held row is 0 on those of
-the rows that are not held, and every other artificial is nonbasic.  So the
-readouts give the same basic solution and ray.
+nonbasic column (the step, 1 or -1, on the entering column of a ray), and
+the right side (minus the step times the entering column's entry, along a
+ray) on the basic of a row that is not held.  Every row is an equation of the
+system (first fact), so a held row times the values is its right side at the
+basic solution and 0 along the ray, and by the second fact its unknowns are
+its own free basic, with coefficient 1, and the free basics held after
+it.  So the readouts take the held rows in reverse pivot order: the last held
+row has no later one, and each row before it finds the values it needs
+already read.  No artificial's value is needed: by the third fact a held row
+is 0 on those of the rows that are not held, and every other artificial is
+nonbasic.  So the readouts give the same basic solution and ray.
 
 ``check_outcome`` checks each of these certificates by arithmetic alone.
 """
@@ -294,26 +294,24 @@ class LpOutcome:
 
 
 class _Tableau:
-    """Dense simplex tableau that stores one column per twin pair.
+    """Dense simplex tableau that stores one column per variable.
 
-    Stored columns: x_j+ at j for each of the n variables, then the slacks in
+    Stored columns: x_j at j for each of the n variables, then the slacks in
     row order, then the artificials of "=" rows, then the right side; the
     objective row ``obj`` has the same layout.  Rows are the built rows of the
     module docstring: ``normalized_rows`` without the lower bounds, over x'.
-    Bland's rule, the basis, the ratio tests and every readout index the
-    virtual columns of the module docstring.  ``where[v]`` names the stored
-    column that holds virtual column ``v`` < ``art0`` and whether to negate it:
-    x_j- is minus x_j+.  ``own[i]`` is the stored slack or artificial of built
-    row i, ``free[j]`` whether x_j has no lower bound, and ``lower_at`` maps the
-    ``normalized_rows`` index of each lower bound to its variable.  The
-    tableau is built at the start basis: the free-column start of the module
-    docstring where phase one runs, and the slack basis where it does not.
-    ``held[i]`` says that the free-column start put a sign-free column in
-    row i, and ``placed`` lists those rows in pivot order.  Such a row is
-    frozen from its own pivot on: the ratio test skips it and no later pivot
-    rewrites it.  So the held rows are triangular in pivot order, and
-    ``_price`` folds them in that order while ``_values`` reads them back in
-    reverse.
+    ``basis[i]`` is the stored column of row i's basic x_j or slack, or
+    ``art0 + i`` for its basic artificial, so Bland's rule and the ratio
+    tests compare the module docstring's columns in its order.  ``own[i]`` is
+    the stored slack or artificial of built row i, ``free[j]`` whether x_j has
+    no lower bound, and ``lower_at`` maps the ``normalized_rows`` index of
+    each lower bound to its variable.  The tableau is built at the
+    free-column start of the module docstring.  ``held[i]`` says that the
+    free-column start put a sign-free column in row i, and ``placed`` lists
+    those rows in pivot order.  Such a row is frozen from its own pivot on: the
+    ratio test skips it and no later pivot rewrites it.  So the held rows are
+    triangular in pivot order, and ``_price`` folds them in that order while
+    ``_values`` reads them back in reverse.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -331,24 +329,21 @@ class _Tableau:
         rhs_of = [rhs - sum(coeffs[j] * lo for j, lo in shifts if coeffs[j])
                   for coeffs, _, rhs in norm]
         n_le = sum(rel == LE for _, rel, _ in norm)
-        self.art0 = 2 * n + n_le
-        self.where: list[tuple[int, bool]] = [(j // 2, j % 2 == 1) for j in range(2 * n)]
-        self.where += [(n + k, False) for k in range(n_le)]
+        self.art0 = n + n_le
         self.own: list[int] = []
         self.flip = [False] * len(norm)
         self.held = [False] * len(norm)
         self.placed: list[int] = []
         self.tab: list[list[Fraction]] = []
         self.basis: list[int] = []
-        slack, art = n, n + n_le
+        slack, art = n, self.art0
         for i, ((coeffs, rel, _), rhs) in enumerate(zip(norm, rhs_of)):
             row = [_ZERO] * (n + len(norm) + 1)
             row[:n] = coeffs
             if rel == LE:
                 row[slack] = _ONE
                 self.own.append(slack)
-                # stored slack s is virtual column n + s
-                self.basis.append(n + slack)
+                self.basis.append(slack)
                 slack += 1
             else:
                 row[art] = _ONE
@@ -359,13 +354,12 @@ class _Tableau:
             self.tab.append(row)
         self.obj: list[Fraction] = [_ZERO] * (n + len(norm) + 1)
         self.art_cost = _ZERO
-        if n_le < len(norm) or any(r < 0 for r in rhs_of):
-            self._free_column_start()
+        self._free_column_start()
 
     # -- internals --------------------------------------------------------
 
     def _free_column_start(self):
-        """Pivot each sign-free x_j+, in index order, into the first row with no
+        """Pivot each sign-free x_j, in index order, into the first row with no
         free basic and a nonzero entry in column j, and hold that row from its
         pivot on; then flip each row whose own slack or artificial is basic at
         a negative value onto its artificial (sigma_i = -1)."""
@@ -374,42 +368,34 @@ class _Tableau:
             if self.free[j]:
                 r = next((i for i, row in enumerate(self.tab) if row[j] and not held[i]), None)
                 if r is not None:
-                    self._pivot(r, 2 * j)
+                    self._pivot(r, j)
                     held[r] = True
                     self.placed.append(r)
-        eq0 = self.art0 - n
         for i, row in enumerate(self.tab):
             if row[-1] < 0 and not held[i]:
                 own = self.own[i]
                 self.tab[i] = row = [-v for v in row]
-                if own >= eq0:
+                if own >= self.art0:
                     row[own] = _ONE
                 else:
                     self.basis[i] = self.art0 + i
                 self.flip[i] = True
 
-    def _entry(self, row: list[Fraction], v: int) -> Fraction:
-        s, neg = self.where[v]
-        return -row[s] if neg else row[s]
-
     def _pivot(self, r: int, c: int):
-        s, neg = self.where[c]
         prow = self.tab[r]
-        inv = 1 / (-prow[s] if neg else prow[s])
+        inv = 1 / prow[c]
         # the scaled pivot row's nonzeros, found once; only these columns change
         nz = [(j, v * inv) for j, v in enumerate(prow) if v]
         for j, v in nz:
             prow[j] = v
         for row, held in zip(self.tab, self.held):
-            f = row[s]
+            f = row[c]
             if f and not held and row is not prow:
-                if neg:
-                    f = -f
                 for j, v in nz:
                     row[j] -= f * v
         # the objective row moves by the entering column's reduced cost, which
         # leaves that reduced cost at 0
-        f = self._entry(self.obj, c)
+        f = self.obj[c]
         if f:
             obj = self.obj
             for j, v in nz:
@@ -417,18 +403,12 @@ class _Tableau:
         self.basis[r] = c
 
     def _entering(self) -> Optional[int]:
-        """The first x_j+, x_j- of a sign-free x_j, or slack, in Bland order,
-        with a negative reduced cost."""
+        """The first x_j or slack, in Bland order, with a negative reduced
+        cost, or a sign-free x_j with a nonzero one."""
         obj, free = self.obj, self.free
         n = self.lp.num_vars
-        for j in range(n):
-            # x_j- costs minus x_j+, so one sign decides the pair
-            if obj[j] < 0:
-                return 2 * j
-            if obj[j] > 0 and free[j]:
-                return 2 * j + 1
-        # the slacks: stored column s holds virtual column n + s
-        return next((n + s for s in range(n, self.art0 - n) if obj[s] < 0), None)
+        return next((j for j in range(self.art0)
+                     if obj[j] < 0 or (obj[j] and j < n and free[j])), None)
 
     def _run(self) -> Optional[int]:
         """Bland pivoting: None when optimal, else the unbounded column."""
@@ -436,11 +416,10 @@ class _Tableau:
             enter = self._entering()
             if enter is None:
                 return None
-            s, neg = self.where[enter]
             leave = None
             best = None
             for i, (row, held) in enumerate(zip(self.tab, self.held)):
-                t = -row[s] if neg else row[s]
+                t = row[enter]
                 # a held row's free basic needs no sign, so the row bounds no step
                 if t > 0 and not held:
                     ratio = row[-1] / t
@@ -454,17 +433,16 @@ class _Tableau:
     def _price(self, costs: Vector, art_cost: Fraction):
         """Reduced costs of the stored columns (and minus the objective value, last).
 
-        x_j+ costs costs[j], x_j- minus that, a slack 0 and an artificial
-        art_cost.  The held rows fold their free basics' costs in first, in
-        pivot order, then every other row prices its basic at its folded cost.
+        x_j costs costs[j], a slack 0 and an artificial art_cost.  The held
+        rows fold their free basics' costs in first, in pivot order, then
+        every other row prices its basic at its folded cost.
         """
-        n = self.lp.num_vars
-        n_le = self.art0 - 2 * n
+        n_le = self.art0 - self.lp.num_vars
         self.art_cost = art_cost
         obj = [*costs, *[_ZERO] * n_le, *[art_cost] * (len(self.tab) - n_le), _ZERO]
         for i in [*self.placed, *(i for i, held in enumerate(self.held) if not held)]:
             b = self.basis[i]
-            cb = art_cost if b >= self.art0 else self._entry(obj, b)
+            cb = art_cost if b >= self.art0 else obj[b]
             if cb:
                 for j, v in enumerate(self.tab[i]):
                     if v:
@@ -473,17 +451,14 @@ class _Tableau:
         self.obj = obj
 
     def _drive_out_artificials(self):
-        n = self.lp.num_vars
         for i, row in enumerate(self.tab):
             if self.basis[i] >= self.art0:
-                # x_j+ and the slacks are stored in virtual order, and x_j- is
-                # nonzero exactly where x_j+ is
-                s = next((j for j in range(self.art0 - n) if row[j] != 0), None)
+                s = next((j for j in range(self.art0) if row[j] != 0), None)
                 # a redundant row (no such column) stays, its artificial basic at 0:
                 # it is zero on every column phase two may enter, so no pivot or
                 # ratio test touches it, and its dual reads 0
                 if s is not None:
-                    self._pivot(i, 2 * s if s < n else n + s)
+                    self._pivot(i, s)
 
     # -- readouts ---------------------------------------------------------
 
@@ -492,34 +467,32 @@ class _Tableau:
         built rows, which is minus a "<=" row's slack reduced cost and
         sigma_i (art_cost - d_i) for the reduced cost d_i of an "=" row's
         artificial, and -d_j on the lower bound of x_j."""
-        obj, a, eq0 = self.obj, self.art_cost, self.art0 - self.lp.num_vars
-        built = (-obj[s] if s < eq0 else (obj[s] - a if flip else a - obj[s])
+        obj, a, art0 = self.obj, self.art_cost, self.art0
+        built = (-obj[s] if s < art0 else (obj[s] - a if flip else a - obj[s])
                  for s, flip in zip(self.own, self.flip))
         lower_at = self.lower_at
         return tuple(-obj[lower_at[i]] if i in lower_at else next(built)
                      for i in range(len(self.tab) + len(lower_at)))
 
-    def _values(self, value, enter: Optional[int] = None) -> Vector:
+    def _values(self, value, enter: Optional[int] = None, step: Fraction = _ONE) -> Vector:
         """x' where the basic of each row that is not held takes value(row),
-        the column enter (if given) 1 and every other nonbasic column 0.
+        the column enter (if given) step and every other nonbasic column 0.
 
         Each free basic comes off its frozen row, with the row's right side,
-        or with 0 along the ray that enter starts, last held row first.  x_j-
-        at t is x_j+ at -t, and an artificial's stored column, if any, is zero
-        on every held row, so it is left at 0.
+        or with 0 along the ray that enter starts, last held row first.  An
+        artificial's stored column, if any, is zero on every held row, so it
+        is left at 0.
         """
         vals = [_ZERO] * (len(self.obj) - 1)
         for row, b, held in zip(self.tab, self.basis, self.held):
             if b < self.art0 and not held:
-                s, neg = self.where[b]
-                vals[s] = -value(row) if neg else value(row)
+                vals[b] = value(row)
         if enter is not None:
-            s, neg = self.where[enter]
-            vals[s] = -_ONE if neg else _ONE
+            vals[enter] = step
         for r in reversed(self.placed):
             row = self.tab[r]
             total = sum((v * u for v, u in zip(row, vals) if v and u), _ZERO)
-            vals[self.basis[r] // 2] = (row[-1] if enter is None else _ZERO) - total
+            vals[self.basis[r]] = (row[-1] if enter is None else _ZERO) - total
         return tuple(vals[:self.lp.num_vars])
 
     def _primal(self) -> Vector:
@@ -528,7 +501,9 @@ class _Tableau:
         return tuple(v + lo if lo else v for v, lo in zip(x, self.lp.lower))
 
     def _ray(self, enter: int) -> Vector:
-        return self._values(lambda row: -self._entry(row, enter), enter)
+        # a free column with a positive reduced cost improves downwards
+        step = -_ONE if self.obj[enter] > 0 else _ONE
+        return self._values(lambda row: -step * row[enter], enter, step)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:

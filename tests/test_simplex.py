@@ -53,7 +53,8 @@ FLIPPED_LE_ROWS = LinearProgram(
     "min", (F(2), F(1)),
     (((F(-2), F(-1)), LE, F(-1)), ((F(-1), F(-2)), LE, F(2)), ((F(2), F(2)), LE, F(-3))))
 
-# min x1 over x1 - x2 <= 2, x2 <= 5, x2 >= 0: x1 runs off to -inf along x1-.
+# min x1 over x1 - x2 <= 2, x2 <= 5, x2 >= 0: the start holds x1 in the first
+# row, at 2, and x1 runs off to -inf as that row's slack grows.
 RAY_ALONG_X_MINUS = LinearProgram("min", (F(1), F(0)),
                                   (((F(1), F(-1)), LE, F(2)), ((F(0), F(1)), LE, F(5))),
                                   lower=(None, F(0)))
@@ -89,21 +90,32 @@ def test_unbounded_gives_ray(lp):
     assert all(dot(coeffs, out.ray) <= 0 for coeffs, _, _ in lp.normalized_rows)
 
 
-# The tableau stores x_j+ only and reads x_j- as minus it, it reads a "<="
-# row's multiplier from its slack, and it shifts a lower-bounded x_j by its
-# bound and reads the bound's multiplier from x_j's reduced cost.  Each LP
-# below makes Bland's rule enter, leave or read one of those columns; the
-# outcomes are pinned exactly.
+# The tableau stores one column per variable and walks a sign-free column
+# with a positive reduced cost downwards, it reads a "<=" row's multiplier
+# from its slack, and it shifts a lower-bounded x_j by its bound and reads the
+# bound's multiplier from x_j's reduced cost.  Each LP below makes Bland's
+# rule enter, leave or read one of those columns; the outcomes are pinned
+# exactly, and their certificates checked.
 @pytest.mark.parametrize("lp, expected", [
-    pytest.param(  # x1 ends with its minus column basic, x2 on its lower bound -1,
-        # whose dual -1 is read off x2's reduced cost
+    pytest.param(  # the start holds x1 in the row, where it ends at a negative value;
+        # x2 rests on its lower bound -1, whose dual -1 is read off x2's reduced cost
         LinearProgram("min", (F(1), F(2)), (((F(1), F(1)), GE, F(-4)),), lower=(None, F(-1))),
         LpOutcome(LpStatus.OPTIMAL, primal=(F(-3), F(-1)), objective_value=F(-5),
                   dual=(F(-1), F(-1))),
         id="x_minus_basic"),
     pytest.param(RAY_ALONG_X_MINUS,
-                 LpOutcome(LpStatus.UNBOUNDED, primal=(F(0), F(0)), ray=(F(-1), F(0))),
+                 LpOutcome(LpStatus.UNBOUNDED, primal=(F(2), F(0)), ray=(F(-1), F(0))),
                  id="ray_along_x_minus"),
+    pytest.param(  # min x2 over x1 <= 5, x1 >= 0, x2 free: x2 is zero on every row,
+        # so no row holds it; its reduced cost 1 walks it downwards
+        LinearProgram("min", (F(0), F(1)), (((F(1), F(0)), LE, F(5)),), lower=(F(0), None)),
+        LpOutcome(LpStatus.UNBOUNDED, primal=(F(0), F(0)), ray=(F(0), F(-1))),
+        id="free_column_walks_down"),
+    pytest.param(  # min x2 over x1 + x2 = 0, both free: the start holds x1 in the row,
+        # x2's reduced cost 1 walks it downwards, and the held x1 moves up with it
+        LinearProgram("min", (F(0), F(1)), (((F(1), F(1)), EQ, F(0)),)),
+        LpOutcome(LpStatus.UNBOUNDED, primal=(F(0), F(0)), ray=(F(1), F(-1))),
+        id="downward_ray_moves_a_held_basic"),
     pytest.param(  # x1 + x2 >= 2 normalizes to a negative right side (sigma = -1); its
         # artificial is still basic, at 0, when phase one ends and is driven out
         LinearProgram("min", (F(1), F(3)), (((F(1), F(1)), LE, F(2)), ((F(1), F(1)), GE, F(2))),
@@ -142,7 +154,9 @@ def test_unbounded_gives_ray(lp):
         id="ray_over_shifted_columns"),
 ])
 def test_twin_column_outcomes(lp, expected):
-    assert solve(lp) == expected
+    out = solve(lp)
+    assert out == expected
+    assert check_outcome(lp, out) is None
 
 
 def _feasible(lp, x):
@@ -188,8 +202,8 @@ def test_slack_feasible_rows_need_no_phase_one_pivot():
 ])
 def test_loop_lps_keep_their_pinned_results(ex1, run, expected, feasible_start):
     """The relaxed CGLP under MIS weights, the master after one cut and the
-    subproblem give the results the slack start's two phases gave.  The
-    subproblem's free y enters its first row, y >= 5, which binds, so the
+    subproblem keep their pinned results, which no change of start has moved.
+    The subproblem's free y enters its first row, y >= 5, which binds, so the
     other rows start feasible and phase one makes no pivot."""
     result, phases = _phases(run, ex1)
     assert result == expected
@@ -388,14 +402,13 @@ def test_a_zero_equality_row_changes_no_outcome(rows, j, obj, sense, free, upper
        st.lists(st.booleans(), min_size=2, max_size=2),
        st.lists(st.one_of(st.none(), st.integers(0, 5).map(F)), min_size=3, max_size=3))
 def test_free_column_start_agrees_with_split_columns(rows, obj, sense, free, upper):
-    """The first row is "=", so phase one would run and the free-column start
-    pivots the free columns (x1 always, x2 and x3 when drawn free) into the
-    basis, where they stay: no held row ever leaves, and no pivot after a
+    """The free-column start pivots the free columns (x1 always, x2 and x3
+    when drawn free) into the basis, whatever the rows' relations and right
+    sides, where they stay: no held row ever leaves, and no pivot after a
     row's own pivot rewrites it, not even the start's later ones.  Writing
     each free x_j as p_j - q_j with p_j, q_j >= 0 gives an LP with no free
-    column, which takes the slack start; both have the same status and
+    column, whose start pivots nothing; both have the same status and
     optimum, and both outcomes carry valid certificates."""
-    rows = [(coeffs, EQ if i == 0 else rel, rhs) for i, (coeffs, rel, rhs) in enumerate(rows)]
     free = [True, *free]
     lower = [None if f else F(0) for f in free]
     upper = [None if f else u for f, u in zip(free, upper)]
