@@ -13,8 +13,12 @@ It prints the sha256 prefix of all of that, then a tally of statuses, cuts,
 fallback records, replay problems and `optimal` values that differ from
 `undecomposed_value`, then the `ill_posed` runs by reason (all outside the
 digest), then one line per config: its status tally, the mean and largest
-iteration count of its optimal runs, and its fallback records. Two commits that print the same first line returned the
-same results:
+iteration count of its optimal runs, and its fallback records, and last one
+line per config that tallies the `face_report` class and the
+`pareto_verdict` kind of every cut its runs made. Two commits that print the
+same first line returned the same results; where an LP change may pick
+another optimal vertex, so that a Pareto witness moves and the digest with
+it, equal tally lines show that no status, class or kind moved:
 
     PYTHONPATH=src python scripts/result_digest.py --count 100
 """
@@ -32,7 +36,7 @@ from bendercuts.errors import ToolkitError
 from bendercuts.instance_io import replay_trace, trace_document
 from bendercuts.model import undecomposed_value
 from bendercuts.randgen import interior_epi_point, random_instance
-from bendercuts.verify import face_report, pareto_verdict
+from bendercuts.verify import FaceClass, ParetoKind, face_report, pareto_verdict
 
 
 def configs_for(rng, inst):
@@ -52,11 +56,14 @@ def configs_for(rng, inst):
     return configs
 
 
-def guarded(fn, *args):
+def judged(fn, *args):
+    """fn's result, or None when it raised a ToolkitError, and its text: the
+    result's repr or the error's name and message."""
     try:
-        return repr(fn(*args))
+        value = fn(*args)
     except ToolkitError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
+    return value, repr(value)
 
 
 def main():
@@ -68,6 +75,7 @@ def main():
     lines = []
     tally, ill_posed = Counter(), Counter()
     statuses, iterations, fallbacks = defaultdict(Counter), defaultdict(list), Counter()
+    kinds = defaultdict(Counter)
     for finite in (False, True):
         for seed in range(args.count):
             rng = random.Random(seed)
@@ -80,9 +88,13 @@ def main():
                 result = solve(inst, config)
                 lines.append(repr(result))
                 cuts = [r.cut for r in result.trace if r.cut is not None]
-                for cut in cuts[:2]:
-                    lines.append(guarded(face_report, inst, cut))
-                    lines.append(guarded(pareto_verdict, inst, cut))
+                for i, cut in enumerate(cuts):
+                    face, face_text = judged(face_report, inst, cut)
+                    verdict, verdict_text = judged(pareto_verdict, inst, cut)
+                    if i < 2:
+                        lines += [face_text, verdict_text]
+                    kinds[name][face.classification.value if face else "face_error"] += 1
+                    kinds[name][verdict.kind.value if verdict else "pareto_error"] += 1
                 problems = replay_trace(inst, trace_document(inst, config, result))
                 lines.append(repr(problems))
                 tally[f"status.{result.status.value}"] += 1
@@ -110,6 +122,10 @@ def main():
         print(f"config {name}: {' '.join(f'{k}:{v}' for k, v in sorted(counts.items()))},"
               f" iterations of optimal runs mean {mean} max {max(runs, default='-')},"
               f" fallback_records {fallbacks[name]}")
+    keys = ([c.value for c in FaceClass] + ["face_error"]
+            + [k.value for k in ParetoKind] + ["pareto_error"])
+    for name, counts in kinds.items():
+        print(f"cuts {name}: {' '.join(f'{key}:{counts[key]}' for key in keys)}")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,17 @@ Each oracle is one LP or one RREF, and each rests on a theorem its docstring
 proves.  These run the acceptance suite and double as regression oracles, so
 they favor being obviously correct over being fast.
 
+The Pareto LP maximizes one shared slack s over the cut's tight points in
+epi(z) with x in the master set, and solves it with two substitutions: eta
+comes from the cut's own equation, eta = (coef_x.x - rhs) / a with
+a = -coef_eta > 0, and on a finite master x comes from the mix,
+x = sum lambda_i p_i.  Its master rows, or mix rows, come first, so the
+free-column start pivots each x_j into its own master row.  Both
+substitutions are bijections between the feasible sets that keep s, so s*,
+and with it every verdict, is the one the LP over (x, y, eta) gives; only
+the witness, the optimal vertex Bland's rule picks, may differ
+(`pareto_verdict` proves this).
+
 Two facts depend on the instance alone and are computed once per instance:
 the affine dimension of epi(z) (`Instance.epi_affine_dimension`) and the
 implicit equalities of a polyhedral master set
@@ -32,7 +43,7 @@ from .errors import DominanceUndefined, InfeasibleCandidate, TooLarge
 from .linalg import Vector, as_vector, dot, matrix_rank, rref, sized, solve_square
 from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _relative_interior,
                     epi_dimension, epi_face_dimension, epigraph_rows, feasibility_rows,
-                    lifted, subproblem_value)
+                    subproblem_value)
 from .separation import Certificate, Cut
 from .simplex import EQ, LE, LinearProgram, LpStatus, solve, violated_row
 
@@ -216,45 +227,70 @@ def pareto_verdict(instance: Instance, cut: Cut) -> ParetoVerdict:
 
     Only cuts that actually bound eta qualify; anything with a zero eta
     coefficient is out of scope for domination comparisons.
+
+    The cut is Pareto when the system Hx + Ay <= b, d.y - eta <= 0,
+    coef_x.x + coef_eta eta = rhs, with x in the master set, has a solution
+    whose x leaves every master row that is not implicit by some s > 0: for a
+    finite master, x = sum lambda_i p_i with sum lambda = 1 and every
+    lambda_i >= s.  One LP maximizes s in [0, 1] (`_max_shared_slack`), over
+    the system with two substitutions:
+
+    * with a = -coef_eta > 0 the cut's equation reads
+      eta = (coef_x.x - rhs) / a, so eta and that equation go, and the
+      epigraph row times a reads -coef_x.x + a d.y <= -rhs;
+    * on a finite master x = sum lambda_i p_i, so x and its n `=` rows go,
+      and each row's x part c.x reads sum lambda_i c.p_i.
+
+    The columns are (x, y), or (lambda, y), then s.  The master rows, or the
+    mix rows, come first, as in the master LP and `core_point`, so the
+    free-column start pivots each x_j into its own master row rather than
+    into an epigraph row.
+
+    The LP's s* is the system's.  Proof: dropping eta, and on a finite
+    master x, maps the system's solutions onto the LP's feasible set, and
+    setting x = sum lambda_i p_i and eta = (coef_x.x - rhs) / a maps back.
+    The cut's equation holds exactly at that eta, as a != 0; the epigraph row
+    holds exactly when a times it does, as a > 0; the `=` rows of x hold
+    exactly at that x; and no other row reads eta, or on a finite master x.
+    So the map is a bijection that keeps s: both reach the same s*, or are
+    both infeasible, and rows and columns in another order bound the same
+    set.  Only the optimal vertex that Bland's rule picks may differ.  The
+    witness is (x, (coef_x.x - rhs) / a) at that vertex: on the cut by
+    construction, and in epi(z), since z(x) <= d.y <= eta at the LP's y.
     """
     sized(cut.coef_x, instance.n, "cut.coef_x")
     if cut.coef_eta >= 0:
         return ParetoVerdict(ParetoKind.NOT_APPLICABLE)
-    n, k = instance.n, instance.k
+    n, k, a = instance.n, instance.k, -cut.coef_eta
     dom = instance.master_domain
-    # variables: (x, y, eta), the mix weights of a finite master set, then the shared slack
-    s = 0 if isinstance(dom, PolyhedralDomain) else len(dom.points)
-    pad = (_ZERO,) * s
-    rows = [(c + pad, rel, rhs) for c, rel, rhs in epigraph_rows(instance)]
-    rows.append((lifted(instance, cut.coef_x, cut.coef_eta) + pad, EQ, cut.rhs))
-    slacked = [False] * len(rows)
+    # (x part, y part, rhs) of Hx + Ay <= b and of the epigraph row with eta substituted
+    epi = [*zip(instance.H, instance.A, instance.b),
+           (tuple(-v for v in cut.coef_x), tuple(a * v for v in instance.d), -cut.rhs)]
     if isinstance(dom, PolyhedralDomain):
         mask = dom.implicit_mask
         if mask is None:
             return ParetoVerdict(ParetoKind.NOT_PARETO)
-        for (coeffs, _, gi), implicit in zip(dom.rows(k + 1), mask):
-            rows.append((coeffs, EQ if implicit else LE, gi))
-            slacked.append(not implicit)
+        rows = [(coeffs, EQ if implicit else LE, gi)
+                for (coeffs, _, gi), implicit in zip(dom.rows(k), mask)]
+        slacked = [not implicit for implicit in mask]
+        rows += [(cx + cy, LE, r) for cx, cy, r in epi]
+        lower = (None,) * (n + k)
     else:
-        points = dom.points
-        nvars = n + k + 1 + s
-        for j in range(n):
-            coeffs = [_ZERO] * nvars
-            coeffs[j] = _ONE
-            for i, p in enumerate(points):
-                coeffs[n + k + 1 + i] = -p[j]
-            rows.append((tuple(coeffs), EQ, _ZERO))
-        rows.append(((_ZERO,) * (n + k + 1) + (_ONE,) * s, EQ, _ONE))
-        slacked = [False] * len(rows)
-        for i in range(s):
-            coeffs = [_ZERO] * nvars
-            coeffs[n + k + 1 + i] = -_ONE
-            rows.append((tuple(coeffs), LE, _ZERO))
-            slacked.append(True)
-    sol = _max_shared_slack(rows, slacked, (None,) * (n + k + 1) + pad)
+        points, y0 = dom.points, (_ZERO,) * k
+        # sum lambda = 1, then lambda_i >= s
+        rows = [((_ONE,) * len(points) + y0, EQ, _ONE)]
+        rows += [(tuple(-_ONE if i == j else _ZERO for j in range(len(points))) + y0, LE, _ZERO)
+                 for i in range(len(points))]
+        slacked = [False] + [True] * len(points)
+        rows += [(tuple(dot(cx, p) for p in points) + cy, LE, r) for cx, cy, r in epi]
+        lower = (_ZERO,) * len(points) + (None,) * k
+    sol = _max_shared_slack(rows, slacked + [False] * len(epi), lower)
     if sol is None:
         return ParetoVerdict(ParetoKind.NOT_PARETO)
-    return ParetoVerdict(ParetoKind.PARETO, witness=EpiPoint(x=sol[:n], eta=sol[n + k]))
+    x = (sol[:n] if isinstance(dom, PolyhedralDomain) else
+         tuple(sum((w * p[j] for w, p in zip(sol, dom.points)), _ZERO) for j in range(n)))
+    return ParetoVerdict(ParetoKind.PARETO,
+                         witness=EpiPoint(x=x, eta=(dot(cut.coef_x, x) - cut.rhs) / a))
 
 
 def _eta_bound_gap(a: Cut, b: Cut) -> tuple[Vector, Fraction]:

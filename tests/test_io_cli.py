@@ -831,7 +831,7 @@ def test_cli_verify_facet(capsys, ex1):
     assert code == 0
     assert out == ["face_dimension=1", "epi_dimension=2",
                    "classification=facet_defining", "mis=true", "pareto=pareto",
-                   "witness_x=4/3", "witness_eta=7/3"]
+                   "witness_x=1", "witness_eta=3"]
     # the face is a segment and the LP's tie-break picks the witness on it, so
     # check the property too: on the cut, and in epi(z) with y = eta (d = 1)
     x, eta = (F(line.split("=")[1]) for line in out[-2:])

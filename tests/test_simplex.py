@@ -55,9 +55,9 @@ FLIPPED_LE_ROWS = LinearProgram(
 
 # min x1 over x1 - x2 <= 2, x2 <= 5, x2 >= 0: the start holds x1 in the first
 # row, at 2, and x1 runs off to -inf as that row's slack grows.
-RAY_ALONG_X_MINUS = LinearProgram("min", (F(1), F(0)),
-                                  (((F(1), F(-1)), LE, F(2)), ((F(0), F(1)), LE, F(5))),
-                                  lower=(None, F(0)))
+HELD_FREE_BASIC_RUNS_DOWN = LinearProgram("min", (F(1), F(0)),
+                                          (((F(1), F(-1)), LE, F(2)), ((F(0), F(1)), LE, F(5))),
+                                          lower=(None, F(0)))
 
 
 @pytest.mark.parametrize("lp", [
@@ -79,7 +79,7 @@ def test_infeasible_gives_farkas(lp):
 
 @pytest.mark.parametrize("lp", [
     pytest.param(LinearProgram("max", (F(1),), (((F(-1),), LE, F(0)),)), id="one_var"),
-    pytest.param(RAY_ALONG_X_MINUS, id="ray_along_x_minus"),
+    pytest.param(HELD_FREE_BASIC_RUNS_DOWN, id="held_free_basic_runs_down"),
 ])
 def test_unbounded_gives_ray(lp):
     out = solve(lp)
@@ -102,10 +102,10 @@ def test_unbounded_gives_ray(lp):
         LinearProgram("min", (F(1), F(2)), (((F(1), F(1)), GE, F(-4)),), lower=(None, F(-1))),
         LpOutcome(LpStatus.OPTIMAL, primal=(F(-3), F(-1)), objective_value=F(-5),
                   dual=(F(-1), F(-1))),
-        id="x_minus_basic"),
-    pytest.param(RAY_ALONG_X_MINUS,
+        id="held_free_basic_ends_negative"),
+    pytest.param(HELD_FREE_BASIC_RUNS_DOWN,
                  LpOutcome(LpStatus.UNBOUNDED, primal=(F(2), F(0)), ray=(F(-1), F(0))),
-                 id="ray_along_x_minus"),
+                 id="held_free_basic_runs_down"),
     pytest.param(  # min x2 over x1 <= 5, x1 >= 0, x2 free: x2 is zero on every row,
         # so no row holds it; its reduced cost 1 walks it downwards
         LinearProgram("min", (F(0), F(1)), (((F(1), F(0)), LE, F(5)),), lower=(F(0), None)),
@@ -153,7 +153,7 @@ def test_unbounded_gives_ray(lp):
         LpOutcome(LpStatus.UNBOUNDED, primal=(F(3), F(2)), ray=(F(1), F(1))),
         id="ray_over_shifted_columns"),
 ])
-def test_twin_column_outcomes(lp, expected):
+def test_free_slack_and_shifted_column_outcomes(lp, expected):
     out = solve(lp)
     assert out == expected
     assert check_outcome(lp, out) is None
@@ -285,7 +285,7 @@ def test_restated_equality_with_a_new_right_side_is_infeasible():
 
 
 @pytest.mark.parametrize("lp", [
-    pytest.param(RAY_ALONG_X_MINUS, id="ray_along_x_minus"),
+    pytest.param(HELD_FREE_BASIC_RUNS_DOWN, id="held_free_basic_runs_down"),
     # max x over x - y <= 1, y >= 2: the ray leaves from a point with y > 0
     pytest.param(LinearProgram("max", (F(1), F(0)), (((F(1), F(-1)), LE, F(1)),),
                                lower=(None, F(2))), id="ray_off_the_origin"),
@@ -298,7 +298,7 @@ def test_unbounded_outcome_carries_a_feasible_point(lp):
 
 
 _BY_STATUS = {"optimal": TWO_VAR_MAX, "infeasible": FLIPPED_LE_ROWS,
-              "unbounded": RAY_ALONG_X_MINUS}
+              "unbounded": HELD_FREE_BASIC_RUNS_DOWN}
 
 
 @pytest.mark.parametrize("status, corrupt, problem", [
@@ -390,10 +390,10 @@ def test_a_zero_equality_row_changes_no_outcome(rows, j, obj, sense, free, upper
     lp = LinearProgram(sense, obj, rows, lower=lower, upper=upper)
     out = solve(lp)
     padded = replace(lp, rows=rows + (((F(0),) * 3, EQ, F(0)),))
-    twin = solve(padded)
-    assert check_outcome(lp, out) is None and check_outcome(padded, twin) is None
-    assert out.status == twin.status
-    assert out.objective_value == twin.objective_value
+    padded_out = solve(padded)
+    assert check_outcome(lp, out) is None and check_outcome(padded, padded_out) is None
+    assert out.status == padded_out.status
+    assert out.objective_value == padded_out.objective_value
 
 
 @given(st.lists(st.tuples(st.lists(ints.map(F), min_size=3, max_size=3),

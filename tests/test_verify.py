@@ -12,7 +12,7 @@ from bendercuts import model, verify
 from bendercuts.cglp import MisOnes, build_alt_polyhedron
 from bendercuts.errors import DominanceUndefined, InfeasibleCandidate, TooLarge
 from bendercuts.instance_io import parse_instance, serialize_instance
-from bendercuts.linalg import matrix_rank, rref
+from bendercuts.linalg import dot, matrix_rank, rref
 from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _affine_dimension,
                               _implicit_mask, epi_contains, epi_dimension, epi_face_dimension,
                               epigraph_rows, feasibility_rows, lifted, subproblem_value,
@@ -144,6 +144,112 @@ def test_pareto_over_an_empty_master_set(ex1):
     assert pareto_verdict(empty, P1_CUT).kind == ParetoKind.NOT_PARETO
 
 
+def _reference_pareto_verdict(instance, cut):
+    """The shared-slack LP over (x, y, eta) that `pareto_verdict` slims: eta is
+    a column and the cut an `=` row, a finite master keeps x as columns tied
+    to the mix weights by n `=` rows, and the epigraph rows come first."""
+    if cut.coef_eta >= 0:
+        return verify.ParetoVerdict(ParetoKind.NOT_APPLICABLE)
+    n, k = instance.n, instance.k
+    dom = instance.master_domain
+    s = 0 if isinstance(dom, PolyhedralDomain) else len(dom.points)
+    pad = (F(0),) * s
+    rows = [(c + pad, rel, rhs) for c, rel, rhs in epigraph_rows(instance)]
+    rows.append((lifted(instance, cut.coef_x, cut.coef_eta) + pad, EQ, cut.rhs))
+    slacked = [False] * len(rows)
+    if isinstance(dom, PolyhedralDomain):
+        mask = dom.implicit_mask
+        if mask is None:
+            return verify.ParetoVerdict(ParetoKind.NOT_PARETO)
+        for (coeffs, _, gi), implicit in zip(dom.rows(k + 1), mask):
+            rows.append((coeffs, EQ if implicit else LE, gi))
+            slacked.append(not implicit)
+    else:
+        nvars = n + k + 1 + s
+        for j in range(n):
+            coeffs = [F(0)] * nvars
+            coeffs[j] = F(1)
+            for i, p in enumerate(dom.points):
+                coeffs[n + k + 1 + i] = -p[j]
+            rows.append((tuple(coeffs), EQ, F(0)))
+        rows.append(((F(0),) * (n + k + 1) + (F(1),) * s, EQ, F(1)))
+        slacked = [False] * len(rows)
+        for i in range(s):
+            coeffs = [F(0)] * nvars
+            coeffs[n + k + 1 + i] = F(-1)
+            rows.append((tuple(coeffs), LE, F(0)))
+            slacked.append(True)
+    sol = verify._max_shared_slack(rows, slacked, (None,) * (n + k + 1) + pad)
+    if sol is None:
+        return verify.ParetoVerdict(ParetoKind.NOT_PARETO)
+    return verify.ParetoVerdict(ParetoKind.PARETO, witness=EpiPoint(x=sol[:n], eta=sol[n + k]))
+
+
+def _box(n):
+    """0 <= x <= 4: no row of it is implicit."""
+    unit = [tuple(F(1 if i == j else 0) for j in range(n)) for i in range(n)]
+    return PolyhedralDomain(G=tuple(tuple(-v for v in row) for row in unit) + tuple(unit),
+                            g=(F(0),) * n + (F(4),) * n)
+
+
+def _pareto_cases():
+    """Seeded draws on each master kind (x >= 0, finite, the box 0 <= x <= 4),
+    each with its MIS cut at a separable point, that cut moved into epi(z)
+    and away from it, and a random normal tightened onto epi(z)."""
+    rng = random.Random(5)
+    for kind in ("polyhedral", "finite", "box"):
+        for _ in range(40):
+            inst = random_instance(rng, finite=kind == "finite")
+            if kind == "box":
+                inst = replace(inst, master_domain=_box(inst.n))
+            point = separable_point(rng, inst)
+            if point is None:
+                continue
+            cut = separate(inst, point, MisOnes()).cut
+            cuts = [Cut(coef_x=cut.coef_x, coef_eta=cut.coef_eta, rhs=cut.rhs + shift)
+                    for shift in (0, -1, 1)]
+            normal = tuple(F(rng.randint(-3, 3)) for _ in range(inst.n))
+            h = support_function(inst, normal, F(-1))
+            if h != math.inf:
+                cuts.append(Cut(coef_x=normal, coef_eta=F(-1), rhs=h))
+            yield kind, inst, cuts
+
+
+def test_pareto_verdict_matches_the_lifted_reference(monkeypatch):
+    """Substituting eta (and x on a finite master) keeps every verdict kind.
+    A witness lies on the cut and in epi(z), and on a polyhedral master
+    strictly inside every row that is not implicit.  On the box the LP has
+    no eta column and no `=` row, and its master rows come first."""
+    solved = []
+    real_solve = verify.solve
+    monkeypatch.setattr(verify, "solve", lambda lp: solved.append(lp) or real_solve(lp))
+    seen = set()
+    for kind, inst, cuts in _pareto_cases():
+        dom = inst.master_domain
+        for cut in cuts:
+            solved.clear()
+            verdict = pareto_verdict(inst, cut)
+            lps = list(solved)
+            assert verdict.kind == _reference_pareto_verdict(inst, cut).kind, (inst, cut)
+            seen.add((kind, verdict.kind))
+            if verdict.kind == ParetoKind.PARETO:
+                witness = verdict.witness
+                assert cut.value_at(witness) == cut.rhs
+                assert epi_contains(inst, witness)
+                if isinstance(dom, PolyhedralDomain):
+                    for grow, gi, implicit in zip(dom.G, dom.g, dom.implicit_mask):
+                        assert implicit or dot(grow, witness.x) < gi
+            if kind == "box" and lps:
+                (lp,) = lps
+                assert lp.num_vars == inst.n + inst.k + 1  # x, y and the shared slack
+                assert all(rel == LE for _, rel, _ in lp.rows)
+                slacked_row = (F(0),) * inst.k + (F(1),)  # zero on y, 1 on s
+                assert [(c[:inst.n], c[inst.n:], r) for c, _, r in lp.rows[:len(dom.G)]] == [
+                    (grow, slacked_row, gi) for grow, gi in zip(dom.G, dom.g)]
+    assert seen == {(kind, verdict) for kind in ("polyhedral", "finite", "box")
+                    for verdict in ParetoKind}
+
+
 def test_dominates(ex1):
     raw = ge_cut((F(1),), F(1), F(7, 2))
     tightened = ge_cut((F(1),), F(1), F(11, 3))
@@ -185,10 +291,15 @@ def test_rowless_polyhedral_master(ex1):
     # promises is a point strictly above the value function
     core = core_point(free)
     assert subproblem_value(free, core.x) < core.eta
-    for cut in (P1_CUT, P2_CUT, P3_CUT):
+    # P1_CUT's face is a segment, and the Pareto LPs differ (ex1's starts with
+    # its row x >= 0), so Bland's rule picks another optimal vertex on it
+    low, high = EpiPoint((F(1),), F(3)), EpiPoint((F(4, 3),), F(7, 3))
+    for cut, witness, free_witness in ((P1_CUT, low, high), (P2_CUT, high, high),
+                                       (P3_CUT, None, None)):
         assert face_report(free, cut) == face_report(ex1, cut)
-        assert pareto_verdict(free, cut) == pareto_verdict(ex1, cut)
-    assert pareto_verdict(free, P1_CUT).witness == EpiPoint((F(4, 3),), F(7, 3))
+        assert pareto_verdict(free, cut).kind == pareto_verdict(ex1, cut).kind
+        assert pareto_verdict(ex1, cut).witness == witness
+        assert pareto_verdict(free, cut).witness == free_witness
 
 
 def test_core_point(ex1, ex1_finite):
