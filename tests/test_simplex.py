@@ -79,7 +79,8 @@ def test_infeasible_gives_farkas(lp):
 
 @pytest.mark.parametrize("lp", [
     pytest.param(LinearProgram("max", (F(1),), (((F(-1),), LE, F(0)),)), id="one_var"),
-    pytest.param(HELD_FREE_BASIC_RUNS_DOWN, id="held_free_basic_runs_down"),
+    # the id names the direction of x1's ray, as in test_free_column_zero_on_every_row
+    pytest.param(HELD_FREE_BASIC_RUNS_DOWN, id="ray_along_x_minus"),
 ])
 def test_unbounded_gives_ray(lp):
     out = solve(lp)
@@ -285,7 +286,7 @@ def test_restated_equality_with_a_new_right_side_is_infeasible():
 
 
 @pytest.mark.parametrize("lp", [
-    pytest.param(HELD_FREE_BASIC_RUNS_DOWN, id="held_free_basic_runs_down"),
+    pytest.param(HELD_FREE_BASIC_RUNS_DOWN, id="ray_along_x_minus"),
     # max x over x - y <= 1, y >= 2: the ray leaves from a point with y > 0
     pytest.param(LinearProgram("max", (F(1), F(0)), (((F(1), F(-1)), LE, F(1)),),
                                lower=(None, F(2))), id="ray_off_the_origin"),
