@@ -15,7 +15,9 @@ fallback records, replay problems and `optimal` values that differ from
 digest), then one line per config: its status tally, the mean and largest
 iteration count of its optimal runs, and its fallback records, and last one
 line per config that tallies the `face_report` class and the
-`pareto_verdict` kind of every cut its runs made. Two commits that print the
+`pareto_verdict` kind of every cut its runs made outside fallback rounds,
+each followed, when its runs fell back, by a `+fb` line that tallies the
+cuts of its fallback rounds (which run `MisOnes`). Two commits that print the
 same first line returned the same results; where an LP change may pick
 another optimal vertex, so that a Pareto witness moves and the digest with
 it, equal tally lines show that no status, class or kind moved:
@@ -87,19 +89,20 @@ def main():
                 lines.append(f"{'finite' if finite else 'box'} {seed} {name}")
                 result = solve(inst, config)
                 lines.append(repr(result))
-                cuts = [r.cut for r in result.trace if r.cut is not None]
-                for i, cut in enumerate(cuts):
-                    face, face_text = judged(face_report, inst, cut)
-                    verdict, verdict_text = judged(pareto_verdict, inst, cut)
+                cut_records = [r for r in result.trace if r.cut is not None]
+                for i, record in enumerate(cut_records):
+                    face, face_text = judged(face_report, inst, record.cut)
+                    verdict, verdict_text = judged(pareto_verdict, inst, record.cut)
                     if i < 2:
                         lines += [face_text, verdict_text]
-                    kinds[name][face.classification.value if face else "face_error"] += 1
-                    kinds[name][verdict.kind.value if verdict else "pareto_error"] += 1
+                    row = kinds[f"{name} +fb" if record.fallback else name]
+                    row[face.classification.value if face else "face_error"] += 1
+                    row[verdict.kind.value if verdict else "pareto_error"] += 1
                 problems = replay_trace(inst, trace_document(inst, config, result))
                 lines.append(repr(problems))
                 tally[f"status.{result.status.value}"] += 1
                 tally["runs"] += 1
-                tally["cuts"] += len(cuts)
+                tally["cuts"] += len(cut_records)
                 tally["fallback_records"] += sum(r.fallback for r in result.trace)
                 tally["replay_problems"] += len(problems)
                 statuses[name][result.status.value] += 1
@@ -124,8 +127,10 @@ def main():
               f" fallback_records {fallbacks[name]}")
     keys = ([c.value for c in FaceClass] + ["face_error"]
             + [k.value for k in ParetoKind] + ["pareto_error"])
-    for name, counts in kinds.items():
-        print(f"cuts {name}: {' '.join(f'{key}:{counts[key]}' for key in keys)}")
+    for name in statuses:
+        for row in (name, f"{name} +fb"):
+            if row in kinds:
+                print(f"cuts {row}: {' '.join(f'{key}:{kinds[row][key]}' for key in keys)}")
 
 
 if __name__ == "__main__":

@@ -123,7 +123,7 @@ class Instance:
     def epi_affine_dimension(self) -> int:
         """Affine dimension of epi(z), -1 when it is empty.
 
-        Computed from the lifted epigraph's implicit equalities (see
+        Computed from the implicit equalities of Hx + Ay <= b (see
         `_affine_dimension`) on first read only: the instance is immutable.
         """
         return _affine_dimension(self)
@@ -158,14 +158,27 @@ def lifted(instance: Instance, x: Sequence, eta) -> Vector:
     return tuple(x) + (_ZERO,) * instance.k + (eta,)
 
 
+def tight_rows(instance: Instance, tight=None):
+    """Rows over (x, y) of the set where a candidate inequality is tight.
+
+    The m linking rows Hx + Ay <= b, then, with `tight` = (pi, pi0, alpha)
+    and pi0 <= 0, the row -pi.x - pi0 d.y <= -alpha: the epigraph row
+    d.y - eta <= 0 times a = -pi0 plus the reversed row
+    -pi.x - pi0*eta <= -alpha, so eta is projected out (`_affine_dimension`
+    proves what the projection keeps).
+    """
+    rows = tuple((hrow + arow, LE, bi)
+                 for hrow, arow, bi in zip(instance.H, instance.A, instance.b))
+    if tight is None:
+        return rows
+    pi, pi0, alpha = tight
+    return rows + ((tuple(-v for v in pi) + tuple(-pi0 * v for v in instance.d), LE, -alpha),)
+
+
 def epigraph_rows(instance: Instance):
     """Rows of the lifted epigraph {(x, y, eta) : Hx + Ay <= b, d.y - eta <= 0}."""
-    n, k = instance.n, instance.k
-    rows = []
-    for hrow, arow, bi in zip(instance.H, instance.A, instance.b):
-        rows.append((hrow + arow + (_ZERO,), LE, bi))
-    rows.append(((_ZERO,) * n + instance.d + (Fraction(-1),), LE, _ZERO))
-    return tuple(rows)
+    epi = ((_ZERO,) * instance.n + instance.d + (Fraction(-1),), LE, _ZERO)
+    return tuple((coeffs + (_ZERO,), LE, bi) for coeffs, _, bi in tight_rows(instance)) + (epi,)
 
 
 def subproblem_value(instance: Instance, x: Sequence) -> Union[Fraction, float]:
@@ -254,13 +267,6 @@ def _affine_dimension(instance: Instance, tight=None) -> int:
     """Affine dimension of epi(z), or of the face a valid inequality exposes; -1 when empty.
 
     epi(z) is the (x, eta) projection of the lifted set Q of `epigraph_rows`.
-    Q's affine hull is {w : E w = e}, E its implicit equalities
-    (`_implicit_mask`), so the projection's hull has the direction space
-    P null(E), P the unit rows of x and eta, whose dimension is
-    rank([E; P]) - rank(E) = n + 1 - (rank(E) - rank(E_y)), E_y the y columns
-    of E.  One RREF of E with its y columns first gives both ranks: its pivots
-    among those columns are rank(E_y).
-
     With `tight` = (pi, pi0, alpha), Q also gets the reversed row
     -pi.x - pi0*eta <= -alpha, and the answer is -1 unless that row is
     implicit on a nonempty Q.  A point of epi(z) with pi.x + pi0*eta > alpha
@@ -268,18 +274,52 @@ def _affine_dimension(instance: Instance, tight=None) -> int:
     means the inequality pi.x + pi0*eta <= alpha is valid for epi(z) and
     touches it, and Q is then the face it exposes.  Conversely, a valid
     inequality that touches epi(z) makes Q that face, nonempty and on the row.
+    Q's affine hull is {w : E w = e}, E its implicit equalities, so the
+    projection's hull has the direction space P null(E), P the unit rows of x
+    and eta, whose dimension is rank([E; P]) - rank(E) =
+    n + 1 - (rank E - rank E_y), E_y the y columns of E.
+
+    Q is never built.  For pi0 > 0 the answer is -1 without an LP: both rows
+    that read eta then bound it only from below, so raising eta leaves the
+    reversed row at every point of Q, and that row is never implicit.
+    Otherwise one implicit-equality LP (`_implicit_mask`) runs over (x, y) on
+    the rows of `tight_rows`, and with E' its implicit rows the answer is
+    n + f - (rank E' - rank E'_y), f = 1 with no tight row or with pi0 = 0 and
+    f = 0 otherwise.  One RREF of E' with its y columns first gives both
+    ranks: its pivots among those columns are rank E'_y.
+
+    Proof, case a = -pi0 > 0.  At (x, y, eta) the rooms rho_e = eta - d.y of
+    the epigraph row and rho_c = pi.x - alpha - a*eta of the reversed row
+    satisfy a*rho_e + rho_c = pi.x - a d.y - alpha, the room of the projected
+    row.  For fixed (x, y), some eta makes both rooms nonnegative exactly when
+    that room is nonnegative, and both positive exactly when it is positive
+    (eta runs over [d.y, (pi.x - alpha)/a]); and if it is 0 on the whole set,
+    so are both rooms, as a > 0.  No linking row reads eta.  So Q projects
+    onto the (x, y) set, is nonempty exactly when that set is, has the same
+    implicit linking rows, and each of its two eta rows is implicit exactly
+    when the projected row is.  When they are, E swaps the projected row of E'
+    for the epigraph row and the reversed row, whose sum with weights a and 1
+    is the projected row.  The epigraph row alone reads eta, so
+    rank E = rank E' + 1; on the y columns the reversed row is 0 and the
+    epigraph row is d, the projected row's a d over a, so
+    rank E_y = rank E'_y.  The lifted count is then
+    n + 1 - (rank E - rank E_y) = n - (rank E' - rank E'_y).
+
+    Proof, case a = 0 or no tight row.  Only the epigraph row reads eta, and
+    eta is free upwards, so that row is never implicit and Q is the (x, y)
+    set with eta in [d.y, inf): E is E' with a zero eta column, and the lifted
+    count is n + 1 - (rank E' - rank E'_y).
     """
     n, k = instance.n, instance.k
-    rows = epigraph_rows(instance)
-    if tight is not None:
-        pi, pi0, alpha = tight
-        rows += ((lifted(instance, tuple(-v for v in pi), -pi0), LE, -alpha),)
+    if tight is not None and tight[1] > 0:
+        return -1
+    rows = tight_rows(instance, tight)
     mask = _implicit_mask(rows)
     if mask is None or (tight is not None and not mask[-1]):
         return -1
-    y_first = [coeffs[n:n + k] + coeffs[:n] + coeffs[n + k:]
-               for (coeffs, _, _), holds in zip(rows, mask) if holds]
-    return n + 1 - sum(col >= k for col in rref(y_first)[1])
+    eta_free = tight is None or tight[1] == 0
+    y_first = [coeffs[n:] + coeffs[:n] for (coeffs, _, _), holds in zip(rows, mask) if holds]
+    return n + eta_free - sum(col >= k for col in rref(y_first)[1])
 
 
 def epi_dimension(instance: Instance) -> int:
@@ -293,8 +333,9 @@ def epi_dimension(instance: Instance) -> int:
 def epi_face_dimension(instance: Instance, pi: Sequence, pi0, alpha) -> int:
     """Dimension of the face that pi.x + pi0*eta <= alpha exposes on epi(z); -1
     when it exposes none: it cuts into epi(z), misses it, or epi(z) is empty.
+    With pi0 > 0 it is always -1, as eta runs to +inf in epi(z).
 
-    One implicit-equality LP; see `_affine_dimension`.
+    One implicit-equality LP over (x, y), none for pi0 > 0; see `_affine_dimension`.
     """
     pi = sized(as_vector(pi), instance.n, "pi")
     return _affine_dimension(instance, tight=(pi, as_fraction(pi0), as_fraction(alpha)))
@@ -319,8 +360,7 @@ def undecomposed_value(instance: Instance) -> Union[Fraction, float]:
             if value < best:
                 best = value
         return best
-    linking = zip(instance.H, instance.A, instance.b)
-    rows = dom.rows(instance.k) + tuple((hrow + arow, LE, bi) for hrow, arow, bi in linking)
+    rows = dom.rows(instance.k) + tight_rows(instance)
     out = solve(LinearProgram("min", instance.c + instance.d, rows))
     if out.status == LpStatus.OPTIMAL:
         return out.objective_value

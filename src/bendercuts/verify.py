@@ -1,19 +1,26 @@
 """Independent oracles for every cut property the toolkit claims.
 
 Nothing in here trusts the separation machinery: face dimensions come from
-the implicit equalities of the lifted epigraph, the minimal-infeasible-
-subsystem test is one exact rank test on the support's rows, vertices are
-enumerated by brute force over row subsets, and Pareto verdicts follow the
-tight-point characterization over the relative interior of the master set.
+the implicit equalities of the instance's rows and the cut's, the
+minimal-infeasible-subsystem test is one exact rank test on the support's
+rows, vertices are enumerated by brute force over row subsets, and Pareto
+verdicts follow the tight-point characterization over the relative interior
+of the master set.
 Each oracle is one LP or one RREF, and each rests on a theorem its docstring
 proves.  These run the acceptance suite and double as regression oracles, so
 they favor being obviously correct over being fast.
 
-The Pareto LP maximizes one shared slack s over the cut's tight points in
-epi(z) with x in the master set, and solves it with two substitutions: eta
-comes from the cut's own equation, eta = (coef_x.x - rhs) / a with
-a = -coef_eta > 0, and on a finite master x comes from the mix,
-x = sum lambda_i p_i.  Its master rows, or mix rows, come first, so the
+The face LP and the Pareto LP solve over (x, y) on the rows of one builder,
+`model.tight_rows`: Hx + Ay <= b, then, for a cut with a = -coef_eta >= 0,
+the epigraph row d.y - eta <= 0 times a plus the cut's reversed row, which
+projects eta out: -coef_x.x + a d.y <= -rhs.  The face LP finds the
+implicit equalities of those rows; `_affine_dimension` proves that they give
+the face dimension the lifted rows over (x, y, eta) give, and that a cut with
+coef_eta > 0 exposes no face.  The Pareto LP maximizes one shared slack s
+over the cut's tight points with x in the master set.  There eta comes from
+the cut's own equation, eta = (coef_x.x - rhs) / a, which turns the epigraph
+row into the same projected row, and on a finite master x comes from the
+mix, x = sum lambda_i p_i.  Its master rows, or mix rows, come first, so the
 free-column start pivots each x_j into its own master row.  Both
 substitutions are bijections between the feasible sets that keep s, so s*,
 and with it every verdict, is the one the LP over (x, y, eta) gives; only
@@ -23,11 +30,12 @@ the witness, the optimal vertex Bland's rule picks, may differ
 Two facts depend on the instance alone and are computed once per instance:
 the affine dimension of epi(z) (`Instance.epi_affine_dimension`) and the
 implicit equalities of a polyhedral master set
-(`PolyhedralDomain.implicit_mask`).  Each is cached on the frozen object that determines it, so repeated reports on
-one instance skip those LPs.  They stay independent of the separation code:
-both come from one implicit-equality LP over the instance's own rows (and, for
-the dimension, two ranks), never from a cut, a certificate or a separation
-result, and the cache changes when they are computed, not what.
+(`PolyhedralDomain.implicit_mask`).  Each is cached on the frozen object that
+determines it, so repeated reports on one instance skip those LPs.  They stay
+independent of the separation code: both come from one implicit-equality LP
+over the instance's own rows (and, for the dimension, two ranks), never from
+a cut, a certificate or a separation result, and the cache changes when they
+are computed, not what.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .errors import DominanceUndefined, InfeasibleCandidate, TooLarge
 from .linalg import Vector, as_vector, dot, matrix_rank, rref, sized, solve_square
 from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _relative_interior,
                     epi_dimension, epi_face_dimension, epigraph_rows, feasibility_rows,
-                    subproblem_value)
+                    subproblem_value, tight_rows)
 from .separation import Certificate, Cut
 from .simplex import EQ, LE, LinearProgram, LpStatus, solve, violated_row
 
@@ -237,7 +245,8 @@ def pareto_verdict(instance: Instance, cut: Cut) -> ParetoVerdict:
 
     * with a = -coef_eta > 0 the cut's equation reads
       eta = (coef_x.x - rhs) / a, so eta and that equation go, and the
-      epigraph row times a reads -coef_x.x + a d.y <= -rhs;
+      epigraph row times a reads -coef_x.x + a d.y <= -rhs, the row that
+      `tight_rows` appends to Hx + Ay <= b, as it does for the face LP;
     * on a finite master x = sum lambda_i p_i, so x and its n `=` rows go,
       and each row's x part c.x reads sum lambda_i c.p_i.
 
@@ -263,9 +272,7 @@ def pareto_verdict(instance: Instance, cut: Cut) -> ParetoVerdict:
         return ParetoVerdict(ParetoKind.NOT_APPLICABLE)
     n, k, a = instance.n, instance.k, -cut.coef_eta
     dom = instance.master_domain
-    # (x part, y part, rhs) of Hx + Ay <= b and of the epigraph row with eta substituted
-    epi = [*zip(instance.H, instance.A, instance.b),
-           (tuple(-v for v in cut.coef_x), tuple(a * v for v in instance.d), -cut.rhs)]
+    epi = tight_rows(instance, (cut.coef_x, cut.coef_eta, cut.rhs))
     if isinstance(dom, PolyhedralDomain):
         mask = dom.implicit_mask
         if mask is None:
@@ -273,7 +280,7 @@ def pareto_verdict(instance: Instance, cut: Cut) -> ParetoVerdict:
         rows = [(coeffs, EQ if implicit else LE, gi)
                 for (coeffs, _, gi), implicit in zip(dom.rows(k), mask)]
         slacked = [not implicit for implicit in mask]
-        rows += [(cx + cy, LE, r) for cx, cy, r in epi]
+        rows += epi
         lower = (None,) * (n + k)
     else:
         points, y0 = dom.points, (_ZERO,) * k
@@ -282,7 +289,7 @@ def pareto_verdict(instance: Instance, cut: Cut) -> ParetoVerdict:
         rows += [(tuple(-_ONE if i == j else _ZERO for j in range(len(points))) + y0, LE, _ZERO)
                  for i in range(len(points))]
         slacked = [False] + [True] * len(points)
-        rows += [(tuple(dot(cx, p) for p in points) + cy, LE, r) for cx, cy, r in epi]
+        rows += [(tuple(dot(c[:n], p) for p in points) + c[n:], LE, r) for c, _, r in epi]
         lower = (_ZERO,) * len(points) + (None,) * k
     sol = _max_shared_slack(rows, slacked + [False] * len(epi), lower)
     if sol is None:

@@ -10,15 +10,15 @@ from hypothesis import given, strategies as st
 
 from bendercuts import model, verify
 from bendercuts.cglp import MisOnes, build_alt_polyhedron
-from bendercuts.errors import DominanceUndefined, InfeasibleCandidate, TooLarge
+from bendercuts.errors import DominanceUndefined, InfeasibleCandidate, TooLarge, UnboundedDirection
 from bendercuts.instance_io import parse_instance, serialize_instance
 from bendercuts.linalg import dot, matrix_rank, rref
 from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _affine_dimension,
                               _implicit_mask, epi_contains, epi_dimension, epi_face_dimension,
                               epigraph_rows, feasibility_rows, lifted, subproblem_value,
-                              support_function)
+                              support_function, tight_rows)
 from bendercuts.randgen import random_instance, separable_point
-from bendercuts.separation import Certificate, Cut, SEPARATED, separate
+from bendercuts.separation import Certificate, Cut, SEPARATED, separate, tighten_rhs
 from bendercuts.simplex import EQ, LE, LinearProgram, LpStatus, solve
 from bendercuts.verify import (FaceClass, FaceReport, ParetoKind, core_point, dominates,
                                enumerate_vertices, face_report, is_mis_certificate,
@@ -554,6 +554,84 @@ def test_face_report_matches_the_two_lp_reference():
                 assert report == _two_lp_face_report(inst, moved), (inst, moved)
                 seen.add(report.classification)
     assert seen == set(FaceClass)
+
+
+def _lifted_affine_dimension(instance, tight=None):
+    """The dimension oracle over (x, y, eta) that `_affine_dimension` projects
+    eta out of: the implicit equalities of `epigraph_rows`, plus the reversed
+    row -pi.x - pi0*eta <= -alpha for a candidate, then
+    n + 1 - (rank E - rank E_y) from one RREF with the y columns first."""
+    n, k = instance.n, instance.k
+    rows = epigraph_rows(instance)
+    if tight is not None:
+        pi, pi0, alpha = tight
+        rows += ((lifted(instance, tuple(-v for v in pi), -pi0), LE, -alpha),)
+    mask = _implicit_mask(rows)
+    if mask is None or (tight is not None and not mask[-1]):
+        return -1
+    y_first = [coeffs[n:n + k] + coeffs[:n] + coeffs[n + k:]
+               for (coeffs, _, _), holds in zip(rows, mask) if holds]
+    return n + 1 - sum(col >= k for col in rref(y_first)[1])
+
+
+def _face_candidates(rng, inst, cuts):
+    """(pi, pi0, alpha) of each cut and, when it bounds eta, of the cut with
+    pi0 flipped above 0; a random normal with pi0 = 0 (a feasibility cut) and
+    with pi0 = -1, each tightened onto epi(z); and that normal with pi0 > 0 at
+    the top of pi.x + pi0 d.y over Hx + Ay <= b, where the projected row
+    -pi.x - pi0 d.y <= -alpha would be implicit."""
+    tights = [(cut.coef_x, cut.coef_eta, cut.rhs) for cut in cuts]
+    tights += [(cut.coef_x, -cut.coef_eta, cut.rhs) for cut in cuts if cut.coef_eta < 0]
+    normal = tuple(F(rng.randint(-3, 3)) for _ in range(inst.n))
+    for pi0 in (F(0), F(-1)):
+        try:
+            tights.append((normal, pi0, tighten_rhs(inst, normal, pi0)))
+        except UnboundedDirection:
+            pass
+    pi0 = F(rng.randint(1, 3))
+    top = solve(LinearProgram("max", normal + tuple(pi0 * v for v in inst.d),
+                              tight_rows(inst)))
+    if top.status == LpStatus.OPTIMAL:
+        tights.append((normal, pi0, top.objective_value))
+    return tights
+
+
+def test_face_lp_over_x_y_matches_the_lifted_reference(monkeypatch):
+    """Projecting eta out keeps every dimension, with and without a tight row,
+    on seeded draws of each master kind and on an empty epigraph.  The face
+    LP has n + k sign-free columns and m + 1 rows (m with no tight row);
+    pi0 > 0 gives -1 with no LP, also where the projected row is implicit."""
+    solved = []
+    real_solve = model.solve
+    monkeypatch.setattr(model, "solve", lambda lp: solved.append(lp) or real_solve(lp))
+    rng = random.Random(8)
+    cases = [(inst, _face_candidates(rng, inst, cuts)) for _, inst, cuts in _pareto_cases()]
+    cases.append((empty_epigraph(), [((F(-1),), F(-1), F(0)), ((F(1),), F(0), F(0)),
+                                     ((F(1),), F(1), F(0))]))
+    seen = set()
+    for inst, tights in cases:
+        n, k, m = inst.n, inst.k, inst.m
+        for tight in [None] + tights:
+            solved.clear()
+            dim = _affine_dimension(inst, tight=tight)
+            lps = list(solved)
+            assert dim == _lifted_affine_dimension(inst, tight=tight), (inst, tight)
+            sign = ("none" if tight is None else
+                    "<0" if tight[1] < 0 else "=0" if tight[1] == 0 else ">0")
+            seen.add((sign, dim >= 0))
+            if sign == ">0":
+                assert lps == []
+                mask = _implicit_mask(tight_rows(inst, tight))
+                if mask is not None and mask[-1]:
+                    seen.add((sign, "implicit projected row"))
+                continue
+            (lp,) = lps
+            rows = m + (tight is not None)
+            assert len(lp.rows) == rows and lp.num_vars == n + k + 1 + rows
+            assert lp.lower[:n + k] == (None,) * (n + k)
+    assert seen == {("none", True), ("none", False), ("<0", True), ("<0", False),
+                    ("=0", True), ("=0", False), (">0", False),
+                    (">0", "implicit projected row")}
 
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bendercuts"
