@@ -1,5 +1,8 @@
 """Dense exact linear algebra over rationals. Desk scale only.
 
+Every exact sum of products in the package is a `dot`, which sums in
+integers; elimination (`rref`) runs in integers too.
+
 `as_fraction` reads every outside number: documents, CLI arguments (the
 integer options too) and constructor arguments, all under `MAX_DIGITS`."""
 
@@ -75,9 +78,30 @@ def sized(values: Sequence, n: int, what: str) -> Sequence:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """sum of a_i * b_i over Fractions or ints, exactly; DimensionError unless the
+    lengths match.  The empty sum is Fraction(0).
+
+    It sums in integers: num over den, with one gcd per nonzero term and one
+    Fraction at the end.  Invariant: after each term, num/den is the partial
+    sum, and den is the lcm of d_i = x_i.denominator * y_i.denominator over
+    the nonzero terms so far (1 before the first).  Proof, by induction: it
+    holds at num = 0, den = 1.  A term x*y = p/d, p = x.numerator *
+    y.numerator, with g = gcd(den, d), gives num/den + p/d =
+    (num*(d/g) + p*(den/g)) / (den*(d/g)), and den*(d/g) = den*d/g is
+    lcm(den, d), the lcm with d added; d/g and den/g are integers.  A term
+    with a zero factor adds 0 and is skipped.  So at the end num/den is the
+    sum, and Fraction(num, den) reduces it to lowest terms, the value that
+    summing the Fraction products gives."""
     if len(a) != len(b):
         raise DimensionError(f"dot: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    num, den = 0, 1
+    for x, y in zip(a, b):
+        if x and y:
+            d = x.denominator * y.denominator
+            g = gcd(den, d)
+            num = num * (d // g) + x.numerator * y.numerator * (den // g)
+            den *= d // g
+    return Fraction(num, den)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionError, EmptyEpigraph
-from .linalg import Vector, as_fraction, as_vector, rref, sized
+from .linalg import Vector, as_fraction, as_vector, dot, rref, sized
 from .simplex import LE, LinearProgram, LpStatus, solve
 
 _ZERO = Fraction(0)
@@ -131,8 +131,7 @@ class Instance:
     def linking_rhs(self, x: Vector) -> Vector:
         """b - H x, the subproblem right-hand side at x."""
         sized(x, self.n, "x")
-        return tuple(bi - sum((hij * xj for hij, xj in zip(hrow, x)), _ZERO)
-                     for hrow, bi in zip(self.H, self.b))
+        return tuple(bi - dot(hrow, x) for hrow, bi in zip(self.H, self.b))
 
 
 def level(instance: Instance, point: EpiPoint) -> Vector:
@@ -356,7 +355,7 @@ def undecomposed_value(instance: Instance) -> Union[Fraction, float]:
                 continue
             if z == -math.inf:
                 return -math.inf
-            value = sum(ci * pi for ci, pi in zip(instance.c, p)) + z
+            value = dot(instance.c, p) + z
             if value < best:
                 best = value
         return best

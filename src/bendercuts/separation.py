@@ -121,12 +121,8 @@ def certificate_to_cut(instance: Instance, cert: Certificate) -> Cut:
     sized(cert.row_multipliers, instance.m, "certificate.row_multipliers")
     if not any(cert.row_multipliers) and not cert.eta_multiplier:
         raise ZeroCertificate("all multipliers are zero")
-    coef_x = tuple(
-        sum((instance.H[i][j] * cert.row_multipliers[i] for i in range(instance.m)), _ZERO)
-        for j in range(instance.n)
-    )
     return Cut(
-        coef_x=coef_x,
+        coef_x=tuple(dot(column, cert.row_multipliers) for column in zip(*instance.H)),
         coef_eta=-cert.eta_multiplier,
         rhs=dot(cert.row_multipliers, instance.b),
     )

@@ -318,7 +318,6 @@ class _Tableau:
         self.lp = lp
         n = lp.num_vars
         self.free = [lo is None for lo in lp.lower]
-        shifts = [(j, lo) for j, lo in enumerate(lp.lower) if lo]
         self.lower_at: dict[int, int] = {}
         at = len(lp.rows)
         for j, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
@@ -326,8 +325,8 @@ class _Tableau:
                 self.lower_at[at] = j
             at += (lo is not None) + (up is not None)
         norm = [r for i, r in enumerate(lp.normalized_rows) if i not in self.lower_at]
-        rhs_of = [rhs - sum(coeffs[j] * lo for j, lo in shifts if coeffs[j])
-                  for coeffs, _, rhs in norm]
+        shift = tuple(lo or _ZERO for lo in lp.lower) if any(lp.lower) else None
+        rhs_of = [rhs - dot(coeffs, shift) if shift else rhs for coeffs, _, rhs in norm]
         n_le = sum(rel == LE for _, rel, _ in norm)
         self.art0 = n + n_le
         self.own: list[int] = []
@@ -491,8 +490,7 @@ class _Tableau:
             vals[enter] = step
         for r in reversed(self.placed):
             row = self.tab[r]
-            total = sum((v * u for v, u in zip(row, vals) if v and u), _ZERO)
-            vals[self.basis[r]] = (row[-1] if enter is None else _ZERO) - total
+            vals[self.basis[r]] = (row[-1] if enter is None else _ZERO) - dot(row[:-1], vals)
         return tuple(vals[:self.lp.num_vars])
 
     def _primal(self) -> Vector:
@@ -570,8 +568,7 @@ def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> Optional[str]:
         for i, (u, (_, rel, _)) in enumerate(zip(mult, norm)):
             if rel == LE and sign * u < 0:
                 return f"{name}[{i}] = {u} has the wrong sign on a <= row"
-        combo = tuple(sum((u * coeffs[j] for u, (coeffs, _, _) in zip(mult, norm) if u), _ZERO)
-                      for j in range(n))
+        combo = tuple(dot(mult, [coeffs[j] for coeffs, _, _ in norm]) for j in range(n))
         return None if combo == target else f"{name}' A is not {what}"
 
     if status == LpStatus.INFEASIBLE:

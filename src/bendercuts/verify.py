@@ -224,10 +224,10 @@ def core_point(instance: Instance) -> Optional[EpiPoint]:
         reachable.append((p, instance.eta_lower_bound if z == -math.inf else z))
     if not reachable:
         return None
-    s = Fraction(1, len(reachable))
-    x = tuple(sum((s * p[j] for p, _ in reachable), _ZERO) for j in range(n))
-    eta = sum((s * z for _, z in reachable), _ZERO) + _ONE
-    return EpiPoint(x=x, eta=eta)
+    mix = (Fraction(1, len(reachable)),) * len(reachable)
+    points, values = zip(*reachable)
+    return EpiPoint(x=tuple(dot(mix, column) for column in zip(*points)),
+                    eta=dot(mix, values) + _ONE)
 
 
 def pareto_verdict(instance: Instance, cut: Cut) -> ParetoVerdict:
@@ -295,7 +295,7 @@ def pareto_verdict(instance: Instance, cut: Cut) -> ParetoVerdict:
     if sol is None:
         return ParetoVerdict(ParetoKind.NOT_PARETO)
     x = (sol[:n] if isinstance(dom, PolyhedralDomain) else
-         tuple(sum((w * p[j] for w, p in zip(sol, dom.points)), _ZERO) for j in range(n)))
+         tuple(dot(sol[:len(dom.points)], column) for column in zip(*dom.points)))
     return ParetoVerdict(ParetoKind.PARETO,
                          witness=EpiPoint(x=x, eta=(dot(cut.coef_x, x) - cut.rhs) / a))
 

@@ -54,6 +54,38 @@ def test_as_vector():
 
 def test_dot():
     assert dot((F(1), F(2)), (F(3), F(4))) == F(11)
+    empty = dot((), [])
+    assert type(empty) is F and empty == 0
+    with pytest.raises(DimensionError):
+        dot((F(1), F(2)), (F(3),))
+
+
+def reference_dot(a, b):
+    """The sum of the Fraction products, term by term."""
+    return sum((x * y for x, y in zip(a, b)), F(0))
+
+
+_WIDE = 10 ** (MAX_DIGITS - 1)
+dot_entries = st.one_of(
+    st.just(0), st.just(F(0)),
+    st.integers(-10 ** 6, 10 ** 6),  # plain ints
+    ints.map(F),  # integer-valued Fractions
+    st.fractions(max_denominator=60),
+)
+# a numerator and a denominator of MAX_DIGITS digits, and a short one over a wide one
+wide_entries = st.tuples(st.integers(-9, 9), st.integers(1, 9)).flatmap(
+    lambda t: st.sampled_from([F(t[0] * _WIDE + 1, t[1] * _WIDE - 1), F(t[0], t[1] * _WIDE + 7)]))
+
+
+@given(st.data())
+def test_dot_equals_the_sum_of_fraction_products(data):
+    n = data.draw(st.integers(0, 7))
+    a = data.draw(st.lists(dot_entries, min_size=n, max_size=n))
+    b = data.draw(st.lists(dot_entries, min_size=n, max_size=n).map(tuple))
+    if n and data.draw(st.booleans()):
+        a[data.draw(st.integers(0, n - 1))] = data.draw(wide_entries)
+    got = dot(a, b)
+    assert type(got) is F and got == reference_dot(a, b)
 
 
 def test_matrix_rank_known():
