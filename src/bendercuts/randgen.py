@@ -12,7 +12,8 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import dot
+from .errors import PreconditionViolated
+from .linalg import as_vector, dot
 from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain,
                     subproblem_value)
 
@@ -77,9 +78,9 @@ def interior_epi_point(rng: random.Random, instance: Instance) -> Optional[EpiPo
 
 def scale_rows(instance: Instance, factors) -> Instance:
     """Same feasible set, each linking row multiplied by a positive factor."""
-    factors = tuple(Fraction(f) for f in factors)
+    factors = as_vector(factors)
     if len(factors) != instance.m or any(f <= 0 for f in factors):
-        raise ValueError("need one positive factor per linking row")
+        raise PreconditionViolated("need one positive factor per linking row")
     return Instance(
         n=instance.n, k=instance.k, m=instance.m, c=instance.c, d=instance.d,
         H=tuple(tuple(f * v for v in row) for f, row in zip(factors, instance.H)),

@@ -53,9 +53,22 @@ has art_cost - pi_i, so sigma o pi is read off the rows' own columns, and
 d_j = c_j - (sigma o pi)'A_j off column j.  At the end of either phase no
 column may enter: d_j = 0 on a sign-free column, d_j >= 0 on a shifted one
 and d >= 0 on every slack.
-Three facts rest on the reduced costs of the columns that may enter, and on
-no artificial's, whichever rows started with a basic artificial:
+The ratio test lets a zero-level artificial bound a step (Bland, "New
+finite pivoting rules for the simplex method", 1977, for the rule it keeps).
+A row that is not held bounds the step of the entering column when its entry
+t there is positive, at ratio r_i / t, or when its basic is an artificial at
+r_i = 0 and t != 0, at ratio 0.  Of the rows at the least ratio, the one
+whose basic comes first in Bland's order leaves, and the artificials come
+last in that order: an artificial leaves only when no x or slack row ties
+with it.  The rule holds in both phases; in phase one it only adds rows at
+ratio 0.  No pass runs between the phases.  Four facts rest on this rule and
+on the reduced costs of the columns that may enter, and on no artificial's,
+whichever rows started with a basic artificial:
 
+* zero stays zero: a basic artificial at 0 stays at 0.  A pivot whose
+  entering column is nonzero on its row has least ratio 0, so it moves no
+  value, and a pivot on that row itself divides the right side 0; a column
+  that is 0 on the row leaves it as it is;
 * phase one ends at 0 exactly when the LP is feasible.  Its value
   w = c_B B^-1 (sigma o (b - A l)) sums the basic artificials, each >= 0
   (a free basic costs nothing in phase one).
@@ -64,19 +77,31 @@ no artificial's, whichever rows started with a basic artificial:
   row of x_j takes f_j = d_j >= 0: it adds -d_j to column j, so the whole
   vector has f'A = 0, and -d_j l_j to the right side, so its value is
   f . b - f'A l = -w.  So w > 0 makes f a Farkas vector, and w = 0 leaves
-  every artificial at 0: a feasible point;
+  every basic artificial at 0, where the first fact keeps it through phase
+  two: each basic solution of phase two is a feasible point;
 * Bland's rule still terminates.  An artificial that is nonbasic, from the
   start or once it left, never enters, so from then on it is a deleted
-  column.  Between two leaves of artificials the pivots are Bland pivots on
-  one fixed LP, which do not cycle, and each row's artificial leaves at most
-  once;
-* the dual is y = sigma o pi on the built rows and -d_j on the lower-bound row
-  of x_j, and the Farkas vector is minus that, the first fact's f.  At the
-  phase-two optimum y_i = -d(slack_i) <= 0 on "<=" rows and -d_j <= 0 on
-  bound rows; the bound row adds (-d_j)(-1) = d_j to column j, so y'A = c
-  by the definition of d_j; and
+  column, and each one leaves at most once.  A pivot on an artificial's
+  row is such a leave, so between two of them every pivot is on an x or
+  slack row, and that is the row the textbook rule (t > 0 alone) chooses:
+  the rows the rule adds sit at ratio 0 and rank last, so they change no
+  choice but by winning it.  Those are Bland pivots on one fixed LP, which
+  do not cycle;
+* the readouts.  ``_values`` skips artificial basics, and all of them are
+  at 0 once phase one ends feasible.  A column that ends phase two
+  UNBOUNDED is 0 on every row that holds a zero-level artificial, for that
+  row would have bounded it, so the ray leaves every artificial at 0.  A
+  redundant row, which is 0 on every column that may enter, keeps its
+  artificial and no ratio test touches it.  ``_row_duals`` holds at any
+  basis, so an artificial still basic at the end reads its row's dual as
+  every row does: the dual is y = sigma o pi on the built rows and -d_j on
+  the lower-bound row of x_j, and the Farkas vector is minus that, the
+  second fact's f.  At the phase-two optimum y_i = -d(slack_i) <= 0 on
+  "<=" rows and -d_j <= 0 on bound rows; the bound row adds
+  (-d_j)(-1) = d_j to column j, so y'A = c by the definition of d_j; and
   y . b + sum d_j l_j = y . (b - A l) + c . l = c . x'* + c . l = c . x*,
-  since y . (b - A l) = c_B B^-1 (sigma o (b - A l)) is the optimum over x'.
+  since y . (b - A l) = c_B B^-1 (sigma o (b - A l)) is the optimum over
+  x', the basic artificials being at 0.
 
 The free-column start.  Every LP places its sign-free columns first (Maros,
 *Computational Techniques of the Simplex Method*, 2003; Bixby 1992).  The
@@ -123,7 +148,7 @@ makes no pivot.  The start is sound:
 
 Frozen rows.  A row is held from its own free-column pivot on, and from then
 on it is frozen: no pivot rewrites it, neither the start's later free-column
-pivots nor any pivot of phase one, ``_drive_out_artificials`` or phase two.
+pivots nor any pivot of phase one or phase two.
 The tableau keeps the held rows in pivot order.  A pivot rewrites a row
 from that row's entry in the entering column and the pivot row alone, and
 no pivot row is held when it pivots, so every row that is not held is
@@ -419,8 +444,9 @@ class _Tableau:
             best = None
             for i, (row, held) in enumerate(zip(self.tab, self.held)):
                 t = row[enter]
-                # a held row's free basic needs no sign, so the row bounds no step
-                if t > 0 and not held:
+                # a held row's free basic needs no sign, so the row bounds no step;
+                # an artificial at 0 bounds every step that would move it
+                if not held and (t > 0 or (t and not row[-1] and self.basis[i] >= self.art0)):
                     ratio = row[-1] / t
                     if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
                         best = ratio
@@ -448,16 +474,6 @@ class _Tableau:
                         # a unit cost, as all of phase one's are, needs no product
                         obj[j] -= v if cb == 1 else cb * v
         self.obj = obj
-
-    def _drive_out_artificials(self):
-        for i, row in enumerate(self.tab):
-            if self.basis[i] >= self.art0:
-                s = next((j for j in range(self.art0) if row[j] != 0), None)
-                # a redundant row (no such column) stays, its artificial basic at 0:
-                # it is zero on every column phase two may enter, so no pivot or
-                # ratio test touches it, and its dual reads 0
-                if s is not None:
-                    self._pivot(i, s)
 
     # -- readouts ---------------------------------------------------------
 
@@ -513,7 +529,6 @@ def solve(lp: LinearProgram) -> LpOutcome:
     if infeas > 0:
         farkas = tuple(-v for v in t._row_duals())
         return LpOutcome(status=LpStatus.INFEASIBLE, farkas=farkas)
-    t._drive_out_artificials()
     t._price(tuple(-c for c in lp.objective) if lp.sense == "max" else lp.objective, _ZERO)
     enter = t._run()
     if enter is not None:

@@ -1,3 +1,5 @@
+import copy
+import functools
 import hashlib
 import importlib.util
 import json
@@ -12,20 +14,23 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bendercuts.benders import (FixedCore, SolveResult, SolveStatus, SolverConfig,
                                 TrackIncumbent, solve, subproblem_check)
-from bendercuts.cglp import Custom, Directional, MisOnes
+from bendercuts.cglp import Custom, Directional, MisOnes, strategy_weights
 from bendercuts.cli import _rational, format_cut, run
-from bendercuts.errors import DimensionError, ParseError, TooLarge, ToolkitError
+from bendercuts.errors import (DimensionError, ParseError, PreconditionViolated, TooLarge,
+                               ToolkitError)
 from bendercuts.instance_io import (MAX_DIGITS, instance_digest, instance_document,
                                     load_instance, parse_instance, replay_trace,
                                     serialize_instance, trace_document, trace_to_json)
 from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain,
                               undecomposed_value)
-from bendercuts.randgen import interior_epi_point, random_instance
+from bendercuts.linalg import solve_square
+from bendercuts.randgen import interior_epi_point, random_instance, scale_rows
 from bendercuts.separation import Certificate, Cut, certificate_for_cut, certificate_to_cut
+from bendercuts.simplex import LinearProgram
 from bendercuts.verify import dominates, is_mis_certificate
 
 from conftest import EX1_KW, P2_CUT, P3_CUT, empty_epigraph
@@ -221,6 +226,58 @@ _MALFORMED_CONFIGS = {
 def test_config_rejections(name):
     with pytest.raises(ToolkitError):
         _MALFORMED_CONFIGS[name]()
+
+
+# refusals of the Python API that no parse, replay or CLI test reaches, each
+# with the type and the message it raises
+_API_REFUSALS = {
+    "unknown_strategy": (DimensionError, "unknown strategy 'mis'",
+                         lambda ex1: strategy_weights(ex1, "mis")),
+    "solve_square_of_a_row": (DimensionError, "solve_square needs an n x n matrix and an n-vector",
+                              lambda ex1: solve_square(((F(1), F(2)),), (F(1),))),
+    "finite_domain_without_points": (DimensionError, "a finite domain needs at least one point",
+                                     lambda ex1: FiniteDomain(points=())),
+    "n_zero": (DimensionError, "n, k and m must all be at least 1",
+               lambda ex1: replace(ex1, n=0)),
+    "k_zero": (DimensionError, "n, k and m must all be at least 1",
+               lambda ex1: replace(ex1, k=0)),
+    "m_zero": (DimensionError, "n, k and m must all be at least 1",
+               lambda ex1: replace(ex1, m=0)),
+    "unknown_master_domain": (DimensionError, "unknown master domain kind",
+                              lambda ex1: replace(ex1, master_domain="box")),
+    "lp_sense": (DimensionError, "sense must be 'min' or 'max', got 'maximize'",
+                 lambda ex1: LinearProgram("maximize", (F(1),), ())),
+    "lp_without_variables": (DimensionError, "a linear program needs at least one variable",
+                             lambda ex1: LinearProgram("min", (), ())),
+    "lp_relation": (DimensionError, "unknown relation '<'",
+                    lambda ex1: LinearProgram("min", (F(1),), (((F(1),), "<", F(1)),))),
+    "scale_rows_count": (PreconditionViolated, "need one positive factor per linking row",
+                         lambda ex1: scale_rows(ex1, (F(1), F(1)))),
+    "scale_rows_zero_factor": (PreconditionViolated, "need one positive factor per linking row",
+                               lambda ex1: scale_rows(ex1, (F(1), F(0), F(1)))),
+    "scale_rows_literal": (ParseError, "expected an integer or a 'p/q' literal, got 'x'",
+                           lambda ex1: scale_rows(ex1, ("x", F(1), F(1)))),
+}
+
+
+@pytest.mark.parametrize("name", list(_API_REFUSALS))
+def test_api_refusals_name_the_input(ex1, name):
+    exc, message, make = _API_REFUSALS[name]
+    with pytest.raises(exc) as refused:
+        make(ex1)
+    assert str(refused.value) == message
+
+
+def test_cli_refuses_an_instance_with_n_zero(tmp_path, capsys):
+    """A document the parser reads whole, with "n": 0, is refused by the
+    Instance constructor, and the CLI exits 4 with its message."""
+    doc = json.loads(EX1_PATH.read_text(encoding="utf-8"))
+    doc["n"] = 0
+    path = tmp_path / "n0.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error=n, k and m must all be at least 1\n" and not captured.out
 
 
 _ACCEPTED = {"3": F(3), "-2/7": F(-2, 7), "+3": F(3), "10/4": F(5, 2)}
@@ -741,6 +798,83 @@ _CONFIG_DOCUMENTS = {
         {"strategy": {"kind": "custom", "weights": [-1, 0, "-1/2"], "weight_eta": -1},
          "max_iterations": 20, "core_point_mode": None}),
 }
+
+
+_BIG = "9" * (MAX_DIGITS + 1)
+# json.dumps cannot write an int that long, so the test writes _BIG as a JSON
+# number in place of this string
+_BIG_NUMBER = "<number past MAX_DIGITS>"
+_ODD_VALUES = (1.5, True, None, "x", [[1]], _BIG, _BIG_NUMBER)
+
+
+@functools.cache
+def _fuzzed_documents() -> dict[str, str]:
+    """The shipped instance files and the trace of ex1's MIS solve, as texts."""
+    texts = {name: (INSTANCES / name).read_text(encoding="utf-8")
+             for name in ("ex1.json", "ex1_finite.json")}
+    ex1 = parse_instance(texts["ex1.json"])
+    config = SolverConfig(strategy=MisOnes())
+    texts["trace"] = trace_to_json(ex1, config, solve(ex1, config))
+    return texts
+
+
+def _paths(node, at=()):
+    """The key or index path of every value below node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield at + (key,)
+        yield from _paths(child, at + (key,))
+
+
+def _mutate(doc, data):
+    """One structural mutation of doc, in place: drop a key, replace a value
+    by one of the wrong kind, or truncate or extend a list."""
+    *head, key = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = functools.reduce(lambda node, step: node[step], head, doc)
+    value = parent[key]
+    kinds = ["replace"]
+    if isinstance(parent, dict):
+        kinds.append("drop")
+    if isinstance(value, list) and value:
+        kinds += ["truncate", "extend"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "replace":
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(_ODD_VALUES)))
+    elif kind == "truncate":
+        del value[data.draw(st.integers(0, len(value) - 1)):]
+    else:
+        value.append(copy.deepcopy(value[-1]))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_structural_mutations_end_in_a_result_or_a_toolkit_error(data):
+    """One to four structural mutations of each shipped instance file and of
+    ex1's MIS trace: the parser returns an Instance or raises a ToolkitError,
+    and replay returns its list of messages.  Each example takes a few
+    milliseconds, so this test draws more of them than the suite's profile."""
+    texts = _fuzzed_documents()
+    ex1 = parse_instance(texts["ex1.json"])
+    for name, text in texts.items():
+        doc = json.loads(text)
+        for _ in range(data.draw(st.integers(1, 4))):
+            _mutate(doc, data)
+        text = json.dumps(doc).replace(f'"{_BIG_NUMBER}"', _BIG)
+        if name == "trace":
+            problems = replay_trace(ex1, text)
+            assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+            continue
+        try:
+            assert isinstance(parse_instance(text), Instance)
+        except ToolkitError:
+            pass
 
 
 @pytest.mark.parametrize("name", list(_CONFIG_DOCUMENTS))

@@ -97,67 +97,95 @@ def test_unbounded_gives_ray(lp):
 # bound's multiplier from x_j's reduced cost.  Each LP below makes Bland's
 # rule enter, leave or read one of those columns; the outcomes are pinned
 # exactly, and their certificates checked.
-@pytest.mark.parametrize("lp, expected", [
+@pytest.mark.parametrize("lp, expected, phases", [
     pytest.param(  # the start holds x1 in the row, where it ends at a negative value;
         # x2 rests on its lower bound -1, whose dual -1 is read off x2's reduced cost
         LinearProgram("min", (F(1), F(2)), (((F(1), F(1)), GE, F(-4)),), lower=(None, F(-1))),
         LpOutcome(LpStatus.OPTIMAL, primal=(F(-3), F(-1)), objective_value=F(-5),
                   dual=(F(-1), F(-1))),
-        id="held_free_basic_ends_negative"),
+        None, id="held_free_basic_ends_negative"),
     pytest.param(HELD_FREE_BASIC_RUNS_DOWN,
                  LpOutcome(LpStatus.UNBOUNDED, primal=(F(2), F(0)), ray=(F(-1), F(0))),
-                 id="held_free_basic_runs_down"),
+                 None, id="held_free_basic_runs_down"),
     pytest.param(  # min x2 over x1 <= 5, x1 >= 0, x2 free: x2 is zero on every row,
         # so no row holds it; its reduced cost 1 walks it downwards
         LinearProgram("min", (F(0), F(1)), (((F(1), F(0)), LE, F(5)),), lower=(F(0), None)),
         LpOutcome(LpStatus.UNBOUNDED, primal=(F(0), F(0)), ray=(F(0), F(-1))),
-        id="free_column_walks_down"),
+        None, id="free_column_walks_down"),
     pytest.param(  # min x2 over x1 + x2 = 0, both free: the start holds x1 in the row,
         # x2's reduced cost 1 walks it downwards, and the held x1 moves up with it
         LinearProgram("min", (F(0), F(1)), (((F(1), F(1)), EQ, F(0)),)),
         LpOutcome(LpStatus.UNBOUNDED, primal=(F(0), F(0)), ray=(F(1), F(-1))),
-        id="downward_ray_moves_a_held_basic"),
+        None, id="downward_ray_moves_a_held_basic"),
     pytest.param(  # x1 + x2 >= 2 normalizes to a negative right side (sigma = -1); its
-        # artificial is still basic, at 0, when phase one ends and is driven out
+        # artificial is still basic, at 0, when phase one ends, and phase two's
+        # entering slack of the first row is -1 on it, so it leaves at ratio 0
         LinearProgram("min", (F(1), F(3)), (((F(1), F(1)), LE, F(2)), ((F(1), F(1)), GE, F(2))),
                       lower=(F(0), F(0))),
         LpOutcome(LpStatus.OPTIMAL, primal=(F(2), F(0)), objective_value=F(2),
                   dual=(F(0), F(-1), F(0), F(-2))),
-        id="ge_row_sigma_minus_driven_out"),
-    pytest.param(  # the "<=" row is twice the equality row
+        None, id="ge_row_sigma_minus_driven_out"),
+    pytest.param(  # the "<=" row is twice the equality row, so the dual of the
+        # degenerate optimum may weigh either of the two
         LinearProgram("max", (F(1), F(2)),
                       (((F(1), F(1)), EQ, F(3)), ((F(2), F(2)), LE, F(6)), ((F(1), F(0)), GE, F(1))),
                       lower=(F(0), F(0))),
         LpOutcome(LpStatus.OPTIMAL, primal=(F(1), F(2)), objective_value=F(5),
-                  dual=(F(-2), F(0), F(-1), F(0), F(0))),
-        id="redundant_le_row"),
+                  dual=(F(0), F(-1), F(-1), F(0), F(0))),
+        None, id="redundant_le_row"),
     # the second row starts with its slack basic; the Farkas vector is 2/3 of
     # (1, 1, 3/2), the one an artificial start gives: the same ray of the cone
     pytest.param(FLIPPED_LE_ROWS,
                  LpOutcome(LpStatus.INFEASIBLE, farkas=(F(2, 3), F(2, 3), F(1))),
-                 id="farkas_reads_le_slacks"),
+                 None, id="farkas_reads_le_slacks"),
     pytest.param(  # min 2 x1 + x2 over x1 + x2 >= 1, x1 >= 1, x2 >= -2: x1 rests on
         # its bound, whose dual -1 is minus x1's reduced cost; x2's bound is slack
         LinearProgram("min", (F(2), F(1)), (((F(1), F(1)), GE, F(1)),), lower=(F(1), F(-2))),
         LpOutcome(LpStatus.OPTIMAL, primal=(F(1), F(0)), objective_value=F(2),
                   dual=(F(-1), F(-1), F(0))),
-        id="dual_on_an_active_lower_bound"),
+        None, id="dual_on_an_active_lower_bound"),
     pytest.param(  # x1 - x2 <= -1 with x1 >= -1 and x2 <= -3: the row, the lower
         # bound (its entry is x1's reduced cost) and the upper bound sum to 0 <= -3
         LinearProgram("min", (F(1), F(0)), (((F(1), F(-1)), LE, F(-1)),),
                       lower=(F(-1), None), upper=(None, F(-3))),
         LpOutcome(LpStatus.INFEASIBLE, farkas=(F(1), F(1), F(1))),
-        id="farkas_on_bound_rows"),
+        None, id="farkas_on_bound_rows"),
     pytest.param(  # max x1 + x2 over x1 - x2 <= 1, x1 >= -3, x2 >= 2: the point has l
         # added back, and the ray along both shifted columns is as found
         LinearProgram("max", (F(1), F(1)), (((F(1), F(-1)), LE, F(1)),), lower=(F(-3), F(2))),
         LpOutcome(LpStatus.UNBOUNDED, primal=(F(3), F(2)), ray=(F(1), F(1))),
-        id="ray_over_shifted_columns"),
+        None, id="ray_over_shifted_columns"),
+    pytest.param(  # min -x3 over x1 + x2 = 2, x1 + x2 - x3 = 2, x >= 0: phase one
+        # enters x1 into the first row, whose artificial wins the tie at ratio 2 by
+        # its lower index, and leaves the second row as -x3 = 0 with its artificial
+        # basic at 0; no column is positive on that row, so none prices below 0 and
+        # phase one ends.  Phase two enters x3, which is -1 on that row, and the
+        # row leaves at ratio 0
+        LinearProgram("min", (F(0), F(0), F(-1)),
+                      (((F(1), F(1), F(0)), EQ, F(2)), ((F(1), F(1), F(-1)), EQ, F(2))),
+                      lower=(F(0), F(0), F(0))),
+        LpOutcome(LpStatus.OPTIMAL, primal=(F(2), F(0), F(0)), objective_value=F(0),
+                  dual=(F(-1), F(1), F(0), F(0), F(0))),
+        [F(1), F(0)], id="zero_artificial_leaves_at_ratio_0"),
+    pytest.param(  # min -x4 over x1 + x2 - x4 = 2, x1 + x2 - x3 - x4 = 2, x >= 0: phase
+        # one leaves the second row as -x3 = 0, its artificial basic at 0, as above.
+        # Phase two enters x4, which is -1 on x1's row and 0 on that one, so no row
+        # bounds it: the artificial stays basic to the end, and the ray, which
+        # moves x1 and x4 together, is 0 on its row
+        LinearProgram("min", (F(0), F(0), F(0), F(-1)),
+                      (((F(1), F(1), F(0), F(-1)), EQ, F(2)),
+                       ((F(1), F(1), F(-1), F(-1)), EQ, F(2))), lower=(F(0),) * 4),
+        LpOutcome(LpStatus.UNBOUNDED, primal=(F(2), F(0), F(0), F(0)),
+                  ray=(F(1), F(0), F(0), F(1))),
+        [F(1)], id="unbounded_past_a_zero_artificial"),
 ])
-def test_free_slack_and_shifted_column_outcomes(lp, expected):
-    out = solve(lp)
+def test_free_slack_and_shifted_column_outcomes(lp, expected, phases):
+    """phases, where a case pins it, is the art_cost of each pivot, as
+    ``_phases`` reads it."""
+    out, made = _phases(solve, lp)
     assert out == expected
     assert check_outcome(lp, out) is None
+    assert phases is None or made == phases
 
 
 def _feasible(lp, x):
