@@ -30,8 +30,11 @@ that must hand the simplex the same LPs, are compared with
     python scripts/lp_digest.py before.json after.json
 
 which prints the totals of each (solves, pivots, and the pivots of the start
-and of each phase; then the rows those pivots rewrote, split the same way)
-and then names every test id present in both:
+and of each phase; then the rows those pivots rewrote, split the same way).
+Where some test id is in one recording only, it names each such id and then
+prints both totals again over the ids the two share, so a change that adds
+tests does not read as more pivots.  Then it names every test id present in
+both:
 `equal` when its sequences are identical, `outcomes equal` when its LP and
 outcome sequences are identical and only pivot counts differ (a new start or
 pivot rule that reaches the same optima), `subset` when the after multiset of
@@ -263,11 +266,15 @@ def main(argv) -> int:
     (before, hyp_before), (after, hyp_after) = _load(argv[0]), _load(argv[1])
     print(f"before: {_totals(before)}")
     print(f"after:  {_totals(after)}")
+    shared = set(before) & set(after)
     for test_id in sorted(set(before) ^ set(after)):
         print(f"only in {'before' if test_id in before else 'after'}: {test_id}")
+    if shared != set(before) | set(after):
+        print(f"before, shared ids: {_totals({k: before[k] for k in shared})}")
+        print(f"after, shared ids:  {_totals({k: after[k] for k in shared})}")
     hypothesis = hyp_before | hyp_after
     verdicts, marked = Counter(), Counter()
-    for test_id in sorted(set(before) & set(after)):
+    for test_id in sorted(shared):
         verdict = _verdict(before[test_id], after[test_id])
         verdicts[verdict] += 1
         if verdict != "equal" and test_id in hypothesis:

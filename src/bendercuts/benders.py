@@ -37,7 +37,7 @@ from .errors import PreconditionViolated, StrategyUnbounded, EmptyEpigraph
 from .linalg import Vector, as_fraction, dot, sized
 from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _subproblem, epi_is_empty
 from .separation import IN_EPIGRAPH, Certificate, Cut, separate
-from .simplex import LE, LinearProgram, LpStatus, solve as solve_lp
+from .simplex import LE, LinearProgram, LpStatus, session, solve as solve_lp
 
 _ONE = Fraction(1)
 
@@ -311,12 +311,14 @@ def run_ending(instance: Instance, config: SolverConfig, trace, master=None,
     return None
 
 
+@session()
 def solve(instance: Instance, config: SolverConfig = SolverConfig()) -> SolveResult:
     """Run the decomposition until the master point enters epi(z).
 
     A round whose directional CGLP comes back unbounded, or that has a core
     mode but no core point yet, uses the minimum-1-norm selection instead,
-    marked in the trace.
+    marked in the trace.  The run is one `simplex.session`, so an LP that
+    comes back with only a new right side reuses its start.
     """
     cuts: list[Cut] = []
     trace: list[IterationRecord] = []

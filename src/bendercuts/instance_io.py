@@ -24,10 +24,10 @@ from .benders import (CONVERGED, CUT_ADDED, CoreMode, FixedCore, IterationRecord
                       run_ending)
 from .cglp import Custom, Directional, MisOnes, ObjectiveSpec, certificate_rows, strategy_weights
 from .errors import DimensionError, ParseError, PreconditionViolated, TooLarge, ZeroCertificate
-from .linalg import MAX_DIGITS, Vector, as_fraction, dot, sized, too_long
+from .linalg import MAX_DIGITS, SMALL, Vector, as_fraction, dot, sized, too_long
 from .model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, feasibility_rows, level
 from .separation import Certificate, Cut, canonical_cut, certificate_to_cut
-from .simplex import violated_row
+from .simplex import session, violated_row
 
 # The interpreter's builtin SHA-256, as the stdlib's random takes _sha512:
 # hashlib would map OpenSSL's libcrypto, about 3 MB resident, for one digest.
@@ -43,11 +43,6 @@ _TRACE_FORMAT = "bendercuts-trace/2"
 
 _INSTANCE_KEYS = ("n", "k", "m", "c", "d", "H", "A", "b", "master", "eta_lower_bound")
 
-_SMALL = {v: Fraction(v) for v in range(-256, 257)}
-"""One shared Fraction per small integer: instance data are mostly small
-integers, and a parsed instance keeps every entry."""
-
-
 def _num(value: Any, where: str) -> Fraction:
     """A JSON integer or a `LITERAL` string as a Fraction, or ParseError.
 
@@ -58,7 +53,7 @@ def _num(value: Any, where: str) -> Fraction:
         got = repr(value) if isinstance(value, float) else type(value).__name__
         raise ParseError(f"{where}: expected an integer or a 'p/q' literal, got {got}")
     if isinstance(value, int) and -256 <= value <= 256:
-        return _SMALL[value]
+        return SMALL[value]
     try:
         return as_fraction(value)
     except ParseError as exc:
@@ -341,6 +336,7 @@ def _point_text(point: EpiPoint) -> str:
     return f"({', '.join(map(str, point.x + (point.eta,)))})"
 
 
+@session()
 def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     """Check a trace against fresh computation; the mismatch list is empty iff it replays.
 
@@ -365,7 +361,7 @@ def replay_trace(instance: Instance, trace: Union[str, dict]) -> list[str]:
     loop's own exit rule, applied to the replayed records.  An ending it
     does not give is refused.  An optimum is checked by arithmetic against
     its converged record.  A malformed document comes back as messages too,
-    never as an exception.
+    never as an exception.  A replay is one `simplex.session`, as a run is.
     """
     try:
         doc = _decode(trace) if isinstance(trace, str) else trace

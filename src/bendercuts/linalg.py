@@ -28,6 +28,11 @@ int/str conversion limit, so under default settings every document within it rea
 and writes."""
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 
+SMALL = {v: Fraction(v) for v in range(-256, 257)}
+"""One shared Fraction per integer in [-256, 256], keyed by the int: instance
+data and LP solutions are mostly small integers, and a parsed instance or a
+kept result holds every entry."""
+
 
 def too_long(value: Fraction) -> bool:
     """Has the numerator or the denominator more than MAX_DIGITS digits?"""

@@ -206,11 +206,41 @@ already read.  No artificial's value is needed: by the third fact a held row
 is 0 on those of the rows that are not held, and every other artificial is
 nonbasic.  So the readouts give the same basic solution and ray.
 
+Reusing the start.  Inside a ``session()`` an LP with a sign-free column
+stores its tableau after the free-column pivots and before the flip, under a
+key: the built rows' (coefficients, relation), in order, and the mask of
+sign-free columns.  A later LP of the session with the same key copies the
+stored rows, ``placed``, ``held`` and ``basis``, sets each row's right side
+to sum_k row[own_k] r_k over its own right sides r = b - A l, and then
+flips and runs as a cold solve does.  The copy is the tableau the cold start
+builds, entry for entry:
+
+* the key covers everything the start reads but r.  The coefficients and
+  relations fix the columns, ``own`` and every built row but its right side;
+  the mask fixes which columns are placed, and the finite lower bounds move
+  r alone.  A free-column pivot picks its row by which entries of column j
+  are nonzero in rows that are not held, and it rewrites each row from that
+  row's entry in column j and the pivot row, so no choice reads a right
+  side, and every entry but the right sides is a function of the key;
+* the right side follows linearly.  The built tableau is [A | I | r] with
+  row k's own column the unit e_k.  A pivot replaces rows by combinations of
+  rows, right sides included, and a frozen row keeps the combination it had
+  at its own pivot.  So each row is lambda' [A | I | r] for some lambda,
+  its own columns read lambda_k = row[own_k], and its right side is
+  lambda' r = sum_k row[own_k] r_k for whatever r the LP has.
+
+The flip and both phases read the tableau alone, so every later pivot,
+Bland choice and outcome is the cold solve's; only the start's pivots are
+spared.  An LP whose start placed no column stores nothing, having nothing
+to spare.  Outside every session ``solve`` stores and reads nothing.
+
 ``check_outcome`` checks each of these certificates by arithmetic alone.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -218,7 +248,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import DimensionError
-from .linalg import Vector, as_fraction, as_vector, dot, sized
+from .linalg import SMALL, Vector, as_fraction, as_vector, dot, sized
 
 LE = "<="
 EQ = "="
@@ -226,6 +256,22 @@ GE = ">="
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+_STARTS: ContextVar[Optional[dict]] = ContextVar("bendercuts.simplex.starts", default=None)
+"""The open session's stored starts, None outside every session."""
+
+
+@contextmanager
+def session():
+    """Reuse free-column starts among the solves made inside: see "Reusing
+    the start".  Each session starts empty, an inner one hides the outer one
+    until it ends, and the store goes when the block ends, however it ends.
+    As a decorator it opens one session per call."""
+    token = _STARTS.set({})
+    try:
+        yield _STARTS.get()
+    finally:
+        _STARTS.reset(token)
 
 
 class LpStatus(str, Enum):
@@ -331,7 +377,8 @@ class _Tableau:
     the stored slack or artificial of built row i, ``free[j]`` whether x_j has
     no lower bound, and ``lower_at`` maps the ``normalized_rows`` index of
     each lower bound to its variable.  The tableau is built at the
-    free-column start of the module docstring.  ``held[i]`` says that the
+    free-column start of the module docstring, or inside a session copied
+    from a stored one ("Reusing the start").  ``held[i]`` says that the
     free-column start put a sign-free column in row i, and ``placed`` lists
     those rows in pivot order.  Such a row is frozen from its own pivot on: the
     ratio test skips it and no later pivot rewrites it.  So the held rows are
@@ -361,42 +408,60 @@ class _Tableau:
         self.tab: list[list[Fraction]] = []
         self.basis: list[int] = []
         slack, art = n, self.art0
-        for i, ((coeffs, rel, _), rhs) in enumerate(zip(norm, rhs_of)):
-            row = [_ZERO] * (n + len(norm) + 1)
-            row[:n] = coeffs
+        for i, (_, rel, _) in enumerate(norm):
             if rel == LE:
-                row[slack] = _ONE
                 self.own.append(slack)
                 self.basis.append(slack)
                 slack += 1
             else:
-                row[art] = _ONE
                 self.own.append(art)
                 self.basis.append(self.art0 + i)
                 art += 1
-            row[-1] = rhs
-            self.tab.append(row)
         self.obj: list[Fraction] = [_ZERO] * (n + len(norm) + 1)
         self.art_cost = _ZERO
-        self._free_column_start()
+        starts = _STARTS.get() if any(self.free) else None
+        key = (tuple(row[:2] for row in norm), tuple(self.free)) if starts is not None else None
+        start = starts.get(key) if key else None
+        if start:
+            # "Reusing the start": a row's own columns say which built rows it sums
+            tab, self.placed, self.held, self.basis = map(list, start)
+            r = [_ZERO] * len(norm)
+            for s, rhs in zip(self.own, rhs_of):
+                r[s - n] = rhs
+            self.tab = [[*row[:-1], dot(row[n:-1], r)] for row in tab]
+        else:
+            for (coeffs, _, _), s, rhs in zip(norm, self.own, rhs_of):
+                row = [_ZERO] * len(self.obj)
+                row[:n] = coeffs
+                row[s] = _ONE
+                row[-1] = rhs
+                self.tab.append(row)
+            self._place_free_columns()
+            if key and self.placed:
+                starts[key] = (tuple(map(tuple, self.tab)), tuple(self.placed),
+                               tuple(self.held), tuple(self.basis))
+        self._flip()
 
     # -- internals --------------------------------------------------------
 
-    def _free_column_start(self):
+    def _place_free_columns(self):
         """Pivot each sign-free x_j, in index order, into the first row with no
         free basic and a nonzero entry in column j, and hold that row from its
-        pivot on; then flip each row whose own slack or artificial is basic at
-        a negative value onto its artificial (sigma_i = -1)."""
-        n, held = self.lp.num_vars, self.held
-        for j in range(n):
+        pivot on."""
+        held = self.held
+        for j in range(self.lp.num_vars):
             if self.free[j]:
                 r = next((i for i, row in enumerate(self.tab) if row[j] and not held[i]), None)
                 if r is not None:
                     self._pivot(r, j)
                     held[r] = True
                     self.placed.append(r)
+
+    def _flip(self):
+        """Flip each row whose own slack or artificial is basic at a negative
+        value onto its artificial (sigma_i = -1)."""
         for i, row in enumerate(self.tab):
-            if row[-1] < 0 and not held[i]:
+            if row[-1] < 0 and not self.held[i]:
                 own = self.own[i]
                 self.tab[i] = row = [-v for v in row]
                 if own >= self.art0:
@@ -510,9 +575,10 @@ class _Tableau:
         return tuple(vals[:self.lp.num_vars])
 
     def _primal(self) -> Vector:
-        """x = l + x'."""
+        """x = l + x', with each integer entry in ``SMALL`` as its shared Fraction."""
         x = self._values(lambda row: row[-1])
-        return tuple(v + lo if lo else v for v, lo in zip(x, self.lp.lower))
+        x = (v + lo if lo else v for v, lo in zip(x, self.lp.lower))
+        return tuple(SMALL.get(v.numerator, v) if v.denominator == 1 else v for v in x)
 
     def _ray(self, enter: int) -> Vector:
         # a free column with a positive reduced cost improves downwards

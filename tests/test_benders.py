@@ -3,11 +3,12 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bendercuts import benders
+from bendercuts import benders, simplex
 from bendercuts.benders import (CONVERGED, CUT_ADDED, FixedCore, SolveStatus,
                                 SolverConfig, TrackIncumbent, solve,
                                 subproblem_check)
@@ -397,3 +398,29 @@ def test_solve_invariants(seed):
         assert result.value == dot(inst.c, result.x) + dot(inst.d, result.y)
         assert subproblem_value(inst, result.x) == dot(inst.d, result.y)
         assert result.value == result.trace[-1].master_value
+
+
+@pytest.mark.parametrize("finite, config", [
+    (False, SolverConfig(strategy=MisOnes())),
+    (True, SolverConfig(strategy=_UP, core_point_mode=TrackIncumbent(F(1, 2)))),
+], ids=["mis_cglp", "track_subproblem"])
+def test_a_run_reuses_its_starts(ex1, ex1_finite, finite, config):
+    """A run is one simplex session: the MIS CGLP, whose right side alone
+    moves, and the TrackIncumbent subproblem, whose b - Hx alone moves, reuse
+    their first start.  The run gives the result of a run without a session,
+    with fewer pivots, and its trace replays."""
+    inst = ex1_finite if finite else ex1
+    pivot, counts = simplex._Tableau._pivot, []
+
+    def counted(self, r, c):
+        counts[-1] += 1
+        return pivot(self, r, c)
+
+    with mock.patch.object(simplex._Tableau, "_pivot", counted):
+        results = []
+        for run in (solve, solve.__wrapped__):
+            counts.append(0)
+            results.append(run(inst, config))
+    assert results[0] == results[1] and results[0].status == SolveStatus.OPTIMAL
+    assert counts[0] < counts[1]
+    assert replay_trace(inst, trace_document(inst, config, results[0])) == []

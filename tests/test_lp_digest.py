@@ -116,6 +116,36 @@ def test_unmatched_solves_name_their_callers(tmp_path, capsys):
     assert lines[-1] == "1 equal, 0 outcomes equal, 1 subset, 1 differs"
 
 
+def test_totals_over_shared_ids(tmp_path, capsys):
+    """An id that one recording alone has is named, and each side's totals
+    are printed again over the shared ids, so an added test reads as no
+    extra pivots: here the shared id pivots less after, although the after
+    recording as a whole has more pivots."""
+    before = {"t::shared": [["lp", "out", 2, 1, 1, "f", 2, 1, 1]],
+              "t::dropped": [["lp", "out", 1, 0, 0, "f", 1, 0, 0]]}
+    after = {"t::shared": [["lp", "out", 0, 1, 1, "f", 0, 1, 1]],
+             "t::added": [["lp2", "out2", 5, 1, 0, "g", 5, 1, 0]]}
+    paths = []
+    for name, tests in (("before", before), ("after", after)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"tests": tests, "hypothesis": []}), encoding="utf-8")
+    assert lp_digest.main([str(p) for p in paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:6] == [
+        "before: 2 test ids, 2 solves, 5 pivots (3 at the start, 1 in phase one, "
+        "1 in phase two), 5 rows rewritten (3 at the start, 1 in phase one, 1 in phase two)",
+        "after:  2 test ids, 2 solves, 8 pivots (5 at the start, 2 in phase one, "
+        "1 in phase two), 8 rows rewritten (5 at the start, 2 in phase one, 1 in phase two)",
+        "only in after: t::added",
+        "only in before: t::dropped",
+        "before, shared ids: 1 test ids, 1 solves, 4 pivots (2 at the start, 1 in phase one, "
+        "1 in phase two), 4 rows rewritten (2 at the start, 1 in phase one, 1 in phase two)",
+        "after, shared ids:  1 test ids, 1 solves, 2 pivots (0 at the start, 1 in phase one, "
+        "1 in phase two), 2 rows rewritten (0 at the start, 1 in phase one, 1 in phase two)"]
+    assert lines[6:] == ["outcomes equal: t::shared", "  before: f x1", "  after: f x1",
+                         "0 equal, 1 outcomes equal, 0 subset, 0 differs"]
+
+
 CORRUPTED_RUN = textwrap.dedent("""
     from fractions import Fraction as F
 

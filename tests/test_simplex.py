@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from bendercuts import benders
 from bendercuts.cglp import build_cglp_relaxed_subproblem, mis_objective
-from bendercuts.linalg import dot
+from bendercuts.linalg import SMALL, dot
 from bendercuts.model import EpiPoint, _subproblem
-from bendercuts.simplex import (EQ, GE, LE, LinearProgram, LpOutcome, LpStatus, _Tableau,
-                                check_outcome, solve)
+from bendercuts.simplex import (_STARTS, EQ, GE, LE, LinearProgram, LpOutcome, LpStatus,
+                                _Tableau, check_outcome, session, solve)
 
 from conftest import P1_CUT
 
@@ -577,3 +577,121 @@ def test_duality_and_feasibility(rows, obj):
         combo = [sum(f[i] * norm[i][0][j] for i in range(len(norm))) for j in range(2)]
         assert combo == [F(0), F(0)]
         assert sum(f[i] * norm[i][2] for i in range(len(norm))) < 0
+
+
+def test_small_integer_primal_entries_are_shared():
+    """min x1 - x2 - x3 over 2 x3 <= 1, x4 = 5, x1 >= -7, 0 <= x2 <= 300, x3 >= 0,
+    x4 free: x1 comes back through its shift, x4 off its held row, and both
+    are linalg's shared Fractions; 300 and 1/2 are not in the table."""
+    lp = LinearProgram("min", (F(1), F(-1), F(-1), F(0)),
+                       (((F(0), F(0), F(2), F(0)), LE, F(1)), ((F(0), F(0), F(0), F(1)), EQ, F(5))),
+                       lower=(F(-7), F(0), F(0), None), upper=(None, F(300), None, None))
+    out = solve(lp)
+    assert out.primal == (F(-7), F(300), F(1, 2), F(5))
+    assert out.primal[0] is SMALL[-7] and out.primal[3] is SMALL[5]
+    assert check_outcome(lp, out) is None
+
+
+# max x + y over x + y = 2 stated twice, x and y free: x is placed in the first
+# row, which leaves the second 0 = 0 on its artificial
+RESTATED = LinearProgram("max", (F(1), F(1)), (((F(1), F(1)), EQ, F(2)),) * 2)
+
+
+def _start_pivots(lps):
+    """Each lp's outcome, and the pivots each one's ``_Tableau.__init__`` made."""
+    init, pivot = _Tableau.__init__, _Tableau._pivot
+    made, starting = [], [False]
+
+    def counting_init(self, lp):
+        made.append(0)
+        starting[0] = True
+        try:
+            init(self, lp)
+        finally:
+            starting[0] = False
+
+    def counting_pivot(self, r, c):
+        made[-1] += starting[0]
+        return pivot(self, r, c)
+
+    with mock.patch.object(_Tableau, "__init__", counting_init), \
+            mock.patch.object(_Tableau, "_pivot", counting_pivot):
+        return [solve(lp) for lp in lps], made
+
+
+@given(st.lists(st.tuples(st.lists(ints.map(F), min_size=3, max_size=3),
+                          st.sampled_from([LE, GE, EQ])), min_size=1, max_size=4),
+       st.lists(st.lists(ints.map(F), min_size=7, max_size=7), min_size=2, max_size=3),
+       st.lists(ints.map(F), min_size=3, max_size=3), st.sampled_from(["min", "max"]),
+       st.lists(st.booleans(), min_size=2, max_size=2),
+       st.lists(st.booleans(), min_size=3, max_size=3))
+def test_a_session_reuses_the_start_for_new_right_sides(matrix, sides, obj, sense, free, bounded):
+    """LPs that share their rows' coefficients and relations, their free
+    columns and which columns have an upper bound, but not their right sides
+    or bound values, give inside one session the outcomes of cold solves,
+    and every one after the first makes no pivot while its tableau is built."""
+    free = [True, *free]
+    lps = [LinearProgram(sense, obj,
+                         tuple((coeffs, rel, side[i]) for i, (coeffs, rel) in enumerate(matrix)),
+                         lower=[None if f else side[4 + j] for j, f in enumerate(free)],
+                         upper=[side[4 + j] + 2 if u else None for j, u in enumerate(bounded)])
+           for side in sides]
+    with session() as starts:
+        warm, made = _start_pivots(lps)
+    assert warm == [solve(lp) for lp in lps]
+    assert all(check_outcome(lp, out) is None for lp, out in zip(lps, warm))
+    assert not any(made[1:])
+    assert len(starts) == (made[0] > 0)
+
+
+def test_a_start_is_reused_only_under_its_own_key():
+    """LPs that share their coefficients but not their relations, or not
+    their sign-free columns, each build and store their own start inside one
+    session, and each gives its cold outcome."""
+    coeffs = ((F(1), F(1)), (F(1), F(-1)))
+    lps = [LinearProgram("max", (F(1), F(-2)), tuple(zip(coeffs, rels, (F(2), F(0)))), lower=lower)
+           for rels in ((EQ, EQ), (LE, LE), (EQ, LE)) for lower in ((None, None), (None, F(0)))]
+    with session() as starts:
+        warm = [solve(lp) for lp in lps]
+    assert warm == [solve(lp) for lp in lps]
+    assert len(starts) == len(lps)
+
+
+def test_nothing_is_stored_outside_a_session():
+    assert _STARTS.get() is None
+    _, made = _start_pivots([RESTATED, RESTATED])
+    assert made == [1, 1] and _STARTS.get() is None
+
+
+def test_sessions_share_no_start():
+    """Each session starts empty; an inner one hides the outer one's starts
+    until it ends, and the outer one then reuses its own."""
+    for _ in range(2):
+        with session() as starts:
+            assert _start_pivots([RESTATED])[1] == [1] and len(starts) == 1
+    with session() as outer:
+        _, made = _start_pivots([RESTATED])
+        with session() as inner:
+            made += _start_pivots([RESTATED])[1]
+            assert len(inner) == 1 and inner is not outer
+        made += _start_pivots([RESTATED])[1]
+    assert made == [1, 1, 0] and _STARTS.get() is None
+
+
+def test_a_session_ends_when_its_body_raises():
+    with pytest.raises(RuntimeError):
+        with session():
+            solve(RESTATED)
+            raise RuntimeError("body failed")
+    assert _STARTS.get() is None
+
+
+def test_restated_equality_with_a_new_right_side_is_infeasible_inside_a_session():
+    """The second LP reuses the first one's start: the restated row, the
+    second row minus the first, gets the right side 3 - 2 = 1 on its
+    artificial, which phase one cannot clear."""
+    with session():
+        test_restated_equality_with_a_new_right_side_is_infeasible()
+        _, made = _start_pivots([RESTATED, replace(RESTATED, rows=(RESTATED.rows[0],
+                                                                    ((F(1), F(1)), EQ, F(3))))])
+    assert made == [0, 0]
