@@ -10,9 +10,10 @@ configs on each, and hashes, per run:
 * `replay_trace` of its `trace_document`.
 
 It prints the sha256 prefix of all of that, then a tally of statuses, cuts,
-fallback records, replay problems and `optimal` values that differ from
-`undecomposed_value`, then the `ill_posed` runs by reason (all outside the
-digest), then one line per config: its status tally, the mean and largest
+fallback records, replay problems, `optimal` values that differ from
+`undecomposed_value`, and cuts on which `support_function` meeting the
+cut's right side disagrees with `face_report` calling the cut supporting,
+then the `ill_posed` runs by reason (all outside the digest), then one line per config: its status tally, the mean and largest
 iteration count of its optimal runs, and its fallback records, and last one
 line per config that tallies the `face_report` class and the
 `pareto_verdict` kind of every cut its runs made outside fallback rounds,
@@ -36,7 +37,7 @@ from bendercuts.benders import FixedCore, SolverConfig, SolveStatus, TrackIncumb
 from bendercuts.cglp import Custom, Directional, MisOnes
 from bendercuts.errors import ToolkitError
 from bendercuts.instance_io import replay_trace, trace_document
-from bendercuts.model import undecomposed_value
+from bendercuts.model import support_function, undecomposed_value
 from bendercuts.randgen import interior_epi_point, random_instance
 from bendercuts.verify import FaceClass, ParetoKind, face_report, pareto_verdict
 
@@ -93,6 +94,10 @@ def main():
                 for i, record in enumerate(cut_records):
                     face, face_text = judged(face_report, inst, record.cut)
                     verdict, verdict_text = judged(pareto_verdict, inst, record.cut)
+                    cut = record.cut
+                    h, _ = judged(support_function, inst, cut.coef_x, cut.coef_eta)
+                    touches = face is not None and face.classification != FaceClass.NON_SUPPORTING
+                    tally["supporting_mismatches"] += (h == cut.rhs) != touches
                     if i < 2:
                         lines += [face_text, verdict_text]
                     row = kinds[f"{name} +fb" if record.fallback else name]

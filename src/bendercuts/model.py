@@ -7,7 +7,11 @@ y (k of them) through m linking rows  H x + A y <= b.  The value function
 
 is +inf where the subproblem is infeasible and -inf where it is unbounded.
 Its epigraph epi(z) = {(x, eta) : z(x) <= eta} is the object every cut in this
-package is measured against.
+package is measured against.  It is the (x, eta) projection of
+{(x, y, eta) : Hx + Ay <= b, d.y <= eta}, and every LP over it solves over
+(x, y) on the rows of one builder, `tight_rows`, with eta projected out: the
+support function, the dimension oracles, and `verify`'s Pareto and
+core-point LPs.
 """
 
 from __future__ import annotations
@@ -152,11 +156,6 @@ def feasibility_rows(instance: Instance, point: EpiPoint):
     return tuple((row, LE, r) for row, r in zip(instance.A + (instance.d,), level(instance, point)))
 
 
-def lifted(instance: Instance, x: Sequence, eta) -> Vector:
-    """An (x, eta)-space row or objective on the lifted columns (x, y, eta): zero on y."""
-    return tuple(x) + (_ZERO,) * instance.k + (eta,)
-
-
 def tight_rows(instance: Instance, tight=None):
     """Rows over (x, y) of the set where a candidate inequality is tight.
 
@@ -172,12 +171,6 @@ def tight_rows(instance: Instance, tight=None):
         return rows
     pi, pi0, alpha = tight
     return rows + ((tuple(-v for v in pi) + tuple(-pi0 * v for v in instance.d), LE, -alpha),)
-
-
-def epigraph_rows(instance: Instance):
-    """Rows of the lifted epigraph {(x, y, eta) : Hx + Ay <= b, d.y - eta <= 0}."""
-    epi = ((_ZERO,) * instance.n + instance.d + (Fraction(-1),), LE, _ZERO)
-    return tuple((coeffs + (_ZERO,), LE, bi) for coeffs, _, bi in tight_rows(instance)) + (epi,)
 
 
 def subproblem_value(instance: Instance, x: Sequence) -> Union[Fraction, float]:
@@ -206,19 +199,23 @@ def epi_is_empty(instance: Instance) -> bool:
 
 
 def support_function(instance: Instance, pi: Sequence, pi0) -> Union[Fraction, float]:
-    """sup {pi . x + pi0 * eta : (x, eta) in epi(z)}, one LP over the lifted epigraph.
+    """sup {pi . x + pi0 * eta : (x, eta) in epi(z)}, one LP over (x, y) on `tight_rows`.
 
-    Maximizes pi . x + pi0 * eta over the rows of `epigraph_rows`.  OPTIMAL
-    gives the value; UNBOUNDED gives +inf, as it always does for pi0 > 0, where
-    eta runs to +inf; INFEASIBLE raises EmptyEpigraph: there is nothing to
-    support.
+    epi(z) is the (x, eta) projection of {(x, y, eta) : Hx + Ay <= b,
+    d.y <= eta}.  For pi0 <= 0 the best eta above a feasible (x, y) is d.y
+    itself, so the supremum is that of pi . x + pi0 * d.y over Hx + Ay <= b,
+    which the LP maximizes: OPTIMAL gives the value and UNBOUNDED +inf.  For
+    pi0 > 0 eta runs to +inf at any feasible (x, y), so the answer is +inf
+    whenever the LP is feasible.  INFEASIBLE raises EmptyEpigraph: there is
+    nothing to support.
     """
     pi = sized(as_vector(pi), instance.n, "pi")
-    out = solve(LinearProgram("max", lifted(instance, pi, as_fraction(pi0)),
-                              epigraph_rows(instance)))
+    pi0 = as_fraction(pi0)
+    out = solve(LinearProgram("max", pi + tuple(pi0 * v for v in instance.d),
+                              tight_rows(instance)))
     if out.status == LpStatus.INFEASIBLE:
         raise EmptyEpigraph("the epigraph is empty")
-    return math.inf if out.status == LpStatus.UNBOUNDED else out.objective_value
+    return math.inf if pi0 > 0 or out.status == LpStatus.UNBOUNDED else out.objective_value
 
 
 def _relative_interior(rows, dim: int) -> Optional[tuple[tuple[bool, ...], Vector]]:
@@ -265,8 +262,9 @@ def _implicit_mask(rows) -> Optional[tuple[bool, ...]]:
 def _affine_dimension(instance: Instance, tight=None) -> int:
     """Affine dimension of epi(z), or of the face a valid inequality exposes; -1 when empty.
 
-    epi(z) is the (x, eta) projection of the lifted set Q of `epigraph_rows`.
-    With `tight` = (pi, pi0, alpha), Q also gets the reversed row
+    epi(z) is the (x, eta) projection of the lifted set
+    Q = {(x, y, eta) : Hx + Ay <= b, d.y - eta <= 0}.  With `tight` =
+    (pi, pi0, alpha), Q also gets the reversed row
     -pi.x - pi0*eta <= -alpha, and the answer is -1 unless that row is
     implicit on a nonempty Q.  A point of epi(z) with pi.x + pi0*eta > alpha
     would lie in Q off that row, so an implicit reversed row on a nonempty Q

@@ -220,9 +220,16 @@ def boundedness_check(instance: Instance, point: EpiPoint, direction: Sequence,
                       direction_eta) -> DirectionClass:
     """Classify a direction against the cone spanned by epi(z) - point.
 
-    IN_SET: point + direction lies in epi(z), so the CGLP value is at most -1.
-    IN_CLOSED_CONE: some positive stretch reaches epi(z) (or its recession),
-    keeping the CGLP bounded.  OUTSIDE: the CGLP is unbounded.
+    IN_SET: point + direction lies in epi(z), so `separate` along it returns
+    a CGLP value of at most -1.  IN_CLOSED_CONE: it does not, but some
+    positive stretch of it reaches epi(z) or it is a recession direction of
+    epi(z).  OUTSIDE: neither.  For a point outside epi(z) the class decides
+    the reverse-polar LP `cglp.build_reverse_polar_lp` along the direction:
+    OPTIMAL on IN_SET and IN_CLOSED_CONE, UNBOUNDED on OUTSIDE.  It does not
+    decide the relaxed CGLP that `separate` solves, which needs a stretch
+    that reaches epi(z): on a recession direction that reaches none, such as
+    straight up over an x whose subproblem is infeasible, that LP is
+    infeasible and `separate` raises StrategyUnbounded.
     """
     sized(point.x, instance.n, "point.x")
     direction = sized(as_vector(direction), instance.n, "direction")

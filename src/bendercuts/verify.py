@@ -10,13 +10,13 @@ Each oracle is one LP or one RREF, and each rests on a theorem its docstring
 proves.  These run the acceptance suite and double as regression oracles, so
 they favor being obviously correct over being fast.
 
-The face LP and the Pareto LP solve over (x, y) on the rows of one builder,
-`model.tight_rows`: Hx + Ay <= b, then, for a cut with a = -coef_eta >= 0,
-the epigraph row d.y - eta <= 0 times a plus the cut's reversed row, which
-projects eta out: -coef_x.x + a d.y <= -rhs.  The face LP finds the
-implicit equalities of those rows; `_affine_dimension` proves that they give
-the face dimension the lifted rows over (x, y, eta) give, and that a cut with
-coef_eta > 0 exposes no face.  The Pareto LP maximizes one shared slack s
+The face LP, the Pareto LP and the core-point LP solve over (x, y) on the
+rows of one builder, `model.tight_rows`: Hx + Ay <= b, then, for a cut with
+a = -coef_eta >= 0, the epigraph row d.y - eta <= 0 times a plus the cut's
+reversed row, which projects eta out: -coef_x.x + a d.y <= -rhs.  The face
+LP finds the implicit equalities of those rows; `_affine_dimension` proves
+that they give the face dimension the lifted rows over (x, y, eta) give, and
+that a cut with coef_eta > 0 exposes no face.  The Pareto LP maximizes one shared slack s
 over the cut's tight points with x in the master set.  There eta comes from
 the cut's own equation, eta = (coef_x.x - rhs) / a, which turns the epigraph
 row into the same projected row, and on a finite master x comes from the
@@ -25,7 +25,10 @@ free-column start pivots each x_j into its own master row.  Both
 substitutions are bijections between the feasible sets that keep s, so s*,
 and with it every verdict, is the one the LP over (x, y, eta) gives; only
 the witness, the optimal vertex Bland's rule picks, may differ
-(`pareto_verdict` proves this).
+(`pareto_verdict` proves this).  The core-point LP finds a relative-interior
+point (x*, y*) of the master rows and Hx + Ay <= b, and eta = d.y* + 1 lifts
+it into the relative interior of the master-epigraph set (`core_point`
+proves this).
 
 Two facts depend on the instance alone and are computed once per instance:
 the affine dimension of epi(z) (`Instance.epi_affine_dimension`) and the
@@ -50,8 +53,8 @@ from typing import Optional
 from .errors import DominanceUndefined, InfeasibleCandidate, TooLarge
 from .linalg import Vector, as_vector, dot, matrix_rank, rref, sized, solve_square
 from .model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _relative_interior,
-                    epi_dimension, epi_face_dimension, epigraph_rows, feasibility_rows,
-                    subproblem_value, tight_rows)
+                    epi_dimension, epi_face_dimension, feasibility_rows, subproblem_value,
+                    tight_rows)
 from .separation import Certificate, Cut
 from .simplex import EQ, LE, LinearProgram, LpStatus, solve, violated_row
 
@@ -204,18 +207,26 @@ def relative_interior_point(rows, dim: int) -> Optional[Vector]:
 def core_point(instance: Instance) -> Optional[EpiPoint]:
     """A relative-interior point of the feasible master-epigraph set.
 
-    For a polyhedral master set this is relint of epi(z) restricted to it; for
-    a finite one, an equal-weight mix of the reachable points pushed strictly
+    For a polyhedral master set this is relint of epi(z) restricted to it:
+    (x*, d.y* + 1), with (x*, y*) a relative-interior point of the master
+    rows and the rows of `tight_rows` over (x, y).  Proof: that restriction
+    is the (x, eta) projection of the lifted set of those rows and
+    d.y - eta <= 0 over (x, y, eta).  Only the last row reads eta, which is
+    free upwards, so it is never implicit and the other rows' implicit ones
+    are those over (x, y).  So (x*, y*, d.y* + 1) lies on every implicit row
+    and strictly inside every other one: it is in the lifted set's relative
+    interior, and a linear image of a relative interior is the relative
+    interior of the image (Rockafellar, Convex Analysis, Thms 6.5-6.6).  For
+    a finite master, an equal-weight mix of the reachable points pushed 1
     above the value function.  None when nothing is feasible.
     """
     n, k = instance.n, instance.k
     dom = instance.master_domain
     if isinstance(dom, PolyhedralDomain):
-        rows = dom.rows(k + 1) + epigraph_rows(instance)
-        sol = relative_interior_point(rows, n + k + 1)
+        sol = relative_interior_point(dom.rows(k) + tight_rows(instance), n + k)
         if sol is None:
             return None
-        return EpiPoint(x=sol[:n], eta=sol[n + k])
+        return EpiPoint(x=sol[:n], eta=dot(instance.d, sol[n:]) + _ONE)
     reachable = []
     for p in dom.points:
         z = subproblem_value(instance, p)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from bendercuts.linalg import dot
-from bendercuts.model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, epigraph_rows
+from bendercuts.model import EpiPoint, FiniteDomain, Instance, PolyhedralDomain, tight_rows
 from bendercuts.separation import Cut, canonical_cut
+from bendercuts.simplex import LE
 from bendercuts.verify import relative_interior_point
 
 settings.register_profile(
@@ -80,6 +81,21 @@ def origin() -> EpiPoint:
 
 def rng_for(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def lifted(instance: Instance, x, eta) -> tuple:
+    """An (x, eta)-space row or objective on the lifted columns (x, y, eta): zero on y."""
+    return tuple(x) + (F(0),) * instance.k + (eta,)
+
+
+def epigraph_rows(instance: Instance) -> tuple:
+    """Rows of the lifted epigraph {(x, y, eta) : Hx + Ay <= b, d.y - eta <= 0}.
+
+    The reference description of epi(z) that the lifted oracles of the tests
+    solve over; the package itself projects eta out (`model.tight_rows`).
+    """
+    epi = ((F(0),) * instance.n + instance.d + (F(-1),), LE, F(0))
+    return tuple((coeffs + (F(0),), LE, bi) for coeffs, _, bi in tight_rows(instance)) + (epi,)
 
 
 def pin_to_hyperplane(rng: random.Random, inst: Instance) -> tuple[Instance, Cut]:

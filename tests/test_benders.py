@@ -39,6 +39,20 @@ def test_mis_run(ex1):
     assert not any(r.fallback for r in result.trace)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the eta-floor proof stops before the floor-free master is decided")
+@pytest.mark.parametrize("strategy", [MisOnes(), Directional((F(0),), F(1))], ids=["mis", "up"])
+def test_a_floor_under_the_optimum_does_not_end_the_run(ex1, strategy):
+    """ex1 with eta >= 7/3 has its optimum (4/3, 7/3), value 11/3, on the
+    floor.  The run converges there after one cut, but the floor-free master
+    over that cut reads less, so it ends ill_posed ("eta converged onto its
+    lower bound") instead of optimal."""
+    floored = replace(ex1, eta_lower_bound=F(7, 3))
+    assert undecomposed_value(floored) == F(11, 3)
+    result = solve(floored, SolverConfig(strategy=strategy))
+    assert (result.status, result.value) == (SolveStatus.OPTIMAL, F(11, 3)), result.reason
+
+
 def test_directional_run(ex1):
     config = SolverConfig(strategy=Directional((F(2),), F(3)))
     result = solve(ex1, config)

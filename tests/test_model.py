@@ -99,6 +99,14 @@ def test_empty_epigraph_instance():
         support_function(inst, (F(1),), F(-1))
 
 
+@pytest.mark.parametrize("pi0", [F(0), F(1), F(7, 2)])
+def test_support_function_on_an_empty_epigraph_raises_for_every_eta_coefficient(pi0):
+    """pi0 >= 0 still needs a feasible point: an empty epi(z) has no support
+    value, not +inf."""
+    with pytest.raises(EmptyEpigraph):
+        support_function(empty_epigraph(), (F(1),), pi0)
+
+
 def _implicit_reference(rows):
     """Row by row: row i is implicit when min a_i.z over the rows reaches r_i."""
     mask = []

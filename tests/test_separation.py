@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from bendercuts import linalg, separation
 from bendercuts.cglp import (Custom, Directional, MisOnes, build_alt_polyhedron,
-                             build_cglp_relaxed_subproblem, strategy_weights)
+                             build_cglp_relaxed_subproblem, build_reverse_polar_lp,
+                             strategy_weights)
 from bendercuts.errors import (DimensionError, EmptyEpigraph, PreconditionViolated,
                                StrategyUnbounded, UnboundedDirection,
                                ZeroCertificate)
@@ -18,7 +20,7 @@ from bendercuts.separation import (Certificate, Cut, DirectionClass, IN_EPIGRAPH
                                    SEPARATED, _certificate_from_duals,
                                    _push_to_vertex, boundedness_check, canonical_cut,
                                    certificate_to_cut, exposed_point, separate, tighten_rhs)
-from bendercuts.simplex import solve
+from bendercuts.simplex import LpStatus, solve
 from bendercuts.verify import FaceClass, face_report, is_vertex
 
 from conftest import P1, P2, P3, P1_CUT, P2_CUT, P3_CUT, same_cut
@@ -238,6 +240,35 @@ def test_boundedness_trichotomy(ex1, origin):
         boundedness_check(ex1, origin, (F(2), F(99)), F(10))
     with pytest.raises(DimensionError, match="point.x has 2 entries, expected 1"):
         boundedness_check(ex1, EpiPoint((F(0), F(7)), F(0)), (F(2),), F(3))
+
+
+def test_boundedness_class_decides_the_reverse_polar_lp():
+    """Over seeded draws, each with a drawn direction and the upward one, a
+    direction is IN_SET or IN_CLOSED_CONE exactly when the reverse-polar LP
+    along it is OPTIMAL, and OUTSIDE exactly when it is UNBOUNDED.  Straight
+    up over an x whose subproblem is infeasible is IN_CLOSED_CONE, yet
+    `separate` along it raises StrategyUnbounded: no stretch reaches epi(z),
+    so its relaxed CGLP is infeasible."""
+    pinned = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        inst = random_instance(rng)
+        point = separable_point(rng, inst)
+        if point is None:
+            continue
+        up = ((F(0),) * inst.n, F(1))
+        drawn = (tuple(F(rng.randint(-3, 3)) for _ in range(inst.n)), F(rng.randint(-3, 3)))
+        for direction, direction_eta in (drawn, up):
+            found = boundedness_check(inst, point, direction, direction_eta)
+            status = solve(build_reverse_polar_lp(inst, point, direction, direction_eta)).status
+            assert status == (LpStatus.UNBOUNDED if found == DirectionClass.OUTSIDE
+                              else LpStatus.OPTIMAL), (seed, direction, direction_eta)
+        if subproblem_value(inst, point.x) == math.inf:
+            assert boundedness_check(inst, point, *up) == DirectionClass.IN_CLOSED_CONE
+            with pytest.raises(StrategyUnbounded):
+                separate(inst, point, Directional(*up))
+            pinned += 1
+    assert pinned > 0
 
 
 def test_exposed_point(ex1, origin):

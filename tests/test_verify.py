@@ -15,8 +15,8 @@ from bendercuts.instance_io import parse_instance, serialize_instance
 from bendercuts.linalg import dot, matrix_rank, rref
 from bendercuts.model import (EpiPoint, FiniteDomain, Instance, PolyhedralDomain, _affine_dimension,
                               _implicit_mask, epi_contains, epi_dimension, epi_face_dimension,
-                              epigraph_rows, feasibility_rows, lifted, subproblem_value,
-                              support_function, tight_rows)
+                              feasibility_rows, subproblem_value, support_function, tight_rows,
+                              undecomposed_value)
 from bendercuts.randgen import random_instance, separable_point
 from bendercuts.separation import Certificate, Cut, SEPARATED, separate, tighten_rhs
 from bendercuts.simplex import EQ, LE, LinearProgram, LpStatus, solve
@@ -24,8 +24,8 @@ from bendercuts.verify import (FaceClass, FaceReport, ParetoKind, core_point, do
                                enumerate_vertices, face_report, is_mis_certificate,
                                is_vertex, pareto_verdict, relative_interior_point)
 
-from conftest import (P1, P2, P3, P1_CUT, P2_CUT, P3_CUT, empty_epigraph, ge_cut,
-                      pin_to_hyperplane)
+from conftest import (P1, P2, P3, P1_CUT, P2_CUT, P3_CUT, empty_epigraph, epigraph_rows,
+                      ge_cut, lifted, pin_to_hyperplane)
 
 # x <= -1 and x >= 0: no master point at all
 _NO_MASTER_POINT = PolyhedralDomain(G=((F(1),), (F(-1),)), g=(F(-1), F(0)))
@@ -376,6 +376,64 @@ def _oracle_cases():
                 flat_cuts.append(Cut(coef_x=normal, coef_eta=F(-1), rhs=h))
             cases.append((flat, flat_cuts))
     return cases, pinned
+
+
+def _lifted_support_function(instance, pi, pi0):
+    """The support LP over (x, y, eta) that `support_function` projects eta
+    out of: max pi.x + pi0*eta over `epigraph_rows`; None when infeasible."""
+    out = solve(LinearProgram("max", lifted(instance, pi, pi0), epigraph_rows(instance)))
+    if out.status == LpStatus.INFEASIBLE:
+        return None
+    return math.inf if out.status == LpStatus.UNBOUNDED else out.objective_value
+
+
+def test_support_function_matches_the_lifted_reference():
+    """Projecting eta out keeps every support value, for each oracle case's
+    cut normals with pi0 in {-1, 0, 1}: finite and +inf values for pi0 <= 0,
+    and +inf for pi0 > 0."""
+    cases, _ = _oracle_cases()
+    seen = set()
+    for inst, cuts in cases:
+        for cut in cuts:
+            for pi0 in (F(-1), F(0), F(1)):
+                h = support_function(inst, cut.coef_x, pi0)
+                assert h == _lifted_support_function(inst, cut.coef_x, pi0), (inst, cut, pi0)
+                seen.add((pi0, h == math.inf))
+    assert seen == {(F(-1), False), (F(-1), True), (F(0), False), (F(0), True), (F(1), True)}
+
+
+def _core_cases():
+    """Seeded draws on x >= 0, on the box 0 <= x <= 4, on the box with x_1
+    pinned to 0 (an implicit pair of rows), and on the rowless master; and
+    each draw with d = 0 on x >= 0, where z is 0 wherever it is finite."""
+    rng = random.Random(11)
+    for _ in range(12):
+        inst = random_instance(rng)
+        unit = tuple(F(1 if j == 0 else 0) for j in range(inst.n))
+        pinned = PolyhedralDomain(G=_box(inst.n).G + (unit,), g=_box(inst.n).g + (F(0),))
+        for dom in (inst.master_domain, _box(inst.n), pinned, PolyhedralDomain(G=(), g=())):
+            yield replace(inst, master_domain=dom)
+        yield replace(inst, d=(F(0),) * inst.k)
+
+
+def test_core_point_is_strictly_inside_and_above():
+    """On a polyhedral master the core point lies on every implicit master
+    row, strictly inside every other one and strictly above z(x); it is None
+    exactly when no master point has a feasible subproblem."""
+    seen = set()
+    for inst in _core_cases():
+        dom = inst.master_domain
+        core = core_point(inst)
+        if core is None:
+            assert undecomposed_value(inst) == math.inf
+            seen.add("none")
+            continue
+        for grow, gi, implicit in zip(dom.G, dom.g, dom.implicit_mask):
+            assert dot(grow, core.x) == gi if implicit else dot(grow, core.x) < gi
+            seen.add("implicit" if implicit else "strict")
+        assert subproblem_value(inst, core.x) < core.eta
+        seen.add("rowless" if not dom.G else "rows")
+    assert seen == {"none", "implicit", "strict", "rowless", "rows"}
 
 
 def test_cached_oracles_match_fresh_copies():
